@@ -22,8 +22,8 @@ type t = {
   table_bits : int;
   mutable w : int;  (* window start: FR = [0,w), window = [w,w+ctx), BL after *)
   (* Traversal telemetry. Counted in the internal steps so seeks pay
-     too; zeroed at the end of [compress] (the construction walk is not
-     traversal) and by [reset_telemetry] ([Wet.rewind] calls it, keeping
+     too; [compress] never steps, so a new stream starts at zero, and
+     [reset_telemetry] zeroes them again ([Wet.rewind] calls it, keeping
      saved containers byte-deterministic). *)
   mutable tfwd : int;
   mutable tbwd : int;
@@ -243,7 +243,10 @@ let internal_step_backward ~tally t =
     ();
   leaving
 
-let compress meth ~ctx values =
+(* The padded storage of [values] (zero sentinels at both ends, window
+   at the left end) with empty tables: where a built stream and a
+   selection trial both start. *)
+let make meth ~ctx values =
   if ctx < 1 || ctx > 16 then invalid_arg "Bidir.compress: ctx must be in [1,16]";
   let m = Array.length values in
   let p = Array.make (m + (2 * ctx)) 0 in
@@ -261,31 +264,33 @@ let compress meth ~ctx values =
     | Fcm | Dfcm -> Array.make (1 lsl table_bits) 0
     | Last_n | Last_stride -> [||]
   in
-  let t =
-    {
-      meth; ctx; m; p;
-      hit = Bitvec.create (m + (2 * ctx));
-      frtb = tb (); bltb = tb (); table_bits;
-      w = m + ctx;
-      tfwd = 0; tbwd = 0; tswitch = 0; tlast = 0;
-    }
-  in
-  (* Build the all-FR state left to right (each value compressed with
-     its still-raw right context), then walk the cursor back to the left
-     end, which moves everything into BL with consistent tables. The
-     walk is construction, not traversal: it accounts against a scratch
-     tally, so no caller's decode accounting ever sees it. *)
-  let scratch = Telemetry.make () in
-  for j = 0 to m + ctx - 1 do
+  {
+    meth; ctx; m; p;
+    hit = Bitvec.create (m + (2 * ctx));
+    frtb = tb (); bltb = tb (); table_bits;
+    w = 0;
+    tfwd = 0; tbwd = 0; tswitch = 0; tlast = 0;
+  }
+
+(* The state a cursor parked at the left end has, whatever route it took
+   there (see [clone]): the window holds the [ctx] leading sentinels, the
+   FR table is empty, and every BL entry was pushed right to left with
+   its raw left context. One thing survives from FR: a pop leaves its
+   slot's hit flag behind, and the window slots' flags are those of the
+   first [ctx] FR pushes, which start from an empty table and read only
+   raw right context. So those pushes are made, their payloads and table
+   updates dropped, and the BL entries pushed from the right — one
+   predictor update per value. *)
+let compress meth ~ctx values =
+  let t = make meth ~ctx values in
+  for j = 0 to ctx - 1 do
     push_fr t j t.p.(j)
   done;
-  for _ = 1 to m + ctx do
-    ignore (internal_step_backward ~tally:scratch t)
+  Array.fill t.p 0 ctx 0;
+  Array.fill t.frtb 0 (Array.length t.frtb) 0;
+  for pos = t.m + (2 * ctx) - 1 downto ctx do
+    push_bl t pos t.p.(pos)
   done;
-  t.tfwd <- 0;
-  t.tbwd <- 0;
-  t.tswitch <- 0;
-  t.tlast <- 0;
   t
 
 let length t = t.m
@@ -359,22 +364,45 @@ let read_at ?(tally = Telemetry.default) t k =
   seek ~tally t k;
   step_forward ~tally t
 
+(* Bits that do not depend on the entries: the raw window and, for the
+   FCM family, both lookup tables. *)
+let fixed_bits t =
+  (t.ctx * 32)
+  + (match t.meth with
+     | Fcm | Dfcm -> 2 * (1 lsl t.table_bits) * 32
+     | Last_n | Last_stride -> 0)
+
+(* Bits of the entry at [pos]: its flag, plus [hb] (= [hit_bits t]) on
+   a hit or the 32-bit value on a miss. *)
+let entry_bits t ~hb pos = 1 + if Bitvec.get t.hit pos then hb else 32
+
 let compressed_bits t =
   let hb = hit_bits t in
-  let entry_bits pos =
-    1 + (if Bitvec.get t.hit pos then hb else 32)
-  in
-  let total = ref (t.ctx * 32) in
+  let total = ref (fixed_bits t) in
   for pos = 0 to t.w - 1 do
-    total := !total + entry_bits pos
+    total := !total + entry_bits t ~hb pos
   done;
   for pos = t.w + t.ctx to t.m + (2 * t.ctx) - 1 do
-    total := !total + entry_bits pos
+    total := !total + entry_bits t ~hb pos
   done;
-  (match t.meth with
-   | Fcm | Dfcm -> total := !total + (2 * (1 lsl t.table_bits) * 32)
-   | Last_n | Last_stride -> ());
   !total
+
+type trial = { trial_bits : int; trial_entries : int }
+
+(* [compress]'s BL pass, keeping only the running size: each pushed
+   entry adds at least one bit, so once the sum reaches [limit] the
+   finished stream cannot come in under it. *)
+let trial ?(limit = max_int) meth ~ctx values =
+  let t = make meth ~ctx values in
+  let hb = hit_bits t in
+  let total = ref (fixed_bits t) in
+  let pos = ref (t.m + (2 * ctx) - 1) in
+  while !pos >= ctx && !total < limit do
+    push_bl t !pos t.p.(!pos);
+    total := !total + entry_bits t ~hb !pos;
+    decr pos
+  done;
+  { trial_bits = !total; trial_entries = t.m + (2 * ctx) - 1 - !pos }
 
 let to_array ?(tally = Telemetry.default) t =
   seek ~tally t 0;

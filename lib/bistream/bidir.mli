@@ -27,7 +27,12 @@ val all_meths : meth list
 type t
 
 (** [compress meth ~ctx values] builds the compressed stream with the
-    cursor parked at the left end (everything in [BL]).
+    cursor parked at the left end (everything in [BL]). It makes one
+    right-to-left pass, pushing each value into [BL] with its left
+    context — one predictor update per value — and leaves exactly the
+    state, hit flags of the window slots included, that stepping the
+    cursor to the right end and back to [0] reaches. Construction is not
+    traversal: it records nothing in any {!Telemetry.tally}.
     @raise Invalid_argument if [ctx < 1] or [ctx > 16]. *)
 val compress : meth -> ctx:int -> int array -> t
 
@@ -77,8 +82,28 @@ val read_at : ?tally:Telemetry.tally -> t -> int -> int
     (log2 of the candidate count), plus the 32-bit window values and, for
     the FCM family, the two lookup tables. The in-memory working
     representation is word-aligned and larger; all reported sizes use
-    this analytic measure. *)
+    this analytic measure. {!trial} computes the same sum without
+    building the stream. *)
 val compressed_bits : t -> int
+
+(** Outcome of a selection {!trial}. *)
+type trial = {
+  trial_bits : int;
+      (** [compressed_bits (compress meth ~ctx values)] when below the
+          limit; otherwise a partial sum that has reached the limit *)
+  trial_entries : int;  (** entries classified before the trial stopped *)
+}
+
+(** [trial ?limit meth ~ctx values] runs {!compress}'s right-to-left
+    pass over [values] and sums the entry bits as {!compressed_bits}
+    would, without keeping the stream. It stops as soon as the sum
+    reaches [limit] (default [max_int]): every entry adds at least one
+    bit, so [trial_bits >= limit] exactly when the built stream's
+    [compressed_bits] is at least [limit], and [trial_bits] equals it
+    otherwise. This is what lets selection drop a losing candidate
+    early.
+    @raise Invalid_argument if [ctx < 1] or [ctx > 16]. *)
+val trial : ?limit:int -> meth -> ctx:int -> int array -> trial
 
 (** Decompress the whole stream (for tests; moves the cursor). *)
 val to_array : ?tally:Telemetry.tally -> t -> int array
@@ -94,9 +119,9 @@ val ctx : t -> int
     classified entry per padded value outside the window), so they are
     cursor-independent and cost nothing on the push path:
     [tl_lookups = length + ctx] and [tl_hits + tl_misses = tl_lookups]
-    always. Step counters track cursor traversal only — construction,
-    peeks (a step plus its inverse) and [compress] itself do not count —
-    and are zeroed by [reset_telemetry]. *)
+    always. Step counters track cursor traversal only — [compress]
+    never steps, and peeks (a step plus its inverse) do not count — and
+    are zeroed by [reset_telemetry]. *)
 type telemetry = {
   tl_lookups : int;  (** predictor lookups = entries classified *)
   tl_hits : int;  (** entries the predictor got right (flag-bit only) *)

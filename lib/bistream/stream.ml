@@ -64,6 +64,39 @@ let compress_with spec values =
   | `Bidir (meth, ctx) ->
     { body = Bpacked (Bidir.compress meth ~ctx values); dcur = None }
 
+module Obs = Wet_obs.Metrics
+
+(* Selection work, bumped once per trial: entries the trials classified,
+   and trials stopped once their running size showed they could not
+   win. *)
+let c_trial_values = Obs.counter "pack.trial_values"
+
+let c_trials_cut = Obs.counter "pack.trials_cut"
+
+(* The order the trials run in, each candidate with its rank in
+   [candidates]: the table-free last-n family first, led by
+   last-stride/2 (timestamp streams are mostly strided), then the FCM
+   family from the cheapest hash up. A tight bound early stops the
+   costly FCM trials sooner; the pick does not depend on this order. *)
+let trial_order =
+  let order =
+    Bidir.
+      [
+        (Last_stride, 2); (Last_n, 1); (Last_stride, 1); (Last_n, 2);
+        (Last_n, 4); (Last_stride, 4); (Dfcm, 1); (Fcm, 1); (Dfcm, 2);
+        (Fcm, 2); (Dfcm, 4); (Fcm, 4);
+      ]
+  in
+  assert (List.sort compare order = List.sort compare candidates);
+  let ranks = List.mapi (fun rank c -> (c, rank)) candidates in
+  List.map (fun c -> (List.assoc c ranks, c)) order
+
+(* The pick is the smallest trial size, ties going to raw and then to
+   the first in [candidates] order. Each trial is bounded by the leader
+   so far: it can stop once it reaches the leader's size, or once it
+   exceeds it when it ranks before the leader (it would win a tie), so
+   every trial still decides exactly whether it beats the leader. Only
+   the winner is built. *)
 let compress values =
   let m = Array.length values in
   if m < raw_cutoff then compress_with `Raw values
@@ -71,13 +104,22 @@ let compress values =
     let prefix =
       if m <= trial_len then values else Array.sub values 0 trial_len
     in
-    let best = ref (`Raw, 32 * Array.length prefix) in
+    (* (spec, size, rank) of the leader; raw ranks before every candidate *)
+    let best = ref (`Raw, 32 * Array.length prefix, -1) in
     List.iter
-      (fun (meth, ctx) ->
-        let bits = Bidir.compressed_bits (Bidir.compress meth ~ctx prefix) in
-        if bits < snd !best then best := (`Bidir (meth, ctx), bits))
-      candidates;
-    compress_with (fst !best) values
+      (fun (rank, (meth, ctx)) ->
+        let _, bits, lead = !best in
+        let limit = if rank < lead then bits + 1 else bits in
+        let r = Bidir.trial ~limit meth ~ctx prefix in
+        if Obs.enabled () then begin
+          Obs.add c_trial_values r.Bidir.trial_entries;
+          if r.Bidir.trial_bits >= limit then Obs.incr c_trials_cut
+        end;
+        if r.Bidir.trial_bits < limit then
+          best := (`Bidir (meth, ctx), r.Bidir.trial_bits, rank))
+      trial_order;
+    let spec, _, _ = !best in
+    compress_with spec values
   end
 
 let body_length = function

@@ -3,9 +3,19 @@
     Following the paper's "Selection" paragraph (§5), each stream is
     trial-compressed with every bidirectional method — FCM, differential
     FCM, last-n and last-n-stride, each at three context sizes — over a
-    bounded prefix, and the smallest result wins. A raw (uncompressed)
-    representation competes too, so compression never loses more than
-    the trial cost; tiny streams usually stay raw.
+    bounded prefix (the first 4096 values), and the smallest result
+    wins; ties go to the earliest in {!candidates} order. A raw
+    (uncompressed) representation competes too and wins every tie, so
+    compression never loses more than the trial cost; streams under 16
+    values stay raw outright.
+
+    A trial is {!Bidir.trial}: it counts the bits the candidate would
+    take without building its stream, and stops as soon as the count
+    shows the candidate cannot beat the best so far. The trials run
+    cheapest predictor first, so that bound is tight before the costly
+    FCM trials start; since each trial still decides exactly whether
+    it beats the leader, the pick is the one an exhaustive scan in
+    {!candidates} order would make. Only the winner is built.
 
     {1 Container vs. cursor}
 

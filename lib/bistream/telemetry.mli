@@ -6,9 +6,9 @@
     dual — "how much decode work happened in this window of time,
     across every stream". A {!tally} is a bundle of counters bumped by
     the very same internal steps that feed the per-stream ones, so the
-    two views stay in lockstep: peeks (a step and its exact inverse) and
-    the construction walk inside [Bidir.compress] account against
-    scratch tallies, and raw-stream seeks/random reads stay free in
+    two views stay in lockstep: peeks (a step and its exact inverse)
+    account against scratch tallies, [Bidir.compress] builds a stream
+    without stepping, and raw-stream seeks/random reads stay free in
     both.
 
     {!default} is the process tally behind the historical tally-less

@@ -94,14 +94,16 @@ let note_packed_stream raw_len s =
   if Obs.enabled () then begin
     let m = Wet_bistream.Stream.method_name s in
     let raw_bits = 32 * raw_len in
+    (* [Stream.bits] walks the whole hit bitvector: read it once. *)
+    let bits = Wet_bistream.Stream.bits s in
     Obs.incr c_pack_streams;
     Obs.add c_pack_bits_raw raw_bits;
-    Obs.add c_pack_bits_packed (Wet_bistream.Stream.bits s);
+    Obs.add c_pack_bits_packed bits;
     Obs.observe h_pack_stream_len raw_len;
     Obs.incr (Obs.counter ("pack.method." ^ m ^ ".streams"));
     Obs.add
       (Obs.counter ("pack.method." ^ m ^ ".bits_saved"))
-      (max 0 (raw_bits - Wet_bistream.Stream.bits s))
+      (max 0 (raw_bits - bits))
   end
 
 (* Analyse the statically known structure of a path: which register

@@ -41,6 +41,10 @@ let docs =
     ("pack.method.<m>.streams", Counter,
      "streams won by method <m> (e.g. dfcm/4, raw)");
     ("pack.method.<m>.bits_saved", Counter, "bits method <m> saved vs raw");
+    ("pack.trial_values", Counter,
+     "entries the selection trials classified before stopping");
+    ("pack.trials_cut", Counter,
+     "selection trials stopped once their size could no longer win");
     (* container I/O *)
     ("store.bytes_written", Counter, "container bytes written");
     ("store.bytes_read", Counter, "container bytes read");

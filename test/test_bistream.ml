@@ -187,6 +187,126 @@ let test_cursor_bounds () =
   Alcotest.check_raises "bad ctx" (Invalid_argument "Bidir.compress: ctx must be in [1,16]")
     (fun () -> ignore (Bidir.compress Bidir.Fcm ~ctx:0 [| 1 |]))
 
+(* ---------------- construction and selection equivalence ---------------- *)
+
+(* Structured value streams: a periodic pattern over a small or a large
+   alphabet, shifted by a stride, with a share of noise. Lengths run to
+   5000, with extra weight on the edges: shorter than a context, and the
+   selection prefix (4096) and one past it. *)
+let gen_values =
+  let open QCheck.Gen in
+  let* len =
+    frequency
+      [
+        (2, int_bound 20);
+        (1, oneofl [ 4095; 4096; 4097 ]);
+        (3, int_bound 300);
+        (3, int_bound 5000);
+      ]
+  in
+  let* alphabet = oneof [ int_range 1 4; int_range 1 1000 ] in
+  let* stride = int_range (-3) 3 in
+  let* noise = int_bound 10 in
+  let* period = int_range 1 9 in
+  let* seed = int_bound 1_000_000 in
+  let rng = Wet_util.Prng.create seed in
+  let pattern = Array.init period (fun _ -> Wet_util.Prng.int rng alphabet) in
+  return
+    (Array.init len (fun i ->
+         if Wet_util.Prng.int rng 10 < noise then Wet_util.Prng.int rng alphabet
+         else (stride * i) + pattern.(i mod period)))
+
+let arb_values =
+  QCheck.make gen_values ~print:(fun a ->
+      Printf.sprintf "length %d: %s" (Array.length a)
+        (QCheck.Print.(array int) (Array.sub a 0 (min 40 (Array.length a)))))
+
+(* All twelve selection candidates, plus the widest context. *)
+let construction_variants =
+  Stream.candidates @ List.map (fun m -> (m, 16)) Bidir.all_meths
+
+(* The one-pass construction must leave exactly the state real stepping
+   reaches: walk the cursor to the right end and back, and the stream
+   marshals to the same bytes. *)
+let prop_construction_is_stepping =
+  QCheck.Test.make ~name:"compress equals the state stepping reaches"
+    ~count:60 arb_values (fun a ->
+      List.for_all
+        (fun (m, ctx) ->
+          let built = Marshal.to_string (Bidir.compress m ~ctx a) [] in
+          let b = Bidir.compress m ~ctx a in
+          let tally = Wet_bistream.Telemetry.make () in
+          Bidir.seek ~tally b (Array.length a);
+          Bidir.seek ~tally b 0;
+          Bidir.reset_telemetry b;
+          built = Marshal.to_string b [])
+        construction_variants)
+
+(* A trial counts what [compressed_bits] reports for the built stream,
+   and with a limit it answers "too big" exactly when that size is at
+   least the limit. *)
+let prop_trial_counts_bits =
+  QCheck.Test.make ~name:"trial bits equal compressed_bits" ~count:60
+    QCheck.(pair arb_values small_int)
+    (fun (a, slack) ->
+      List.for_all
+        (fun (m, ctx) ->
+          let size = Bidir.compressed_bits (Bidir.compress m ~ctx a) in
+          let full = Bidir.trial m ~ctx a in
+          full.Bidir.trial_bits = size
+          && full.Bidir.trial_entries = Array.length a + ctx
+          && List.for_all
+               (fun limit ->
+                 let r = Bidir.trial ~limit m ~ctx a in
+                 if size >= limit then r.Bidir.trial_bits >= limit
+                 else r.Bidir.trial_bits = size)
+               [ size - 1 - slack; size - 1; size; size + 1; size + slack; 0 ])
+        construction_variants)
+
+(* Selection written out as an exhaustive scan: build every candidate
+   over the first 4096 values, in [candidates] order, and keep the first
+   strictly smallest; raw competes at 32 bits a value and wins ties;
+   streams under 16 values stay raw. *)
+let exhaustive_pick a =
+  let n = Array.length a in
+  if n < 16 then "raw"
+  else begin
+    let prefix = Array.sub a 0 (min n 4096) in
+    let best = ref ("raw", 32 * Array.length prefix) in
+    List.iter
+      (fun (m, ctx) ->
+        let bits = Bidir.compressed_bits (Bidir.compress m ~ctx prefix) in
+        if bits < snd !best then
+          best := (Printf.sprintf "%s/%d" (Bidir.meth_name m) ctx, bits))
+      Stream.candidates;
+    fst !best
+  end
+
+let prop_selection_is_exhaustive =
+  QCheck.Test.make ~name:"selection equals the exhaustive pick" ~count:200
+    arb_values (fun a ->
+      Stream.method_name (Stream.compress a) = exhaustive_pick a)
+
+(* Ties between candidates must go to the first in [candidates] order
+   even though the trials run in another: on a constant stream several
+   last-n-family candidates reach the same size, and on the short
+   stream below last-n/2 ties last-stride/2, whose trial runs first. *)
+let test_selection_ties () =
+  List.iter
+    (fun a ->
+      Alcotest.(check string)
+        (Printf.sprintf "length %d" (Array.length a))
+        (exhaustive_pick a)
+        (Stream.method_name (Stream.compress a)))
+    [
+      [| 0; 1; 2; 4; 4; 1; 6; -7; 8; 9; -10; 1; -12; 1; 14; 16; 0; 1 |];
+      Array.make 16 0;
+      Array.make 100 7;
+      Array.make 5000 (-1);
+      Array.init 64 (fun i -> i);
+      Array.init 4097 (fun i -> 3 * i);
+    ]
+
 let () =
   Alcotest.run "bistream"
     [
@@ -201,6 +321,8 @@ let () =
       ( "compression",
         [
           Alcotest.test_case "effectiveness" `Quick test_compression_effectiveness;
+          QCheck_alcotest.to_alcotest prop_construction_is_stepping;
+          QCheck_alcotest.to_alcotest prop_trial_counts_bits;
         ] );
       ( "selection",
         [
@@ -208,5 +330,8 @@ let () =
           Alcotest.test_case "sensible picks" `Quick test_selection_picks_sensibly;
           Alcotest.test_case "find_ascending" `Quick test_find_ascending;
           Alcotest.test_case "lower_bound" `Quick test_lower_bound;
+          Alcotest.test_case "ties go to the first candidate" `Quick
+            test_selection_ties;
+          QCheck_alcotest.to_alcotest prop_selection_is_exhaustive;
         ] );
     ]

@@ -225,6 +225,46 @@ let test_feed_after_finish () =
        { Wet_error.stage = Wet_error.Build; msg = "finish after finish" })
     (fun () -> ignore (Builder.Sink.finish sink))
 
+(* Golden tier-2 containers. Both sides of the equivalence tests above
+   call the same [Builder.pack], so a change in how streams are built or
+   selected cannot show there. These digests pin the packed bytes of
+   every bundled program, built at a 64th of its timing scale through
+   the streaming sink. They come from an independent implementation of
+   construction and selection (fill FR, then walk the cursor back; every
+   trial builds its stream), so a faster one must reproduce them. *)
+let golden_tier2 =
+  [
+    ("099.go", "8e89981c5b803293f9631280a483f290");
+    ("126.gcc", "c19c76dc1bd9fa335e849702b9e2bbba");
+    ("130.li", "164334a6fac43261d0e247aca32c55fc");
+    ("164.gzip", "7db115dbcb3c634ea6072023282adc9a");
+    ("181.mcf", "dd4e920a2881bf79a5f11adde9092bca");
+    ("197.parser", "49e99a7ef79e9bd36a39281d521df350");
+    ("255.vortex", "c3751ed90a9dc32ff224040bd50ecfa8");
+    ("256.bzip2", "8ded8c30918d48da8f360945bd81e3ca");
+    ("300.twolf", "802adf6ec48f0183a75d6c33fff3cd51");
+  ]
+
+let test_golden_tier2 () =
+  Alcotest.(check (list string))
+    "every bundled program has a digest"
+    (List.map (fun (s : Spec.t) -> s.Spec.name) Spec.all)
+    (List.map fst golden_tier2);
+  List.iter
+    (fun (name, digest) ->
+      let spec = Spec.find name in
+      let scale = max 1 (spec.Spec.timing_scale / 64) in
+      let wet =
+        Builder.run_streaming ~program:(Spec.compile spec)
+          ~input:(Spec.input spec ~scale) ()
+      in
+      let bytes = Wet_core.Container.encode (Builder.pack wet) in
+      Alcotest.(check string)
+        (name ^ " tier-2 container digest")
+        digest
+        (Digest.to_hex (Digest.string bytes)))
+    golden_tier2
+
 let () =
   Alcotest.run "streaming"
     [
@@ -239,6 +279,7 @@ let () =
           Alcotest.test_case "empty last shard" `Quick test_empty_last_shard;
           Alcotest.test_case "explicit flush per path" `Quick
             test_explicit_flush;
+          Alcotest.test_case "golden tier-2 digests" `Quick test_golden_tier2;
         ] );
       ( "sink",
         [
