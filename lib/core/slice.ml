@@ -92,15 +92,15 @@ module Session = struct
           let l = e.Wet.e_labels.Wet.l_id in
           let dst, src = S.label_cursors s e.Wet.e_labels in
           if Ex.recording recorder then
-            Ex.touch ~recorder (Ex.Label_src l) Ex.Seek (Cursor.pos src);
+            Ex.touch ~recorder Ex.K_label_src l 0 Ex.Seek (Cursor.pos src);
           Cursor.seek ~tally src 0;
           for j = 0 to e.Wet.e_labels.Wet.l_len - 1 do
             if Ex.recording recorder then
-              Ex.touch ~recorder (Ex.Label_src l) Ex.Fwd 1;
+              Ex.touch ~recorder Ex.K_label_src l 0 Ex.Fwd 1;
             if Cursor.step_forward ~tally src = i then begin
               if Ex.recording recorder then
-                Ex.touch ~recorder (Ex.Label_dst l) Ex.Seek
-                  (max 1 (abs (j - Cursor.pos dst)));
+                Ex.touch ~recorder Ex.K_label_dst l 0 Ex.Seek
+                  (Int.max 1 (abs (j - Cursor.pos dst)));
               push e.Wet.e_dst (Cursor.read_at ~tally dst j)
             end
           done)

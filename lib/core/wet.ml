@@ -190,23 +190,26 @@ module Session = struct
   (* Query-explain instrumentation: cursor movements report to the
      session's recorder when it is armed; disarmed cost is one flag
      read. A [read_at] is reported as a seek of the cursor's travel
-     distance — the stream's decompression cost proxy. *)
-  let c_read_at s sid c k =
+     distance — the stream's decompression cost proxy. A stream is
+     named by its kind and ids ([b] is the group of a pattern stream,
+     0 otherwise), so reporting a step allocates nothing; [Int.max]
+     keeps the distance off the polymorphic compare. *)
+  let c_read_at s kind a b c k =
     if Ex.recording s.s_recorder then begin
       let d = abs (k - Cursor.pos c) in
       let v = Cursor.read_at ~tally:s.s_tally c k in
-      Ex.touch ~recorder:s.s_recorder sid Ex.Seek (max 1 d);
+      Ex.touch ~recorder:s.s_recorder kind a b Ex.Seek (Int.max 1 d);
       v
     end
     else Cursor.read_at ~tally:s.s_tally c k
 
-  let c_find_ascending s sid c v =
+  let c_find_ascending s kind a c v =
     if Ex.recording s.s_recorder then begin
       let c0 = Cursor.pos c in
       let r = Cursor.find_ascending ~tally:s.s_tally c v in
       let d = Cursor.pos c - c0 in
-      if d >= 0 then Ex.touch ~recorder:s.s_recorder sid Ex.Fwd d
-      else Ex.touch ~recorder:s.s_recorder sid Ex.Bwd (-d);
+      if d >= 0 then Ex.touch ~recorder:s.s_recorder kind a 0 Ex.Fwd d
+      else Ex.touch ~recorder:s.s_recorder kind a 0 Ex.Bwd (-d);
       r
     end
     else Cursor.find_ascending ~tally:s.s_tally c v
@@ -218,18 +221,18 @@ module Session = struct
   let ts_seek s (n : node) k =
     let c = ts_cursor s n in
     if Ex.recording s.s_recorder then
-      Ex.touch ~recorder:s.s_recorder (Ex.Ts n.n_id) Ex.Seek
+      Ex.touch ~recorder:s.s_recorder Ex.K_ts n.n_id 0 Ex.Seek
         (abs (k - Cursor.pos c));
     Cursor.seek ~tally:s.s_tally c k
 
   let ts_step_forward s (n : node) =
     if Ex.recording s.s_recorder then
-      Ex.touch ~recorder:s.s_recorder (Ex.Ts n.n_id) Ex.Fwd 1;
+      Ex.touch ~recorder:s.s_recorder Ex.K_ts n.n_id 0 Ex.Fwd 1;
     Cursor.step_forward ~tally:s.s_tally (ts_cursor s n)
 
   let ts_step_backward s (n : node) =
     if Ex.recording s.s_recorder then
-      Ex.touch ~recorder:s.s_recorder (Ex.Ts n.n_id) Ex.Bwd 1;
+      Ex.touch ~recorder:s.s_recorder Ex.K_ts n.n_id 0 Ex.Bwd 1;
     Cursor.step_backward ~tally:s.s_tally (ts_cursor s n)
 
   let ts_peek_forward s n = Cursor.peek_forward (ts_cursor s n)
@@ -237,7 +240,7 @@ module Session = struct
   let ts_peek_backward s n = Cursor.peek_backward (ts_cursor s n)
 
   let ts_find s (n : node) v =
-    c_find_ascending s (Ex.Ts n.n_id) (ts_cursor s n) v
+    c_find_ascending s Ex.K_ts n.n_id (ts_cursor s n) v
 
   (* Label queries. *)
 
@@ -250,10 +253,10 @@ module Session = struct
       let node = node_of_copy t c in
       let g = t.copy_group.(c) in
       match s.s_patterns.(node.n_id).(g) with
-      | None -> c_read_at s (Ex.Uvals c) uvals 0
+      | None -> c_read_at s Ex.K_uvals c 0 uvals 0
       | Some pattern ->
-        c_read_at s (Ex.Uvals c) uvals
-          (c_read_at s (Ex.Pattern (node.n_id, g)) pattern i))
+        c_read_at s Ex.K_uvals c 0 uvals
+          (c_read_at s Ex.K_pattern node.n_id g pattern i))
 
   (* Shared by data and control slots: locate the consumer instance on
      each candidate edge's dst label, then read the aligned producer
@@ -263,9 +266,9 @@ module Session = struct
       | [] -> None
       | e :: rest -> (
         let dst, src = label_cursors s e.e_labels in
-        match c_find_ascending s (Ex.Label_dst e.e_labels.l_id) dst i with
-        | Some j ->
-          Some (e.e_src, c_read_at s (Ex.Label_src e.e_labels.l_id) src j)
+        let l = e.e_labels.l_id in
+        match c_find_ascending s Ex.K_label_dst l dst i with
+        | Some j -> Some (e.e_src, c_read_at s Ex.K_label_src l 0 src j)
         | None -> search rest)
     in
     search edges
@@ -298,7 +301,7 @@ module Session = struct
     let t = s.s_wet in
     need t "labels.ts";
     let node = node_of_copy t c in
-    c_read_at s (Ex.Ts node.n_id) (ts_cursor s node) i
+    c_read_at s Ex.K_ts node.n_id 0 (ts_cursor s node) i
 end
 
 (* Deprecated implicit-session wrappers: each reads through the

@@ -100,7 +100,10 @@ let docs =
      "words allocated by profiled queries (self)");
     ("qprof.wall_ns", Histogram, "profiled query latency (ns)");
     ("qprof.latency.<shape>", Histogram,
-     "latency by query-shape fingerprint (ns), e.g. trace/cf");
+     "latency by query-shape fingerprint (ns), a closed set: \
+      trace/{cf,values,addresses}, slice/backward, at, paths (CLI and \
+      daemon), trace/invalid (every trace kind the daemon rejects), \
+      serve/<verb> (daemon-only verbs), bench/sweep (bench observatory)");
     (* query daemon (wet_serve) *)
     ("serve.connections", Counter, "client connections accepted");
     ("serve.requests.<verb>", Counter, "requests answered for verb <verb>");

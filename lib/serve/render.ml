@@ -23,18 +23,17 @@ let trace_kind_of_string = function
     Error
       (Printf.sprintf "unknown trace kind %S (cf, values or addresses)" s)
 
+(* The walk visits every row, since its total line counts them and its
+   cursor moves are the query's cost; only the first [limit] rows are
+   formatted. *)
 let trace s ~kind ~limit =
   let wet = W.Session.wet s in
   let lines = ref [] in
   let printed = ref 0 in
-  let emit fmt =
-    Printf.ksprintf
-      (fun s ->
-        if !printed < limit then begin
-          lines := s :: !lines;
-          incr printed
-        end)
-      fmt
+  let room () = !printed < limit in
+  let keep line =
+    lines := line :: !lines;
+    incr printed
   in
   (match kind with
    | Cf ->
@@ -44,19 +43,25 @@ let trace s ~kind ~limit =
      Query.Session.park s Query.Forward;
      let n =
        Query.Session.control_flow s Query.Forward ~f:(fun f b ->
-           emit "f%d:B%d" f b)
+           if room () then keep (Printf.sprintf "f%d:B%d" f b))
      in
      lines := Printf.sprintf "... (%d block executions total)" n :: !lines
    | Values ->
      let n =
        Query.Session.load_values s ~f:(fun c v ->
-           emit "load copy %d (stmt %d): %d" c wet.W.copy_stmt.(c) v)
+           if room () then
+             keep
+               (Printf.sprintf "load copy %d (stmt %d): %d" c
+                  wet.W.copy_stmt.(c) v))
      in
      lines := Printf.sprintf "... (%d load values total)" n :: !lines
    | Addresses ->
      let n =
        Query.Session.addresses s ~f:(fun c a ->
-           emit "mem copy %d (stmt %d): @%d" c wet.W.copy_stmt.(c) a)
+           if room () then
+             keep
+               (Printf.sprintf "mem copy %d (stmt %d): @%d" c
+                  wet.W.copy_stmt.(c) a))
      in
      lines := Printf.sprintf "... (%d addresses total)" n :: !lines);
   List.rev !lines

@@ -353,12 +353,17 @@ let answer t conn req =
     Ok ([ "shutting down" ], Json.Obj [])
 
 (* The qprof shape fingerprint: query verbs reuse the one-shot CLI's
-   vocabulary so daemon access logs aggregate with --qlog-out files. *)
+   vocabulary so daemon access logs aggregate with --qlog-out files.
+   The set is closed: each shape gets its own latency histogram, so a
+   client-chosen trace kind must not mint one; every kind [trace]
+   rejects shares [trace/invalid]. *)
 let shape_of req =
   match req.P.rq_verb with
-  | P.Trace ->
+  | P.Trace -> (
     let kind = Option.value (param req "kind") ~default:"cf" in
-    "trace/" ^ kind
+    match Render.trace_kind_of_string kind with
+    | Ok _ -> "trace/" ^ kind
+    | Error _ -> "trace/invalid")
   | P.Slice -> "slice/backward"
   | P.At -> "at"
   | P.Paths -> "paths"

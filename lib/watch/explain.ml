@@ -5,6 +5,8 @@ type stream =
   | Label_src of int
   | Label_dst of int
 
+type kind = K_ts | K_uvals | K_pattern | K_label_src | K_label_dst
+
 type op = Fwd | Bwd | Seek
 
 type stats = {
@@ -22,15 +24,51 @@ type stats = {
    process-global surface below ([armed], [arm], [touch], ...) operates
    on [default_recorder]; each [Wet.Session] owns a private recorder so
    concurrent sessions can explain queries without interleaving their
-   recordings. *)
+   recordings.
+
+   The tallies sit in dense tables, one per stream kind, indexed by the
+   stream's id (pattern streams by node, then by group). A slot no step
+   has reached holds [vacant]; [rc_touched] lists the filled ones. A
+   step on a stream already touched is therefore a few array reads and
+   field writes, with nothing allocated or hashed, and arming, resetting
+   and reporting walk only the touched streams, however far the tables
+   have grown. *)
 type recorder = {
   rc_armed : bool ref;
-  rc_tbl : (stream, stats) Hashtbl.t;
+  mutable rc_ts : stats array;  (* by node id *)
+  mutable rc_uvals : stats array;  (* by copy id *)
+  mutable rc_pattern : stats array array;  (* by node id, then group *)
+  mutable rc_src : stats array;  (* by label id *)
+  mutable rc_dst : stats array;  (* by label id *)
+  mutable rc_touched : stats list;
   mutable rc_queries : string list;
 }
 
+let fresh s =
+  {
+    st_stream = s;
+    st_fwd = 0;
+    st_bwd = 0;
+    st_seeks = 0;
+    st_seek_dist = 0;
+    st_switches = 0;
+    st_last = 0;
+  }
+
+(* The empty slot, told apart by physical equality and never written. *)
+let vacant = fresh (Ts (-1))
+
 let make_recorder () =
-  { rc_armed = ref false; rc_tbl = Hashtbl.create 256; rc_queries = [] }
+  {
+    rc_armed = ref false;
+    rc_ts = [||];
+    rc_uvals = [||];
+    rc_pattern = [||];
+    rc_src = [||];
+    rc_dst = [||];
+    rc_touched = [];
+    rc_queries = [];
+  }
 
 let default_recorder = make_recorder ()
 
@@ -41,8 +79,73 @@ let armed = default_recorder.rc_armed
 
 let recording r = !(r.rc_armed)
 
+(* [slot] and [find] are inlined into [touch]: they are its whole cost
+   on a stream already touched. *)
+let[@inline] slot tbl id = if id < Array.length tbl then tbl.(id) else vacant
+
+let[@inline] find r kind a b =
+  match kind with
+  | K_ts -> slot r.rc_ts a
+  | K_uvals -> slot r.rc_uvals a
+  | K_pattern ->
+    if a < Array.length r.rc_pattern then slot r.rc_pattern.(a) b else vacant
+  | K_label_src -> slot r.rc_src a
+  | K_label_dst -> slot r.rc_dst a
+
+(* [tbl], grown (doubling) until [id] indexes it. *)
+let grow empty tbl id =
+  let n = Array.length tbl in
+  if id < n then tbl
+  else begin
+    let t = Array.make (max (id + 1) (2 * n)) empty in
+    Array.blit tbl 0 t 0 n;
+    t
+  end
+
+(* The first step on a stream since the last reset: its tallies start
+   at zero. *)
+let admit r kind a b =
+  if a < 0 || b < 0 then invalid_arg "Explain.touch: negative stream id";
+  let st =
+    fresh
+      (match kind with
+       | K_ts -> Ts a
+       | K_uvals -> Uvals a
+       | K_pattern -> Pattern (a, b)
+       | K_label_src -> Label_src a
+       | K_label_dst -> Label_dst a)
+  in
+  (match kind with
+   | K_ts ->
+     r.rc_ts <- grow vacant r.rc_ts a;
+     r.rc_ts.(a) <- st
+   | K_uvals ->
+     r.rc_uvals <- grow vacant r.rc_uvals a;
+     r.rc_uvals.(a) <- st
+   | K_pattern ->
+     r.rc_pattern <- grow [||] r.rc_pattern a;
+     r.rc_pattern.(a) <- grow vacant r.rc_pattern.(a) b;
+     r.rc_pattern.(a).(b) <- st
+   | K_label_src ->
+     r.rc_src <- grow vacant r.rc_src a;
+     r.rc_src.(a) <- st
+   | K_label_dst ->
+     r.rc_dst <- grow vacant r.rc_dst a;
+     r.rc_dst.(a) <- st);
+  r.rc_touched <- st :: r.rc_touched;
+  st
+
+let clear r st =
+  match st.st_stream with
+  | Ts a -> r.rc_ts.(a) <- vacant
+  | Uvals a -> r.rc_uvals.(a) <- vacant
+  | Pattern (a, b) -> r.rc_pattern.(a).(b) <- vacant
+  | Label_src a -> r.rc_src.(a) <- vacant
+  | Label_dst a -> r.rc_dst.(a) <- vacant
+
 let reset ?(recorder = default_recorder) () =
-  Hashtbl.reset recorder.rc_tbl;
+  List.iter (clear recorder) recorder.rc_touched;
+  recorder.rc_touched <- [];
   recorder.rc_queries <- []
 
 let arm ?(recorder = default_recorder) () =
@@ -55,27 +158,10 @@ let query ?(recorder = default_recorder) name =
   if !(recorder.rc_armed) then
     recorder.rc_queries <- name :: recorder.rc_queries
 
-let stats_of recorder s =
-  match Hashtbl.find_opt recorder.rc_tbl s with
-  | Some st -> st
-  | None ->
-    let st =
-      {
-        st_stream = s;
-        st_fwd = 0;
-        st_bwd = 0;
-        st_seeks = 0;
-        st_seek_dist = 0;
-        st_switches = 0;
-        st_last = 0;
-      }
-    in
-    Hashtbl.replace recorder.rc_tbl s st;
-    st
-
-let touch ?(recorder = default_recorder) s op n =
+let touch ~recorder kind a b op n =
   if !(recorder.rc_armed) && n >= 0 then begin
-    let st = stats_of recorder s in
+    let st = find recorder kind a b in
+    let st = if st == vacant then admit recorder kind a b else st in
     match op with
     | Fwd ->
       st.st_fwd <- st.st_fwd + n;
@@ -122,10 +208,30 @@ let stream_name = function
   | Label_src l -> Printf.sprintf "label %d src" l
   | Label_dst l -> Printf.sprintf "label %d dst" l
 
+(* The order [compare] gives streams (constructor, then ids), without
+   the polymorphic walk: reports list their streams in it. *)
+let kind_rank = function
+  | Ts _ -> 0
+  | Uvals _ -> 1
+  | Pattern _ -> 2
+  | Label_src _ -> 3
+  | Label_dst _ -> 4
+
+let compare_stream a b =
+  match (a, b) with
+  | Pattern (n, g), Pattern (n', g') ->
+    let c = Int.compare n n' in
+    if c <> 0 then c else Int.compare g g'
+  | ( (Ts x | Uvals x | Label_src x | Label_dst x),
+      (Ts y | Uvals y | Label_src y | Label_dst y) )
+    when kind_rank a = kind_rank b ->
+    Int.compare x y
+  | _ -> Int.compare (kind_rank a) (kind_rank b)
+
 let report ?(recorder = default_recorder) () =
   let streams =
-    Hashtbl.fold
-      (fun _ st acc ->
+    List.rev_map
+      (fun st ->
         {
           e_stream = st.st_stream;
           e_fwd = st.st_fwd;
@@ -133,10 +239,9 @@ let report ?(recorder = default_recorder) () =
           e_seeks = st.st_seeks;
           e_seek_dist = st.st_seek_dist;
           e_switches = st.st_switches;
-        }
-        :: acc)
-      recorder.rc_tbl []
-    |> List.sort compare
+        })
+      recorder.rc_touched
+    |> List.sort (fun x y -> compare_stream x.e_stream y.e_stream)
   in
   { r_queries = List.rev recorder.rc_queries; r_streams = streams }
 

@@ -20,13 +20,23 @@ type stream =
   | Label_src of int  (** producer side of edge-label [l_id] *)
   | Label_dst of int  (** consumer side of edge-label [l_id] *)
 
+(** The class of a stream, without its ids: what {!touch} takes, so
+    naming the stream a step lands on allocates nothing. *)
+type kind =
+  | K_ts  (** {!Ts} *)
+  | K_uvals  (** {!Uvals} *)
+  | K_pattern  (** {!Pattern} *)
+  | K_label_src  (** {!Label_src} *)
+  | K_label_dst  (** {!Label_dst} *)
+
 type op =
   | Fwd  (** forward cursor steps *)
   | Bwd  (** backward cursor steps *)
   | Seek  (** one repositioning; the count is the seek distance *)
 
 (** One independent explain recording: armed flag, per-stream tallies,
-    query names. Not thread-safe — single-owner. *)
+    query names. {!arm}, {!reset} and {!report} cost O(streams touched
+    since the last reset). Not thread-safe — single-owner. *)
 type recorder
 
 (** A fresh, disarmed recorder. *)
@@ -40,8 +50,8 @@ val default_recorder : recorder
 val recording : recorder -> bool
 
 (** Guard for default-recorder instrumentation sites:
-    [if !armed then touch ...]. This is physically
-    [default_recorder]'s armed flag. *)
+    [if !armed then touch ~recorder:default_recorder ...]. This is
+    physically [default_recorder]'s armed flag. *)
 val armed : bool ref
 
 (** Clear recorded state and start recording. *)
@@ -50,9 +60,19 @@ val arm : ?recorder:recorder -> unit -> unit
 val disarm : ?recorder:recorder -> unit -> unit
 val reset : ?recorder:recorder -> unit -> unit
 
-(** Record [n] cursor steps (or one seek of distance [n]) on a stream.
-    No-op when the recorder is disarmed or [n < 0]. *)
-val touch : ?recorder:recorder -> stream -> op -> int -> unit
+(** [touch ~recorder kind a b op n] records [n] cursor steps (or one
+    seek of distance [n]) on the stream of class [kind] with id [a] —
+    the node, copy or label id — and [b], the group of a {!K_pattern}
+    stream and 0 for the other kinds. No-op when the recorder is
+    disarmed or [n < 0].
+
+    A step on a stream already touched since the last {!arm} or
+    {!reset} allocates and hashes nothing: the recorder keeps its
+    tallies in dense per-kind tables indexed by the ids, grown on a
+    stream's first step. The recorder is a required argument because
+    an optional one would be boxed at every call. Ids must be
+    non-negative; [Invalid_argument] otherwise. *)
+val touch : recorder:recorder -> kind -> int -> int -> op -> int -> unit
 
 (** Note a query entry point (e.g. ["query.control_flow"]). *)
 val query : ?recorder:recorder -> string -> unit

@@ -374,6 +374,161 @@ let test_daemon_hostile () =
   Client.close c;
   Thread.join daemon
 
+(* Trace kinds are client-chosen strings; each distinct qprof shape
+   gets its own latency histogram, so the daemon must fold every kind it
+   rejects into one shape or a client can grow its metrics without
+   bound. *)
+let test_bogus_kinds_bounded () =
+  with_temp_dir @@ fun dir ->
+  let w1, _ = Lazy.force wets in
+  let wet_path = Filename.concat dir "fib.wet" in
+  Store.save w1 wet_path;
+  let socket = Filename.concat dir "serve.sock" in
+  let daemon =
+    Thread.create Server.run
+      { (Server.default_config ~socket) with Server.ring_capacity = 16 }
+  in
+  let c = connect socket in
+  let metrics id = (roundtrip c (P.request ~id P.Metrics)).P.rs_lines in
+  (* the first metrics request registers its own latency series *)
+  ignore (metrics 1);
+  let before = List.length (metrics 2) in
+  for i = 1 to 300 do
+    match
+      Client.request c
+        (P.request ~wet:wet_path
+           ~params:[ ("kind", Printf.sprintf "bogus-%d" i) ]
+           ~id:(100 + i) P.Trace)
+    with
+    | Ok r -> Alcotest.(check bool) "a bogus kind is an error" false r.P.rs_ok
+    | Error e -> Alcotest.failf "bogus trace request %d: %s" i e
+  done;
+  let after = metrics 3 in
+  Alcotest.(check bool)
+    (Printf.sprintf "300 bogus kinds add at most one series (%d -> %d)"
+       before (List.length after))
+    true
+    (List.length after - before <= 1);
+  Alcotest.(check bool) "they share the trace/invalid shape" true
+    (List.exists
+       (fun l ->
+         match Json.parse l with
+         | Ok o ->
+           Option.bind (Json.member "name" o) Json.to_str
+           = Some "qprof.latency.trace/invalid"
+         | Error _ -> false)
+       after);
+  ignore (roundtrip c (P.request ~id:4 P.Shutdown));
+  Client.close c;
+  Thread.join daemon
+
+(* ------------------------------------------------------------------ *)
+(* Render: formatting only the rows a trace returns                   *)
+(* ------------------------------------------------------------------ *)
+
+module Spec = Wet_workloads.Spec
+module Query = Wet_core.Query
+module Telemetry = Wet_bistream.Telemetry
+module W = Wet_core.Wet
+
+(* Every bundled program at a 64th of its timing scale, on both tiers. *)
+let bundled =
+  lazy
+    (List.concat_map
+       (fun (spec : Spec.t) ->
+         let scale = max 1 (spec.Spec.timing_scale / 64) in
+         let w1 =
+           Builder.run_streaming ~program:(Spec.compile spec)
+             ~input:(Spec.input spec ~scale) ()
+         in
+         [
+           (spec.Spec.name ^ " tier1", w1);
+           (spec.Spec.name ^ " tier2", Builder.pack w1);
+         ])
+       Spec.all)
+
+let kinds =
+  [
+    ("cf", Render.Cf);
+    ("values", Render.Values);
+    ("addresses", Render.Addresses);
+  ]
+
+(* The query a trace render wraps, with [f] seeing each row's fields. *)
+let bare_query s kind ~f =
+  match kind with
+  | Render.Cf ->
+    Query.Session.park s Query.Forward;
+    Query.Session.control_flow s Query.Forward ~f
+  | Render.Values -> Query.Session.load_values s ~f
+  | Render.Addresses -> Query.Session.addresses s ~f
+
+(* Every row and the total line, formatted independently of the
+   renderer, and the number of rows. *)
+let reference_rows wet kind =
+  let s = W.open_session wet and rows = ref [] in
+  let stmt c = wet.W.copy_stmt.(c) in
+  let n =
+    bare_query s kind ~f:(fun x y ->
+        rows :=
+          (match kind with
+           | Render.Cf -> Printf.sprintf "f%d:B%d" x y
+           | Render.Values ->
+             Printf.sprintf "load copy %d (stmt %d): %d" x (stmt x) y
+           | Render.Addresses ->
+             Printf.sprintf "mem copy %d (stmt %d): @%d" x (stmt x) y)
+          :: !rows)
+  in
+  let total_line =
+    match kind with
+    | Render.Cf -> Printf.sprintf "... (%d block executions total)" n
+    | Render.Values -> Printf.sprintf "... (%d load values total)" n
+    | Render.Addresses -> Printf.sprintf "... (%d addresses total)" n
+  in
+  (List.rev !rows, total_line, n)
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+(* For every program, tier and kind, a trace render is the first
+   [min limit total] rows of the whole walk plus its total line, and
+   formatting moves no cursor: on two sessions taken through the same
+   requests, each render costs its session's tally exactly what the
+   bare query costs the other's. *)
+let test_trace_renders_a_prefix () =
+  List.iter
+    (fun (name, wet) ->
+      let rendered = W.open_session wet and bare = W.open_session wet in
+      let cost s f =
+        let tally = W.Session.tally s in
+        let before = Telemetry.snapshot ~tally () in
+        let x = f () in
+        (x, Telemetry.delta ~before ~after:(Telemetry.snapshot ~tally ()))
+      in
+      List.iter
+        (fun (kname, kind) ->
+          let rows, total_line, total = reference_rows wet kind in
+          List.iter
+            (fun limit ->
+              let what =
+                Printf.sprintf "%s trace %s --limit %d" name kname limit
+              in
+              let lines, r =
+                cost rendered (fun () -> Render.trace rendered ~kind ~limit)
+              in
+              let _, b =
+                cost bare (fun () -> bare_query bare kind ~f:(fun _ _ -> ()))
+              in
+              Alcotest.(check (list string)) what
+                (take (min limit total) rows @ [ total_line ])
+                lines;
+              Alcotest.(check bool) (what ^ ": the bare query's tally delta")
+                true (r = b))
+            [ 0; 1; 16; 50; total; total + 1 ])
+        kinds)
+    (Lazy.force bundled)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -395,5 +550,12 @@ let () =
           Alcotest.test_case "concurrent clients reconcile" `Quick
             test_daemon_concurrent;
           Alcotest.test_case "hostile clients" `Quick test_daemon_hostile;
+          Alcotest.test_case "bogus trace kinds share one shape" `Quick
+            test_bogus_kinds_bounded;
+        ] );
+      ( "render",
+        [
+          Alcotest.test_case "trace renders a prefix of its whole walk"
+            `Quick test_trace_renders_a_prefix;
         ] );
     ]

@@ -391,6 +391,245 @@ let test_explain_slice () =
   Alcotest.(check bool) "disarmed queries leave no trace" true
     (r.Ex.r_queries = [] && r.Ex.r_streams = [])
 
+(* The reference recorder: the earlier implementation, which keyed its
+   tallies by the [stream] value in a polymorphic [Hashtbl] and sorted
+   its report with [compare]. The dense-table recorder must produce the
+   same reports, field for field and in the same order. *)
+module Ref_recorder = struct
+  type stats = {
+    st_stream : Ex.stream;
+    mutable st_fwd : int;
+    mutable st_bwd : int;
+    mutable st_seeks : int;
+    mutable st_seek_dist : int;
+    mutable st_switches : int;
+    mutable st_last : int;
+  }
+
+  type t = {
+    armed : bool ref;
+    tbl : (Ex.stream, stats) Hashtbl.t;
+    mutable queries : string list;
+  }
+
+  let make () = { armed = ref false; tbl = Hashtbl.create 256; queries = [] }
+
+  let reset r =
+    Hashtbl.reset r.tbl;
+    r.queries <- []
+
+  let arm r =
+    reset r;
+    r.armed := true
+
+  let disarm r = r.armed := false
+
+  let query r name = if !(r.armed) then r.queries <- name :: r.queries
+
+  let stats_of r s =
+    match Hashtbl.find_opt r.tbl s with
+    | Some st -> st
+    | None ->
+      let st =
+        {
+          st_stream = s;
+          st_fwd = 0;
+          st_bwd = 0;
+          st_seeks = 0;
+          st_seek_dist = 0;
+          st_switches = 0;
+          st_last = 0;
+        }
+      in
+      Hashtbl.replace r.tbl s st;
+      st
+
+  let touch r s op n =
+    if !(r.armed) && n >= 0 then begin
+      let st = stats_of r s in
+      match op with
+      | Ex.Fwd ->
+        st.st_fwd <- st.st_fwd + n;
+        if st.st_last = 2 then st.st_switches <- st.st_switches + 1;
+        st.st_last <- 1
+      | Ex.Bwd ->
+        st.st_bwd <- st.st_bwd + n;
+        if st.st_last = 1 then st.st_switches <- st.st_switches + 1;
+        st.st_last <- 2
+      | Ex.Seek ->
+        st.st_seeks <- st.st_seeks + 1;
+        st.st_seek_dist <- st.st_seek_dist + n;
+        st.st_last <- 0
+    end
+
+  let report r =
+    let streams =
+      Hashtbl.fold
+        (fun _ st acc ->
+          {
+            Ex.e_stream = st.st_stream;
+            e_fwd = st.st_fwd;
+            e_bwd = st.st_bwd;
+            e_seeks = st.st_seeks;
+            e_seek_dist = st.st_seek_dist;
+            e_switches = st.st_switches;
+          }
+          :: acc)
+        r.tbl []
+      |> List.sort compare
+    in
+    { Ex.r_queries = List.rev r.queries; r_streams = streams }
+end
+
+type ex_op =
+  | Arm
+  | Disarm
+  | Reset
+  | Query of string
+  | Touch of Ex.stream * Ex.op * int
+  | Report
+  | Diff  (** diff from the previous snapshot to now *)
+
+(* The dense-table recorder names a stream by its kind and ids. *)
+let touch_dense recorder s op n =
+  match s with
+  | Ex.Ts a -> Ex.touch ~recorder Ex.K_ts a 0 op n
+  | Ex.Uvals a -> Ex.touch ~recorder Ex.K_uvals a 0 op n
+  | Ex.Pattern (a, b) -> Ex.touch ~recorder Ex.K_pattern a b op n
+  | Ex.Label_src a -> Ex.touch ~recorder Ex.K_label_src a 0 op n
+  | Ex.Label_dst a -> Ex.touch ~recorder Ex.K_label_dst a 0 op n
+
+let gen_ex_script =
+  let open QCheck.Gen in
+  (* mostly a few hot ids, so streams are touched again and again, and
+     now and then one far out, so the tables must grow *)
+  let id = frequency [ (6, int_range 0 12); (1, int_range 0 100_000) ] in
+  let stream =
+    oneof
+      [
+        map (fun a -> Ex.Ts a) id;
+        map (fun a -> Ex.Uvals a) id;
+        map2
+          (fun a b -> Ex.Pattern (a, b))
+          id
+          (frequency [ (4, int_range 0 3); (1, id) ]);
+        map (fun a -> Ex.Label_src a) id;
+        map (fun a -> Ex.Label_dst a) id;
+      ]
+  in
+  let count =
+    oneof [ return (-1); return 0; return 1; int_range 2 1_000_000_000 ]
+  in
+  let op =
+    frequency
+      [
+        (1, return Arm);
+        (1, return Disarm);
+        (1, return Reset);
+        (1, map (fun q -> Query q) (oneofl [ "query.a"; "query.b" ]));
+        ( 12,
+          map3
+            (fun s o n -> Touch (s, o, n))
+            stream (oneofl [ Ex.Fwd; Ex.Bwd; Ex.Seek ]) count );
+        (2, return Report);
+        (2, return Diff);
+      ]
+  in
+  list_size (int_range 0 300) op
+
+let print_ex_op = function
+  | Arm -> "arm"
+  | Disarm -> "disarm"
+  | Reset -> "reset"
+  | Query q -> "query " ^ q
+  | Touch (s, o, n) ->
+    Printf.sprintf "touch %s %s %d" (Ex.stream_name s)
+      (match o with Ex.Fwd -> "fwd" | Ex.Bwd -> "bwd" | Ex.Seek -> "seek")
+      n
+  | Report -> "report"
+  | Diff -> "diff"
+
+(* Runs a script on both recorders, comparing every report and every
+   diff; the final report is compared too. *)
+let prop_explain_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"dense recorder reports equal the Hashtbl reference"
+    (QCheck.make gen_ex_script
+       ~print:(fun ops -> String.concat "; " (List.map print_ex_op ops)))
+    (fun ops ->
+      let dense = Ex.make_recorder () and reference = Ref_recorder.make () in
+      let same what (a : Ex.report) (b : Ex.report) =
+        if a <> b then
+          QCheck.Test.fail_reportf "%s differs: %d vs %d streams" what
+            (List.length a.Ex.r_streams) (List.length b.Ex.r_streams)
+      in
+      let prev_dense = ref (Ex.report ~recorder:dense ())
+      and prev_ref = ref (Ref_recorder.report reference) in
+      List.iter
+        (function
+          | Arm ->
+            Ex.arm ~recorder:dense ();
+            Ref_recorder.arm reference
+          | Disarm ->
+            Ex.disarm ~recorder:dense ();
+            Ref_recorder.disarm reference
+          | Reset ->
+            Ex.reset ~recorder:dense ();
+            Ref_recorder.reset reference
+          | Query q ->
+            Ex.query ~recorder:dense q;
+            Ref_recorder.query reference q
+          | Touch (s, o, n) ->
+            touch_dense dense s o n;
+            Ref_recorder.touch reference s o n
+          | Report ->
+            let d = Ex.report ~recorder:dense ()
+            and r = Ref_recorder.report reference in
+            same "report" d r;
+            prev_dense := d;
+            prev_ref := r
+          | Diff ->
+            let d = Ex.report ~recorder:dense ()
+            and r = Ref_recorder.report reference in
+            same "diff"
+              (Ex.diff ~before:!prev_dense ~after:d)
+              (Ex.diff ~before:!prev_ref ~after:r))
+        ops;
+      same "final report" (Ex.report ~recorder:dense ())
+        (Ref_recorder.report reference);
+      true)
+
+(* A step on a stream already touched allocates nothing: 100,000 armed
+   steps over every kind and op, through the call [Wet.Session] and
+   [Slice] make, leave the minor heap's allocation count unmoved. *)
+let test_explain_step_allocates_nothing () =
+  let recorder = Ex.make_recorder () in
+  Ex.arm ~recorder ();
+  let kinds =
+    [| Ex.K_ts; Ex.K_uvals; Ex.K_pattern; Ex.K_label_src; Ex.K_label_dst |]
+  and ops = [| Ex.Fwd; Ex.Bwd; Ex.Seek |] in
+  let step i =
+    Ex.touch ~recorder
+      kinds.(i mod 5)
+      (i mod 97) (i mod 3)
+      ops.(i mod 3)
+      (i land 7)
+  in
+  for i = 0 to 5 * 97 * 3 - 1 do
+    step i
+  done;
+  let before = Gc.minor_words () in
+  for i = 0 to 99_999 do
+    step i
+  done;
+  let after = Gc.minor_words () in
+  Alcotest.(check (float 0.)) "minor words allocated by 100,000 steps" 0.
+    (after -. before);
+  (* 97 ids of each kind, and 3 groups of each pattern node *)
+  Alcotest.(check int) "on the streams touched before"
+    ((4 * 97) + (97 * 3))
+    (List.length (Ex.report ~recorder ()).Ex.r_streams)
+
 let () =
   Alcotest.run "watch"
     [
@@ -419,5 +658,8 @@ let () =
           Alcotest.test_case "forward control flow" `Quick
             test_explain_control_flow;
           Alcotest.test_case "backward slice" `Quick test_explain_slice;
+          QCheck_alcotest.to_alcotest prop_explain_matches_reference;
+          Alcotest.test_case "a step allocates nothing" `Quick
+            test_explain_step_allocates_nothing;
         ] );
     ]
