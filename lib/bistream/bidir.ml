@@ -315,6 +315,50 @@ let clone t =
     tlast = 0;
   }
 
+(* [Array.blit] passes every word through the write barrier when [dst]
+   lives in the major heap, as a cursor's arrays soon do; an [int array]
+   needs no barrier, and this loop copies about five times faster.
+   [n] must not exceed either length. *)
+let copy_ints src dst n =
+  for i = 0 to n - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
+
+(* Positions at or past [w + ctx] are BL entries, and every BL entry
+   holds what the template's does (each pop exactly undoes its push), so
+   the left end's state is the template's prefix [\[0, w + ctx)], its
+   flags there and both its tables. Equal length, method and context
+   give equal array lengths. *)
+let rewind ~template t =
+  if template.w <> 0 || template.m <> t.m || template.ctx <> t.ctx
+     || template.meth <> t.meth
+  then invalid_arg "Bidir.rewind: template does not match";
+  let n = t.w + t.ctx in
+  copy_ints template.p t.p n;
+  Bitvec.blit_prefix ~src:template.hit ~dst:t.hit n;
+  copy_ints template.frtb t.frtb (Array.length t.frtb);
+  copy_ints template.bltb t.bltb (Array.length t.bltb);
+  t.w <- 0
+
+let rewind_words t =
+  t.w + t.ctx + ((t.w + t.ctx) / 64) + Array.length t.frtb
+  + Array.length t.bltb
+
+(* A window slot's flag is whatever the last pop or rewind left there
+   (a BL flag after a forward step, an FR one after a backward step, the
+   template's after a rewind); no step reads it before a push rewrites
+   it, so it is not state. *)
+let same_state a b =
+  let len = a.m + (2 * a.ctx) in
+  let rec flags pos =
+    pos >= len
+    || ((pos >= a.w && pos < a.w + a.ctx)
+        || Bitvec.get a.hit pos = Bitvec.get b.hit pos)
+       && flags (pos + 1)
+  in
+  a.meth = b.meth && a.ctx = b.ctx && a.m = b.m && a.w = b.w && a.p = b.p
+  && a.frtb = b.frtb && a.bltb = b.bltb && flags 0
+
 let step_forward ?(tally = Telemetry.default) t =
   if t.w >= t.m then invalid_arg "Bidir.step_forward: at right end";
   internal_step_forward ~tally t
@@ -323,32 +367,31 @@ let step_backward ?(tally = Telemetry.default) t =
   if t.w <= 0 then invalid_arg "Bidir.step_backward: at left end";
   internal_step_backward ~tally t
 
-(* Peeks are a step and its exact inverse: they reveal a value without
-   moving the cursor, so they must not show up as traversal either — the
-   round trip accounts against a scratch tally. *)
-let peek_forward ?tally:_ t =
-  if t.w >= t.m then invalid_arg "Bidir.step_forward: at right end";
-  let f, b, s, l = (t.tfwd, t.tbwd, t.tswitch, t.tlast) in
-  let scratch = Telemetry.make () in
-  let x = internal_step_forward ~tally:scratch t in
-  ignore (internal_step_backward ~tally:scratch t);
-  t.tfwd <- f;
-  t.tbwd <- b;
-  t.tswitch <- s;
-  t.tlast <- l;
-  x
+(* Peeks are pure reads. The value a forward step would reveal is the
+   one [pop_bl] computes from the BL entry, the window and the BL table
+   (a miss entry's value sits in the table slot its payload would
+   restore); the value a backward step reveals is already raw in the
+   window's last slot. *)
+let peek_forward t =
+  if t.w >= t.m then invalid_arg "Bidir.peek_forward: at right end";
+  let pos = t.w + t.ctx in
+  let n = t.ctx in
+  match t.meth with
+  | Fcm -> t.bltb.(key_fcm t (pos - n))
+  | Dfcm -> t.p.(pos - 1) + t.bltb.(key_dfcm t (pos - n))
+  | Last_n ->
+    if Bitvec.get t.hit pos then t.p.(pos - n + t.p.(pos)) else t.p.(pos)
+  | Last_stride ->
+    if Bitvec.get t.hit pos then begin
+      let k = t.p.(pos) in
+      let s = if k = 0 then 0 else t.p.(pos - n + k) - t.p.(pos - n + k - 1) in
+      t.p.(pos - 1) + s
+    end
+    else t.p.(pos)
 
-let peek_backward ?tally:_ t =
-  if t.w <= 0 then invalid_arg "Bidir.step_backward: at left end";
-  let f, b, s, l = (t.tfwd, t.tbwd, t.tswitch, t.tlast) in
-  let scratch = Telemetry.make () in
-  let x = internal_step_backward ~tally:scratch t in
-  ignore (internal_step_forward ~tally:scratch t);
-  t.tfwd <- f;
-  t.tbwd <- b;
-  t.tswitch <- s;
-  t.tlast <- l;
-  x
+let peek_backward t =
+  if t.w <= 0 then invalid_arg "Bidir.peek_backward: at left end";
+  t.p.(t.w + t.ctx - 1)
 
 let seek ?(tally = Telemetry.default) t k =
   if k < 0 || k > t.m then invalid_arg "Bidir.seek";

@@ -51,10 +51,10 @@ val cursor : t -> int
     O(length) time and space. *)
 val clone : t -> t
 
-(** Stepping, peeking and seeking optionally account their decode work
-    against an explicit {!Telemetry.tally} (default:
-    {!Telemetry.default}) — this is how per-session cost attribution
-    stays race-free when several cursors traverse concurrently. *)
+(** Stepping and seeking optionally account their decode work against
+    an explicit {!Telemetry.tally} (default: {!Telemetry.default}) —
+    this is how per-session cost attribution stays race-free when
+    several cursors traverse concurrently. *)
 
 (** Reveal the value at index [cursor] and advance.
     @raise Invalid_argument at the right end. *)
@@ -64,15 +64,43 @@ val step_forward : ?tally:Telemetry.tally -> t -> int
     @raise Invalid_argument at the left end. *)
 val step_backward : ?tally:Telemetry.tally -> t -> int
 
-(** Value a forward step would reveal, leaving the stream state
-    untouched (implemented as a step and its inverse; free in every
-    tally). *)
-val peek_forward : ?tally:Telemetry.tally -> t -> int
+(** Value a forward step would reveal. A pure read of the next BL entry,
+    the window and the BL table: it writes nothing, allocates nothing
+    and decodes no other entry, so it is not traversal and no tally or
+    counter sees it.
+    @raise Invalid_argument at the right end. *)
+val peek_forward : t -> int
 
-val peek_backward : ?tally:Telemetry.tally -> t -> int
+(** Value a backward step would reveal: the window's last slot, which
+    holds it raw. A pure read, like {!peek_forward}.
+    @raise Invalid_argument at the left end. *)
+val peek_backward : t -> int
 
 (** Move the cursor to [k] by stepping. *)
 val seek : ?tally:Telemetry.tally -> t -> int -> unit
+
+(** [rewind ~template t] moves [t]'s cursor to [0] without decoding: it
+    copies from [template] — a stream over the same values parked at
+    [0], such as the one [t] was cloned from — the payload and entry
+    flags of positions [\[0, cursor t + ctx)] and both tables, the only
+    state that differs between the two. Everything right of that prefix
+    is already the template's. Costs {!rewind_words} word copies and no
+    step, so no tally or counter sees it.
+    @raise Invalid_argument if [template] is not parked at [0] or
+    differs in length, method or context. *)
+val rewind : template:t -> t -> unit
+
+(** Words {!rewind} would copy at the current cursor: the prefix, its
+    flag bits and both tables. *)
+val rewind_words : t -> int
+
+(** [same_state a b]: [a] and [b] are at the same cursor and hold the
+    same payload, entry flags and tables, which is everything a later
+    step or peek reads. Traversal counters are not compared, nor the
+    flags of window slots: a window slot keeps whatever flag its last
+    pop or {!rewind} left, and no step reads it before a push rewrites
+    it. *)
+val same_state : t -> t -> bool
 
 (** [read_at t k] is the value at index [k]; the cursor ends at [k+1]. *)
 val read_at : ?tally:Telemetry.tally -> t -> int -> int
@@ -120,8 +148,8 @@ val ctx : t -> int
     cursor-independent and cost nothing on the push path:
     [tl_lookups = length + ctx] and [tl_hits + tl_misses = tl_lookups]
     always. Step counters track cursor traversal only — [compress]
-    never steps, and peeks (a step plus its inverse) do not count — and
-    are zeroed by [reset_telemetry]. *)
+    never steps, and peeks and {!rewind} decode nothing — and are zeroed
+    by [reset_telemetry]. *)
 type telemetry = {
   tl_lookups : int;  (** predictor lookups = entries classified *)
   tl_hits : int;  (** entries the predictor got right (flag-bit only) *)

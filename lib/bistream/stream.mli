@@ -84,13 +84,26 @@ module Cursor : sig
 
   val step_backward : ?tally:Telemetry.tally -> t -> int
 
+  (** Peeks are pure reads (see {!Bidir.peek_forward}): they decode no
+      entry, and no tally or counter sees them. *)
+
   val peek_forward : t -> int
 
   val peek_backward : t -> int
 
+  (** [seek_steps c k] moves the cursor to [k] and returns the entries
+      it decoded. A raw cursor indexes its array and decodes nothing
+      (0). A packed cursor moving left either steps back or, when the
+      copy costs less than the steps it saves, rewinds from the
+      stream's template ({!Bidir.rewind}) and steps forward from [0];
+      the count is the steps it took. *)
+  val seek_steps : ?tally:Telemetry.tally -> t -> int -> int
+
+  (** {!seek_steps}, without the count. *)
   val seek : ?tally:Telemetry.tally -> t -> int -> unit
 
-  (** [read_at c k] is the value at index [k] (moves the cursor). *)
+  (** [read_at c k] is the value at index [k] (moves the cursor to
+      [k + 1], reaching [k] as {!seek} does). *)
   val read_at : ?tally:Telemetry.tally -> t -> int -> int
 
   (** Decompress everything (moves the cursor to the right end). *)
@@ -108,6 +121,11 @@ module Cursor : sig
       what makes tier-1 queries faster than tier-2 queries in the
       paper's Tables 6–9. *)
   val find_ascending : ?tally:Telemetry.tally -> t -> int -> int option
+
+  (** [same_state a b]: two cursors over one stream hold the same
+      position and decode state (see {!Bidir.same_state}). An untouched
+      cursor stands at [0] in the template's state. *)
+  val same_state : t -> t -> bool
 
   (** Per-cursor traversal counters (zero before the first touch). *)
 

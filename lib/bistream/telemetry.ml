@@ -3,8 +3,9 @@
    mutable counters — never marshalled, never reset by [Wet.rewind] — so
    a [before]/[after] snapshot pair brackets exactly the decode work
    performed against that tally in between, no matter which streams it
-   landed on. Peeks use scratch tallies so they never perturb a caller's
-   accounting, and [Bidir.compress] builds a stream without stepping.
+   landed on. Peeks read without stepping and a rewind copies from the
+   template without decoding, so neither reaches a tally; nor does
+   [Bidir.compress], which builds a stream without stepping.
 
    [default] is the process tally behind the historical global API:
    single-session callers (the CLI, the tests) never mention tallies and

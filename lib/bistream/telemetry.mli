@@ -6,10 +6,10 @@
     dual — "how much decode work happened in this window of time,
     across every stream". A {!tally} is a bundle of counters bumped by
     the very same internal steps that feed the per-stream ones, so the
-    two views stay in lockstep: peeks (a step and its exact inverse)
-    account against scratch tallies, [Bidir.compress] builds a stream
-    without stepping, and raw-stream seeks/random reads stay free in
-    both.
+    two views stay in lockstep: peeks are pure reads and a rewind
+    from the template copies without decoding, so neither steps;
+    [Bidir.compress] builds a stream without stepping; and raw-stream
+    seeks/random reads stay free in both.
 
     {!default} is the process tally behind the historical tally-less
     API: single-session callers never name a tally and observe exactly

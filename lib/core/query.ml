@@ -248,12 +248,15 @@ type class_estimate = {
 
 (* Plan-time step predictions per query shape (the fingerprints the CLI
    stamps on profiled queries). The control-flow walk is exact by
-   construction — each path execution reveals exactly one timestamp, and
-   peeks are free — so estimated and actual agree to the step on both
-   tiers. The value/address extractions depend on pattern-group layout
-   and cursor locality, so those are stated as per-instance lower
-   bounds; [at] and the slices depend on where the data lands and are
-   the loosest. Unknown shapes estimate nothing. *)
+   construction — each path execution reveals exactly one timestamp,
+   peeks are pure reads, and parking the cursors a finished walk left at
+   their right ends rewinds them from the template without decoding —
+   so estimated and actual agree to the step on both tiers, on a
+   session's first walk and on every repeat. The value/address
+   extractions depend on pattern-group layout and cursor locality, so
+   those are stated as per-instance lower bounds; [at] and the slices
+   depend on where the data lands and are the loosest. Unknown shapes
+   estimate nothing. *)
 let estimate (t : Wet.t) shape =
   let execs = t.Wet.stats.Wet.path_execs in
   match shape with

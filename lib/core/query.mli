@@ -115,7 +115,8 @@ type class_estimate = {
     the query shape [shape] (a [Wet_qprof] fingerprint such as
     ["trace/cf"] or ["slice/backward"]) will pay on [t] — the estimated
     side of the CLI's [--analyze] table. ["trace/cf"] is exact (one
-    timestamp revealed per path execution, peeks free); the value,
+    timestamp revealed per path execution; peeks, and the rewind that
+    parks a finished walk's cursors, decode nothing); the value,
     address, [at] and slice shapes are per-instance approximations.
     Unknown shapes return [[]]. *)
 val estimate : Wet.t -> string -> class_estimate list

@@ -91,16 +91,16 @@ module Session = struct
           (* producer-instance streams are not sorted, so scan them *)
           let l = e.Wet.e_labels.Wet.l_id in
           let dst, src = S.label_cursors s e.Wet.e_labels in
+          let d = Cursor.seek_steps ~tally src 0 in
           if Ex.recording recorder then
-            Ex.touch ~recorder Ex.K_label_src l 0 Ex.Seek (Cursor.pos src);
-          Cursor.seek ~tally src 0;
+            Ex.touch ~recorder Ex.K_label_src l 0 Ex.Seek d;
           for j = 0 to e.Wet.e_labels.Wet.l_len - 1 do
             if Ex.recording recorder then
               Ex.touch ~recorder Ex.K_label_src l 0 Ex.Fwd 1;
             if Cursor.step_forward ~tally src = i then begin
               if Ex.recording recorder then
                 Ex.touch ~recorder Ex.K_label_dst l 0 Ex.Seek
-                  (Int.max 1 (abs (j - Cursor.pos dst)));
+                  (Int.max 1 (Cursor.seek_steps ~tally dst j));
               push e.Wet.e_dst (Cursor.read_at ~tally dst j)
             end
           done)

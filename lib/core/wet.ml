@@ -189,14 +189,15 @@ module Session = struct
 
   (* Query-explain instrumentation: cursor movements report to the
      session's recorder when it is armed; disarmed cost is one flag
-     read. A [read_at] is reported as a seek of the cursor's travel
-     distance — the stream's decompression cost proxy. A stream is
-     named by its kind and ids ([b] is the group of a pattern stream,
-     0 otherwise), so reporting a step allocates nothing; [Int.max]
-     keeps the distance off the polymorphic compare. *)
+     read. A seek is reported with the entries it decoded
+     ([Cursor.seek_steps]: none on a raw stream or a rewind), and a
+     [read_at] as a seek of at least one, the value it reads. A stream
+     is named by its kind and ids ([b] is the group of a pattern
+     stream, 0 otherwise), so reporting a step allocates nothing;
+     [Int.max] keeps the distance off the polymorphic compare. *)
   let c_read_at s kind a b c k =
     if Ex.recording s.s_recorder then begin
-      let d = abs (k - Cursor.pos c) in
+      let d = Cursor.seek_steps ~tally:s.s_tally c k in
       let v = Cursor.read_at ~tally:s.s_tally c k in
       Ex.touch ~recorder:s.s_recorder kind a b Ex.Seek (Int.max 1 d);
       v
@@ -219,11 +220,9 @@ module Session = struct
   let ts_pos s n = Cursor.pos (ts_cursor s n)
 
   let ts_seek s (n : node) k =
-    let c = ts_cursor s n in
+    let d = Cursor.seek_steps ~tally:s.s_tally (ts_cursor s n) k in
     if Ex.recording s.s_recorder then
-      Ex.touch ~recorder:s.s_recorder Ex.K_ts n.n_id 0 Ex.Seek
-        (abs (k - Cursor.pos c));
-    Cursor.seek ~tally:s.s_tally c k
+      Ex.touch ~recorder:s.s_recorder Ex.K_ts n.n_id 0 Ex.Seek d
 
   let ts_step_forward s (n : node) =
     if Ex.recording s.s_recorder then

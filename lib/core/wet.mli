@@ -240,8 +240,9 @@ module Session : sig
   (** {2 Timestamp-cursor primitives}
 
       The per-node timestamp cursors driving control-flow walks.
-      Step/seek/find report to the session's recorder when armed; peeks
-      move no cursor and are free. *)
+      Step/seek/find report to the session's recorder when armed, a seek
+      with the entries it decoded ({!Stream.Cursor.seek_steps}); peeks
+      are pure reads and are free. *)
 
   val ts_cursor : t -> node -> Stream.Cursor.t
 

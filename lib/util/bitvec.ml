@@ -8,6 +8,18 @@ let length v = v.n
 
 let copy v = { bits = Bytes.copy v.bits; n = v.n }
 
+let blit_prefix ~src ~dst n =
+  if n < 0 || n > src.n || n > dst.n then invalid_arg "Bitvec.blit_prefix";
+  let full = n lsr 3 and rest = n land 7 in
+  Bytes.blit src.bits 0 dst.bits 0 full;
+  if rest > 0 then begin
+    let mask = (1 lsl rest) - 1 in
+    let s = Char.code (Bytes.unsafe_get src.bits full)
+    and d = Char.code (Bytes.unsafe_get dst.bits full) in
+    Bytes.unsafe_set dst.bits full
+      (Char.unsafe_chr (s land mask lor (d land lnot mask)))
+  end
+
 let check v i =
   if i < 0 || i >= v.n then invalid_arg "Bitvec: index out of bounds"
 

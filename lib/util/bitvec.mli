@@ -15,6 +15,11 @@ val length : t -> int
     either afterwards never affects the other. *)
 val copy : t -> t
 
+(** [blit_prefix ~src ~dst n] copies bits [\[0, n)] of [src] into
+    [dst], leaving [dst]'s other bits as they are.
+    @raise Invalid_argument if [n] is negative or exceeds either length. *)
+val blit_prefix : src:t -> dst:t -> int -> unit
+
 (** [get v i] is bit [i]. @raise Invalid_argument if out of bounds. *)
 val get : t -> int -> bool
 

@@ -307,6 +307,198 @@ let test_selection_ties () =
       Array.init 4097 (fun i -> 3 * i);
     ]
 
+(* ---------------- pure peeks and template rewinds ---------------- *)
+
+module Cursor = Stream.Cursor
+module Telemetry = Wet_bistream.Telemetry
+
+(* A random cursor script over [n] values: steps both ways, seeks
+   anywhere, seeks near the left end (where an FCM stream's tables
+   outweigh the prefix a rewind copies), reads, and returns to the left
+   end. *)
+type op = Fwd | Bwd | Seek of int | Read of int | Rewind
+
+let script rng n len =
+  List.init len (fun _ ->
+      match Wet_util.Prng.int rng 6 with
+      | 0 -> Fwd
+      | 1 -> Bwd
+      | 2 -> Seek (Wet_util.Prng.int rng (n + 1))
+      | 3 -> Seek (Wet_util.Prng.int rng (min n 40 + 1))
+      | 4 -> Read (Wet_util.Prng.int rng (max n 1))
+      | _ -> Rewind)
+
+(* [Rewind] is the template copy itself, so the states peeks see
+   include those a rewind leaves. *)
+let apply_bidir ~template tally b = function
+  | Fwd -> if Bidir.cursor b < Bidir.length b then ignore (Bidir.step_forward ~tally b)
+  | Bwd -> if Bidir.cursor b > 0 then ignore (Bidir.step_backward ~tally b)
+  | Seek k -> Bidir.seek ~tally b k
+  | Read k -> if k < Bidir.length b then ignore (Bidir.read_at ~tally b k)
+  | Rewind -> Bidir.rewind ~template b
+
+let apply_cursor c = function
+  | Fwd -> if Cursor.pos c < Cursor.length c then ignore (Cursor.step_forward c)
+  | Bwd -> if Cursor.pos c > 0 then ignore (Cursor.step_backward c)
+  | Seek k -> Cursor.seek c k
+  | Read k -> if k < Cursor.length c then ignore (Cursor.read_at c k)
+  | Rewind -> Cursor.seek c 0
+
+(* At every position a script reaches, each peek reveals what a step
+   and its inverse on a clone reveal, and leaves the cursor marshalling
+   to the same bytes, traversal counters included. *)
+let prop_peeks_are_reads =
+  QCheck.Test.make ~name:"peeks read what a step reveals and write nothing"
+    ~count:30
+    QCheck.(pair arb_values small_int)
+    (fun (a, seed) ->
+      let n = Array.length a in
+      let rng = Wet_util.Prng.create seed in
+      let tally = Telemetry.make () in
+      List.for_all
+        (fun (m, ctx) ->
+          let template = Bidir.compress m ~ctx a in
+          let b = Bidir.clone template in
+          List.for_all
+            (fun op ->
+              apply_bidir ~template tally b op;
+              let frozen = Marshal.to_string b [] in
+              let unmoved () = Marshal.to_string b [] = frozen in
+              let forward =
+                Bidir.cursor b >= n
+                ||
+                let v = Bidir.peek_forward b in
+                unmoved ()
+                &&
+                let c = Bidir.clone b in
+                let x = Bidir.step_forward ~tally c in
+                ignore (Bidir.step_backward ~tally c);
+                v = x
+              and backward =
+                Bidir.cursor b = 0
+                ||
+                let v = Bidir.peek_backward b in
+                unmoved ()
+                &&
+                let c = Bidir.clone b in
+                let x = Bidir.step_backward ~tally c in
+                ignore (Bidir.step_forward ~tally c);
+                v = x
+              in
+              forward && backward)
+            (script rng n 30))
+        construction_variants)
+
+(* A cursor over [s] taken to [k] by single steps from wherever [c]
+   stands: what stepping a clone of [c] to [k] reaches. *)
+let stepped_copy s c k =
+  let r = Cursor.make s in
+  for _ = 1 to Cursor.pos c do
+    ignore (Cursor.step_forward r)
+  done;
+  while Cursor.pos r > k do
+    ignore (Cursor.step_backward r)
+  done;
+  while Cursor.pos r < k do
+    ignore (Cursor.step_forward r)
+  done;
+  r
+
+(* After any script, a seek and a read leave the state single steps
+   reach, whether they rewound from the template or stepped; the seek
+   reports the steps it took, and the values onward read right. *)
+let prop_seek_is_stepping =
+  QCheck.Test.make ~name:"cursor seeks and reads reach the stepped state"
+    ~count:30
+    QCheck.(pair arb_values small_int)
+    (fun (a, seed) ->
+      let n = Array.length a in
+      let rng = Wet_util.Prng.create seed in
+      List.for_all
+        (fun (m, ctx) ->
+          let s = Stream.compress_with (`Bidir (m, ctx)) a in
+          List.for_all
+            (fun k ->
+              let c = Cursor.make s in
+              List.iter (apply_cursor c) (script rng n 8);
+              let p0 = Cursor.pos c in
+              let r = stepped_copy s c k in
+              let d = Cursor.seek_steps c k in
+              let seek_ok =
+                Cursor.same_state c r
+                && (d = abs (k - p0) || (k < p0 && d = k))
+              in
+              let onward = ref true in
+              for i = k to n - 1 do
+                if Cursor.step_forward c <> a.(i) then onward := false
+              done;
+              let read_ok =
+                n = 0
+                ||
+                let j = Wet_util.Prng.int rng n in
+                let r = stepped_copy s c (j + 1) in
+                Cursor.read_at c j = a.(j) && Cursor.same_state c r
+              in
+              seek_ok && !onward && read_ok)
+            [
+              0; n; Wet_util.Prng.int rng (n + 1);
+              Wet_util.Prng.int rng (min n 40 + 1);
+            ])
+        construction_variants)
+
+(* Both routes are taken: far from the left end a seek rewinds, even on
+   an FCM stream whose tables outweigh the prefix it copies, and one
+   entry back it steps. A raw cursor decodes nothing. *)
+let test_seek_rewinds_when_cheaper () =
+  let a = Array.init 5000 (fun i -> i * 37 mod 211) in
+  let s = Stream.compress_with (`Bidir (Bidir.Fcm, 1)) a in
+  let c = Cursor.make s in
+  let check what k expected =
+    let r = stepped_copy s c k in
+    Alcotest.(check int) (what ^ ": entries decoded") expected
+      (Cursor.seek_steps c k);
+    Alcotest.(check bool) (what ^ ": stepped state") true
+      (Cursor.same_state c r)
+  in
+  Cursor.seek c 3000;
+  check "far left: rewind, then step forward" 10 10;
+  Cursor.seek c 30;
+  check "tables beyond the prefix: rewind" 0 0;
+  Cursor.seek c 31;
+  check "one back: step" 30 1;
+  check "forward: step" 4000 3970;
+  let raw = Cursor.make (Stream.compress_with `Raw a) in
+  Cursor.seek raw 4000;
+  Alcotest.(check int) "raw: an index" 0 (Cursor.seek_steps raw 5)
+
+(* Peeks and a rewind allocate nothing. *)
+let test_reads_allocate_nothing () =
+  let a = Array.init 3000 (fun i -> i * 7 mod 1000) in
+  List.iter
+    (fun (m, ctx) ->
+      let what = variant_name (m, ctx) in
+      let b = Bidir.compress m ~ctx a in
+      Bidir.seek b 1500;
+      let c = Cursor.make (Stream.compress_with (`Bidir (m, ctx)) a) in
+      Cursor.seek c 1500;
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Bidir.peek_forward b));
+        ignore (Sys.opaque_identity (Bidir.peek_backward b));
+        ignore (Sys.opaque_identity (Cursor.peek_forward c));
+        ignore (Sys.opaque_identity (Cursor.peek_backward c))
+      done;
+      let after = Gc.minor_words () in
+      Alcotest.(check (float 0.)) (what ^ ": minor words of 4,000 peeks") 0.
+        (after -. before);
+      let before = Gc.minor_words () in
+      let d = Cursor.seek_steps c 0 in
+      let after = Gc.minor_words () in
+      Alcotest.(check int) (what ^ ": the seek rewound") 0 d;
+      Alcotest.(check (float 0.)) (what ^ ": minor words of a rewind") 0.
+        (after -. before))
+    construction_variants
+
 let () =
   Alcotest.run "bistream"
     [
@@ -333,5 +525,14 @@ let () =
           Alcotest.test_case "ties go to the first candidate" `Quick
             test_selection_ties;
           QCheck_alcotest.to_alcotest prop_selection_is_exhaustive;
+        ] );
+      ( "cursor",
+        [
+          QCheck_alcotest.to_alcotest prop_peeks_are_reads;
+          QCheck_alcotest.to_alcotest prop_seek_is_stepping;
+          Alcotest.test_case "rewind or step" `Quick
+            test_seek_rewinds_when_cheaper;
+          Alcotest.test_case "reads allocate nothing" `Quick
+            test_reads_allocate_nothing;
         ] );
     ]

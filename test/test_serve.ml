@@ -530,6 +530,59 @@ let test_trace_renders_a_prefix () =
     (Lazy.force bundled)
 
 (* ------------------------------------------------------------------ *)
+(* Repeated requests                                                   *)
+(* ------------------------------------------------------------------ *)
+
+module Qprof = Wet_qprof.Qprof
+module Ex = Wet_watch.Explain
+
+(* A request repeated on one session costs what the first did: the
+   control-flow walk's return to parked cursors decodes nothing, so
+   every trace cf pays one timestamp step per path execution, in the
+   session's tally and in its Explain recording alike. Repeated value
+   and address traces return the first request's rows, which are a
+   fresh session's. *)
+let test_repeat_costs_the_first () =
+  List.iter
+    (fun (name, wet) ->
+      if String.ends_with ~suffix:"tier2" name then begin
+        let s = W.open_session wet in
+        let scope =
+          Qprof.make_scope ~tally:(W.Session.tally s)
+            ~recorder:(W.Session.recorder s) ()
+        in
+        let execs = wet.W.stats.W.path_execs in
+        for i = 1 to 3 do
+          let _, p =
+            Qprof.run ~scope "trace/cf" (fun () ->
+                Render.trace s ~kind:Render.Cf ~limit:16)
+          in
+          let ts =
+            List.fold_left
+              (fun acc (st : Ex.stream_stats) ->
+                if Ex.stream_kind st.Ex.e_stream = "ts" then acc + Ex.steps st
+                else acc)
+              0 p.Qprof.p_streams
+          in
+          let what = Printf.sprintf "%s trace cf #%d" name i in
+          Alcotest.(check int) (what ^ ": tally decode steps") execs
+            (Qprof.decode_steps p.Qprof.p_total);
+          Alcotest.(check int) (what ^ ": explain ts actual") execs ts
+        done;
+        List.iter
+          (fun (kname, kind) ->
+            let rows s = Render.trace s ~kind ~limit:max_int in
+            let fresh = rows (W.open_session wet) in
+            for i = 1 to 3 do
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s trace %s #%d" name kname i)
+                fresh (rows s)
+            done)
+          [ ("values", Render.Values); ("addresses", Render.Addresses) ]
+      end)
+    (Lazy.force bundled)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "serve"
@@ -557,5 +610,7 @@ let () =
         [
           Alcotest.test_case "trace renders a prefix of its whole walk"
             `Quick test_trace_renders_a_prefix;
+          Alcotest.test_case "a repeated query costs what the first did"
+            `Quick test_repeat_costs_the_first;
         ] );
     ]

@@ -73,6 +73,25 @@ let prop_bitvec_model =
       Array.iteri (fun i b -> if Bitvec.get v i <> b then ok := false) m;
       !ok && Bitvec.popcount v = Array.fold_left (fun a b -> if b then a + 1 else a) 0 m)
 
+(* A prefix blit copies bits [0, n) and leaves the rest of [dst] alone,
+   at every length and byte alignment. *)
+let prop_bitvec_blit_prefix =
+  QCheck.Test.make ~name:"bitvec prefix blit models a bool array"
+    QCheck.(triple (int_bound 70) (list bool) (list bool))
+    (fun (n, xs, ys) ->
+      let len = max n (max (List.length xs) (List.length ys)) in
+      let bits l =
+        let v = Bitvec.create len in
+        List.iteri (fun i b -> Bitvec.set v i b) l;
+        v
+      in
+      let src = bits xs and dst = bits ys and before = bits ys in
+      Bitvec.blit_prefix ~src ~dst n;
+      List.for_all
+        (fun i ->
+          Bitvec.get dst i = Bitvec.get (if i < n then src else before) i)
+        (List.init len Fun.id))
+
 let test_hashing () =
   let a = [| 1; 2; 3; 4; 5 |] in
   Alcotest.(check int) "window stable"
@@ -113,6 +132,7 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_bitvec;
           QCheck_alcotest.to_alcotest prop_bitvec_model;
+          QCheck_alcotest.to_alcotest prop_bitvec_blit_prefix;
         ] );
       ("hashing", [ Alcotest.test_case "basic" `Quick test_hashing ]);
       ("prng", [ Alcotest.test_case "determinism" `Quick test_prng ]);
