@@ -778,13 +778,11 @@ let sweep_queries = 4
 
 (* The fixed query sweep every observatory sample times: both directions
    of control flow, load values and addresses, all on the tier-2 WET —
-   the shape of Tables 6–8 in one deterministic unit of work. *)
-(* Deliberately the default session: Explain.arm () arms the default
-   recorder and Qprof.profiled uses the default scope, so the sweep's
-   work must land on the default cursors for the cost attribution
-   below to see it. *)
-let query_sweep w2 =
-  let s = W.default_session w2 in
+   the shape of Tables 6–8 in one deterministic unit of work. Every
+   sweep of a workload runs on one session, so each starts from the
+   cursors the last one left, and the explain and qprof figures below
+   read that session's recorder and tally. *)
+let query_sweep s =
   Query.Session.park s Query.Forward;
   ignore (Query.Session.control_flow s Query.Forward ~f:(fun _ _ -> ()));
   ignore (Query.Session.control_flow s Query.Backward ~f:(fun _ _ -> ()));
@@ -1030,15 +1028,21 @@ let observatory () =
         let t1 = Sizes.current w1 in
         let w2 = Builder.pack w1 in
         let t2 = Sizes.current w2 in
-        let query_ms = sampled (fun () -> query_sweep w2) in
+        let sweep = W.open_session w2 in
+        let recorder = W.Session.recorder sweep in
+        let scope =
+          Qprof.make_scope ~tally:(W.Session.tally sweep) ~recorder ()
+        in
+        let query_ms = sampled (fun () -> query_sweep sweep) in
         let stream_ms = sampled (fun () -> streaming_build w ~scale) in
         let stream_progress_ms =
           sampled (fun () -> streaming_build ~progress:true w ~scale)
         in
         (* the sweep's deterministic cost profile, via query-explain *)
-        Explain.arm ();
-        query_sweep w2;
-        let er = Fun.protect ~finally:Explain.disarm Explain.publish in
+        Explain.arm ~recorder;
+        query_sweep sweep;
+        Explain.disarm ~recorder;
+        let er = Explain.publish ~recorder in
         let switches =
           List.fold_left
             (fun a (s : Explain.stream_stats) -> a + s.Explain.e_switches)
@@ -1049,16 +1053,19 @@ let observatory () =
            start state is the sweep's own fixed point and the figures
            are deterministic run to run. *)
         let _, prof =
-          Qprof.profiled
+          Qprof.profiled ~scope
             ~params:[ ("workload", w.Spec.name) ]
             "bench/sweep"
-            (fun () -> query_sweep w2)
+            (fun () -> query_sweep sweep)
         in
         (* qlog overhead: the same sweep inside a profiling context with
            a qlog line appended, vs the plain walls already sampled *)
         let qlog_ms =
           sampled (fun () ->
-              let _, p = Qprof.profiled "bench/sweep" (fun () -> query_sweep w2) in
+              let _, p =
+                Qprof.profiled ~scope "bench/sweep" (fun () ->
+                    query_sweep sweep)
+              in
               Qlog.append "/dev/null" p)
         in
         (* durable-build costs: the checkpointed fused build, then one

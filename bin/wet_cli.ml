@@ -326,15 +326,18 @@ let print_explain (r : Explain.report) =
       rows
   end
 
-let with_explain explain f =
+(* The report covers what ran, so it prints when the query fails too. *)
+let with_explain explain s f =
   if not explain then f ()
   else begin
-    Explain.arm ();
-    let r = Fun.protect ~finally:Explain.disarm f in
+    let recorder = W.Session.recorder s in
+    Explain.arm ~recorder;
+    let r = try Ok (f ()) with e -> Error e in
+    Explain.disarm ~recorder;
     (* [publish] also folds the tallies into the wet_obs instruments, so
        --explain combined with --metrics-out exports them. *)
-    print_explain (Explain.publish ());
-    r
+    print_explain (Explain.publish ~recorder);
+    match r with Ok v -> v | Error e -> raise e
   end
 
 (* ---------------- query profiling (--analyze / --qlog-out) ------- *)
@@ -373,14 +376,19 @@ let print_analyze wet (p : Qprof.profile) =
   List.iter print_endline (Render.analyze wet p)
 
 (* Wrap the query part of a command (not the build: [with_wet] has
-   already produced the WET when this runs) in a profiling context. The
-   sink is enabled so the per-query [qprof.*] instruments land in the
-   process registry and export via --metrics-out. *)
-let with_qprof q ~shape ?(params = []) wet f =
+   already produced the WET when this runs) in a profiling context over
+   the session's tally and recorder. The sink is enabled so the
+   per-query [qprof.*] instruments land in the process registry and
+   export via --metrics-out. *)
+let with_qprof q ~shape ~params s f =
   if (not q.q_analyze) && q.q_qlog = None then f ()
   else begin
     Wet_obs.Sink.enable ();
-    let res, prof = Qprof.run ~params shape f in
+    let scope =
+      Qprof.make_scope ~tally:(W.Session.tally s)
+        ~recorder:(W.Session.recorder s) ()
+    in
+    let res, prof = Qprof.run ~scope ~params shape f in
     (match q.q_qlog with
      | None -> ()
      | Some path -> (
@@ -388,9 +396,17 @@ let with_qprof q ~shape ?(params = []) wet f =
        with Sys_error m ->
          Printf.eprintf "error: cannot write qlog: %s\n" m;
          exit 2));
-    if q.q_analyze then print_analyze wet prof;
+    if q.q_analyze then print_analyze (W.Session.wet s) prof;
     match res with Ok v -> v | Error e -> raise e
   end
+
+(* A command's queries read through one session, which --explain and
+   --analyze/--qlog-out observe — what [wet serve] does per
+   connection. *)
+let with_session ?(explain = false) q ~shape ~params wet f =
+  let s = W.open_session wet in
+  with_explain explain s @@ fun () ->
+  with_qprof q ~shape ~params s (fun () -> f s)
 
 (* ---------------- remote queries (wet serve client) ---------------- *)
 
@@ -577,14 +593,12 @@ let trace_cmd =
         [ ("kind", kind_name); ("limit", string_of_int limit) ]
     | None ->
       with_obs obs @@ fun () ->
-      with_explain explain @@ fun () ->
       with_wet ~batch ?shard_events prog scale input (fun wet _ ->
-          with_qprof qp ~shape:("trace/" ^ kind_name)
+          with_session ~explain qp ~shape:("trace/" ^ kind_name)
             ~params:[ ("limit", string_of_int limit) ]
             wet
-          @@ fun () ->
-          List.iter print_endline
-            (Render.trace (W.default_session wet) ~kind:render_kind ~limit))
+          @@ fun s ->
+          List.iter print_endline (Render.trace s ~kind:render_kind ~limit))
   in
   Cmd.v
     (Cmd.info "trace"
@@ -613,18 +627,15 @@ let slice_cmd =
          | None -> [])
     | None ->
       with_obs obs @@ fun () ->
-      with_explain explain @@ fun () ->
       with_wet ~batch ?shard_events prog scale input (fun wet _ ->
-          with_qprof qp ~shape:"slice/backward"
+          with_session ~explain qp ~shape:"slice/backward"
             ~params:
               [
                 ( "output",
                   match k with Some k -> string_of_int k | None -> "last" );
               ]
             wet
-          @@ fun () ->
-          List.iter print_endline
-            (Render.slice (W.default_session wet) ~output:k))
+          @@ fun s -> List.iter print_endline (Render.slice s ~output:k))
   in
   Cmd.v
     (Cmd.info "slice" ~doc:"Compute a backward WET slice of an output value.")
@@ -647,10 +658,10 @@ let paths_cmd =
     | None ->
       with_obs obs @@ fun () ->
       with_wet ~batch ?shard_events prog scale input (fun wet _ ->
-          with_qprof qp ~shape:"paths"
+          with_session qp ~shape:"paths"
             ~params:[ ("top", string_of_int top) ]
             wet
-          @@ fun () -> List.iter print_endline (Render.paths wet ~top))
+          @@ fun _ -> List.iter print_endline (Render.paths wet ~top))
   in
   Cmd.v
     (Cmd.info "paths" ~doc:"Profile Ball-Larus paths (hot path mining).")
@@ -881,16 +892,13 @@ let at_cmd =
          | None -> [])
     | None ->
       with_obs obs @@ fun () ->
-      with_explain explain @@ fun () ->
       with_wet ~batch ?shard_events prog scale input (fun wet _ ->
           let total = wet.W.stats.W.path_execs in
           let ts = Option.value ts ~default:(max 1 (total / 2)) in
-          with_qprof qp ~shape:"at"
+          with_session ~explain qp ~shape:"at"
             ~params:[ ("ts", string_of_int ts) ]
             wet
-          @@ fun () ->
-          List.iter print_endline
-            (Render.at (W.default_session wet) ~ts:(Some ts)))
+          @@ fun s -> List.iter print_endline (Render.at s ~ts:(Some ts)))
   in
   Cmd.v
     (Cmd.info "at"
@@ -922,7 +930,8 @@ let dot_cmd =
           with
           | [] -> prerr_endline "program has no outputs to slice"
           | c :: _ ->
-            print_string (Wet_analyses.Dot_export.slice wet c 0)))
+            print_string
+              (Wet_analyses.Dot_export.slice (W.open_session wet) c 0)))
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Export WET structure as Graphviz.")
@@ -1062,7 +1071,7 @@ let profile_cmd =
                 Store.save w2 tmp;
                 ignore (Store.load tmp));
             Wet_obs.Span.with_ "profile.queries" (fun () ->
-                let s = W.default_session w2 in
+                let s = W.open_session w2 in
                 Query.Session.park s Query.Forward;
                 ignore
                   (Query.Session.control_flow s Query.Forward
@@ -1279,7 +1288,7 @@ let watch_cmd =
                 | Some ts -> (
                   let wet = Builder.build res.Interp.trace in
                   match
-                    Query.Session.locate_time (W.default_session wet) ts
+                    Query.Session.locate_time (W.open_session wet) ts
                   with
                   | None -> Printf.printf "watchpoint t=%d: not locatable\n" ts
                   | Some (nid, i) ->

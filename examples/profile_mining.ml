@@ -88,7 +88,7 @@ let () =
         | Wet_ir.Instr.Output _ -> true
         | _ -> false))
   in
-  let dot = Dot.slice ~max_instances:48 wet out 0 in
+  let dot = Dot.slice ~max_instances:48 (W.open_session wet) out 0 in
   let path = Filename.concat (Filename.get_temp_dir_name ()) "wet_slice.dot" in
   let oc = open_out path in
   output_string oc dot;

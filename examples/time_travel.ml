@@ -47,8 +47,9 @@ let () =
   Printf.printf "run spans timestamps 1..%d; final output %d\n\n" total
     res.Wet_interp.Interp.outputs.(0);
 
+  let session = W.open_session wet in
   let show ts =
-    let s = State.at wet ~ts in
+    let s = State.at_session session ~ts in
     let hist_base = Wet_ir.Program.global_base wet.W.program "histogram" in
     Printf.printf "t=%-4d phase=%d histogram=[" ts (State.global wet s "phase");
     for b = 0 to 7 do

@@ -27,10 +27,8 @@ let nodes (t : W.t) =
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let slice ?(max_instances = 64) ?session (t : W.t) c0 i0 =
-  let s =
-    match session with Some s -> s | None -> W.default_session t
-  in
+let slice ?(max_instances = 64) s c0 i0 =
+  let t = W.Session.wet s in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "digraph wet_slice {\n  node [shape=box];\n";
   let visited = Hashtbl.create 64 in

@@ -11,15 +11,14 @@
     dynamic control flow. *)
 val nodes : Wet_core.Wet.t -> string
 
-(** The dependence subgraph visited by a backward slice from
-    [(copy, instance)]: statement instances as nodes, data dependences
-    as solid edges, control dependences dashed. [max_instances] bounds
-    the drawn slice (default 64). [session] supplies the cursor state
-    to walk with (default: the WET's implicit default session). *)
+(** [slice s copy instance] is the dependence subgraph visited by a
+    backward slice from [(copy, instance)]: statement instances as
+    nodes, data dependences as solid edges, control dependences dashed.
+    [max_instances] bounds the drawn slice (default 64). The walk moves
+    only session [s]'s cursors. *)
 val slice :
   ?max_instances:int ->
-  ?session:Wet_core.Wet.session ->
-  Wet_core.Wet.t ->
+  Wet_core.Wet.session ->
   Wet_core.Wet.copy_id ->
   int ->
   string

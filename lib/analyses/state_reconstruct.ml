@@ -38,8 +38,6 @@ let at_session (s : W.session) ~ts =
     stores;
   { cells }
 
-let at (wet : W.t) ~ts = at_session (W.default_session wet) ~ts
-
 let read t addr =
   match Hashtbl.find_opt t.cells addr with
   | Some (_, v) -> v

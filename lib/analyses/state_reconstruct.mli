@@ -18,10 +18,6 @@ type t
     [Wet_error] [Query] error if [ts] is out of range. *)
 val at_session : Wet_core.Wet.session -> ts:int -> t
 
-(** [at wet ~ts] is {!at_session} on [wet]'s implicit default session —
-    single-threaded use only. *)
-val at : Wet_core.Wet.t -> ts:int -> t
-
 (** Value of an address ([0] if never written by then). *)
 val read : t -> int -> int
 

@@ -4,7 +4,7 @@ module Query = Wet_core.Query
 let histogram wet =
   let counts = Hashtbl.create 1024 in
   let total =
-    Query.Session.load_values (W.default_session wet) ~f:(fun _ v ->
+    Query.Session.load_values (W.open_session wet) ~f:(fun _ v ->
         Hashtbl.replace counts v
           (1 + Option.value (Hashtbl.find_opt counts v) ~default:0))
   in

@@ -22,9 +22,8 @@ type t = {
   table_bits : int;
   mutable w : int;  (* window start: FR = [0,w), window = [w,w+ctx), BL after *)
   (* Traversal telemetry. Counted in the internal steps so seeks pay
-     too; [compress] never steps, so a new stream starts at zero, and
-     [reset_telemetry] zeroes them again ([Wet.rewind] calls it, keeping
-     saved containers byte-deterministic). *)
+     too; [compress] never steps, so a new stream (and so every saved
+     template) starts at zero, and [reset_telemetry] zeroes them again. *)
   mutable tfwd : int;
   mutable tbwd : int;
   mutable tswitch : int;

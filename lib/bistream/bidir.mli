@@ -162,6 +162,5 @@ type telemetry = {
 val telemetry : t -> telemetry
 
 (** Zero the traversal counters ([tl_fwd_steps], [tl_bwd_steps],
-    [tl_dir_switches]). [Wet.rewind] calls this so saved containers stay
-    byte-deterministic regardless of query history. *)
+    [tl_dir_switches]). *)
 val reset_telemetry : t -> unit

@@ -1,51 +1,30 @@
-(* A stream is split hard into two halves:
+(* A stream is its compressed payload, picked once at build time and
+   immutable afterwards. Packed bodies are *pristine templates*: their
+   Bidir state is parked at the left end (w = 0) with zeroed traversal
+   counters and is never stepped again, so marshalling a stream is
+   byte-deterministic no matter what queries ran before.
 
-   - [body]: the compressed payload, picked once at build time and
-     immutable afterwards. Packed bodies are *pristine templates*: their
-     Bidir state is parked at the left end (w = 0) with zeroed traversal
-     counters and is never stepped again, so marshalling a body is
-     byte-deterministic no matter what queries ran before.
+   All traversal state — position, last direction, and for packed
+   bodies a deep clone of the window/table state — lives in a [cur].
+   Cursors are single-owner and cheap to mint: [Cursor.make] is O(1),
+   the clone happens on first touch. *)
 
-   - [cur]: a cursor — all traversal state (position, direction flag,
-     per-cursor step counters, and for packed bodies a deep clone of the
-     window/table state). Cursors are single-owner and cheap to mint
-     lazily: [Cursor.make] is O(1), the clone happens on first touch.
-
-   The historical module-level API (step/seek/peek on the stream itself)
-   survives as thin wrappers over one implicit default cursor stored on
-   the stream, so single-session code and tests compile unchanged;
-   concurrent readers each mint their own cursor via [Cursor]. *)
-
-type body = Braw of int array | Bpacked of Bidir.t
+type t = Braw of int array | Bpacked of Bidir.t
 
 type view =
   | Vraw of {
       data : int array;  (* physically shared with the body *)
       mutable pos : int;
-      (* Traversal telemetry, mirroring Bidir's counters: steps only —
-         seeks and random reads are O(1) on a raw array so they are not
-         traversal work here. rlast: 0 none, 1 forward, 2 backward. *)
-      mutable rfwd : int;
-      mutable rbwd : int;
-      mutable rswitch : int;
+      (* The last step's direction, for the tally's switch count: 0
+         none, 1 forward, 2 backward. Only steps count — seeks and
+         random reads are O(1) on a raw array, not traversal work. *)
       mutable rlast : int;
     }
   | Vpacked of Bidir.t  (* a deep clone of the pristine template *)
 
-type cur = { c_body : body; mutable c_view : view option }
+type cur = { c_body : t; mutable c_view : view option }
 
-type stream = { body : body; mutable dcur : cur option }
-
-type t = stream
-
-type telemetry = Bidir.telemetry = {
-  tl_lookups : int;
-  tl_hits : int;
-  tl_misses : int;
-  tl_fwd_steps : int;
-  tl_bwd_steps : int;
-  tl_dir_switches : int;
-}
+type telemetry = { tl_lookups : int; tl_hits : int; tl_misses : int }
 
 let candidates =
   List.concat_map
@@ -60,9 +39,8 @@ let trial_len = 4096
 
 let compress_with spec values =
   match spec with
-  | `Raw -> { body = Braw (Array.copy values); dcur = None }
-  | `Bidir (meth, ctx) ->
-    { body = Bpacked (Bidir.compress meth ~ctx values); dcur = None }
+  | `Raw -> Braw (Array.copy values)
+  | `Bidir (meth, ctx) -> Bpacked (Bidir.compress meth ~ctx values)
 
 module Obs = Wet_obs.Metrics
 
@@ -122,19 +100,15 @@ let compress values =
     compress_with spec values
   end
 
-let body_length = function
+let length = function
   | Braw data -> Array.length data
   | Bpacked b -> Bidir.length b
 
-let length t = body_length t.body
-
-let bits t =
-  match t.body with
+let bits = function
   | Braw data -> 32 * Array.length data
   | Bpacked b -> Bidir.compressed_bits b
 
-let method_name t =
-  match t.body with
+let method_name = function
   | Braw _ -> "raw"
   | Bpacked b ->
     Printf.sprintf "%s/%d" (Bidir.meth_name (Bidir.meth b)) (Bidir.ctx b)
@@ -143,8 +117,7 @@ let method_name t =
    pristine state (and every live cursor) is untouched, and the decode
    walk accounts to a scratch tally — reading the container's contents
    is representation work, not query traversal. *)
-let contents t =
-  match t.body with
+let contents = function
   | Braw data -> Array.copy data
   | Bpacked b ->
     Bidir.to_array ~tally:(Telemetry.make ()) (Bidir.clone b)
@@ -158,7 +131,7 @@ module Cursor = struct
 
   type t = cur
 
-  let make (s : stream) = { c_body = s.body; c_view = None }
+  let make (s : stream) = { c_body = s; c_view = None }
 
   let view c =
     match c.c_view with
@@ -167,13 +140,13 @@ module Cursor = struct
       let v =
         match c.c_body with
         | Braw data ->
-          Vraw { data; pos = 0; rfwd = 0; rbwd = 0; rswitch = 0; rlast = 0 }
+          Vraw { data; pos = 0; rlast = 0 }
         | Bpacked b -> Vpacked (Bidir.clone b)
       in
       c.c_view <- Some v;
       v
 
-  let length c = body_length c.c_body
+  let length c = length c.c_body
 
   let pos c =
     match c.c_view with
@@ -188,9 +161,7 @@ module Cursor = struct
         invalid_arg "Stream.step_forward: at right end";
       let x = r.data.(r.pos) in
       r.pos <- r.pos + 1;
-      r.rfwd <- r.rfwd + 1;
       let switched = r.rlast = 2 in
-      if switched then r.rswitch <- r.rswitch + 1;
       r.rlast <- 1;
       Telemetry.note_raw ~tally ~fwd:true ~switched ();
       x
@@ -201,9 +172,7 @@ module Cursor = struct
     | Vraw r ->
       if r.pos <= 0 then invalid_arg "Stream.step_backward: at left end";
       r.pos <- r.pos - 1;
-      r.rbwd <- r.rbwd + 1;
       let switched = r.rlast = 1 in
-      if switched then r.rswitch <- r.rswitch + 1;
       r.rlast <- 2;
       Telemetry.note_raw ~tally ~fwd:false ~switched ();
       r.data.(r.pos)
@@ -339,99 +308,19 @@ module Cursor = struct
     | `Packed x, `Packed y -> Bidir.same_state x y
     | `Raw (d, p), `Raw (e, q) -> d == e && p = q
     | _ -> false
-
-  (* Traversal counters of this cursor (zero until first touch). *)
-  let fwd_steps c =
-    match c.c_view with
-    | None -> 0
-    | Some (Vraw r) -> r.rfwd
-    | Some (Vpacked b) -> (Bidir.telemetry b).tl_fwd_steps
-
-  let bwd_steps c =
-    match c.c_view with
-    | None -> 0
-    | Some (Vraw r) -> r.rbwd
-    | Some (Vpacked b) -> (Bidir.telemetry b).tl_bwd_steps
-
-  let dir_switches c =
-    match c.c_view with
-    | None -> 0
-    | Some (Vraw r) -> r.rswitch
-    | Some (Vpacked b) -> (Bidir.telemetry b).tl_dir_switches
 end
 
-(* ------------------------------------------------------------------ *)
-(* Implicit default cursor (deprecated single-session surface)        *)
-(* ------------------------------------------------------------------ *)
-
-let default_cursor t =
-  match t.dcur with
-  | Some c -> c
-  | None ->
-    let c = { c_body = t.body; c_view = None } in
-    t.dcur <- Some c;
-    c
-
-let drop_cursor t = t.dcur <- None
-
-let cursor t = match t.dcur with None -> 0 | Some c -> Cursor.pos c
-
-let step_forward t = Cursor.step_forward (default_cursor t)
-
-let step_backward t = Cursor.step_backward (default_cursor t)
-
-let peek_forward t = Cursor.peek_forward (default_cursor t)
-
-let peek_backward t = Cursor.peek_backward (default_cursor t)
-
-let seek t k = Cursor.seek (default_cursor t) k
-
-let read_at t k = Cursor.read_at (default_cursor t) k
-
-let to_array t = Cursor.to_array (default_cursor t)
-
-let lower_bound t v = Cursor.lower_bound (default_cursor t) v
-
-let find_ascending t v = Cursor.find_ascending (default_cursor t) v
-
-(* Dictionary figures come from the body (they are representation, not
-   history, and identical in every cursor); traversal counters come from
-   the default cursor — the single-session view the CLI reports. *)
-let telemetry t =
-  let base =
-    match t.body with
-    | Braw _ ->
-      (* Raw streams do no prediction: every value is stored verbatim and
-         there is no dictionary to hit. *)
-      {
-        tl_lookups = 0;
-        tl_hits = 0;
-        tl_misses = 0;
-        tl_fwd_steps = 0;
-        tl_bwd_steps = 0;
-        tl_dir_switches = 0;
-      }
-    | Bpacked b -> Bidir.telemetry b
-  in
-  match t.dcur with
-  | None -> base
-  | Some c ->
+(* Dictionary figures are representation, not history: they come from
+   the body and are identical in every cursor. *)
+let telemetry = function
+  | Braw _ ->
+    (* Raw streams do no prediction: every value is stored verbatim and
+       there is no dictionary to hit. *)
+    { tl_lookups = 0; tl_hits = 0; tl_misses = 0 }
+  | Bpacked b ->
+    let tl = Bidir.telemetry b in
     {
-      base with
-      tl_fwd_steps = Cursor.fwd_steps c;
-      tl_bwd_steps = Cursor.bwd_steps c;
-      tl_dir_switches = Cursor.dir_switches c;
+      tl_lookups = tl.Bidir.tl_lookups;
+      tl_hits = tl.Bidir.tl_hits;
+      tl_misses = tl.Bidir.tl_misses;
     }
-
-let reset_telemetry t =
-  match t.dcur with
-  | None -> ()
-  | Some c -> (
-    match c.c_view with
-    | None -> ()
-    | Some (Vraw r) ->
-      r.rfwd <- 0;
-      r.rbwd <- 0;
-      r.rswitch <- 0;
-      r.rlast <- 0
-    | Some (Vpacked b) -> Bidir.reset_telemetry b)

@@ -22,14 +22,10 @@
     A stream value is an immutable compressed {e body} — packed bodies
     are pristine templates parked at the left end, never stepped after
     construction, so marshalling is byte-deterministic regardless of
-    query history. All traversal state (position, direction, per-cursor
-    step counters, the bidirectional window/table state) lives in
-    {!Cursor.t} handles. A body may be read through any number of
-    concurrent cursors; each cursor is single-owner.
-
-    The historical module-level traversal functions below survive as
-    deprecated wrappers over one implicit {e default cursor} per stream:
-    correct for single-session use, not for concurrent readers. *)
+    query history. All traversal state (position, direction, the
+    bidirectional window/table state) lives in {!Cursor.t} handles. A
+    body may be read through any number of concurrent cursors; each
+    cursor is single-owner. *)
 
 type t
 
@@ -37,7 +33,7 @@ type t
 val candidates : (Bidir.meth * int) list
 
 (** [compress values] picks the best method for this stream and builds
-    the compressed representation (no cursor attached). *)
+    the compressed representation. *)
 val compress : int array -> t
 
 (** Force a specific representation (for ablations and tests). *)
@@ -51,9 +47,9 @@ val bits : t -> int
 (** Human-readable method name, e.g. ["dfcm/4"] or ["raw"]. *)
 val method_name : t -> string
 
-(** Pure decode of the whole stream. Never touches the default cursor
-    or any live cursor (packed bodies are cloned first), and accounts to
-    a scratch tally — reading the representation is not traversal. *)
+(** Pure decode of the whole stream. Never touches any live cursor
+    (packed bodies are cloned first), and accounts to a scratch tally —
+    reading the representation is not traversal. *)
 val contents : t -> int array
 
 (** Explicit traversal handles. [make] is O(1); the first traversal of a
@@ -75,9 +71,9 @@ module Cursor : sig
   (** Values revealed so far by forward steps (cursor position). *)
   val pos : t -> int
 
-  (** Traversal ops mirror the historical stream-level API, with decode
-      work attributed to [tally] (default {!Telemetry.default}). Bounds
-      violations raise the same [Invalid_argument] messages as before
+  (** Traversal ops attribute their decode work to [tally] (default
+      {!Telemetry.default}). Stepping or peeking past an end raises
+      [Invalid_argument] naming the operation and the end
       ("Stream.step_forward: at right end", …). *)
 
   val step_forward : ?tally:Telemetry.tally -> t -> int
@@ -126,84 +122,16 @@ module Cursor : sig
       position and decode state (see {!Bidir.same_state}). An untouched
       cursor stands at [0] in the template's state. *)
   val same_state : t -> t -> bool
-
-  (** Per-cursor traversal counters (zero before the first touch). *)
-
-  val fwd_steps : t -> int
-
-  val bwd_steps : t -> int
-
-  val dir_switches : t -> int
 end
 
-(** The stream's implicit default cursor (minted lazily, O(1)) — the
-    handle behind the deprecated wrappers below. [Wet]'s implicit
-    default session reads through these so that legacy single-session
-    call sites and the module-level functions observe the same
-    positions. *)
-val default_cursor : t -> Cursor.t
-
-(** {1 Deprecated implicit-cursor surface}
-
-    Every function below operates on the stream's implicit default
-    cursor (minted lazily on first use). Safe only when the stream has a
-    single traversing owner; concurrent readers must use {!Cursor}. *)
-
-(** Position of the default cursor (0 when none was ever minted). *)
-val cursor : t -> int
-[@@deprecated "use Stream.Cursor"]
-
-val step_forward : t -> int
-[@@deprecated "use Stream.Cursor"]
-
-val step_backward : t -> int
-[@@deprecated "use Stream.Cursor"]
-
-val peek_forward : t -> int
-[@@deprecated "use Stream.Cursor"]
-
-val peek_backward : t -> int
-[@@deprecated "use Stream.Cursor"]
-
-val seek : t -> int -> unit
-[@@deprecated "use Stream.Cursor"]
-
-(** [read_at t k] is the value at index [k] (moves the default cursor). *)
-val read_at : t -> int -> int
-[@@deprecated "use Stream.Cursor"]
-
-(** Decompress everything (moves the default cursor). *)
-val to_array : t -> int array
-[@@deprecated "use Stream.contents or Stream.Cursor.to_array"]
-
-val find_ascending : t -> int -> int option
-[@@deprecated "use Stream.Cursor"]
-
-val lower_bound : t -> int -> int
-[@@deprecated "use Stream.Cursor"]
-
-(** Per-stream telemetry (see {!Bidir.telemetry}). Dictionary figures
-    come from the immutable body (identical in every cursor; all zero
-    for raw bodies — there is no predictor). Traversal counters report
-    the {e default cursor}'s steps only — per-session traversal lives
-    in the session's {!Telemetry.tally}. *)
-type telemetry = Bidir.telemetry = {
-  tl_lookups : int;
-  tl_hits : int;
-  tl_misses : int;
-  tl_fwd_steps : int;
-  tl_bwd_steps : int;
-  tl_dir_switches : int;
+(** Dictionary figures of the body (see {!Bidir.telemetry}): identical
+    in every cursor, and all zero for raw bodies — there is no
+    predictor. Traversal is counted in the {!Telemetry.tally} a cursor
+    steps against. *)
+type telemetry = {
+  tl_lookups : int;  (** predictor lookups = entries classified *)
+  tl_hits : int;  (** entries the predictor got right *)
+  tl_misses : int;  (** entries stored verbatim *)
 }
 
 val telemetry : t -> telemetry
-
-(** Zero the default cursor's traversal counters (no-op if it was never
-    minted). *)
-val reset_telemetry : t -> unit
-
-(** Drop the default cursor entirely: the stream reverts to its pristine
-    as-built state (position 0, zero counters). [Wet.rewind] calls this
-    so saved containers stay byte-deterministic. Live explicit cursors
-    are unaffected. *)
-val drop_cursor : t -> unit

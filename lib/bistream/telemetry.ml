@@ -1,15 +1,14 @@
 (* Decode counters, bumped by the same internal steps that feed the
-   per-stream counters in Bidir/Stream. A [tally] is a bundle of monotone
-   mutable counters — never marshalled, never reset by [Wet.rewind] — so
-   a [before]/[after] snapshot pair brackets exactly the decode work
+   step counters in Bidir. A [tally] is a bundle of monotone
+   mutable counters — never marshalled, never reset — so a
+   [before]/[after] snapshot pair brackets exactly the decode work
    performed against that tally in between, no matter which streams it
    landed on. Peeks read without stepping and a rewind copies from the
    template without decoding, so neither reaches a tally; nor does
    [Bidir.compress], which builds a stream without stepping.
 
-   [default] is the process tally behind the historical global API:
-   single-session callers (the CLI, the tests) never mention tallies and
-   see exactly the old behaviour. Concurrent sessions each carry their
+   [default] is the process tally that cursor steps taken outside any
+   session (no [?tally] given) count against. Sessions each carry their
    own tally so their decode work attributes to the right qprof window
    without any cross-domain races. *)
 

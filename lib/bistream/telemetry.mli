@@ -1,25 +1,22 @@
 (** Decode telemetry tallies: the snapshot/delta substrate of per-query
     cost attribution ([Wet_qprof]).
 
-    The per-stream counters in {!Stream.telemetry} answer "what happened
-    to this stream since its last reset"; a query profiler needs the
-    dual — "how much decode work happened in this window of time,
+    The step counters inside a bidirectional stream ({!Bidir.telemetry})
+    answer "what happened to this stream state"; a query profiler needs
+    the dual — "how much decode work happened in this window of time,
     across every stream". A {!tally} is a bundle of counters bumped by
-    the very same internal steps that feed the per-stream ones, so the
+    the very same internal steps that feed the {!Bidir} ones, so the
     two views stay in lockstep: peeks are pure reads and a rewind
     from the template copies without decoding, so neither steps;
     [Bidir.compress] builds a stream without stepping; and raw-stream
     seeks/random reads stay free in both.
 
-    {!default} is the process tally behind the historical tally-less
-    API: single-session callers never name a tally and observe exactly
-    the old global-counter behaviour. Concurrent sessions
-    ([Wet.Session]) each own a private tally, so decode work attributes
-    to the session that performed it without cross-domain races.
+    {!default} is the process tally that cursor steps taken without a
+    [?tally] count against. Sessions ([Wet.Session]) each own a private
+    tally, so decode work attributes to the session that performed it
+    without cross-domain races.
 
-    Unlike per-stream counters a tally is monotone for the life of its
-    owner: [Wet.rewind] does not touch tallies (they are never
-    marshalled, so byte-determinism of saved containers is unaffected).
+    A tally is monotone for the life of its owner, and never marshalled.
     Consumers only ever look at the difference between two {!snapshot}s,
     which makes deltas of disjoint windows sum exactly to the delta of
     their union — the reconciliation property [test_qprof] checks. *)
@@ -37,8 +34,8 @@ type snapshot = {
 
 val zero : snapshot
 
-(** A mutable counter bundle. Single-owner: one session (or the
-    implicit default context) accounts against one tally; sharing a
+(** A mutable counter bundle. Single-owner: one session accounts
+    against one tally; sharing a
     tally across domains races benignly (lost increments) but never
     corrupts memory. *)
 type tally
@@ -46,8 +43,7 @@ type tally
 (** A fresh tally, all counters zero. *)
 val make : unit -> tally
 
-(** The process-wide tally used whenever no explicit tally is passed —
-    the historical global counters. *)
+(** The process-wide tally used whenever no explicit tally is passed. *)
 val default : tally
 
 (** Current value of a tally's counters ({!default} if omitted). O(1),

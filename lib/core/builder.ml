@@ -1106,7 +1106,6 @@ module Sink = struct
       stats;
       tier = `Tier1;
       damage = [];
-      session0 = None;
     }
 
   let finish t =
@@ -1256,7 +1255,6 @@ let pack_tier2 (w : Wet.t) : Wet.t =
     copy_deps = Array.map (Array.map pack_source) w.Wet.copy_deps;
     copy_remote_out = Array.map (List.map pack_edge) w.Wet.copy_remote_out;
     tier = `Tier2;
-    session0 = None;
   }
 
 let pack w = Wet_obs.Span.with_ "build.tier2" (fun () -> pack_tier2 w)

@@ -6,8 +6,11 @@ module Crc32 = Wet_util.Crc32
    layout would not fail the CRC, so the version must fence it off.
    v4: the stream record split into an immutable body plus an optional
    default cursor (the container/session redesign) — the marshalled
-   stream layout changed again. *)
-let format_version = 4
+   stream layout changed again.
+   v5: the default cursor went; a stream is marshalled as its bare body
+   (raw array or packed template), so a v4 stream record would otherwise
+   be read as the wrong constructor. *)
+let format_version = 5
 
 let magic = "WETOCaml"
 
@@ -461,7 +464,6 @@ let decode_exn ~salvage s =
       stats = meta.m_stats;
       tier = meta.m_tier;
       damage;
-      session0 = None;
     }
   in
   (w, health)

@@ -1,4 +1,4 @@
-(** The sectioned, checksummed WET container format (version 3).
+(** The sectioned, checksummed WET container format (version 5).
 
     The previous format was a bare [Marshal] dump behind an 8-byte
     magic: one flipped bit meant [Failure], garbage data, or a segfault
@@ -8,14 +8,16 @@
     whole-file footer checksum — so a damaged file is {e diagnosable}:
     corruption is detected before unmarshalling and attributed to the
     section it hit, and every intact section can still be loaded.
-    Version 3 keeps the same layout; the bump fences off v2 stream
-    payloads, whose marshalled record shape predates stream telemetry
-    (a CRC cannot catch that mismatch).
+    Versions 3 to 5 keep the same layout; each bump fences off the
+    previous version's stream payloads, whose marshalled shape changed
+    (a CRC cannot catch that mismatch): v3 added stream telemetry, v4
+    split a stream into body and default cursor, v5 made a stream its
+    bare body.
 
     Layout (all integers big-endian):
     {v
     0   "WETOCaml"                      8-byte magic
-    8   version                         u32 (= 3)
+    8   version                         u32 (= 5)
     12  tier                            u8 (1 | 2)
     13  flags                           u8 (reserved, 0)
     14  section count                   u32

@@ -288,30 +288,3 @@ let estimate (t : Wet.t) shape =
       { est_kind = "label.src"; est_steps = deps; est_exact = false };
     ]
   | _ -> []
-
-(* ------------------------------------------------------------------ *)
-(* Deprecated implicit-session layer                                  *)
-(* ------------------------------------------------------------------ *)
-
-let park t dir = Session.park (Wet.default_session t) dir
-
-let control_flow t dir ~f = Session.control_flow (Wet.default_session t) dir ~f
-
-let values_of_copy t c ~f = Session.values_of_copy (Wet.default_session t) c ~f
-
-let locate_time t ts = Session.locate_time (Wet.default_session t) ts
-
-let control_flow_from t ~start_ts ~steps ~f =
-  Session.control_flow_from (Wet.default_session t) ~start_ts ~steps ~f
-
-let load_values t ~f = Session.load_values (Wet.default_session t) ~f
-
-let addresses t ~f = Session.addresses (Wet.default_session t) ~f
-
-let fold_control_flow t dir ~init ~f =
-  Session.fold_control_flow (Wet.default_session t) dir ~init ~f
-
-let fold_loads t ~init ~f = Session.fold_loads (Wet.default_session t) ~init ~f
-
-let fold_addresses t ~init ~f =
-  Session.fold_addresses (Wet.default_session t) ~init ~f

@@ -6,20 +6,17 @@
     is identical, which is exactly the property the paper's two-tier
     design is after.
 
-    The API has three layers:
+    The API has two layers:
 
-    - {!Session}: the primary implementations. Each takes a
-      {!Wet.Session.t} — one per concurrent reader over a shared
-      container — and moves only that session's cursors. Any
-      interleaving of N sessions is byte-identical to the serial path.
+    - {!Session}: the queries. Each takes a {!Wet.Session.t} — one per
+      concurrent reader over a shared container — and moves only that
+      session's cursors. Any interleaving of N sessions is
+      byte-identical to the serial path.
     - Structure lookups and cost estimation ({!copies_matching},
       {!estimate}): read only the immutable container, no session
       needed.
-    - The deprecated wet-taking layer at the bottom: thin wrappers over
-      {!Wet.default_session}, kept so single-threaded callers compile
-      unchanged. Not safe for concurrent use.
 
-    Within a layer, the callback extractions ([control_flow],
+    The callback extractions ([control_flow],
     [load_values], [addresses], …) push every instance into an effectful
     [f] and return only a count, which keeps the extraction loops
     allocation-free; the fold wrappers ([fold_control_flow], …) thread
@@ -120,40 +117,3 @@ type class_estimate = {
     address, [at] and slice shapes are per-instance approximations.
     Unknown shapes return [[]]. *)
 val estimate : Wet.t -> string -> class_estimate list
-
-(** {1 Deprecated implicit-session layer}
-
-    Wrappers over {!Wet.default_session} — single-threaded use only. *)
-
-val park : Wet.t -> direction -> unit
-[@@deprecated "use Query.Session.park"]
-
-val control_flow : Wet.t -> direction -> f:(int -> int -> unit) -> int
-[@@deprecated "use Query.Session.control_flow"]
-
-val values_of_copy : Wet.t -> Wet.copy_id -> f:(int -> unit) -> unit
-[@@deprecated "use Query.Session.values_of_copy"]
-
-val load_values : Wet.t -> f:(Wet.copy_id -> int -> unit) -> int
-[@@deprecated "use Query.Session.load_values"]
-
-val addresses : Wet.t -> f:(Wet.copy_id -> int -> unit) -> int
-[@@deprecated "use Query.Session.addresses"]
-
-val locate_time : Wet.t -> int -> (Wet.node_id * int) option
-[@@deprecated "use Query.Session.locate_time"]
-
-val control_flow_from :
-  Wet.t -> start_ts:int -> steps:int -> f:(int -> int -> unit) -> int
-[@@deprecated "use Query.Session.control_flow_from"]
-
-val fold_control_flow :
-  Wet.t -> direction -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
-[@@deprecated "use Query.Session.fold_control_flow"]
-
-val fold_loads : Wet.t -> init:'a -> f:('a -> Wet.copy_id -> int -> 'a) -> 'a
-[@@deprecated "use Query.Session.fold_loads"]
-
-val fold_addresses :
-  Wet.t -> init:'a -> f:('a -> Wet.copy_id -> int -> 'a) -> 'a
-[@@deprecated "use Query.Session.fold_addresses"]

@@ -136,14 +136,3 @@ module Session = struct
       truncated = back.truncated;
     }
 end
-
-(* Deprecated implicit-session layer. *)
-
-let backward ?max_instances ?f t c0 i0 =
-  Session.backward ?max_instances ?f (Wet.default_session t) c0 i0
-
-let forward ?max_instances ?f t c0 i0 =
-  Session.forward ?max_instances ?f (Wet.default_session t) c0 i0
-
-let chop ?max_instances ?f t ~source ~sink =
-  Session.chop ?max_instances ?f (Wet.default_session t) ~source ~sink

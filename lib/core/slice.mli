@@ -5,10 +5,8 @@
     control dependences — a superset of a traditional dynamic slice,
     resolved entirely by traversing the compressed representation.
 
-    The {!Session} layer is primary: each function moves only the given
-    session's cursors, so concurrent slices over one shared container
-    need one session each. The wet-taking functions at the bottom are
-    deprecated wrappers over {!Wet.default_session}. *)
+    Each function moves only the given session's cursors, so concurrent
+    slices over one shared container need one session each. *)
 
 type result = {
   instances : int;  (** statement instances in the slice *)
@@ -58,32 +56,3 @@ module Session : sig
     sink:Wet.copy_id * int ->
     result
 end
-
-(** {1 Deprecated implicit-session layer} *)
-
-val backward :
-  ?max_instances:int ->
-  ?f:(Wet.copy_id -> int -> unit) ->
-  Wet.t ->
-  Wet.copy_id ->
-  int ->
-  result
-[@@deprecated "use Slice.Session.backward"]
-
-val forward :
-  ?max_instances:int ->
-  ?f:(Wet.copy_id -> int -> unit) ->
-  Wet.t ->
-  Wet.copy_id ->
-  int ->
-  result
-[@@deprecated "use Slice.Session.forward"]
-
-val chop :
-  ?max_instances:int ->
-  ?f:(Wet.copy_id -> int -> unit) ->
-  Wet.t ->
-  source:Wet.copy_id * int ->
-  sink:Wet.copy_id * int ->
-  result
-[@@deprecated "use Slice.Session.chop"]

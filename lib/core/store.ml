@@ -5,11 +5,10 @@
      the destination, fsynced, then renamed over it. A crash mid-save
      (simulated by [crash_after]) leaves the previous file intact.
 
-   - Determinism: cursors are part of stream state, so [save] first
-     {!Wet.rewind}s the WET; tier-2 bidirectional streams restore their
-     exact construction-time tables when parked at the left end, making
-     the written bytes independent of prior query activity. [load]
-     rewinds too, so a loaded WET is always canonical. *)
+   - Determinism: the container holds no traversal state. Cursors live
+     in sessions, and tier-2 bodies are templates parked at the left end
+     that no query steps, so the written bytes are independent of prior
+     query activity. *)
 
 exception Corrupt of { path : string; fault : Container.fault }
 
@@ -62,7 +61,6 @@ let save (w : Wet.t) path =
   Wet_obs.Span.with_ "store.save"
     ~attrs:[ ("path", Wet_obs.Span.Str path) ]
     (fun () ->
-      Wet.rewind w;
       let data = Container.encode w in
       let dir = Filename.dirname path in
       let tmp =
@@ -132,5 +130,4 @@ let load ?(salvage = false) path =
                else c_sections_corrupt))
           health.Container.hl_sections;
         if w.Wet.damage <> [] then Wet_obs.Metrics.incr c_salvaged_loads;
-        Wet.rewind w;
         w)

@@ -8,11 +8,10 @@
     attributed to the section it hit.
 
     Saves are atomic (temp file in the destination directory, fsync,
-    rename): an interrupted save never damages an existing file. Both
-    {!save} and {!load} {!Wet.rewind} the WET, so the bytes written are
-    a deterministic function of the trace regardless of prior query
-    activity, and a loaded WET always starts with every cursor at the
-    left end. *)
+    rename): an interrupted save never damages an existing file. A WET
+    holds no traversal state (cursors live in {!Wet.session}s), so the
+    bytes written are a deterministic function of the trace regardless
+    of prior query activity. *)
 
 (** Raised by {!load} on a damaged or alien file; [fault] says exactly
     what is wrong and where. *)

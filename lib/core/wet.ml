@@ -63,13 +63,10 @@ type stats = {
   shared_label_values : int;
 }
 
-(* The container ([t]) is immutable once built: every field but
-   [session0] is read-only, and the streams inside are pristine
-   compressed bodies. All traversal state — cursor positions, bidir
-   window clones, telemetry tallies, explain recordings — lives in
-   [session] values. [session0] memoizes the implicit default session
-   that backs the deprecated wet-taking query functions; it is the only
-   mutation and is dropped by [rewind]. *)
+(* The container ([t]) is immutable once built, and the streams inside
+   are pristine compressed bodies. All traversal state — cursor
+   positions, bidir window clones, telemetry tallies, explain
+   recordings — lives in [session] values. *)
 type t = {
   program : Wet_ir.Program.t;
   analysis : Wet_cfg.Program_analysis.t;
@@ -87,7 +84,6 @@ type t = {
   stats : stats;
   tier : [ `Tier1 | `Tier2 ];
   damage : string list;
-  mutable session0 : session option;
 }
 
 (* One reader's traversal state over a shared container: a cursor per
@@ -95,11 +91,10 @@ type t = {
    walk — label cursors lazily by [l_id]), the telemetry tally decode
    work accounts to, and the explain recorder cursor movements report
    to. Single-owner; the container underneath may be shared freely. *)
-and session = {
+type session = {
   s_wet : t;
   s_tally : Telemetry.tally;
   s_recorder : Ex.recorder;
-  s_mint : seq -> Cursor.t;
   s_ts : Cursor.t array;  (* per node *)
   s_uvals : Cursor.t option array;  (* per copy *)
   s_patterns : Cursor.t option array array;  (* per node, per group *)
@@ -120,53 +115,30 @@ let copy_offset t c = c - (node_of_copy t c).n_copy_base
 
 let instr_of_copy t c = Wet_ir.Program.instr t.program t.copy_stmt.(c)
 
-let find_in_ascending s v = Cursor.find_ascending (Stream.default_cursor s) v
+let copies_of_stmt t s = t.stmt_copies.(s)
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let make_session ~mint ~tally ~recorder t =
-  {
-    s_wet = t;
-    s_tally = tally;
-    s_recorder = recorder;
-    s_mint = mint;
-    s_ts = Array.map (fun n -> mint n.n_ts) t.nodes;
-    s_uvals = Array.map (Option.map mint) t.copy_uvals;
-    s_patterns =
-      Array.map
-        (fun n -> Array.map (fun g -> Option.map mint g.g_pattern) n.n_groups)
-        t.nodes;
-    s_labels = Hashtbl.create 64;
-  }
-
 let open_session ?(strict = false) ?tally ?recorder t =
   if strict && t.damage <> [] then
     Wet_error.fail Query "open_session: container damaged (%s)"
       (String.concat ", " t.damage);
-  let tally = match tally with Some x -> x | None -> Telemetry.make () in
-  let recorder =
-    match recorder with Some r -> r | None -> Ex.make_recorder ()
-  in
-  make_session ~mint:Cursor.make ~tally ~recorder t
-
-(* The implicit session backing the deprecated wet-taking functions. It
-   reads through each stream's *default* cursor (not private clones), so
-   legacy code mixing module-level [Stream] calls with [Wet] queries
-   still observes one consistent set of positions, and it targets the
-   process-global tally and explain recording — exactly the historical
-   behaviour. *)
-let default_session t =
-  match t.session0 with
-  | Some s -> s
-  | None ->
-    let s =
-      make_session ~mint:Stream.default_cursor ~tally:Telemetry.default
-        ~recorder:Ex.default_recorder t
-    in
-    t.session0 <- Some s;
-    s
+  {
+    s_wet = t;
+    s_tally = (match tally with Some x -> x | None -> Telemetry.make ());
+    s_recorder =
+      (match recorder with Some r -> r | None -> Ex.make_recorder ());
+    s_ts = Array.map (fun n -> Cursor.make n.n_ts) t.nodes;
+    s_uvals = Array.map (Option.map Cursor.make) t.copy_uvals;
+    s_patterns =
+      Array.map
+        (fun n ->
+          Array.map (fun g -> Option.map Cursor.make g.g_pattern) n.n_groups)
+        t.nodes;
+    s_labels = Hashtbl.create 64;
+  }
 
 module Session = struct
   type nonrec t = session
@@ -183,7 +155,7 @@ module Session = struct
     match Hashtbl.find_opt s.s_labels l.l_id with
     | Some p -> p
     | None ->
-      let p = (s.s_mint l.l_dst, s.s_mint l.l_src) in
+      let p = (Cursor.make l.l_dst, Cursor.make l.l_src) in
       Hashtbl.add s.s_labels l.l_id p;
       p
 
@@ -302,51 +274,6 @@ module Session = struct
     let node = node_of_copy t c in
     c_read_at s Ex.K_ts node.n_id 0 (ts_cursor s node) i
 end
-
-(* Deprecated implicit-session wrappers: each reads through the
-   container's memoized default session. *)
-
-let value_of_copy t c i = Session.value_of_copy (default_session t) c i
-
-let resolve_dep t c i slot = Session.resolve_dep (default_session t) c i slot
-
-let resolve_cd t c i = Session.resolve_cd (default_session t) c i
-
-let copies_of_stmt t s = t.stmt_copies.(s)
-
-let timestamp t c i = Session.timestamp (default_session t) c i
-
-(* ------------------------------------------------------------------ *)
-(* Canonicalization                                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Drop all implicit traversal state: every stream's default cursor and
-   the memoized default session. The compressed bodies themselves are
-   pristine templates that never move, so after [rewind] the container
-   is byte-identical to its freshly built self — [Store] rewinds on both
-   save and load, which is what keeps persistence deterministic
-   regardless of prior query activity. Explicit sessions opened by the
-   caller hold private cursor clones and are unaffected. *)
-let rewind t =
-  let seq = Stream.drop_cursor in
-  let labels (l : labels) =
-    seq l.l_dst;
-    seq l.l_src
-  in
-  let source = function
-    | No_dep | Local _ -> ()
-    | Remote es -> List.iter (fun e -> labels e.e_labels) es
-  in
-  Array.iter
-    (fun n ->
-      seq n.n_ts;
-      Array.iter (fun g -> Option.iter seq g.g_pattern) n.n_groups;
-      Array.iter source n.n_cd)
-    t.nodes;
-  Array.iter (Option.iter seq) t.copy_uvals;
-  Array.iter (Array.iter source) t.copy_deps;
-  Array.iter (List.iter (fun (e : edge) -> labels e.e_labels)) t.copy_remote_out;
-  t.session0 <- None
 
 (* ------------------------------------------------------------------ *)
 (* Structural validation                                              *)

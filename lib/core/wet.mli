@@ -26,10 +26,8 @@
     {b Concurrency contract.} A {!t} is an immutable container: share it
     freely between threads and domains. All traversal state lives in
     {!Session.t} handles, each of which is single-owner — one session
-    per concurrent reader ([wet serve] opens one per connection). The
-    deprecated wet-taking query functions at the bottom read through one
-    implicit {!default_session} and are therefore only safe
-    single-threaded. *)
+    per concurrent reader ([wet serve] opens one per connection, each
+    CLI command one for its queries). *)
 
 module Stream = Wet_bistream.Stream
 
@@ -108,10 +106,10 @@ type stats = {
 
 (** {1 The immutable container}
 
-    Every field but the memoized default session is read-only after
-    construction, and the streams inside are pristine compressed bodies
-    that queries never mutate — a [t] may be shared between any number
-    of concurrent sessions. *)
+    Every field is read-only after construction, and the streams inside
+    are pristine compressed bodies that queries never mutate — a [t] may
+    be shared between any number of concurrent sessions, and saving it
+    writes the same bytes whatever queries ran before. *)
 
 type t = {
   program : Wet_ir.Program.t;
@@ -139,14 +137,11 @@ type t = {
           placeholders during a salvage load ({!Store.load}
           [~salvage:true]); [[]] for a built or cleanly loaded WET.
           Queries touching a damaged section raise {!Missing_stream}. *)
-  mutable session0 : session option;
-      (** memoized implicit session behind the deprecated wet-taking
-          functions; managed by {!default_session} and {!rewind} *)
 }
 
 (** One reader's private traversal state over a shared container; see
     {!Session}. *)
-and session
+type session
 
 (** Raised (with the container section name, e.g. ["labels.values"])
     when a query touches data lost to a salvage load. *)
@@ -169,14 +164,6 @@ val instr_of_copy : t -> copy_id -> Wet_ir.Instr.t
 
 (** Copies of a given static statement, across all nodes. *)
 val copies_of_stmt : t -> int -> copy_id list
-
-(** Drop all implicit traversal state — every stream's default cursor
-    and the memoized default session — returning the container to the
-    canonical state of a freshly built WET. {!Store} rewinds on save
-    and load so persistence is deterministic regardless of prior query
-    activity. Explicit {!open_session} handles hold private cursors and
-    are unaffected. *)
-val rewind : t -> unit
 
 (** Structural invariant checker: stream lengths consistent with node
     execution counts, timestamps strictly increasing per path and
@@ -206,8 +193,7 @@ val validate : t -> string list
     tally and a fresh (disarmed) recorder.
     @param strict raise a [Wet_error] [Query] error immediately if [t]
       carries salvage {!damage} (default [false]: the session opens and
-      queries on damaged sections raise {!Missing_stream} lazily, like
-      the wet-taking API).
+      queries on damaged sections raise {!Missing_stream} lazily).
     @param tally account decode work to an existing tally instead.
     @param recorder report explain touches to an existing recorder. *)
 val open_session :
@@ -216,12 +202,6 @@ val open_session :
   ?recorder:Wet_watch.Explain.recorder ->
   t ->
   session
-
-(** The implicit session backing the deprecated wet-taking functions:
-    memoized on the container, reads through each stream's default
-    cursor, accounts to the process-global tally and explain recording.
-    Single-threaded use only. *)
-val default_session : t -> session
 
 module Session : sig
   type wet := t
@@ -287,25 +267,3 @@ module Session : sig
       [c]'s node execution (moves the node's timestamp cursor). *)
   val timestamp : t -> copy_id -> int -> int
 end
-
-(** {1 Deprecated implicit-session queries}
-
-    Thin wrappers over {!default_session} — single-threaded use only;
-    concurrent readers must open their own session. *)
-
-val value_of_copy : t -> copy_id -> int -> int
-[@@deprecated "use Wet.Session.value_of_copy"]
-
-val resolve_dep : t -> copy_id -> int -> int -> (copy_id * int) option
-[@@deprecated "use Wet.Session.resolve_dep"]
-
-val resolve_cd : t -> copy_id -> int -> (copy_id * int) option
-[@@deprecated "use Wet.Session.resolve_cd"]
-
-val timestamp : t -> copy_id -> int -> int
-[@@deprecated "use Wet.Session.timestamp"]
-
-(** Find the position of [target] in an ascending stream by cursor
-    stepping of the stream's default cursor; [None] if absent. *)
-val find_in_ascending : seq -> int -> int option
-[@@deprecated "use Stream.Cursor.find_ascending"]

@@ -111,23 +111,14 @@ type ctx = {
 }
 
 (* A scope is one independent profiling surface: its own context stack,
-   and the tally/recorder its snapshots bracket. The default scope wraps
-   the process-global tally and recorder — the historical behaviour.
-   Concurrent sessions each profile into a private scope built from
-   their session's tally and recorder, so one connection's decode work
-   never bleeds into another's profile. *)
+   and the tally/recorder its snapshots bracket. Each session profiles
+   into a scope built from its tally and recorder, so one connection's
+   decode work never bleeds into another's profile. *)
 type scope = {
   sp_stack : ctx list ref;
   sp_tally : Telemetry.tally;
   sp_recorder : Ex.recorder;
 }
-
-let default_scope =
-  {
-    sp_stack = ref [];
-    sp_tally = Telemetry.default;
-    sp_recorder = Ex.default_recorder;
-  }
 
 let make_scope ?tally ?recorder () =
   {
@@ -137,24 +128,24 @@ let make_scope ?tally ?recorder () =
       (match recorder with Some r -> r | None -> Ex.make_recorder ());
   }
 
-let active ?(scope = default_scope) () = !(scope.sp_stack) <> []
+let active ~scope = !(scope.sp_stack) <> []
 
-let depth ?(scope = default_scope) () = List.length !(scope.sp_stack)
+let depth ~scope = List.length !(scope.sp_stack)
 
 let allocated_words (st : Gc.stat) =
   st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
 
-let start ?(scope = default_scope) ?(params = []) shape =
+let start ~scope ?(params = []) shape =
   let recorder = scope.sp_recorder in
   let armed_here = not (Ex.recording recorder) in
-  if armed_here then Ex.arm ~recorder ();
+  if armed_here then Ex.arm ~recorder;
   let ctx =
     {
       k_shape = shape;
       k_params = params;
       k_bi0 = Telemetry.snapshot ~tally:scope.sp_tally ();
       k_seq0 = Sequitur.global_telemetry ();
-      k_ex0 = Ex.report ~recorder ();
+      k_ex0 = Ex.report ~recorder;
       k_armed_here = armed_here;
       k_local = Metrics.Local.create ();
       k_children = zero_cost;
@@ -204,7 +195,7 @@ let record reg p =
     (Metrics.Local.histogram reg ("qprof.latency." ^ p.p_shape))
     p.p_total.c_wall_ns
 
-let finish ?(scope = default_scope) outcome =
+let finish ~scope outcome =
   match !(scope.sp_stack) with
   | [] -> invalid_arg "Qprof.finish: no active context"
   | ctx :: rest ->
@@ -220,8 +211,8 @@ let finish ?(scope = default_scope) outcome =
       Sequitur.global_delta ~before:ctx.k_seq0
         ~after:(Sequitur.global_telemetry ())
     in
-    let ex = Ex.diff ~before:ctx.k_ex0 ~after:(Ex.report ~recorder ()) in
-    if ctx.k_armed_here then Ex.disarm ~recorder ();
+    let ex = Ex.diff ~before:ctx.k_ex0 ~after:(Ex.report ~recorder) in
+    if ctx.k_armed_here then Ex.disarm ~recorder;
     let total =
       {
         c_fwd = bi.Telemetry.g_fwd;
@@ -258,16 +249,16 @@ let finish ?(scope = default_scope) outcome =
      | [] -> Metrics.merge ctx.k_local);
     p
 
-let run ?scope ?params shape f =
-  start ?scope ?params shape;
+let run ~scope ?params shape f =
+  start ~scope ?params shape;
   match f () with
-  | x -> (Ok x, finish ?scope "ok")
+  | x -> (Ok x, finish ~scope "ok")
   | exception e ->
-    let p = finish ?scope ("error: " ^ Printexc.to_string e) in
+    let p = finish ~scope ("error: " ^ Printexc.to_string e) in
     (Error e, p)
 
-let profiled ?scope ?params shape f =
-  match run ?scope ?params shape f with
+let profiled ~scope ?params shape f =
+  match run ~scope ?params shape f with
   | Ok x, p -> (x, p)
   | Error e, _ -> raise e
 

@@ -1,13 +1,13 @@
 (** Request-scoped query profiling: exact per-query cost attribution.
 
     A profiling context brackets one query (or any unit of work) with
-    snapshots of the process-global decode telemetry
-    ({!Wet_bistream.Telemetry}), the global Sequitur inference counters,
-    the wall clock, the GC allocation counters and the armed
-    {!Wet_watch.Explain} recording. The difference between the two
-    snapshots is, by construction, exactly the work done inside the
-    context — whichever streams it landed on — so per-query costs
-    reconcile with the global counters to the step.
+    snapshots of its scope's decode tally ({!Wet_bistream.Telemetry}),
+    the global Sequitur inference counters, the wall clock, the GC
+    allocation counters and the scope's armed {!Wet_watch.Explain}
+    recording. The difference between the two snapshots is, by
+    construction, exactly the work done inside the context — whichever
+    streams it landed on — so per-query costs reconcile with the tally
+    to the step.
 
     Contexts nest: an inner context's total is also part of its parent's
     window, so each context additionally tracks the summed totals of its
@@ -70,20 +70,15 @@ type profile = {
 
     A scope is one independent profiling surface: a private context
     stack plus the {!Wet_bistream.Telemetry.tally} and
-    {!Wet_watch.Explain.recorder} its snapshots bracket. All lifecycle
-    functions default to {!default_scope}, which wraps the
-    process-global tally, recorder and stack — exactly the historical
-    single-threaded behaviour. A server answering concurrent clients
-    builds one scope per session (from the session's own tally and
-    recorder), so each request's profile sees only its own session's
-    decode work. Scopes, like sessions, are single-owner: never share
-    one scope between two threads. *)
+    {!Wet_watch.Explain.recorder} its snapshots bracket. Every lifecycle
+    function takes the scope it acts on. A caller builds one scope per
+    session, from the session's own tally and recorder — [wet serve]
+    per connection, each CLI command for its one session — so each
+    profile sees only its own session's decode work. Scopes, like
+    sessions, are single-owner: never share one scope between two
+    threads. *)
 
 type scope
-
-(** The process-global scope: {!Wet_bistream.Telemetry.default} and
-    {!Wet_watch.Explain.default_recorder}. *)
-val default_scope : scope
 
 (** A fresh scope. Omitted [tally]/[recorder] are created fresh; a
     server passes its session's own ([Wet.Session.tally],
@@ -101,28 +96,28 @@ val make_scope :
     {!finish} disarms); nested contexts share the one armed recording
     and slice it with [Explain.diff]. The wall clock is read last, so
     context setup is not charged to the query. *)
-val start : ?scope:scope -> ?params:(string * string) list -> string -> unit
+val start : scope:scope -> ?params:(string * string) list -> string -> unit
 
 (** Close the scope's innermost context and return its profile. The
     context's [qprof.*] instruments are recorded into its private
     registry and merged into the parent context, or into the process
     view when this was the scope's outermost context.
     @raise Invalid_argument if no context is open on the scope. *)
-val finish : ?scope:scope -> string -> profile
+val finish : scope:scope -> string -> profile
 
 (** A context is open on the scope. *)
-val active : ?scope:scope -> unit -> bool
+val active : scope:scope -> bool
 
 (** Number of open contexts on the scope. *)
-val depth : ?scope:scope -> unit -> int
+val depth : scope:scope -> int
 
 (** {1 Wrappers} *)
 
-(** [run ?scope ?params shape f] profiles [f ()]: the result (or the
+(** [run ~scope ?params shape f] profiles [f ()]: the result (or the
     exception, captured) together with the profile; an exception is
     recorded as an ["error: ..."] outcome. *)
 val run :
-  ?scope:scope ->
+  scope:scope ->
   ?params:(string * string) list ->
   string ->
   (unit -> 'a) ->
@@ -130,7 +125,7 @@ val run :
 
 (** [run], re-raising the exception after the profile is recorded. *)
 val profiled :
-  ?scope:scope ->
+  scope:scope ->
   ?params:(string * string) list ->
   string ->
   (unit -> 'a) ->

@@ -20,11 +20,9 @@ type stats = {
 }
 
 (* A recorder is one independent explain recording: an armed flag, the
-   per-stream tallies, and the query names seen while armed. The
-   process-global surface below ([armed], [arm], [touch], ...) operates
-   on [default_recorder]; each [Wet.Session] owns a private recorder so
-   concurrent sessions can explain queries without interleaving their
-   recordings.
+   per-stream tallies, and the query names seen while armed. Each
+   [Wet.Session] owns one, so concurrent sessions can explain queries
+   without interleaving their recordings.
 
    The tallies sit in dense tables, one per stream kind, indexed by the
    stream's id (pattern streams by node, then by group). A slot no step
@@ -34,7 +32,7 @@ type stats = {
    and reporting walk only the touched streams, however far the tables
    have grown. *)
 type recorder = {
-  rc_armed : bool ref;
+  mutable rc_armed : bool;
   mutable rc_ts : stats array;  (* by node id *)
   mutable rc_uvals : stats array;  (* by copy id *)
   mutable rc_pattern : stats array array;  (* by node id, then group *)
@@ -60,7 +58,7 @@ let vacant = fresh (Ts (-1))
 
 let make_recorder () =
   {
-    rc_armed = ref false;
+    rc_armed = false;
     rc_ts = [||];
     rc_uvals = [||];
     rc_pattern = [||];
@@ -70,14 +68,7 @@ let make_recorder () =
     rc_queries = [];
   }
 
-let default_recorder = make_recorder ()
-
-(* The historical guard flag IS the default recorder's armed flag, so
-   existing [if !Ex.armed then ...] sites keep meaning "is the default
-   recording armed". *)
-let armed = default_recorder.rc_armed
-
-let recording r = !(r.rc_armed)
+let recording r = r.rc_armed
 
 (* [slot] and [find] are inlined into [touch]: they are its whole cost
    on a stream already touched. *)
@@ -143,23 +134,23 @@ let clear r st =
   | Label_src a -> r.rc_src.(a) <- vacant
   | Label_dst a -> r.rc_dst.(a) <- vacant
 
-let reset ?(recorder = default_recorder) () =
+let reset ~recorder =
   List.iter (clear recorder) recorder.rc_touched;
   recorder.rc_touched <- [];
   recorder.rc_queries <- []
 
-let arm ?(recorder = default_recorder) () =
-  reset ~recorder ();
-  recorder.rc_armed := true
+let arm ~recorder =
+  reset ~recorder;
+  recorder.rc_armed <- true
 
-let disarm ?(recorder = default_recorder) () = recorder.rc_armed := false
+let disarm ~recorder = recorder.rc_armed <- false
 
-let query ?(recorder = default_recorder) name =
-  if !(recorder.rc_armed) then
+let query ~recorder name =
+  if recorder.rc_armed then
     recorder.rc_queries <- name :: recorder.rc_queries
 
 let touch ~recorder kind a b op n =
-  if !(recorder.rc_armed) && n >= 0 then begin
+  if recorder.rc_armed && n >= 0 then begin
     let st = find recorder kind a b in
     let st = if st == vacant then admit recorder kind a b else st in
     match op with
@@ -228,7 +219,7 @@ let compare_stream a b =
     Int.compare x y
   | _ -> Int.compare (kind_rank a) (kind_rank b)
 
-let report ?(recorder = default_recorder) () =
+let report ~recorder =
   let streams =
     List.rev_map
       (fun st ->
@@ -311,8 +302,8 @@ let h_stream_steps = Wet_obs.Metrics.histogram "explain.stream_steps"
 (* Take the report and fold its tallies into the wet_obs instruments,
    one histogram observation per touched stream — this is what links
    per-query cost profiles to the bench observatory's aggregates. *)
-let publish ?(recorder = default_recorder) () =
-  let r = report ~recorder () in
+let publish ~recorder =
+  let r = report ~recorder in
   Wet_obs.Metrics.add c_streams (List.length r.r_streams);
   List.iter
     (fun s ->

@@ -6,11 +6,10 @@
     observable cost model behind the paper's tier-1 vs tier-2 query
     timing tables. Disarmed cost is one flag read per cursor operation.
 
-    Recordings live in {!recorder} values. The tally-less functions
-    below operate on {!default_recorder} — the historical process-global
-    recording, still what the CLI's [--explain] uses. Each [Wet.Session]
-    owns a private recorder (single-owner, like the session itself), so
-    concurrent sessions can explain queries without interleaving. *)
+    Recordings live in {!recorder} values. Each [Wet.Session] owns one
+    (single-owner, like the session itself), so concurrent sessions can
+    explain queries without interleaving; the CLI's [--explain] reports
+    its command's session recorder. *)
 
 (** Identity of a WET label stream. *)
 type stream =
@@ -42,23 +41,19 @@ type recorder
 (** A fresh, disarmed recorder. *)
 val make_recorder : unit -> recorder
 
-(** The process-global recording all tally-less calls target. *)
-val default_recorder : recorder
-
 (** Is this recorder currently armed? The per-session guard for
     instrumentation sites: [if Ex.recording r then touch ~recorder:r ...]. *)
 val recording : recorder -> bool
 
-(** Guard for default-recorder instrumentation sites:
-    [if !armed then touch ~recorder:default_recorder ...]. This is
-    physically [default_recorder]'s armed flag. *)
-val armed : bool ref
-
 (** Clear recorded state and start recording. *)
-val arm : ?recorder:recorder -> unit -> unit
+val arm : recorder:recorder -> unit
 
-val disarm : ?recorder:recorder -> unit -> unit
-val reset : ?recorder:recorder -> unit -> unit
+(** Stop recording; what was recorded stays until the next {!arm} or
+    {!reset}. *)
+val disarm : recorder:recorder -> unit
+
+(** Clear recorded state, armed or not. *)
+val reset : recorder:recorder -> unit
 
 (** [touch ~recorder kind a b op n] records [n] cursor steps (or one
     seek of distance [n]) on the stream of class [kind] with id [a] —
@@ -75,7 +70,7 @@ val reset : ?recorder:recorder -> unit -> unit
 val touch : recorder:recorder -> kind -> int -> int -> op -> int -> unit
 
 (** Note a query entry point (e.g. ["query.control_flow"]). *)
-val query : ?recorder:recorder -> string -> unit
+val query : recorder:recorder -> string -> unit
 
 type stream_stats = {
   e_stream : stream;
@@ -89,7 +84,7 @@ type stream_stats = {
 type report = { r_queries : string list; r_streams : stream_stats list }
 
 (** Snapshot of everything recorded since {!arm} (streams sorted). *)
-val report : ?recorder:recorder -> unit -> report
+val report : recorder:recorder -> report
 
 (** {!report}, with the tallies also folded into the [wet_obs]
     instruments ([explain.streams], [explain.fwd_steps],
@@ -98,7 +93,7 @@ val report : ?recorder:recorder -> unit -> report
     observation per touched stream — no-ops while the sink is disabled.
     This is the bridge between per-query explain profiles and the bench
     observatory's metric exports. *)
-val publish : ?recorder:recorder -> unit -> report
+val publish : recorder:recorder -> report
 
 val stream_kind : stream -> string
 val stream_name : stream -> string

@@ -1,7 +1,3 @@
-(* The deprecated module-level cursor API stays covered here until it
-   is removed; the Session equivalents are covered by test_session. *)
-[@@@alert "-deprecated"]
-
 module W = Wet_core.Wet
 module Builder = Wet_core.Builder
 module Iso = Wet_analyses.Isomorphism
@@ -36,12 +32,14 @@ let test_isomorphism_detects () =
   Alcotest.(check bool) "not everything is isomorphic" true (iso < total);
   Alcotest.(check bool) "redundancy counted" true (redundant >= 49);
   (* members of any class really do produce identical sequences *)
+  let sess = W.open_session wet in
   List.iter
     (fun (k : Iso.klass) ->
       match k.Iso.members with
       | c0 :: rest ->
         let seq c =
-          List.init k.Iso.executions (fun i -> W.value_of_copy wet c i)
+          List.init k.Iso.executions (fun i ->
+              W.Session.value_of_copy sess c i)
         in
         let s0 = seq c0 in
         List.iter
@@ -103,7 +101,7 @@ let test_dot_slice () =
         | Wet_ir.Instr.Output _ -> true
         | _ -> false))
   in
-  let dot = Dot.slice wet out 0 in
+  let dot = Dot.slice (W.open_session wet) out 0 in
   Alcotest.(check bool) "criterion highlighted" true (contains dot "lightgrey");
   Alcotest.(check bool) "mul in slice" true (contains dot "mul");
   Alcotest.(check bool) "dashed cd edges ok" true (contains dot "digraph wet_slice")
@@ -160,9 +158,10 @@ fn main() {
       tr.T.paths;
     mem
   in
+  let sess = W.open_session wet in
   List.iter
     (fun ts ->
-      let state = Wet_analyses.State_reconstruct.at wet ~ts in
+      let state = Wet_analyses.State_reconstruct.at_session sess ~ts in
       let want = oracle ts in
       Hashtbl.iter
         (fun addr v ->
@@ -178,7 +177,7 @@ fn main() {
         (Wet_analyses.State_reconstruct.read state 99999))
     [ 1; total / 3; (2 * total) / 3; total ];
   (* named-global access *)
-  let s = Wet_analyses.State_reconstruct.at wet ~ts:total in
+  let s = Wet_analyses.State_reconstruct.at_session sess ~ts:total in
   Alcotest.(check int) "gen global" 300
     (Wet_analyses.State_reconstruct.global wet s "gen")
 

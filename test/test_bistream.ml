@@ -1,7 +1,3 @@
-(* The deprecated module-level cursor API stays covered here until it
-   is removed; the Session equivalents are covered by test_session. *)
-[@@@alert "-deprecated"]
-
 module Bidir = Wet_bistream.Bidir
 module Stream = Wet_bistream.Stream
 
@@ -139,7 +135,8 @@ let test_selection () =
   List.iter
     (fun (name, arr) ->
       let s = Stream.compress arr in
-      Alcotest.(check (array int)) (name ^ " roundtrip") arr (Stream.to_array s);
+      Alcotest.(check (array int)) (name ^ " roundtrip") arr
+        (Stream.Cursor.to_array (Stream.Cursor.make s));
       Alcotest.(check bool) (name ^ " not worse than raw") true
         (Stream.bits s <= (32 * Array.length arr) + 1))
     (fixtures rng)
@@ -156,23 +153,25 @@ let test_find_ascending () =
   let arr = Array.init 1000 (fun i -> 3 * i) in
   List.iter
     (fun spec ->
-      let s = Stream.compress_with spec arr in
-      Alcotest.(check (option int)) "present" (Some 100) (Stream.find_ascending s 300);
-      Alcotest.(check (option int)) "absent" None (Stream.find_ascending s 301);
-      Alcotest.(check (option int)) "first" (Some 0) (Stream.find_ascending s 0);
-      Alcotest.(check (option int)) "last" (Some 999) (Stream.find_ascending s 2997);
-      Alcotest.(check (option int)) "beyond" None (Stream.find_ascending s 5000))
+      let c = Stream.Cursor.make (Stream.compress_with spec arr) in
+      let find = Stream.Cursor.find_ascending c in
+      Alcotest.(check (option int)) "present" (Some 100) (find 300);
+      Alcotest.(check (option int)) "absent" None (find 301);
+      Alcotest.(check (option int)) "first" (Some 0) (find 0);
+      Alcotest.(check (option int)) "last" (Some 999) (find 2997);
+      Alcotest.(check (option int)) "beyond" None (find 5000))
     [ `Raw; `Bidir (Bidir.Dfcm, 2); `Bidir (Bidir.Last_stride, 1) ]
 
 let test_lower_bound () =
   let arr = Array.init 100 (fun i -> 2 * i) in
   List.iter
     (fun spec ->
-      let s = Stream.compress_with spec arr in
-      Alcotest.(check int) "exact" 5 (Stream.lower_bound s 10);
-      Alcotest.(check int) "between" 6 (Stream.lower_bound s 11);
-      Alcotest.(check int) "before" 0 (Stream.lower_bound s (-5));
-      Alcotest.(check int) "after" 100 (Stream.lower_bound s 1000))
+      let c = Stream.Cursor.make (Stream.compress_with spec arr) in
+      let lower_bound = Stream.Cursor.lower_bound c in
+      Alcotest.(check int) "exact" 5 (lower_bound 10);
+      Alcotest.(check int) "between" 6 (lower_bound 11);
+      Alcotest.(check int) "before" 0 (lower_bound (-5));
+      Alcotest.(check int) "after" 100 (lower_bound 1000))
     [ `Raw; `Bidir (Bidir.Dfcm, 2); `Bidir (Bidir.Last_n, 1) ]
 
 let test_cursor_bounds () =

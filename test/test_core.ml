@@ -1,7 +1,3 @@
-(* The deprecated module-level cursor API stays covered here until it
-   is removed; the Session equivalents are covered by test_session. *)
-[@@@alert "-deprecated"]
-
 (* Ground-truth verification of the WET core: everything a WET stores
    must reconstruct the raw trace exactly, on tier-1 and on tier-2. *)
 
@@ -9,6 +5,7 @@ module W = Wet_core.Wet
 module Builder = Wet_core.Builder
 module Query = Wet_core.Query
 module Slice = Wet_core.Slice
+module S = W.Session
 module Sizes = Wet_core.Sizes
 module T = Wet_interp.Trace
 module Interp = Wet_interp.Interp
@@ -134,14 +131,16 @@ let each_tier f =
 
 let test_values () =
   each_tier (fun name tr wet ->
+      let sess = W.open_session wet in
       let r = replay wet tr in
       iter_instances r (fun c i pos ->
           if wet.W.copy_uvals.(c) <> None then
-            if W.value_of_copy wet c i <> tr.T.values.(pos) then
+            if S.value_of_copy sess c i <> tr.T.values.(pos) then
               Alcotest.failf "%s: value mismatch at copy %d inst %d" name c i))
 
 let test_deps () =
   each_tier (fun name tr wet ->
+      let sess = W.open_session wet in
       let r = replay wet tr in
       let depc = ref 0 in
       iter_instances r (fun c i _ ->
@@ -153,13 +152,14 @@ let test_deps () =
               if producer < 0 then None
               else Some (r.pos_copy.(producer), r.pos_inst.(producer))
             in
-            if W.resolve_dep wet c i s <> want then
+            if S.resolve_dep sess c i s <> want then
               Alcotest.failf "%s: dep mismatch at copy %d inst %d slot %d" name
                 c i s
           done))
 
 let test_control_deps () =
   each_tier (fun name tr wet ->
+      let sess = W.open_session wet in
       let r = replay wet tr in
       let node_of = Hashtbl.create 64 in
       Array.iter
@@ -185,7 +185,7 @@ let test_control_deps () =
                 if cd < 0 then None
                 else Some (r.pos_copy.(cd), r.pos_inst.(cd))
               in
-              if W.resolve_cd wet copy inst <> want then
+              if S.resolve_cd sess copy inst <> want then
                 Alcotest.failf "%s: cd mismatch node %d bp %d inst %d" name
                   node.W.n_id bp inst)
             node.W.n_blocks)
@@ -193,10 +193,10 @@ let test_control_deps () =
 
 let test_control_flow_trace () =
   each_tier (fun name tr wet ->
-      Query.park wet Query.Forward;
+      let sess = W.open_session wet in
       let out = ref [] in
       let n =
-        Query.control_flow wet Query.Forward ~f:(fun f b ->
+        Query.Session.control_flow sess Query.Forward ~f:(fun f b ->
             out := T.encode_block f b :: !out)
       in
       Alcotest.(check int) (name ^ " block count") (Array.length tr.T.blocks) n;
@@ -205,11 +205,10 @@ let test_control_flow_trace () =
       (* cursors are now at the end: extract backward *)
       let out = ref [] in
       ignore
-        (Query.control_flow wet Query.Backward ~f:(fun f b ->
+        (Query.Session.control_flow sess Query.Backward ~f:(fun f b ->
              out := T.encode_block f b :: !out));
       if Array.of_list !out <> tr.T.blocks then
-        Alcotest.failf "%s: backward control-flow trace differs" name;
-      Query.park wet Query.Forward)
+        Alcotest.failf "%s: backward control-flow trace differs" name)
 
 (* Per-load value traces: ground truth collected from the raw trace. *)
 let test_load_values () =
@@ -224,7 +223,7 @@ let test_load_values () =
           | _ -> ());
       let got = Hashtbl.create 64 in
       let total =
-        Query.load_values wet ~f:(fun c v ->
+        Query.Session.load_values (W.open_session wet) ~f:(fun c v ->
             let l = Option.value (Hashtbl.find_opt got c) ~default:[] in
             Hashtbl.replace got c (v :: l))
       in
@@ -254,7 +253,7 @@ let test_addresses () =
           end);
       let got = Hashtbl.create 64 in
       let total =
-        Query.addresses wet ~f:(fun c a ->
+        Query.Session.addresses (W.open_session wet) ~f:(fun c a ->
             let l = Option.value (Hashtbl.find_opt got c) ~default:[] in
             Hashtbl.replace got c (a :: l))
       in
@@ -277,12 +276,13 @@ let test_slices_match_tiers () =
       let outputs =
         Query.copies_matching w1 (function Instr.Output _ -> true | _ -> false)
       in
+      let s1 = W.open_session w1 and s2 = W.open_session w2 in
       List.iter
         (fun c ->
           let node = W.node_of_copy w1 c in
           let i = node.W.n_nexec - 1 in
-          let r1 = Slice.backward w1 c i in
-          let r2 = Slice.backward w2 c i in
+          let r1 = Slice.Session.backward s1 c i in
+          let r2 = Slice.Session.backward s2 c i in
           if r1 <> r2 then Alcotest.failf "%s: tier slices differ" name;
           Alcotest.(check bool) (name ^ " slice nonempty") true
             (r1.Slice.instances >= 1))
@@ -312,7 +312,7 @@ fn main() {
   in
   let consts = ref [] in
   let r =
-    Slice.backward wet out 0 ~f:(fun c _ ->
+    Slice.Session.backward (W.open_session wet) out 0 ~f:(fun c _ ->
         match W.instr_of_copy wet c with
         | Instr.Const (_, v) -> consts := v :: !consts
         | _ -> ())
@@ -328,8 +328,11 @@ let test_backward_forward_duality () =
   in
   let c = List.hd outputs in
   let i = (W.node_of_copy w1 c).W.n_nexec - 1 in
+  let sess = W.open_session w1 in
   let members = ref [] in
-  ignore (Slice.backward w1 c i ~f:(fun c' i' -> members := (c', i') :: !members));
+  ignore
+    (Slice.Session.backward sess c i ~f:(fun c' i' ->
+         members := (c', i') :: !members));
   (* spot-check a handful of members: the criterion must appear in their
      forward slices *)
   let sample = List.filteri (fun k _ -> k mod 7 = 0) !members in
@@ -337,7 +340,7 @@ let test_backward_forward_duality () =
     (fun (c', i') ->
       let found = ref false in
       ignore
-        (Slice.forward w1 c' i' ~f:(fun c'' i'' ->
+        (Slice.Session.forward sess c' i' ~f:(fun c'' i'' ->
              if c'' = c && i'' = i then found := true));
       Alcotest.(check bool)
         (Printf.sprintf "criterion in forward slice of (%d,%d)" c' i')
@@ -350,7 +353,7 @@ let test_slice_truncation () =
     Query.copies_matching w1 (function Instr.Output _ -> true | _ -> false)
   in
   let c = List.nth outputs (List.length outputs - 1) in
-  let r = Slice.backward ~max_instances:3 w1 c 0 in
+  let r = Slice.Session.backward ~max_instances:3 (W.open_session w1) c 0 in
   Alcotest.(check int) "capped" 3 r.Slice.instances;
   Alcotest.(check bool) "flagged" true r.Slice.truncated
 
@@ -449,25 +452,32 @@ let test_pack_rejects_packed () =
    same visit counts, same values threaded through the accumulator. *)
 let test_fold_wrappers () =
   each_tier (fun name _tr wet ->
-      Query.park wet Query.Forward;
-      let cb = Query.control_flow wet Query.Forward ~f:(fun _ _ -> ()) in
+      let sess = W.open_session wet in
+      let cb =
+        Query.Session.control_flow sess Query.Forward ~f:(fun _ _ -> ())
+      in
       (* cursors now at the end: fold backward without re-parking *)
       let folded =
-        Query.fold_control_flow wet Query.Backward ~init:0 ~f:(fun n _ _ ->
-            n + 1)
+        Query.Session.fold_control_flow sess Query.Backward ~init:0
+          ~f:(fun n _ _ -> n + 1)
       in
       Alcotest.(check int) (name ^ " fold cf count") cb folded;
       let sum = ref 0 in
-      let n = Query.load_values wet ~f:(fun _ v -> sum := !sum + v) in
+      let n =
+        Query.Session.load_values sess ~f:(fun _ v -> sum := !sum + v)
+      in
       let fn, fsum =
-        Query.fold_loads wet ~init:(0, 0) ~f:(fun (n, s) _ v -> (n + 1, s + v))
+        Query.Session.fold_loads sess ~init:(0, 0) ~f:(fun (n, s) _ v ->
+            (n + 1, s + v))
       in
       Alcotest.(check int) (name ^ " fold load count") n fn;
       Alcotest.(check int) (name ^ " fold load sum") !sum fsum;
       let asum = ref 0 in
-      let na = Query.addresses wet ~f:(fun _ a -> asum := !asum + a) in
+      let na =
+        Query.Session.addresses sess ~f:(fun _ a -> asum := !asum + a)
+      in
       let fan, fasum =
-        Query.fold_addresses wet ~init:(0, 0) ~f:(fun (n, s) _ a ->
+        Query.Session.fold_addresses sess ~init:(0, 0) ~f:(fun (n, s) _ a ->
             (n + 1, s + a))
       in
       Alcotest.(check int) (name ^ " fold addr count") na fan;
@@ -513,24 +523,25 @@ let base_suites =
 
 let test_locate_time () =
   each_tier (fun name tr wet ->
+      let sess = W.open_session wet in
       let total = Array.length tr.T.paths in
       (* every timestamp locates to the path that produced it *)
       List.iter
         (fun ts ->
-          match Query.locate_time wet ts with
+          match Query.Session.locate_time sess ts with
           | None -> Alcotest.failf "%s: ts %d not located" name ts
           | Some (nid, i) ->
             let n = wet.W.nodes.(nid) in
             let f, pid = T.decode_path tr.T.paths.(ts - 1) in
             if n.W.n_func <> f || n.W.n_path <> pid then
               Alcotest.failf "%s: ts %d located to wrong node" name ts;
-            if W.Stream.read_at n.W.n_ts i <> ts then
+            if (W.Stream.contents n.W.n_ts).(i) <> ts then
               Alcotest.failf "%s: ts %d wrong instance" name ts)
         [ 1; 2; total / 2; total ];
       Alcotest.(check (option (pair int int))) (name ^ " out of range") None
-        (Query.locate_time wet (total + 1));
+        (Query.Session.locate_time sess (total + 1));
       Alcotest.(check (option (pair int int))) (name ^ " zero") None
-        (Query.locate_time wet 0))
+        (Query.Session.locate_time sess 0))
 
 let test_control_flow_from () =
   each_tier (fun name tr wet ->
@@ -549,8 +560,8 @@ let test_control_flow_from () =
       done;
       let got = ref [] in
       let n =
-        Query.control_flow_from wet ~start_ts ~steps ~f:(fun f b ->
-            got := T.encode_block f b :: !got)
+        Query.Session.control_flow_from (W.open_session wet) ~start_ts ~steps
+          ~f:(fun f b -> got := T.encode_block f b :: !got)
       in
       Alcotest.(check int) (name ^ " partial block count")
         (List.length !expected) n;
@@ -581,9 +592,10 @@ fn main() {
   let seed = find (function Instr.Const (_, 5) -> true | _ -> false) in
   let unrelated = find (function Instr.Const (_, 100) -> true | _ -> false) in
   let out = find (function Instr.Output _ -> true | _ -> false) in
+  let sess = W.open_session wet in
   let members = ref [] in
   let r =
-    Slice.chop wet ~source:(seed, 0) ~sink:(out, 0)
+    Slice.Session.chop sess ~source:(seed, 0) ~sink:(out, 0)
       ~f:(fun c _ -> members := c :: !members)
   in
   Alcotest.(check bool) "chop nonempty" true (r.Slice.instances >= 3);
@@ -591,7 +603,7 @@ fn main() {
   Alcotest.(check bool) "sink in chop" true (List.mem out !members);
   Alcotest.(check bool) "unrelated excluded" false (List.mem unrelated !members);
   (* chopping from a value the sink does not depend on is empty *)
-  let r2 = Slice.chop wet ~source:(unrelated, 0) ~sink:(seed, 0) in
+  let r2 = Slice.Session.chop sess ~source:(unrelated, 0) ~sink:(seed, 0) in
   Alcotest.(check int) "independent chop empty" 0 r2.Slice.instances
 
 
@@ -621,7 +633,7 @@ fn main() {
     in
     let kinds = ref [] in
     ignore
-      (Slice.backward wet add 0 ~f:(fun c _ ->
+      (Slice.Session.backward (W.open_session wet) add 0 ~f:(fun c _ ->
            kinds := W.instr_of_copy wet c :: !kinds));
     !kinds
   in
@@ -686,11 +698,11 @@ let fuzz_one seed =
   | res ->
     let tr = res.Interp.trace in
     let check wet =
+      let sess = W.open_session wet in
       (* control flow *)
-      Query.park wet Query.Forward;
       let out = ref [] in
       ignore
-        (Query.control_flow wet Query.Forward ~f:(fun f b ->
+        (Query.Session.control_flow sess Query.Forward ~f:(fun f b ->
              out := T.encode_block f b :: !out));
       let cf_ok = Array.of_list (List.rev !out) = tr.T.blocks in
       (* values and dependences *)
@@ -700,7 +712,7 @@ let fuzz_one seed =
       let depc = ref 0 in
       iter_instances r (fun c i pos ->
           (if wet.W.copy_uvals.(c) <> None then
-             if W.value_of_copy wet c i <> tr.T.values.(pos) then
+             if S.value_of_copy sess c i <> tr.T.values.(pos) then
                vals_ok := false);
           let k = Instr.dyn_use_count (W.instr_of_copy wet c) in
           for s = 0 to k - 1 do
@@ -710,7 +722,7 @@ let fuzz_one seed =
               if producer < 0 then None
               else Some (r.pos_copy.(producer), r.pos_inst.(producer))
             in
-            if W.resolve_dep wet c i s <> want then deps_ok := false
+            if S.resolve_dep sess c i s <> want then deps_ok := false
           done);
       cf_ok && !vals_ok && !deps_ok
     in

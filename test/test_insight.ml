@@ -1,13 +1,10 @@
-(* Exercises the deprecated module-level cursor API alongside the new
-   Session surface; the alias stays until the legacy API is removed. *)
-[@@@alert "-deprecated"]
-
 (* wet_insight: telemetry invariants, the Sizes.detail <-> Sizes.current
    bit agreement, stats JSON round trips, and the bench-check gate
    (including the exactly-at-threshold edge). *)
 
 module Bidir = Wet_bistream.Bidir
 module Stream = Wet_bistream.Stream
+module Telemetry = Wet_bistream.Telemetry
 module Sequitur = Wet_sequitur.Sequitur
 module Spec = Wet_workloads.Spec
 module Interp = Wet_interp.Interp
@@ -154,22 +151,20 @@ let test_raw_stream_telemetry () =
   Alcotest.(check int) "raw: no lookups" 0 tl.Stream.tl_lookups;
   Alcotest.(check int) "raw: no hits" 0 tl.Stream.tl_hits;
   Alcotest.(check int) "raw: no misses" 0 tl.Stream.tl_misses;
-  ignore (Stream.step_forward s);
-  ignore (Stream.step_forward s);
-  ignore (Stream.step_backward s);
-  let tl = Stream.telemetry s in
-  Alcotest.(check int) "raw: fwd counted" 2 tl.Stream.tl_fwd_steps;
-  Alcotest.(check int) "raw: bwd counted" 1 tl.Stream.tl_bwd_steps;
-  Alcotest.(check int) "raw: switch counted" 1 tl.Stream.tl_dir_switches;
+  let tally = Telemetry.make () in
+  let c = Stream.Cursor.make s in
+  ignore (Stream.Cursor.step_forward ~tally c);
+  ignore (Stream.Cursor.step_forward ~tally c);
+  ignore (Stream.Cursor.step_backward ~tally c);
+  let g = Telemetry.snapshot ~tally () in
+  Alcotest.(check int) "raw: fwd counted" 2 g.Telemetry.g_fwd;
+  Alcotest.(check int) "raw: bwd counted" 1 g.Telemetry.g_bwd;
+  Alcotest.(check int) "raw: switch counted" 1 g.Telemetry.g_switches;
   (* seeks and random reads are O(1) on raw data: not traversal *)
-  Stream.seek s 50;
-  ignore (Stream.read_at s 10);
-  let tl' = Stream.telemetry s in
-  Alcotest.(check int) "raw: seek not counted" tl.Stream.tl_fwd_steps
-    tl'.Stream.tl_fwd_steps;
-  Stream.reset_telemetry s;
-  let tl = Stream.telemetry s in
-  Alcotest.(check int) "raw: reset" 0 tl.Stream.tl_fwd_steps
+  Stream.Cursor.seek ~tally c 50;
+  ignore (Stream.Cursor.read_at ~tally c 10);
+  Alcotest.(check int) "raw: seek not counted" 2
+    (Telemetry.snapshot ~tally ()).Telemetry.g_fwd
 
 (* ------------------------------------------------------------------ *)
 (* Sequitur telemetry                                                  *)
@@ -501,11 +496,14 @@ let test_metric_docs_cover_registry () =
   let res = Spec.run ~scale:6 w in
   let w1 = Builder.build res.Interp.trace in
   let w2 = Builder.pack w1 in
-  Wet_watch.Explain.arm ();
-  Wet_core.Query.park w2 Wet_core.Query.Forward;
-  ignore (Wet_core.Query.control_flow w2 Wet_core.Query.Forward ~f:(fun _ _ -> ()));
-  ignore (Wet_watch.Explain.publish ());
-  Wet_watch.Explain.disarm ();
+  let s = W.open_session w2 in
+  let recorder = W.Session.recorder s in
+  Wet_watch.Explain.arm ~recorder;
+  ignore
+    (Wet_core.Query.Session.control_flow s Wet_core.Query.Forward
+       ~f:(fun _ _ -> ()));
+  ignore (Wet_watch.Explain.publish ~recorder);
+  Wet_watch.Explain.disarm ~recorder;
   let undocumented =
     List.filter_map
       (fun (name, _) ->

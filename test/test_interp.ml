@@ -1,7 +1,3 @@
-(* Exercises the deprecated module-level cursor API alongside the new
-   Session surface; the alias stays until the legacy API is removed. *)
-[@@@alert "-deprecated"]
-
 module Frontend = Wet_minic.Frontend
 module Interp = Wet_interp.Interp
 module T = Wet_interp.Trace
@@ -196,9 +192,10 @@ let test_wet_on_trivial_programs () =
       let res = run src in
       let wet = Wet_core.Builder.build res.Interp.trace in
       let wet2 = Wet_core.Builder.pack wet in
-      Wet_core.Query.park wet2 Wet_core.Query.Forward;
       let n =
-        Wet_core.Query.control_flow wet2 Wet_core.Query.Forward
+        Wet_core.Query.Session.control_flow
+          (Wet_core.Wet.open_session wet2)
+          Wet_core.Query.Forward
           ~f:(fun _ _ -> ())
       in
       Alcotest.(check int) "block count"

@@ -1,10 +1,6 @@
-(* Exercises the deprecated module-level cursor API alongside the new
-   Session surface; the alias stays until the legacy API is removed. *)
-[@@@alert "-deprecated"]
-
 (* The wet_qprof attribution invariants: per-query cost totals are
-   non-negative and sum exactly to the process-global telemetry delta
-   across random query interleavings on both tiers (the snapshot-delta
+   non-negative and sum exactly to the session tally's delta across
+   random query interleavings on both tiers (the snapshot-delta
    telescoping the subsystem is built on); nested contexts count each
    step exactly once in the merged [qprof.*] metrics; qlog entries
    round-trip through their JSONL encoding; the planner's exact
@@ -34,6 +30,14 @@ let w2 = lazy (Builder.pack (Lazy.force w1))
 
 let wet_of_tier tier2 = if tier2 then Lazy.force w2 else Lazy.force w1
 
+(* A fresh session on [wet] and a profiling scope over its tally and
+   recorder, as [wet serve] builds per connection. *)
+let open_scoped wet =
+  let s = W.open_session wet in
+  ( s,
+    Qprof.make_scope ~tally:(W.Session.tally s)
+      ~recorder:(W.Session.recorder s) () )
+
 let has_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -53,21 +57,26 @@ let shape_of = function
   | Sl -> "slice/backward"
   | Pack -> "pack"
 
-let run_op wet = function
+let run_op s op =
+  let wet = W.Session.wet s in
+  match op with
   | Cf ->
-    Query.park wet Query.Forward;
-    ignore (Query.control_flow wet Query.Forward ~f:(fun _ _ -> ()))
-  | Vals -> ignore (Query.load_values wet ~f:(fun _ _ -> ()))
-  | Addrs -> ignore (Query.addresses wet ~f:(fun _ _ -> ()))
+    Query.Session.park s Query.Forward;
+    ignore (Query.Session.control_flow s Query.Forward ~f:(fun _ _ -> ()))
+  | Vals -> ignore (Query.Session.load_values s ~f:(fun _ _ -> ()))
+  | Addrs -> ignore (Query.Session.addresses s ~f:(fun _ _ -> ()))
   | At seed ->
     let total = wet.W.stats.W.path_execs in
     let ts = 1 + (seed mod max 1 total) in
-    ignore (Query.locate_time wet ts);
-    ignore (Query.control_flow_from wet ~start_ts:ts ~steps:3 ~f:(fun _ _ -> ()))
+    ignore (Query.Session.locate_time s ts);
+    ignore
+      (Query.Session.control_flow_from s ~start_ts:ts ~steps:3
+         ~f:(fun _ _ -> ()))
   | Sl -> (
     match Query.copies_matching wet (fun i -> Wet_ir.Instr.has_def i) with
     | c :: _ ->
-      ignore (Slice.backward wet c ((W.node_of_copy wet c).W.n_nexec - 1))
+      ignore
+        (Slice.Session.backward s c ((W.node_of_copy wet c).W.n_nexec - 1))
     | [] -> ())
   (* A build inside a profiled region: exercises the Sequitur global
      counters, and [compress]'s own telemetry save/restore. *)
@@ -108,22 +117,28 @@ let sum_totals profs =
     Qprof.zero_cost profs
 
 (* Disjoint sequential windows telescope: the per-query totals sum to
-   exactly the global telemetry delta of the whole batch, whatever the
-   interleaving and tier. This is the PR's acceptance invariant. *)
+   exactly the session tally's delta over the whole batch, whatever the
+   interleaving and tier. This is the subsystem's acceptance
+   invariant. *)
 let prop_sum_consistency =
   QCheck.Test.make ~name:"query costs sum to the global telemetry delta"
     ~count:30 arb_plan (fun (tier2, ops) ->
-      let wet = wet_of_tier tier2 in
-      let g0 = Telemetry.snapshot () in
+      let s, scope = open_scoped (wet_of_tier tier2) in
+      let tally = W.Session.tally s in
+      let g0 = Telemetry.snapshot ~tally () in
       let s0 = Sequitur.global_telemetry () in
       let profs =
         List.map
           (fun op ->
-            let _, p = Qprof.run (shape_of op) (fun () -> run_op wet op) in
+            let _, p =
+              Qprof.run ~scope (shape_of op) (fun () -> run_op s op)
+            in
             p)
           ops
       in
-      let d = Telemetry.delta ~before:g0 ~after:(Telemetry.snapshot ()) in
+      let d =
+        Telemetry.delta ~before:g0 ~after:(Telemetry.snapshot ~tally ())
+      in
       let sd =
         Sequitur.global_delta ~before:s0 ~after:(Sequitur.global_telemetry ())
       in
@@ -150,7 +165,8 @@ let prop_sum_consistency =
 let prop_nesting =
   QCheck.Test.make ~name:"nested contexts telescope and merge once"
     ~count:20 arb_plan (fun (tier2, ops) ->
-      let wet = wet_of_tier tier2 in
+      let s, scope = open_scoped (wet_of_tier tier2) in
+      let tally = W.Session.tally s in
       let evens, odds =
         List.partition (fun i -> i mod 2 = 0) (List.mapi (fun i _ -> i) ops)
         |> fun (e, o) ->
@@ -160,18 +176,20 @@ let prop_nesting =
       Wet_obs.Sink.enable ();
       Fun.protect ~finally:Wet_obs.Sink.disable @@ fun () ->
       Metrics.reset ();
-      let g0 = Telemetry.snapshot () in
+      let g0 = Telemetry.snapshot ~tally () in
       let inner = ref None in
       let _, outer =
-        Qprof.run "outer" (fun () ->
-            List.iter (run_op wet) evens;
+        Qprof.run ~scope "outer" (fun () ->
+            List.iter (run_op s) evens;
             let _, pi =
-              Qprof.run "inner" (fun () -> List.iter (run_op wet) odds)
+              Qprof.run ~scope "inner" (fun () -> List.iter (run_op s) odds)
             in
             inner := Some pi)
       in
       let pi : Qprof.profile = Option.get !inner in
-      let d = Telemetry.delta ~before:g0 ~after:(Telemetry.snapshot ()) in
+      let d =
+        Telemetry.delta ~before:g0 ~after:(Telemetry.snapshot ~tally ())
+      in
       let nonneg6 (a, b, c, d', e, f) =
         a >= 0 && b >= 0 && c >= 0 && d' >= 0 && e >= 0 && f >= 0
       in
@@ -190,7 +208,7 @@ let prop_nesting =
       && Metrics.value (Metrics.counter "qprof.bits_touched")
          = outer.Qprof.p_total.Qprof.c_bits
       && Metrics.value (Metrics.counter "qprof.queries") = 2
-      && Qprof.depth () = 0)
+      && Qprof.depth ~scope = 0)
 
 (* ------------------------------------------------------------------ *)
 (* qlog round trip                                                     *)
@@ -260,11 +278,12 @@ let prop_qlog_roundtrip =
 let test_qlog_file () =
   let path = Filename.temp_file "wet_qlog" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let wet = Lazy.force w2 in
+  let s, scope = open_scoped (Lazy.force w2) in
   let _, p1 =
-    Qprof.run ~params:[ ("kind", "cf") ] "trace/cf" (fun () -> run_op wet Cf)
+    Qprof.run ~scope ~params:[ ("kind", "cf") ] "trace/cf" (fun () ->
+        run_op s Cf)
   in
-  let _, p2 = Qprof.run "trace/values" (fun () -> run_op wet Vals) in
+  let _, p2 = Qprof.run ~scope "trace/values" (fun () -> run_op s Vals) in
   Qlog.append path p1;
   Qlog.append path p2;
   (match Qlog.load path with
@@ -300,10 +319,11 @@ let test_estimate_cf () =
   List.iter
     (fun tier2 ->
       let wet = wet_of_tier tier2 in
-      Query.park wet Query.Forward;
+      let s, scope = open_scoped wet in
       let _, p =
-        Qprof.run "trace/cf" (fun () ->
-            ignore (Query.control_flow wet Query.Forward ~f:(fun _ _ -> ())))
+        Qprof.run ~scope "trace/cf" (fun () ->
+            ignore
+              (Query.Session.control_flow s Query.Forward ~f:(fun _ _ -> ())))
       in
       match Query.estimate wet "trace/cf" with
       | [ e ] ->
@@ -329,8 +349,9 @@ let test_estimate_cf () =
    on. *)
 let test_estimate_classes () =
   let wet = Lazy.force w2 in
+  let s, scope = open_scoped wet in
   let check_shape shape op =
-    let _, p = Qprof.run shape (fun () -> run_op wet op) in
+    let _, p = Qprof.run ~scope shape (fun () -> run_op s op) in
     let touched =
       List.map (fun (s : Ex.stream_stats) -> Ex.stream_kind s.Ex.e_stream)
         p.Qprof.p_streams
@@ -362,27 +383,30 @@ let test_estimate_classes () =
 (* ------------------------------------------------------------------ *)
 
 let test_disabled () =
-  Alcotest.(check bool) "no context" false (Qprof.active ());
-  Alcotest.(check bool) "explain disarmed" false !Ex.armed;
+  let s, scope = open_scoped (Lazy.force w2) in
+  let recorder = W.Session.recorder s in
+  Alcotest.(check bool) "no context" false (Qprof.active ~scope);
+  Alcotest.(check bool) "explain disarmed" false (Ex.recording recorder);
   let v0 = Metrics.value (Metrics.counter "qprof.queries") in
-  let wet = Lazy.force w2 in
-  run_op wet Cf;
-  run_op wet Vals;
-  Alcotest.(check bool) "still disarmed" false !Ex.armed;
+  run_op s Cf;
+  run_op s Vals;
+  Alcotest.(check bool) "still disarmed" false (Ex.recording recorder);
   Alcotest.(check int) "nothing recorded" v0
     (Metrics.value (Metrics.counter "qprof.queries"))
 
 let test_error_outcome () =
+  let s, scope = open_scoped (Lazy.force w1) in
   let res, p =
-    Qprof.run "boom" (fun () ->
-        ignore (run_op (Lazy.force w1) Cf);
+    Qprof.run ~scope "boom" (fun () ->
+        ignore (run_op s Cf);
         raise Exit)
   in
   Alcotest.(check bool) "Error result" true (res = Error Exit);
   Alcotest.(check bool) "error outcome" true
     (has_sub p.Qprof.p_outcome "error:");
-  Alcotest.(check int) "stack unwound" 0 (Qprof.depth ());
-  Alcotest.(check bool) "disarmed after unwind" false !Ex.armed;
+  Alcotest.(check int) "stack unwound" 0 (Qprof.depth ~scope);
+  Alcotest.(check bool) "disarmed after unwind" false
+    (Ex.recording (W.Session.recorder s));
   Alcotest.(check bool) "cost still physical" true
     (Qprof.nonneg_cost p.Qprof.p_total)
 

@@ -2,9 +2,10 @@
    traversal state lives in per-session handles — so any interleaving
    of query sequences on N sessions, including from separate domains,
    must produce answers byte-identical to running each sequence
-   serially on a fresh session. Exercised on both tiers with
-   QCheck-generated scripts, plus the salvage-damage behaviour of
-   sessions (lazy Missing_stream vs strict open). *)
+   serially on a fresh session, and must leave the container's bytes
+   as they were. Exercised on both tiers with QCheck-generated scripts,
+   plus the salvage-damage behaviour of sessions (lazy Missing_stream
+   vs strict open). *)
 
 module W = Wet_core.Wet
 module Builder = Wet_core.Builder
@@ -203,8 +204,16 @@ let check_identical name serial got =
     serial;
   true
 
+(* Queries never write into the container: its bytes after the scripts
+   are the bytes it had before them. *)
+let check_unwritten name wet before =
+  if Container.encode wet <> before then
+    Alcotest.failf "%s: the queries changed the container's bytes" name;
+  true
+
 (* Interleaved in one thread: K live sessions, ops merged randomly. *)
 let prop_interleaved name wet (scripts, seed) =
+  let before = Container.encode wet in
   let serial = serial_answers wet scripts in
   let sessions = Array.map (fun _ -> W.open_session wet) scripts in
   let answers = Array.map (fun _ -> ref []) scripts in
@@ -213,10 +222,12 @@ let prop_interleaved name wet (scripts, seed) =
     (interleave ~seed scripts);
   check_identical (name ^ "/interleaved") serial
     (Array.map (fun r -> List.rev !r) answers)
+  && check_unwritten (name ^ "/interleaved") wet before
 
 (* Truly concurrent: the scripts split across two domains, each domain
    opening its own sessions over the shared container. *)
 let prop_domains name wet (scripts, _seed) =
+  let before = Container.encode wet in
   let serial = serial_answers wet scripts in
   let n = Array.length scripts in
   let half = n / 2 in
@@ -229,6 +240,7 @@ let prop_domains name wet (scripts, _seed) =
   let r1 = Domain.join d1 in
   let r2 = Domain.join d2 in
   check_identical (name ^ "/domains") serial (Array.append r1 r2)
+  && check_unwritten (name ^ "/domains") wet before
 
 let qcheck_tests =
   List.concat_map
@@ -251,7 +263,6 @@ let qcheck_tests =
 
 (* Flip a bit in the middle of [sec] and salvage-load the result. *)
 let damaged_wet wet sec =
-  W.rewind wet;
   let data = Container.encode wet in
   let sections =
     match Container.examine data with

@@ -1,7 +1,3 @@
-(* Exercises the deprecated module-level cursor API alongside the new
-   Session surface; the alias stays until the legacy API is removed. *)
-[@@@alert "-deprecated"]
-
 (* Persistence robustness: the sectioned container must detect every
    fault, attribute it to the right section, salvage what survives, and
    never crash or return garbage — exercised here with an exhaustive
@@ -13,7 +9,6 @@ module Query = Wet_core.Query
 module Store = Wet_core.Store
 module Container = Wet_core.Container
 module Faultsim = Wet_faultsim.Faultsim
-module Stream = Wet_bistream.Stream
 module T = Wet_interp.Trace
 module Interp = Wet_interp.Interp
 
@@ -78,11 +73,6 @@ let each_tier f =
       f (name ^ "/tier2") tr w2)
     (Lazy.force built)
 
-(* Canonical container bytes for a WET. *)
-let bytes_of w =
-  W.rewind w;
-  Container.encode w
-
 let sections_of_bytes data =
   match Container.examine data with
   | Ok h -> h.Container.hl_sections
@@ -103,14 +93,15 @@ let read_file path =
   Fun.protect ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* Control-flow fingerprint of a WET (parks cursors first). *)
+(* Control-flow fingerprint of a WET, read on a fresh session. *)
 let cf_blocks wet =
-  Query.park wet Query.Forward;
   let out = ref [] in
   ignore
-    (Query.control_flow wet Query.Forward ~f:(fun f b ->
-         out := T.encode_block f b :: !out));
+    (Query.Session.control_flow (W.open_session wet) Query.Forward
+       ~f:(fun f b -> out := T.encode_block f b :: !out));
   Array.of_list (List.rev !out)
+
+let load_values wet ~f = Query.Session.load_values (W.open_session wet) ~f
 
 (* ------------------------------------------------------------------ *)
 (* Round trip and determinism                                         *)
@@ -125,7 +116,7 @@ let test_round_trip () =
             Alcotest.failf "%s: loaded WET control flow differs" name;
           let vals w =
             let acc = ref [] in
-            ignore (Query.load_values w ~f:(fun c v -> acc := (c, v) :: !acc));
+            ignore (load_values w ~f:(fun c v -> acc := (c, v) :: !acc));
             List.rev !acc
           in
           if vals loaded <> vals wet then
@@ -135,27 +126,23 @@ let test_round_trip () =
           Alcotest.(check (list string))
             (name ^ ": validates") [] (W.validate loaded)))
 
-(* Cursors are part of stream state; save/load must be independent of
-   query activity (cursors parked at the left end = canonical). *)
+(* Save/load must be independent of query activity: cursors live in
+   sessions, never in the container. *)
 let test_deterministic_and_canonical () =
   each_tier (fun name _ wet ->
       with_temp_file ".wet" (fun path ->
           Store.save wet path;
           let first = read_file path in
           (* stir every cursor kind: control flow, values, deps *)
-          ignore (cf_blocks wet);
-          ignore (Query.load_values wet ~f:(fun _ _ -> ()));
-          ignore (Query.addresses wet ~f:(fun _ _ -> ()));
+          let s = W.open_session wet in
+          ignore
+            (Query.Session.control_flow s Query.Forward ~f:(fun _ _ -> ()));
+          ignore (Query.Session.load_values s ~f:(fun _ _ -> ()));
+          ignore (Query.Session.addresses s ~f:(fun _ _ -> ()));
           Store.save wet path;
           if read_file path <> first then
             Alcotest.failf "%s: save not deterministic after queries" name;
           let loaded = Store.load path in
-          Array.iter
-            (fun (n : W.node) ->
-              if Stream.cursor n.W.n_ts <> 0 then
-                Alcotest.failf "%s: node %d ts cursor not parked on load" name
-                  n.W.n_id)
-            loaded.W.nodes;
           ignore (cf_blocks loaded);
           Store.save loaded path;
           if read_file path <> first then
@@ -164,6 +151,11 @@ let test_deterministic_and_canonical () =
 (* ------------------------------------------------------------------ *)
 (* Structured rejection: garbage, legacy version, truncation          *)
 (* ------------------------------------------------------------------ *)
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
 
 let expect_corrupt name thunk check =
   match thunk () with
@@ -182,23 +174,46 @@ let test_rejects_garbage () =
           | f -> Alcotest.failf "garbage: wrong fault %s"
                    (Container.fault_message f)))
 
+(* Older containers are refused by version, strictly and when
+   salvaging, with a message that says to rebuild: v1 is the old
+   monolithic format, v4 the sectioned format whose streams still
+   carried a default cursor. *)
 let test_rejects_legacy_v1 () =
-  with_temp_file ".wet" (fun path ->
+  let _, _, _, w2 = List.hd (Lazy.force built) in
+  let v4 = Bytes.of_string (Container.encode w2) in
+  Bytes.set_int32_be v4 8 4l;
+  List.iter
+    (fun (v, data) ->
+      with_temp_file ".wet" (fun path ->
+          write_file path data;
+          List.iter
+            (fun salvage ->
+              let name = Printf.sprintf "v%d (salvage=%b)" v salvage in
+              expect_corrupt name
+                (fun () -> Store.load ~salvage path)
+                (function
+                  | Container.Bad_version v' as f when v' = v ->
+                    Alcotest.(check bool)
+                      (name ^ ": message says to rebuild")
+                      true
+                      (contains (Container.fault_message f)
+                         "rebuild with `wet build`")
+                  | f ->
+                    Alcotest.failf "%s: wrong fault %s" name
+                      (Container.fault_message f)))
+            [ false; true ]))
+    [
       (* the old monolithic format: magic, big-endian version 1, blob *)
-      write_file path "WETOCaml\x00\x00\x00\x01leftover marshal bytes";
-      expect_corrupt "legacy"
-        (fun () -> Store.load path)
-        (function
-          | Container.Bad_version 1 -> ()
-          | f -> Alcotest.failf "legacy: wrong fault %s"
-                   (Container.fault_message f)))
+      (1, "WETOCaml\x00\x00\x00\x01leftover marshal bytes");
+      (4, Bytes.to_string v4);
+    ]
 
 (* Truncate at every section boundary, at every header field edge, and
    inside the footer: always a structured error (or a clean salvage),
    never End_of_file or a Marshal failure. *)
 let test_truncation_everywhere () =
   each_tier (fun name _ wet ->
-      let data = bytes_of wet in
+      let data = Container.encode wet in
       let secs = sections_of_bytes data in
       let cuts =
         [ 0; 3; 8; 10; 12; 14; 17 ]
@@ -239,7 +254,7 @@ let test_truncation_everywhere () =
    exactly that section; salvage must recover every other section. *)
 let test_section_matrix () =
   each_tier (fun name tr wet ->
-      let data = bytes_of wet in
+      let data = Container.encode wet in
       let secs = sections_of_bytes data in
       List.iter
         (fun (s : Container.section_status) ->
@@ -293,9 +308,9 @@ let test_section_matrix () =
                    Alcotest.(check string) "missing stream" "labels.ts" m)
               end;
               if sec <> "labels.values" then
-                ignore (Query.load_values w ~f:(fun _ _ -> ()))
+                ignore (load_values w ~f:(fun _ _ -> ()))
               else begin
-                match Query.load_values w ~f:(fun _ _ -> ()) with
+                match load_values w ~f:(fun _ _ -> ()) with
                 | _ -> Alcotest.failf "%s: lost values must raise" name
                 | exception W.Missing_stream m ->
                   Alcotest.(check string) "missing stream" "labels.values" m
@@ -313,7 +328,7 @@ let test_salvage_round_trip () =
   let _, _, _, w2 =
     List.find (fun (n, _, _, _) -> n = "fib-array") (Lazy.force built)
   in
-  let data = bytes_of w2 in
+  let data = Container.encode w2 in
   let secs = sections_of_bytes data in
   let s =
     List.find
@@ -337,7 +352,7 @@ let test_salvage_round_trip () =
           reloaded.W.damage;
         Alcotest.(check (list string)) "still validates" []
           (W.validate reloaded);
-        match W.value_of_copy reloaded 0 0 with
+        match W.Session.value_of_copy (W.open_session reloaded) 0 0 with
         | _ -> Alcotest.fail "expected Missing_stream"
         | exception W.Missing_stream _ -> ()
         | exception Invalid_argument _ ->
@@ -354,7 +369,7 @@ let test_atomic_save () =
   with_temp_file ".wet" (fun path ->
       Store.save w1 path;
       let before = read_file path in
-      let total = String.length (bytes_of w2) in
+      let total = String.length (Container.encode w2) in
       List.iter
         (fun k ->
           Store.crash_after := Some k;
@@ -392,7 +407,7 @@ let test_campaign () =
   let per_wet = 150 in
   let total = ref 0 in
   each_tier (fun name _ wet ->
-      let data = bytes_of wet in
+      let data = Container.encode wet in
       let faults =
         Faultsim.campaign
           ~seed:(Hashtbl.hash name)

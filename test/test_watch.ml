@@ -1,7 +1,3 @@
-(* Exercises the deprecated module-level cursor API alongside the new
-   Session surface; the alias stays until the legacy API is removed. *)
-[@@@alert "-deprecated"]
-
 (* Semantics of the wet_watch tracer driver: filter-spec parsing and
    printing round-trips, compiled predicates against an independent
    reference evaluator, flight-recorder wraparound, watchpoint
@@ -285,7 +281,8 @@ let test_watchpoint_locates () =
   Alcotest.(check int) "the stop timestamp is the K-th match's" last.E.e_ts
     ts;
   let wet = Builder.build res.Interp.trace in
-  match Query.locate_time wet ts with
+  let sess = W.open_session wet in
+  match Query.Session.locate_time sess ts with
   | None -> Alcotest.fail "stopped timestamp not locatable"
   | Some (nid, i) ->
     let n = wet.W.nodes.(nid) in
@@ -300,7 +297,7 @@ let test_watchpoint_locates () =
     done;
     Alcotest.(check bool) "node has at least one copy" true (!copy >= 0);
     Alcotest.(check int) "timestamp round-trips through the node label" ts
-      (W.timestamp wet !copy i)
+      (W.Session.timestamp sess !copy i)
 
 (* ------------------------------------------------------------------ *)
 (* Query explain                                                       *)
@@ -332,11 +329,14 @@ let test_explain_control_flow () =
   let w1 = Builder.build res.Interp.trace in
   List.iter
     (fun wet ->
-      Query.park wet Query.Forward;
-      Ex.arm ();
-      let blocks = Query.control_flow wet Query.Forward ~f:(fun _ _ -> ()) in
-      Ex.disarm ();
-      let r = Ex.report () in
+      let sess = W.open_session wet in
+      let recorder = W.Session.recorder sess in
+      Ex.arm ~recorder;
+      let blocks =
+        Query.Session.control_flow sess Query.Forward ~f:(fun _ _ -> ())
+      in
+      Ex.disarm ~recorder;
+      let r = Ex.report ~recorder in
       Alcotest.(check bool) "control_flow noted as a query" true
         (List.mem "query.control_flow" r.Ex.r_queries);
       check_consistent r;
@@ -362,6 +362,8 @@ let test_explain_control_flow () =
 let test_explain_slice () =
   let res = Wl.run ~scale:1 (Wl.find "parser") in
   let wet = Builder.pack (Builder.build res.Interp.trace) in
+  let sess = W.open_session wet in
+  let recorder = W.Session.recorder sess in
   (* slice an output so the dependence cone is non-trivial *)
   (match
      Query.copies_matching wet (function
@@ -370,10 +372,11 @@ let test_explain_slice () =
    with
    | [] -> Alcotest.fail "workload has no outputs"
    | c :: _ ->
-     Ex.arm ();
-     ignore (Slice.backward wet c ((W.node_of_copy wet c).W.n_nexec - 1));
-     Ex.disarm ());
-  let r = Ex.report () in
+     Ex.arm ~recorder;
+     ignore
+       (Slice.Session.backward sess c ((W.node_of_copy wet c).W.n_nexec - 1));
+     Ex.disarm ~recorder);
+  let r = Ex.report ~recorder in
   Alcotest.(check bool) "slice.backward noted as a query" true
     (List.mem "slice.backward" r.Ex.r_queries);
   check_consistent r;
@@ -385,9 +388,9 @@ let test_explain_slice () =
          | _ -> false)
        r.Ex.r_streams);
   (* disarmed queries record nothing *)
-  Ex.reset ();
-  ignore (Query.load_values wet ~f:(fun _ _ -> ()));
-  let r = Ex.report () in
+  Ex.reset ~recorder;
+  ignore (Query.Session.load_values sess ~f:(fun _ _ -> ()));
+  let r = Ex.report ~recorder in
   Alcotest.(check bool) "disarmed queries leave no trace" true
     (r.Ex.r_queries = [] && r.Ex.r_streams = [])
 
@@ -563,18 +566,18 @@ let prop_explain_matches_reference =
           QCheck.Test.fail_reportf "%s differs: %d vs %d streams" what
             (List.length a.Ex.r_streams) (List.length b.Ex.r_streams)
       in
-      let prev_dense = ref (Ex.report ~recorder:dense ())
+      let prev_dense = ref (Ex.report ~recorder:dense)
       and prev_ref = ref (Ref_recorder.report reference) in
       List.iter
         (function
           | Arm ->
-            Ex.arm ~recorder:dense ();
+            Ex.arm ~recorder:dense;
             Ref_recorder.arm reference
           | Disarm ->
-            Ex.disarm ~recorder:dense ();
+            Ex.disarm ~recorder:dense;
             Ref_recorder.disarm reference
           | Reset ->
-            Ex.reset ~recorder:dense ();
+            Ex.reset ~recorder:dense;
             Ref_recorder.reset reference
           | Query q ->
             Ex.query ~recorder:dense q;
@@ -583,19 +586,19 @@ let prop_explain_matches_reference =
             touch_dense dense s o n;
             Ref_recorder.touch reference s o n
           | Report ->
-            let d = Ex.report ~recorder:dense ()
+            let d = Ex.report ~recorder:dense
             and r = Ref_recorder.report reference in
             same "report" d r;
             prev_dense := d;
             prev_ref := r
           | Diff ->
-            let d = Ex.report ~recorder:dense ()
+            let d = Ex.report ~recorder:dense
             and r = Ref_recorder.report reference in
             same "diff"
               (Ex.diff ~before:!prev_dense ~after:d)
               (Ex.diff ~before:!prev_ref ~after:r))
         ops;
-      same "final report" (Ex.report ~recorder:dense ())
+      same "final report" (Ex.report ~recorder:dense)
         (Ref_recorder.report reference);
       true)
 
@@ -604,7 +607,7 @@ let prop_explain_matches_reference =
    [Slice] make, leave the minor heap's allocation count unmoved. *)
 let test_explain_step_allocates_nothing () =
   let recorder = Ex.make_recorder () in
-  Ex.arm ~recorder ();
+  Ex.arm ~recorder;
   let kinds =
     [| Ex.K_ts; Ex.K_uvals; Ex.K_pattern; Ex.K_label_src; Ex.K_label_dst |]
   and ops = [| Ex.Fwd; Ex.Bwd; Ex.Seek |] in
@@ -628,7 +631,7 @@ let test_explain_step_allocates_nothing () =
   (* 97 ids of each kind, and 3 groups of each pattern node *)
   Alcotest.(check int) "on the streams touched before"
     ((4 * 97) + (97 * 3))
-    (List.length (Ex.report ~recorder ()).Ex.r_streams)
+    (List.length (Ex.report ~recorder).Ex.r_streams)
 
 let () =
   Alcotest.run "watch"

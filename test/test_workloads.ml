@@ -1,7 +1,3 @@
-(* Exercises the deprecated module-level cursor API alongside the new
-   Session surface; the alias stays until the legacy API is removed. *)
-[@@@alert "-deprecated"]
-
 module Spec = Wet_workloads.Spec
 module Interp = Wet_interp.Interp
 
@@ -74,11 +70,12 @@ let test_wet_pipeline_spot () =
     (fun w ->
       let res = Spec.run ~scale:(tiny w) w in
       let wet = Wet_core.Builder.build res.Interp.trace in
-      Wet_core.Query.park wet Wet_core.Query.Forward;
       let blocks = ref 0 in
       let n =
-        Wet_core.Query.control_flow wet Wet_core.Query.Forward ~f:(fun _ _ ->
-            incr blocks)
+        Wet_core.Query.Session.control_flow
+          (Wet_core.Wet.open_session wet)
+          Wet_core.Query.Forward
+          ~f:(fun _ _ -> incr blocks)
       in
       Alcotest.(check int) (w.Spec.name ^ " cf extraction") n !blocks;
       Alcotest.(check int)
