@@ -718,7 +718,10 @@ let micro () =
              ignore (Wet_bistream.Stream.compress ts)));
       Test.make ~name:"fig8+9: step a packed stream"
         (Staged.stage
-           (let cur = Wet_bistream.Stream.Cursor.make packed in
+           (let cur =
+              Wet_bistream.Stream.Cursor.make
+                ~tally:(Wet_bistream.Telemetry.make ()) ~label:0 packed
+            in
             fun () ->
               Wet_bistream.Stream.Cursor.seek cur 0;
               for _ = 1 to min 256 (Array.length ts) do
@@ -764,7 +767,6 @@ let warmup = ref 1
 let out_file = ref "BENCH_PR10.json"
 
 module Bench = Wet_insight.Bench
-module Explain = Wet_watch.Explain
 module Qprof = Wet_qprof.Qprof
 module Qlog = Wet_qprof.Qlog
 module Store = Wet_core.Store
@@ -780,8 +782,8 @@ let sweep_queries = 4
    of control flow, load values and addresses, all on the tier-2 WET —
    the shape of Tables 6–8 in one deterministic unit of work. Every
    sweep of a workload runs on one session, so each starts from the
-   cursors the last one left, and the explain and qprof figures below
-   read that session's recorder and tally. *)
+   cursors the last one left, and the cost figures below read that
+   session's ledger. *)
 let query_sweep s =
   Query.Session.park s Query.Forward;
   ignore (Query.Session.control_flow s Query.Forward ~f:(fun _ _ -> ()));
@@ -1029,26 +1031,16 @@ let observatory () =
         let w2 = Builder.pack w1 in
         let t2 = Sizes.current w2 in
         let sweep = W.open_session w2 in
-        let recorder = W.Session.recorder sweep in
         let scope =
-          Qprof.make_scope ~tally:(W.Session.tally sweep) ~recorder ()
+          Qprof.make_scope ~tally:(W.Session.tally sweep)
+            ~recorder:(W.Session.recorder sweep) ()
         in
         let query_ms = sampled (fun () -> query_sweep sweep) in
         let stream_ms = sampled (fun () -> streaming_build w ~scale) in
         let stream_progress_ms =
           sampled (fun () -> streaming_build ~progress:true w ~scale)
         in
-        (* the sweep's deterministic cost profile, via query-explain *)
-        Explain.arm ~recorder;
-        query_sweep sweep;
-        Explain.disarm ~recorder;
-        let er = Explain.publish ~recorder in
-        let switches =
-          List.fold_left
-            (fun a (s : Explain.stream_stats) -> a + s.Explain.e_switches)
-            0 er.Explain.r_streams
-        in
-        (* exact decode cost of one sweep, attributed by wet_qprof. By
+        (* exact decode cost of one sweep, read off the ledger. By
            this point the sweep has run several times, so the cursor
            start state is the sweep's own fixed point and the figures
            are deterministic run to run. *)
@@ -1111,8 +1103,7 @@ let observatory () =
           build_p95_ms = Bench.percentile 0.95 build_ms;
           query_p50_ms = Bench.percentile 0.5 query_ms;
           query_p95_ms = Bench.percentile 0.95 query_ms;
-          query_steps = Explain.total_steps er;
-          query_switches = switches;
+          query_switches = prof.Qprof.p_total.Qprof.c_switches;
           build_peak_words = peak_words;
           wet_words = Obj.reachable_words (Obj.repr w1);
           shards;
@@ -1149,7 +1140,7 @@ let observatory () =
          !warmup !repeat !out_file)
     ~header:
       [ "Workload"; "Stmts"; "Stmts/s"; "B/label T2"; "Ratio T2";
-        "Build p50 (ms)"; "Query p50 (ms)"; "Steps"; "Peak (Mw)"; "Shards";
+        "Build p50 (ms)"; "Query p50 (ms)"; "Switches"; "Peak (Mw)"; "Shards";
         "Stream p50 (ms)"; "Reporter +%"; "Ckpt +%"; "Resume (ms)";
         "Decode/q"; "Bits/q"; "Qlog +%"; "Serve p50 (ms)"; "Serve p95 (ms)";
         "MT p50 (ms)"; "MT req/s" ]
@@ -1169,7 +1160,7 @@ let observatory () =
            Table.f2 s.Bench.ratio_t2;
            Table.f2 s.Bench.build_p50_ms;
            Table.f2 s.Bench.query_p50_ms;
-           Table.i s.Bench.query_steps;
+           Table.i s.Bench.query_switches;
            Table.f2 (float_of_int s.Bench.build_peak_words /. 1e6);
            Table.i s.Bench.shards;
            Table.f2 s.Bench.stream_p50_ms;

@@ -21,27 +21,19 @@ type t = {
   bltb : int array;
   table_bits : int;
   mutable w : int;  (* window start: FR = [0,w), window = [w,w+ctx), BL after *)
-  (* Traversal telemetry. Counted in the internal steps so seeks pay
-     too; [compress] never steps, so a new stream (and so every saved
-     template) starts at zero, and [reset_telemetry] zeroes them again. *)
-  mutable tfwd : int;
-  mutable tbwd : int;
-  mutable tswitch : int;
-  mutable tlast : int;  (* 0 none, 1 forward, 2 backward *)
 }
 
-type telemetry = {
-  tl_lookups : int;
-  tl_hits : int;
-  tl_misses : int;
-  tl_fwd_steps : int;
-  tl_bwd_steps : int;
-  tl_dir_switches : int;
-}
+type telemetry = { tl_lookups : int; tl_hits : int; tl_misses : int }
 
+(* A loop rather than a local recursive closure: [hit_bits] runs on
+   every counted step, and must not allocate. *)
 let ceil_log2 n =
-  let rec go acc v = if v >= n then acc else go (acc + 1) (v * 2) in
-  go 0 1
+  let k = ref 0 and v = ref 1 in
+  while !v < n do
+    incr k;
+    v := 2 * !v
+  done;
+  !k
 
 (* Payload bits of a hit entry (the flag bit is counted separately). *)
 let hit_bits t =
@@ -90,47 +82,49 @@ let pop_bl t pos =
     end
     else t.p.(pos)
 
+(* Store an entry: its hit flag and its payload. *)
+let set_entry t pos hit payload =
+  Bitvec.set t.hit pos hit;
+  t.p.(pos) <- payload
+
+(* The pushes below search with loops rather than local closures, so a
+   step allocates nothing. *)
+
 (* Push value [x] (currently at window position [pos]) into BL; its left
    context is [pos-ctx .. pos-1]. Stores the entry payload at [pos]. *)
 let push_bl t pos x =
   let n = t.ctx in
-  let set hit payload =
-    Bitvec.set t.hit pos hit;
-    t.p.(pos) <- payload
-  in
   match t.meth with
   | Fcm ->
     let idx = key_fcm t (pos - n) in
-    if t.bltb.(idx) = x then set true 0
+    if t.bltb.(idx) = x then set_entry t pos true 0
     else begin
-      set false t.bltb.(idx);
+      set_entry t pos false t.bltb.(idx);
       t.bltb.(idx) <- x
     end
   | Dfcm ->
     let idx = key_dfcm t (pos - n) in
     let s = x - t.p.(pos - 1) in
-    if t.bltb.(idx) = s then set true 0
+    if t.bltb.(idx) = s then set_entry t pos true 0
     else begin
-      set false t.bltb.(idx);
+      set_entry t pos false t.bltb.(idx);
       t.bltb.(idx) <- s
     end
   | Last_n ->
-    let rec find k =
-      if k >= n then set false x
-      else if t.p.(pos - n + k) = x then set true k
-      else find (k + 1)
-    in
-    find 0
+    let k = ref 0 in
+    while !k < n && t.p.(pos - n + !k) <> x do
+      incr k
+    done;
+    if !k >= n then set_entry t pos false x else set_entry t pos true !k
   | Last_stride ->
     let s = x - t.p.(pos - 1) in
-    if s = 0 then set true 0
+    if s = 0 then set_entry t pos true 0
     else begin
-      let rec find k =
-        if k >= n then set false x
-        else if t.p.(pos - n + k) - t.p.(pos - n + k - 1) = s then set true k
-        else find (k + 1)
-      in
-      find 1
+      let k = ref 1 in
+      while !k < n && t.p.(pos - n + !k) - t.p.(pos - n + !k - 1) <> s do
+        incr k
+      done;
+      if !k >= n then set_entry t pos false x else set_entry t pos true !k
     end
 
 (* Pop the FR entry at padded position [pos]; its right context is the
@@ -162,70 +156,53 @@ let pop_fr t pos =
    right context is [pos+1 .. pos+ctx]. *)
 let push_fr t pos x =
   let n = t.ctx in
-  let set hit payload =
-    Bitvec.set t.hit pos hit;
-    t.p.(pos) <- payload
-  in
   match t.meth with
   | Fcm ->
     let idx = key_fcm t (pos + 1) in
-    if t.frtb.(idx) = x then set true 0
+    if t.frtb.(idx) = x then set_entry t pos true 0
     else begin
-      set false t.frtb.(idx);
+      set_entry t pos false t.frtb.(idx);
       t.frtb.(idx) <- x
     end
   | Dfcm ->
     let idx = key_dfcm t (pos + 1) in
     let s = x - t.p.(pos + 1) in
-    if t.frtb.(idx) = s then set true 0
+    if t.frtb.(idx) = s then set_entry t pos true 0
     else begin
-      set false t.frtb.(idx);
+      set_entry t pos false t.frtb.(idx);
       t.frtb.(idx) <- s
     end
   | Last_n ->
-    let rec find k =
-      if k >= n then set false x
-      else if t.p.(pos + 1 + k) = x then set true k
-      else find (k + 1)
-    in
-    find 0
+    let k = ref 0 in
+    while !k < n && t.p.(pos + 1 + !k) <> x do
+      incr k
+    done;
+    if !k >= n then set_entry t pos false x else set_entry t pos true !k
   | Last_stride ->
     let s = x - t.p.(pos + 1) in
-    if s = 0 then set true 0
+    if s = 0 then set_entry t pos true 0
     else begin
-      let rec find k =
-        if k >= n then set false x
-        else if t.p.(pos + k) - t.p.(pos + k + 1) = s then set true k
-        else find (k + 1)
-      in
-      find 1
+      let k = ref 1 in
+      while !k < n && t.p.(pos + !k) - t.p.(pos + !k + 1) <> s do
+        incr k
+      done;
+      if !k >= n then set_entry t pos false x else set_entry t pos true !k
     end
 
-let internal_step_forward ~tally t =
+let internal_step_forward t =
   let reveal = t.w + t.ctx in
-  (* The hit flag of the entry being decoded, read before [pop_bl]
-     (the pop rewrites the slot's payload; [push_fr] reclassifies it). *)
-  let hit = Bitvec.get t.hit reveal in
   let x = pop_bl t reveal in
   let leaving = t.p.(t.w) in
   t.p.(reveal) <- x;
   push_fr t t.w leaving;
   t.w <- t.w + 1;
-  t.tfwd <- t.tfwd + 1;
-  let switched = t.tlast = 2 in
-  if switched then t.tswitch <- t.tswitch + 1;
-  t.tlast <- 1;
-  Telemetry.note_packed ~tally ~fwd:true ~switched ~hit
-    ~payload_bits:(if hit then hit_bits t else 32)
-    ();
   x
 
 (* A backward step reveals the value at index [w-1], which is already the
    rightmost window slot: it leaves the window into BL while the FR entry
    at [w-1] is popped to refill the window from the left. *)
-let internal_step_backward ~tally t =
+let internal_step_backward t =
   let refill = t.w - 1 in
-  let hit = Bitvec.get t.hit refill in
   let x = pop_fr t refill in
   let leaving = t.p.(t.w + t.ctx - 1) in
   (* The refill value must be in place before [push_bl] reads the new
@@ -233,13 +210,6 @@ let internal_step_backward ~tally t =
   t.p.(refill) <- x;
   push_bl t (t.w + t.ctx - 1) leaving;
   t.w <- t.w - 1;
-  t.tbwd <- t.tbwd + 1;
-  let switched = t.tlast = 1 in
-  if switched then t.tswitch <- t.tswitch + 1;
-  t.tlast <- 2;
-  Telemetry.note_packed ~tally ~fwd:false ~switched ~hit
-    ~payload_bits:(if hit then hit_bits t else 32)
-    ();
   leaving
 
 (* The padded storage of [values] (zero sentinels at both ends, window
@@ -268,7 +238,6 @@ let make meth ~ctx values =
     hit = Bitvec.create (m + (2 * ctx));
     frtb = tb (); bltb = tb (); table_bits;
     w = 0;
-    tfwd = 0; tbwd = 0; tswitch = 0; tlast = 0;
   }
 
 (* The state a cursor parked at the left end has, whatever route it took
@@ -299,8 +268,7 @@ let cursor t = t.w
 (* The table/window state is a pure function of the cursor position —
    each pop exactly undoes the corresponding push — so deep-copying the
    mutable arrays at any [w] yields a fully independent cursor over the
-   same logical values. Traversal counters start at zero: the clone has
-   not traversed anything yet. *)
+   same logical values. *)
 let clone t =
   {
     t with
@@ -308,10 +276,6 @@ let clone t =
     hit = Bitvec.copy t.hit;
     frtb = Array.copy t.frtb;
     bltb = Array.copy t.bltb;
-    tfwd = 0;
-    tbwd = 0;
-    tswitch = 0;
-    tlast = 0;
   }
 
 (* [Array.blit] passes every word through the write barrier when [dst]
@@ -358,13 +322,19 @@ let same_state a b =
   a.meth = b.meth && a.ctx = b.ctx && a.m = b.m && a.w = b.w && a.p = b.p
   && a.frtb = b.frtb && a.bltb = b.bltb && flags 0
 
-let step_forward ?(tally = Telemetry.default) t =
+let step_forward t =
   if t.w >= t.m then invalid_arg "Bidir.step_forward: at right end";
-  internal_step_forward ~tally t
+  internal_step_forward t
 
-let step_backward ?(tally = Telemetry.default) t =
+let step_backward t =
   if t.w <= 0 then invalid_arg "Bidir.step_backward: at left end";
-  internal_step_backward ~tally t
+  internal_step_backward t
+
+(* The payload bits of the entry a forward step decodes, and of the one
+   a backward step decodes: the positions [pop_bl] and [pop_fr] read. *)
+let payload_ahead t = if Bitvec.get t.hit (t.w + t.ctx) then hit_bits t else 32
+
+let payload_behind t = if Bitvec.get t.hit (t.w - 1) then hit_bits t else 32
 
 (* Peeks are pure reads. The value a forward step would reveal is the
    one [pop_bl] computes from the BL entry, the window and the BL table
@@ -392,19 +362,19 @@ let peek_backward t =
   if t.w <= 0 then invalid_arg "Bidir.peek_backward: at left end";
   t.p.(t.w + t.ctx - 1)
 
-let seek ?(tally = Telemetry.default) t k =
+let seek t k =
   if k < 0 || k > t.m then invalid_arg "Bidir.seek";
   while t.w < k do
-    ignore (internal_step_forward ~tally t)
+    ignore (internal_step_forward t)
   done;
   while t.w > k do
-    ignore (internal_step_backward ~tally t)
+    ignore (internal_step_backward t)
   done
 
-let read_at ?(tally = Telemetry.default) t k =
+let read_at t k =
   if k < 0 || k >= t.m then invalid_arg "Bidir.read_at";
-  seek ~tally t k;
-  step_forward ~tally t
+  seek t k;
+  step_forward t
 
 (* Bits that do not depend on the entries: the raw window and, for the
    FCM family, both lookup tables. *)
@@ -446,9 +416,9 @@ let trial ?(limit = max_int) meth ~ctx values =
   done;
   { trial_bits = !total; trial_entries = t.m + (2 * ctx) - 1 - !pos }
 
-let to_array ?(tally = Telemetry.default) t =
-  seek ~tally t 0;
-  Array.init t.m (fun _ -> step_forward ~tally t)
+let to_array t =
+  seek t 0;
+  Array.init t.m (fun _ -> step_forward t)
 
 let meth t = t.meth
 
@@ -457,8 +427,8 @@ let ctx t = t.ctx
 (* Dictionary telemetry is derived from the persistent hit bitvec rather
    than counted in the hot push path: every padded value outside the
    window carries exactly one classified entry, so lookups = m + ctx and
-   the flag says whether the predictor hit. Cursor-position independent
-   after a rewind, and free when nobody asks. *)
+   the flag says whether the predictor hit. Cursor-position independent,
+   and free when nobody asks. *)
 let telemetry t =
   let hits = ref 0 in
   for pos = 0 to t.w - 1 do
@@ -468,17 +438,4 @@ let telemetry t =
     if Bitvec.get t.hit pos then incr hits
   done;
   let lookups = t.m + t.ctx in
-  {
-    tl_lookups = lookups;
-    tl_hits = !hits;
-    tl_misses = lookups - !hits;
-    tl_fwd_steps = t.tfwd;
-    tl_bwd_steps = t.tbwd;
-    tl_dir_switches = t.tswitch;
-  }
-
-let reset_telemetry t =
-  t.tfwd <- 0;
-  t.tbwd <- 0;
-  t.tswitch <- 0;
-  t.tlast <- 0
+  { tl_lookups = lookups; tl_hits = !hits; tl_misses = lookups - !hits }

@@ -31,8 +31,7 @@ type t
     right-to-left pass, pushing each value into [BL] with its left
     context — one predictor update per value — and leaves exactly the
     state, hit flags of the window slots included, that stepping the
-    cursor to the right end and back to [0] reaches. Construction is not
-    traversal: it records nothing in any {!Telemetry.tally}.
+    cursor to the right end and back to [0] reaches.
     @raise Invalid_argument if [ctx < 1] or [ctx > 16]. *)
 val compress : meth -> ctx:int -> int array -> t
 
@@ -44,30 +43,37 @@ val length : t -> int
 val cursor : t -> int
 
 (** [clone t] is an independent cursor over the same logical values,
-    positioned at the same [cursor], with zeroed traversal counters.
+    positioned at the same [cursor].
     Safe at any position: the window/table state is a pure function of
     the cursor (every pop exactly undoes the matching push), so the
     deep copy evolves correctly no matter how the original moves.
     O(length) time and space. *)
 val clone : t -> t
 
-(** Stepping and seeking optionally account their decode work against
-    an explicit {!Telemetry.tally} (default: {!Telemetry.default}) —
-    this is how per-session cost attribution stays race-free when
-    several cursors traverse concurrently. *)
+(** A stream counts nothing: the cursor that steps it counts each step
+    in its {!Telemetry} ledger ([Stream.Cursor]). *)
 
 (** Reveal the value at index [cursor] and advance.
     @raise Invalid_argument at the right end. *)
-val step_forward : ?tally:Telemetry.tally -> t -> int
+val step_forward : t -> int
 
 (** Reveal the value at index [cursor - 1] and retreat.
     @raise Invalid_argument at the left end. *)
-val step_backward : ?tally:Telemetry.tally -> t -> int
+val step_backward : t -> int
+
+(** Payload bits of the entry the next forward step decodes: 32 for a
+    miss, which stores its value, and fewer for a dictionary hit (none
+    for the FCM family, log2 of the context for the last-n family).
+    Defined for [cursor < length]. *)
+val payload_ahead : t -> int
+
+(** {!payload_ahead} of the entry the next backward step decodes.
+    Defined for [cursor > 0]. *)
+val payload_behind : t -> int
 
 (** Value a forward step would reveal. A pure read of the next BL entry,
     the window and the BL table: it writes nothing, allocates nothing
-    and decodes no other entry, so it is not traversal and no tally or
-    counter sees it.
+    and decodes no other entry, so it is not a step.
     @raise Invalid_argument at the right end. *)
 val peek_forward : t -> int
 
@@ -77,7 +83,7 @@ val peek_forward : t -> int
 val peek_backward : t -> int
 
 (** Move the cursor to [k] by stepping. *)
-val seek : ?tally:Telemetry.tally -> t -> int -> unit
+val seek : t -> int -> unit
 
 (** [rewind ~template t] moves [t]'s cursor to [0] without decoding: it
     copies from [template] — a stream over the same values parked at
@@ -85,7 +91,7 @@ val seek : ?tally:Telemetry.tally -> t -> int -> unit
     flags of positions [\[0, cursor t + ctx)] and both tables, the only
     state that differs between the two. Everything right of that prefix
     is already the template's. Costs {!rewind_words} word copies and no
-    step, so no tally or counter sees it.
+    step.
     @raise Invalid_argument if [template] is not parked at [0] or
     differs in length, method or context. *)
 val rewind : template:t -> t -> unit
@@ -96,14 +102,13 @@ val rewind_words : t -> int
 
 (** [same_state a b]: [a] and [b] are at the same cursor and hold the
     same payload, entry flags and tables, which is everything a later
-    step or peek reads. Traversal counters are not compared, nor the
-    flags of window slots: a window slot keeps whatever flag its last
-    pop or {!rewind} left, and no step reads it before a push rewrites
-    it. *)
+    step or peek reads. The flags of window slots are not compared: a
+    window slot keeps whatever flag its last pop or {!rewind} left, and
+    no step reads it before a push rewrites it. *)
 val same_state : t -> t -> bool
 
 (** [read_at t k] is the value at index [k]; the cursor ends at [k+1]. *)
-val read_at : ?tally:Telemetry.tally -> t -> int -> int
+val read_at : t -> int -> int
 
 (** Analytic size in bits of the compressed representation: one flag bit
     per entry, plus payload bits per miss (32) or per [Last_n]-family hit
@@ -134,33 +139,22 @@ type trial = {
 val trial : ?limit:int -> meth -> ctx:int -> int array -> trial
 
 (** Decompress the whole stream (for tests; moves the cursor). *)
-val to_array : ?tally:Telemetry.tally -> t -> int array
+val to_array : t -> int array
 
 val meth : t -> meth
 
 (** Context size the stream was compressed with. *)
 val ctx : t -> int
 
-(** Always-on stream telemetry, cheap enough to never gate.
-
-    Dictionary figures are derived from the persisted hit bitvec (one
-    classified entry per padded value outside the window), so they are
-    cursor-independent and cost nothing on the push path:
-    [tl_lookups = length + ctx] and [tl_hits + tl_misses = tl_lookups]
-    always. Step counters track cursor traversal only — [compress]
-    never steps, and peeks and {!rewind} decode nothing — and are zeroed
-    by [reset_telemetry]. *)
+(** Dictionary figures of the representation, derived from the persisted
+    hit bitvec (one classified entry per padded value outside the
+    window), so they are cursor-independent and cost nothing on the push
+    path: [tl_lookups = length + ctx] and
+    [tl_hits + tl_misses = tl_lookups] always. *)
 type telemetry = {
   tl_lookups : int;  (** predictor lookups = entries classified *)
   tl_hits : int;  (** entries the predictor got right (flag-bit only) *)
   tl_misses : int;  (** entries stored verbatim (32-bit payload) *)
-  tl_fwd_steps : int;  (** forward cursor steps since last reset *)
-  tl_bwd_steps : int;  (** backward cursor steps since last reset *)
-  tl_dir_switches : int;  (** traversal direction reversals *)
 }
 
 val telemetry : t -> telemetry
-
-(** Zero the traversal counters ([tl_fwd_steps], [tl_bwd_steps],
-    [tl_dir_switches]). *)
-val reset_telemetry : t -> unit

@@ -1,13 +1,13 @@
 (* A stream is its compressed payload, picked once at build time and
    immutable afterwards. Packed bodies are *pristine templates*: their
-   Bidir state is parked at the left end (w = 0) with zeroed traversal
-   counters and is never stepped again, so marshalling a stream is
-   byte-deterministic no matter what queries ran before.
+   Bidir state is parked at the left end (w = 0) and is never stepped
+   again, so marshalling a stream is byte-deterministic no matter what
+   queries ran before.
 
-   All traversal state — position, last direction, and for packed
-   bodies a deep clone of the window/table state — lives in a [cur].
-   Cursors are single-owner and cheap to mint: [Cursor.make] is O(1),
-   the clone happens on first touch. *)
+   All traversal state — position, and for packed bodies a deep clone
+   of the window/table state — lives in a [cur], together with the
+   ledger row its steps are counted in. Cursors are single-owner; a
+   session makes each one when a query first uses its stream. *)
 
 type t = Braw of int array | Bpacked of Bidir.t
 
@@ -15,16 +15,21 @@ type view =
   | Vraw of {
       data : int array;  (* physically shared with the body *)
       mutable pos : int;
-      (* The last step's direction, for the tally's switch count: 0
-         none, 1 forward, 2 backward. Only steps count — seeks and
-         random reads are O(1) on a raw array, not traversal work. *)
-      mutable rlast : int;
     }
   | Vpacked of Bidir.t  (* a deep clone of the pristine template *)
 
-type cur = { c_body : t; mutable c_view : view option }
+type cur = {
+  c_body : t;
+  c_tally : Telemetry.tally;
+  c_row : Telemetry.row;
+  c_view : view;
+}
 
-type telemetry = { tl_lookups : int; tl_hits : int; tl_misses : int }
+type telemetry = Bidir.telemetry = {
+  tl_lookups : int;
+  tl_hits : int;
+  tl_misses : int;
+}
 
 let candidates =
   List.concat_map
@@ -114,13 +119,11 @@ let method_name = function
     Printf.sprintf "%s/%d" (Bidir.meth_name (Bidir.meth b)) (Bidir.ctx b)
 
 (* Pure decode of the body: packed templates are cloned first, so the
-   pristine state (and every live cursor) is untouched, and the decode
-   walk accounts to a scratch tally — reading the container's contents
-   is representation work, not query traversal. *)
+   pristine state (and every live cursor) is untouched. Reading the
+   container's contents is not a query, so no ledger sees it. *)
 let contents = function
   | Braw data -> Array.copy data
-  | Bpacked b ->
-    Bidir.to_array ~tally:(Telemetry.make ()) (Bidir.clone b)
+  | Bpacked b -> Bidir.to_array (Bidir.clone b)
 
 (* ------------------------------------------------------------------ *)
 (* Cursors                                                            *)
@@ -131,65 +134,72 @@ module Cursor = struct
 
   type t = cur
 
-  let make (s : stream) = { c_body = s; c_view = None }
-
-  let view c =
-    match c.c_view with
-    | Some v -> v
-    | None ->
-      let v =
-        match c.c_body with
-        | Braw data ->
-          Vraw { data; pos = 0; rlast = 0 }
-        | Bpacked b -> Vpacked (Bidir.clone b)
-      in
-      c.c_view <- Some v;
-      v
+  let make ~tally ~label (s : stream) =
+    {
+      c_body = s;
+      c_tally = tally;
+      c_row = Telemetry.row ~label;
+      c_view =
+        (match s with
+         | Braw data -> Vraw { data; pos = 0 }
+         | Bpacked b -> Vpacked (Bidir.clone b));
+    }
 
   let length c = length c.c_body
 
-  let pos c =
-    match c.c_view with
-    | None -> 0
-    | Some (Vraw r) -> r.pos
-    | Some (Vpacked b) -> Bidir.cursor b
+  let pos c = match c.c_view with Vraw r -> r.pos | Vpacked b -> Bidir.cursor b
 
-  let step_forward ?(tally = Telemetry.default) c =
-    match view c with
+  (* The only places a packed step is counted: one each way. A forward
+     step past the right end raises in [Bidir.step_forward] before it
+     is counted. *)
+  let packed_forward c b =
+    let payload_bits = Bidir.payload_ahead b in
+    let x = Bidir.step_forward b in
+    Telemetry.packed_step c.c_tally c.c_row ~fwd:true ~payload_bits;
+    x
+
+  let packed_backward c b =
+    Telemetry.packed_step c.c_tally c.c_row ~fwd:false
+      ~payload_bits:(Bidir.payload_behind b);
+    Bidir.step_backward b
+
+  let right_end op = invalid_arg ("Stream." ^ op ^ ": at right end")
+
+  let left_end op = invalid_arg ("Stream." ^ op ^ ": at left end")
+
+  let step_forward c =
+    match c.c_view with
     | Vraw r ->
-      if r.pos >= Array.length r.data then
-        invalid_arg "Stream.step_forward: at right end";
+      if r.pos >= Array.length r.data then right_end "step_forward";
       let x = r.data.(r.pos) in
       r.pos <- r.pos + 1;
-      let switched = r.rlast = 2 in
-      r.rlast <- 1;
-      Telemetry.note_raw ~tally ~fwd:true ~switched ();
+      Telemetry.raw_step c.c_tally c.c_row ~fwd:true;
       x
-    | Vpacked b -> Bidir.step_forward ~tally b
+    | Vpacked b -> packed_forward c b
 
-  let step_backward ?(tally = Telemetry.default) c =
-    match view c with
+  let step_backward c =
+    match c.c_view with
     | Vraw r ->
-      if r.pos <= 0 then invalid_arg "Stream.step_backward: at left end";
+      if r.pos <= 0 then left_end "step_backward";
       r.pos <- r.pos - 1;
-      let switched = r.rlast = 1 in
-      r.rlast <- 2;
-      Telemetry.note_raw ~tally ~fwd:false ~switched ();
+      Telemetry.raw_step c.c_tally c.c_row ~fwd:false;
       r.data.(r.pos)
-    | Vpacked b -> Bidir.step_backward ~tally b
+    | Vpacked b ->
+      if Bidir.cursor b <= 0 then left_end "step_backward";
+      packed_backward c b
 
+  (* Peeks read in place. *)
   let peek_forward c =
-    match view c with
+    match c.c_view with
     | Vraw r ->
-      if r.pos >= Array.length r.data then
-        invalid_arg "Stream.peek_forward: at right end";
+      if r.pos >= Array.length r.data then right_end "peek_forward";
       r.data.(r.pos)
     | Vpacked b -> Bidir.peek_forward b
 
   let peek_backward c =
-    match view c with
+    match c.c_view with
     | Vraw r ->
-      if r.pos <= 0 then invalid_arg "Stream.peek_backward: at left end";
+      if r.pos <= 0 then left_end "peek_backward";
       r.data.(r.pos - 1)
     | Vpacked b -> Bidir.peek_backward b
 
@@ -201,54 +211,68 @@ module Cursor = struct
      predictors' figure keeps the rewind to where it surely pays. *)
   let step_words = 32
 
-  (* Move a packed cursor to [k], returning the entries decoded. Going
-     left, either step back [w - k] entries or rewind from the template
-     and step forward [k]; the rewind is taken when its copy costs less
-     than the steps it saves. *)
-  let seek_packed ~tally c b k =
+  (* Move a packed cursor to [k], returning the steps taken. Going left,
+     either step back [w - k] entries or rewind from the template and
+     step forward [k]; the rewind is taken when its copy costs less than
+     the steps it saves. *)
+  let seek_packed c b k =
     let w = Bidir.cursor b in
-    (match c.c_body with
-     | Bpacked template
-       when k >= 0 && k < w
-            && Bidir.rewind_words b < step_words * (w - k - k) ->
-       Bidir.rewind ~template b
-     | _ -> ());
-    let d = abs (k - Bidir.cursor b) in
-    if d > 0 then Bidir.seek ~tally b k;
+    if k = w then 0
+    else begin
+      let w =
+        match c.c_body with
+        | Bpacked template
+          when k < w && Bidir.rewind_words b < step_words * (w - k - k) ->
+          Bidir.rewind ~template b;
+          0
+        | _ -> w
+      in
+      for _ = w to k - 1 do
+        ignore (packed_forward c b)
+      done;
+      for _ = k to w - 1 do
+        ignore (packed_backward c b)
+      done;
+      abs (k - w)
+    end
+
+  (* A raw cursor indexes its array: no step. *)
+  let seek_steps c k =
+    if k < 0 || k > length c then invalid_arg "Stream.seek";
+    let d =
+      match c.c_view with
+      | Vraw r ->
+        r.pos <- k;
+        0
+      | Vpacked b -> seek_packed c b k
+    in
+    Telemetry.seek c.c_tally c.c_row ~steps:d;
     d
 
-  let seek_steps ?(tally = Telemetry.default) c k =
-    match view c with
-    | Vraw r ->
-      if k < 0 || k > Array.length r.data then invalid_arg "Stream.seek";
-      r.pos <- k;
-      0
-    | Vpacked b -> seek_packed ~tally c b k
+  let seek c k = ignore (seek_steps c k)
 
-  let seek ?tally c k = ignore (seek_steps ?tally c k)
-
-  let read_at ?(tally = Telemetry.default) c k =
-    match view c with
+  (* A seek to [k], then the step that reveals the value there. *)
+  let read_at c k =
+    match c.c_view with
     | Vraw r ->
       if k < 0 || k >= Array.length r.data then invalid_arg "Stream.read_at";
       r.pos <- k + 1;
+      Telemetry.raw_read c.c_tally c.c_row;
       r.data.(k)
     | Vpacked b ->
-      if k < 0 || k >= Bidir.length b then invalid_arg "Bidir.read_at";
-      ignore (seek_packed ~tally c b k);
-      Bidir.step_forward ~tally b
+      if k < 0 || k >= Bidir.length b then invalid_arg "Stream.read_at";
+      Telemetry.seek c.c_tally c.c_row ~steps:(seek_packed c b k);
+      packed_forward c b
 
-  let to_array ?(tally = Telemetry.default) c =
-    match view c with
-    | Vraw r ->
-      r.pos <- Array.length r.data;
-      Array.copy r.data
-    | Vpacked b ->
-      ignore (seek_packed ~tally c b 0);
-      Bidir.to_array ~tally b
+  let to_array c =
+    seek c 0;
+    Array.init (length c) (fun _ -> step_forward c)
 
-  let lower_bound ?(tally = Telemetry.default) c v =
-    match view c with
+  (* One seek: a raw cursor binary-searches, taking no step; a packed
+     one walks from where it stands until the value right of it is
+     [>= v]. *)
+  let lower_bound c v =
+    match c.c_view with
     | Vraw r ->
       let lo = ref 0 and hi = ref (Array.length r.data) in
       while !lo < !hi do
@@ -256,57 +280,27 @@ module Cursor = struct
         if r.data.(mid) < v then lo := mid + 1 else hi := mid
       done;
       r.pos <- !lo;
+      Telemetry.seek c.c_tally c.c_row ~steps:0;
       !lo
     | Vpacked b ->
-      let m = Bidir.length b in
+      let p0 = Bidir.cursor b and m = Bidir.length b in
       while Bidir.cursor b > 0 && Bidir.peek_backward b >= v do
-        ignore (Bidir.step_backward ~tally b)
+        ignore (packed_backward c b)
       done;
       while Bidir.cursor b < m && Bidir.peek_forward b < v do
-        ignore (Bidir.step_forward ~tally b)
+        ignore (packed_forward c b)
       done;
+      Telemetry.seek c.c_tally c.c_row ~steps:(abs (Bidir.cursor b - p0));
       Bidir.cursor b
 
-  let find_ascending ?(tally = Telemetry.default) c v =
-    match view c with
-    | Vraw r ->
-      let lo = ref 0 and hi = ref (Array.length r.data - 1) in
-      let found = ref None in
-      while !found = None && !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        let x = r.data.(mid) in
-        if x = v then found := Some mid
-        else if x < v then lo := mid + 1
-        else hi := mid - 1
-      done;
-      !found
-    | Vpacked b ->
-      let m = Bidir.length b in
-      if m = 0 then None
-      else begin
-        (* Walk until the value just right of the cursor is >= v. *)
-        while Bidir.cursor b > 0 && Bidir.peek_backward b >= v do
-          ignore (Bidir.step_backward ~tally b)
-        done;
-        while Bidir.cursor b < m && Bidir.peek_forward b < v do
-          ignore (Bidir.step_forward ~tally b)
-        done;
-        if Bidir.cursor b < m && Bidir.peek_forward b = v then
-          Some (Bidir.cursor b)
-        else None
-      end
+  let find_ascending c v =
+    let k = lower_bound c v in
+    if k < length c && peek_forward c = v then Some k else None
 
-  (* An untouched cursor stands at 0 in its template's state. *)
   let same_state a b =
-    let state c =
-      match (c.c_view, c.c_body) with
-      | Some (Vpacked x), _ | None, Bpacked x -> `Packed x
-      | Some (Vraw r), _ -> `Raw (r.data, r.pos)
-      | None, Braw data -> `Raw (data, 0)
-    in
-    match (state a, state b) with
-    | `Packed x, `Packed y -> Bidir.same_state x y
-    | `Raw (d, p), `Raw (e, q) -> d == e && p = q
+    match (a.c_view, b.c_view) with
+    | Vpacked x, Vpacked y -> Bidir.same_state x y
+    | Vraw r, Vraw q -> r.data == q.data && r.pos = q.pos
     | _ -> false
 end
 
@@ -317,10 +311,4 @@ let telemetry = function
     (* Raw streams do no prediction: every value is stored verbatim and
        there is no dictionary to hit. *)
     { tl_lookups = 0; tl_hits = 0; tl_misses = 0 }
-  | Bpacked b ->
-    let tl = Bidir.telemetry b in
-    {
-      tl_lookups = tl.Bidir.tl_lookups;
-      tl_hits = tl.Bidir.tl_hits;
-      tl_misses = tl.Bidir.tl_misses;
-    }
+  | Bpacked b -> Bidir.telemetry b

@@ -22,8 +22,8 @@
     A stream value is an immutable compressed {e body} — packed bodies
     are pristine templates parked at the left end, never stepped after
     construction, so marshalling is byte-deterministic regardless of
-    query history. All traversal state (position, direction, the
-    bidirectional window/table state) lives in {!Cursor.t} handles. A
+    query history. All traversal state (position, the bidirectional
+    window/table state, the ledger row) lives in {!Cursor.t} handles. A
     body may be read through any number of concurrent cursors; each
     cursor is single-owner. *)
 
@@ -48,22 +48,25 @@ val bits : t -> int
 val method_name : t -> string
 
 (** Pure decode of the whole stream. Never touches any live cursor
-    (packed bodies are cloned first), and accounts to a scratch tally —
-    reading the representation is not traversal. *)
+    (packed bodies are cloned first), and no ledger counts it: reading
+    the representation is not a query. *)
 val contents : t -> int array
 
-(** Explicit traversal handles. [make] is O(1); the first traversal of a
-    packed body pays one O(length) clone of the window/table state,
-    which is safe at any position because that state is a pure function
-    of the cursor (see {!Bidir.clone}). Each cursor is single-owner:
-    share the stream, not the cursor. *)
+(** Traversal handles. Each cursor counts its steps, once each, in the
+    {!Telemetry} ledger it was made with, under its own row, following
+    the counting rule of DESIGN.md ("The cost ledger"). Making a cursor
+    over a packed body clones its window/table state, O(length), which
+    is safe at any position because that state is a pure function of
+    the cursor (see {!Bidir.clone}). Each cursor is single-owner: share
+    the stream, not the cursor. *)
 module Cursor : sig
   type stream := t
 
   type t
 
-  (** A fresh cursor at position 0 over [s]'s body. O(1). *)
-  val make : stream -> t
+  (** A fresh cursor at position 0 over [s]'s body, counting in [tally]
+      under the row name [label]. *)
+  val make : tally:Telemetry.tally -> label:int -> stream -> t
 
   (** Number of values in the underlying stream. *)
   val length : t -> int
@@ -71,64 +74,63 @@ module Cursor : sig
   (** Values revealed so far by forward steps (cursor position). *)
   val pos : t -> int
 
-  (** Traversal ops attribute their decode work to [tally] (default
-      {!Telemetry.default}). Stepping or peeking past an end raises
+  (** One step each. Stepping or peeking past an end raises
       [Invalid_argument] naming the operation and the end
-      ("Stream.step_forward: at right end", …). *)
+      ("Stream.step_forward: at right end" on a raw stream,
+      "Bidir.step_forward: …" on a packed one). *)
 
-  val step_forward : ?tally:Telemetry.tally -> t -> int
+  val step_forward : t -> int
 
-  val step_backward : ?tally:Telemetry.tally -> t -> int
+  val step_backward : t -> int
 
   (** Peeks are pure reads (see {!Bidir.peek_forward}): they decode no
-      entry, and no tally or counter sees them. *)
+      entry and count nothing. *)
 
   val peek_forward : t -> int
 
   val peek_backward : t -> int
 
-  (** [seek_steps c k] moves the cursor to [k] and returns the entries
-      it decoded. A raw cursor indexes its array and decodes nothing
-      (0). A packed cursor moving left either steps back or, when the
-      copy costs less than the steps it saves, rewinds from the
-      stream's template ({!Bidir.rewind}) and steps forward from [0];
-      the count is the steps it took. *)
-  val seek_steps : ?tally:Telemetry.tally -> t -> int -> int
+  (** [seek_steps c k] moves the cursor to [k], one seek, and returns
+      the steps it took. A raw cursor indexes its array and takes none.
+      A packed cursor moving left either steps back or, when the copy
+      costs less than the steps it saves, rewinds from the stream's
+      template ({!Bidir.rewind}) and steps forward from [0]. *)
+  val seek_steps : t -> int -> int
 
   (** {!seek_steps}, without the count. *)
-  val seek : ?tally:Telemetry.tally -> t -> int -> unit
+  val seek : t -> int -> unit
 
-  (** [read_at c k] is the value at index [k] (moves the cursor to
-      [k + 1], reaching [k] as {!seek} does). *)
-  val read_at : ?tally:Telemetry.tally -> t -> int -> int
+  (** [read_at c k] is the value at index [k]: a seek to [k], then the
+      step that reveals it (the cursor ends at [k + 1]). *)
+  val read_at : t -> int -> int
 
-  (** Decompress everything (moves the cursor to the right end). *)
-  val to_array : ?tally:Telemetry.tally -> t -> int array
+  (** Decompress everything: a seek to [0], then a step per value (the
+      cursor ends at the right end). *)
+  val to_array : t -> int array
 
   (** [lower_bound c v] is the index of the first value [>= v] in an
       ascending stream ([length c] if none); the cursor finishes there.
-      Raw bodies binary-search (O(1) cursor moves); packed bodies walk
+      One seek: raw bodies binary-search (no step); packed bodies walk
       from the current position. *)
-  val lower_bound : ?tally:Telemetry.tally -> t -> int -> int
+  val lower_bound : t -> int -> int
 
   (** [find_ascending c v] is the index of [v] in a stream whose values
-      are strictly ascending, or [None]. Packed cursors step from their
-      current position, so repeated nearby lookups are cheap — this is
-      what makes tier-1 queries faster than tier-2 queries in the
-      paper's Tables 6–9. *)
-  val find_ascending : ?tally:Telemetry.tally -> t -> int -> int option
+      are strictly ascending, or [None]; the cursor finishes where
+      {!lower_bound} leaves it. A packed cursor steps from its current
+      position, so repeated nearby lookups are cheap — this is what
+      makes tier-1 queries faster than tier-2 queries in the paper's
+      Tables 6–9. *)
+  val find_ascending : t -> int -> int option
 
   (** [same_state a b]: two cursors over one stream hold the same
-      position and decode state (see {!Bidir.same_state}). An untouched
-      cursor stands at [0] in the template's state. *)
+      position and decode state (see {!Bidir.same_state}). *)
   val same_state : t -> t -> bool
 end
 
 (** Dictionary figures of the body (see {!Bidir.telemetry}): identical
     in every cursor, and all zero for raw bodies — there is no
-    predictor. Traversal is counted in the {!Telemetry.tally} a cursor
-    steps against. *)
-type telemetry = {
+    predictor. *)
+type telemetry = Bidir.telemetry = {
   tl_lookups : int;  (** predictor lookups = entries classified *)
   tl_hits : int;  (** entries the predictor got right *)
   tl_misses : int;  (** entries stored verbatim *)

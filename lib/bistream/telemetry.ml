@@ -1,60 +1,74 @@
-(* Decode counters, bumped by the same internal steps that feed the
-   step counters in Bidir. A [tally] is a bundle of monotone
-   mutable counters — never marshalled, never reset — so a
-   [before]/[after] snapshot pair brackets exactly the decode work
-   performed against that tally in between, no matter which streams it
-   landed on. Peeks read without stepping and a rewind copies from the
-   template without decoding, so neither reaches a tally; nor does
-   [Bidir.compress], which builds a stream without stepping.
+(* The cost ledger. A tally holds a reader's totals, kept as one more
+   row; each cursor that has moved against it holds a row of its own. A
+   step is counted once, into both, by the cursor call that takes it,
+   so no observer keeps a copy.
 
-   [default] is the process tally that cursor steps taken outside any
-   session (no [?tally] given) count against. Sessions each carry their
-   own tally so their decode work attributes to the right qprof window
-   without any cross-domain races. *)
+   Windows. Every [open_window] starts a new generation. The first time
+   a row is touched in a generation while some window is open, the
+   tally logs the row together with a copy of its counts just before
+   that touch. A window opened at log position [p] in generation [g]
+   owns the entries logged at or after [p] whose copy was last logged
+   before [g] (the copy's [r_gen] is the row's previous generation), one
+   per row touched since it opened, and each such entry holds that row's
+   counts at the moment the window opened. Nested windows therefore
+   share one log, and the log is dropped when the last window closes. *)
 
 type snapshot = {
-  g_fwd : int;  (* forward cursor steps *)
-  g_bwd : int;  (* backward cursor steps *)
-  g_switches : int;  (* per-stream traversal direction reversals *)
-  g_hits : int;  (* dictionary hits decoded (packed streams only) *)
-  g_misses : int;  (* verbatim entries decoded (packed streams only) *)
-  g_bits : int;  (* stored bits touched: flag + payload, 32/raw value *)
+  g_fwd : int;
+  g_bwd : int;
+  g_switches : int;
+  g_hits : int;
+  g_misses : int;
+  g_bits : int;
+  g_seeks : int;
+  g_seek_steps : int;
 }
 
-let zero =
-  { g_fwd = 0; g_bwd = 0; g_switches = 0; g_hits = 0; g_misses = 0; g_bits = 0 }
+type row = {
+  r_label : int;
+  mutable r_fwd : int;
+  mutable r_bwd : int;
+  mutable r_switches : int;
+  mutable r_hits : int;
+  mutable r_misses : int;
+  mutable r_bits : int;
+  mutable r_seeks : int;
+  mutable r_seek_steps : int;
+  mutable r_last : int;
+  mutable r_gen : int;
+}
 
 type tally = {
-  mutable a_fwd : int;
-  mutable a_bwd : int;
-  mutable a_switches : int;
-  mutable a_hits : int;
-  mutable a_misses : int;
-  mutable a_bits : int;
+  a_total : row;
+  mutable a_gen : int;
+  mutable a_open : int;  (* windows open *)
+  mutable a_log : (row * row) list;  (* (row, counts before), newest first *)
+  mutable a_len : int;
 }
 
-let make () =
-  { a_fwd = 0; a_bwd = 0; a_switches = 0; a_hits = 0; a_misses = 0; a_bits = 0 }
-
-let default = make ()
-
-let snapshot ?(tally = default) () =
+let row ~label =
   {
-    g_fwd = tally.a_fwd;
-    g_bwd = tally.a_bwd;
-    g_switches = tally.a_switches;
-    g_hits = tally.a_hits;
-    g_misses = tally.a_misses;
-    g_bits = tally.a_bits;
+    r_label = label;
+    r_fwd = 0; r_bwd = 0; r_switches = 0; r_hits = 0; r_misses = 0;
+    r_bits = 0; r_seeks = 0; r_seek_steps = 0;
+    r_last = 0; r_gen = -1;
   }
 
-let restore ?(tally = default) s =
-  tally.a_fwd <- s.g_fwd;
-  tally.a_bwd <- s.g_bwd;
-  tally.a_switches <- s.g_switches;
-  tally.a_hits <- s.g_hits;
-  tally.a_misses <- s.g_misses;
-  tally.a_bits <- s.g_bits
+let make () =
+  { a_total = row ~label:0; a_gen = 0; a_open = 0; a_log = []; a_len = 0 }
+
+let snapshot ~tally () =
+  let t = tally.a_total in
+  {
+    g_fwd = t.r_fwd;
+    g_bwd = t.r_bwd;
+    g_switches = t.r_switches;
+    g_hits = t.r_hits;
+    g_misses = t.r_misses;
+    g_bits = t.r_bits;
+    g_seeks = t.r_seeks;
+    g_seek_steps = t.r_seek_steps;
+  }
 
 let delta ~before ~after =
   {
@@ -64,38 +78,101 @@ let delta ~before ~after =
     g_hits = after.g_hits - before.g_hits;
     g_misses = after.g_misses - before.g_misses;
     g_bits = after.g_bits - before.g_bits;
-  }
-
-let add a b =
-  {
-    g_fwd = a.g_fwd + b.g_fwd;
-    g_bwd = a.g_bwd + b.g_bwd;
-    g_switches = a.g_switches + b.g_switches;
-    g_hits = a.g_hits + b.g_hits;
-    g_misses = a.g_misses + b.g_misses;
-    g_bits = a.g_bits + b.g_bits;
+    g_seeks = after.g_seeks - before.g_seeks;
+    g_seek_steps = after.g_seek_steps - before.g_seek_steps;
   }
 
 let steps s = s.g_fwd + s.g_bwd
 
-let nonneg s =
-  s.g_fwd >= 0 && s.g_bwd >= 0 && s.g_switches >= 0 && s.g_hits >= 0
-  && s.g_misses >= 0 && s.g_bits >= 0
+(* A row's first touch in this generation: log it if a window may need
+   its counts from before. *)
+let enter t r =
+  if t.a_open > 0 then begin
+    t.a_log <- (r, { r with r_label = r.r_label }) :: t.a_log;
+    t.a_len <- t.a_len + 1
+  end;
+  r.r_gen <- t.a_gen
 
-(* One packed-stream step: the revealed entry's flag bit plus its
-   payload. Hit/miss classification comes from the persisted hit bitvec
-   of the entry being decoded. *)
-let note_packed ?(tally = default) ~fwd ~switched ~hit ~payload_bits () =
-  (if fwd then tally.a_fwd <- tally.a_fwd + 1
-   else tally.a_bwd <- tally.a_bwd + 1);
-  if switched then tally.a_switches <- tally.a_switches + 1;
-  (if hit then tally.a_hits <- tally.a_hits + 1
-   else tally.a_misses <- tally.a_misses + 1);
-  tally.a_bits <- tally.a_bits + 1 + payload_bits
+(* Add one step to a row; the tally's total takes each step its rows
+   take. [dict] is 0 for a raw step, 1 for a hit, 2 for a miss. The
+   helpers are inlined: a step is a few field writes. *)
+let[@inline] tick r ~fwd ~switched ~bits ~dict =
+  if fwd then r.r_fwd <- r.r_fwd + 1 else r.r_bwd <- r.r_bwd + 1;
+  if switched then r.r_switches <- r.r_switches + 1;
+  r.r_bits <- r.r_bits + bits;
+  if dict = 1 then r.r_hits <- r.r_hits + 1
+  else if dict = 2 then r.r_misses <- r.r_misses + 1
 
-(* One raw-stream step: a verbatim 32-bit value, no predictor. *)
-let note_raw ?(tally = default) ~fwd ~switched () =
-  (if fwd then tally.a_fwd <- tally.a_fwd + 1
-   else tally.a_bwd <- tally.a_bwd + 1);
-  if switched then tally.a_switches <- tally.a_switches + 1;
-  tally.a_bits <- tally.a_bits + 32
+let[@inline] step t r ~fwd ~bits ~dict =
+  if r.r_gen <> t.a_gen then enter t r;
+  let dir = if fwd then 1 else 2 in
+  let switched = r.r_last <> 0 && r.r_last <> dir in
+  r.r_last <- dir;
+  tick r ~fwd ~switched ~bits ~dict;
+  tick t.a_total ~fwd ~switched ~bits ~dict
+
+let[@inline] tick_seek r ~steps =
+  r.r_seeks <- r.r_seeks + 1;
+  r.r_seek_steps <- r.r_seek_steps + steps
+
+let[@inline] seek t r ~steps =
+  if r.r_gen <> t.a_gen then enter t r;
+  tick_seek r ~steps;
+  tick_seek t.a_total ~steps
+
+let raw_step t r ~fwd = step t r ~fwd ~bits:32 ~dict:0
+
+let packed_step t r ~fwd ~payload_bits =
+  step t r ~fwd ~bits:(1 + payload_bits)
+    ~dict:(if payload_bits < 32 then 1 else 2)
+
+let raw_read t r =
+  seek t r ~steps:0;
+  step t r ~fwd:true ~bits:32 ~dict:0
+
+type window = {
+  w_tally : tally;
+  w_pos : int;  (* log length when the window opened *)
+  w_gen : int;
+  mutable w_open : bool;
+}
+
+let open_window t =
+  t.a_gen <- t.a_gen + 1;
+  t.a_open <- t.a_open + 1;
+  { w_tally = t; w_pos = t.a_len; w_gen = t.a_gen; w_open = true }
+
+let window_rows w =
+  if not w.w_open then invalid_arg "Telemetry.window_rows: window closed";
+  let since (r, b) =
+    {
+      b with
+      r_fwd = r.r_fwd - b.r_fwd;
+      r_bwd = r.r_bwd - b.r_bwd;
+      r_switches = r.r_switches - b.r_switches;
+      r_hits = r.r_hits - b.r_hits;
+      r_misses = r.r_misses - b.r_misses;
+      r_bits = r.r_bits - b.r_bits;
+      r_seeks = r.r_seeks - b.r_seeks;
+      r_seek_steps = r.r_seek_steps - b.r_seek_steps;
+    }
+  in
+  (* the newest [a_len - w_pos] entries, oldest first *)
+  let rec take n log acc =
+    match log with
+    | ((_, b) as e) :: rest when n > 0 ->
+      take (n - 1) rest (if b.r_gen < w.w_gen then since e :: acc else acc)
+    | _ -> acc
+  in
+  take (w.w_tally.a_len - w.w_pos) w.w_tally.a_log []
+
+let close_window w =
+  if w.w_open then begin
+    w.w_open <- false;
+    let t = w.w_tally in
+    t.a_open <- t.a_open - 1;
+    if t.a_open = 0 then begin
+      t.a_log <- [];
+      t.a_len <- 0
+    end
+  end

@@ -1,76 +1,97 @@
-(** Decode telemetry tallies: the snapshot/delta substrate of per-query
-    cost attribution ([Wet_qprof]).
+(** The cost ledger: every cursor step a query pays, counted once.
 
-    The step counters inside a bidirectional stream ({!Bidir.telemetry})
-    answer "what happened to this stream state"; a query profiler needs
-    the dual — "how much decode work happened in this window of time,
-    across every stream". A {!tally} is a bundle of counters bumped by
-    the very same internal steps that feed the {!Bidir} ones, so the
-    two views stay in lockstep: peeks are pure reads and a rewind
-    from the template copies without decoding, so neither steps;
-    [Bidir.compress] builds a stream without stepping; and raw-stream
-    seeks/random reads stay free in both.
-
-    {!default} is the process tally that cursor steps taken without a
-    [?tally] count against. Sessions ([Wet.Session]) each own a private
-    tally, so decode work attributes to the session that performed it
-    without cross-domain races.
-
-    A tally is monotone for the life of its owner, and never marshalled.
-    Consumers only ever look at the difference between two {!snapshot}s,
-    which makes deltas of disjoint windows sum exactly to the delta of
-    their union — the reconciliation property [test_qprof] checks. *)
+    A {!tally} is the ledger of one reader (a [Wet.Session], or a
+    connection's sessions). Each {!Stream.Cursor} made against it owns
+    a {!row}; the call that moves the cursor counts each step once,
+    into its row and into the tally's totals, following the counting
+    rule of DESIGN.md ("The cost ledger"). Every observer is a view: a
+    qprof context brackets the totals with two {!snapshot}s, and an
+    explain report or a qprof context reads the rows touched inside a
+    {!window}. A tally is monotone for the life of its owner and never
+    marshalled, so deltas of disjoint windows sum exactly to the delta
+    of their union. *)
 
 type snapshot = {
-  g_fwd : int;  (** forward cursor steps *)
-  g_bwd : int;  (** backward cursor steps *)
-  g_switches : int;  (** traversal direction reversals (per stream) *)
-  g_hits : int;  (** dictionary-hit entries decoded (packed only) *)
-  g_misses : int;  (** verbatim entries decoded (packed only) *)
+  g_fwd : int;  (** forward steps *)
+  g_bwd : int;  (** backward steps *)
+  g_switches : int;  (** steps that reversed their cursor's direction *)
+  g_hits : int;  (** dictionary hits decoded (packed streams only) *)
+  g_misses : int;  (** verbatim entries decoded (packed streams only) *)
   g_bits : int;
-      (** stored bits touched: flag + payload per packed entry, 32 per
-          raw value *)
+      (** stored bits touched: flag + payload per packed step, 32 per
+          raw step *)
+  g_seeks : int;  (** repositioning calls *)
+  g_seek_steps : int;  (** steps taken inside those calls *)
 }
 
-val zero : snapshot
-
-(** A mutable counter bundle. Single-owner: one session accounts
-    against one tally; sharing a
-    tally across domains races benignly (lost increments) but never
-    corrupts memory. *)
+(** One reader's ledger. Single-owner: sharing a tally across domains
+    races benignly (lost increments) but never corrupts memory. *)
 type tally
 
 (** A fresh tally, all counters zero. *)
 val make : unit -> tally
 
-(** The process-wide tally used whenever no explicit tally is passed. *)
-val default : tally
+(** The tally's totals now. O(1), allocates one record. *)
+val snapshot : tally:tally -> unit -> snapshot
 
-(** Current value of a tally's counters ({!default} if omitted). O(1),
-    allocates one record. *)
-val snapshot : ?tally:tally -> unit -> snapshot
-
-(** Field-wise [after - before]: the decode work between two moments. *)
+(** Field-wise [after - before]: the work between two moments. *)
 val delta : before:snapshot -> after:snapshot -> snapshot
-
-(** Field-wise sum (for aggregating deltas). *)
-val add : snapshot -> snapshot -> snapshot
 
 (** [g_fwd + g_bwd]. *)
 val steps : snapshot -> int
 
-(** All fields non-negative (true for any well-formed delta). *)
-val nonneg : snapshot -> bool
+(** {1 Rows} *)
 
-(** Set a tally's counters back to a snapshot. Not for general use. *)
-val restore : ?tally:tally -> snapshot -> unit
+(** One cursor's counts, named by the [label] its cursor was made with
+    (see [Wet_watch.Explain.label]); read-only outside this module. *)
+type row = private {
+  r_label : int;
+  mutable r_fwd : int;
+  mutable r_bwd : int;
+  mutable r_switches : int;
+  mutable r_hits : int;
+  mutable r_misses : int;
+  mutable r_bits : int;
+  mutable r_seeks : int;
+  mutable r_seek_steps : int;
+  mutable r_last : int;  (** 0 no step yet, 1 forward, 2 backward *)
+  mutable r_gen : int;  (** window generation this row last entered *)
+}
 
-(**/**)
+(** A row with every count zero. *)
+val row : label:int -> row
 
-(* Recording entry points for Bidir/Stream internal steps. *)
+(** {2 Counting} — for the cursor that moves, and nothing else. *)
 
-val note_packed :
-  ?tally:tally ->
-  fwd:bool -> switched:bool -> hit:bool -> payload_bits:int -> unit -> unit
+(** One raw step: 32 bits, no dictionary. *)
+val raw_step : tally -> row -> fwd:bool -> unit
 
-val note_raw : ?tally:tally -> fwd:bool -> switched:bool -> unit -> unit
+(** One packed step: the flag bit plus [payload_bits], a dictionary
+    miss if the payload is the 32-bit value and a hit otherwise. *)
+val packed_step : tally -> row -> fwd:bool -> payload_bits:int -> unit
+
+(** One repositioning call that took [steps] of the steps counted
+    alongside it. *)
+val seek : tally -> row -> steps:int -> unit
+
+(** A raw [read_at]: a seek that took no step, then the forward step
+    revealing the value. *)
+val raw_read : tally -> row -> unit
+
+(** {1 Windows} *)
+
+(** An open interval of a tally's history. Reading its rows costs
+    O(rows touched since it opened), however long the tally has lived:
+    a row's counts are kept as it stood when it was first touched inside
+    each open window, and the tally keeps those only while some window
+    is open. *)
+type window
+
+val open_window : tally -> window
+
+(** The rows touched since [w] opened, each holding what was counted on
+    it since then, in first-touch order. *)
+val window_rows : window -> row list
+
+(** Stop keeping history for [w]. Idempotent. *)
+val close_window : window -> unit

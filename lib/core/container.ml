@@ -9,8 +9,11 @@ module Crc32 = Wet_util.Crc32
    stream layout changed again.
    v5: the default cursor went; a stream is marshalled as its bare body
    (raw array or packed template), so a v4 stream record would otherwise
-   be read as the wrong constructor. *)
-let format_version = 5
+   be read as the wrong constructor.
+   v6: a packed stream no longer carries its four traversal counters
+   (steps are counted in the reading session's ledger), so a v5 packed
+   body would be read with four words too many. *)
+let format_version = 6
 
 let magic = "WETOCaml"
 

@@ -242,21 +242,22 @@ end
 
 type class_estimate = {
   est_kind : string;  (* Explain stream class: ts/uvals/pattern/label.* *)
-  est_steps : int;  (* predicted cursor steps (fwd + bwd + seek dist) *)
+  est_steps : int;  (* predicted ledger steps: fwd + bwd, seeks' included *)
   est_exact : bool;  (* model is exact, not a bound *)
 }
 
 (* Plan-time step predictions per query shape (the fingerprints the CLI
-   stamps on profiled queries). The control-flow walk is exact by
-   construction — each path execution reveals exactly one timestamp,
-   peeks are pure reads, and parking the cursors a finished walk left at
-   their right ends rewinds them from the template without decoding —
-   so estimated and actual agree to the step on both tiers, on a
-   session's first walk and on every repeat. The value/address
-   extractions depend on pattern-group layout and cursor locality, so
-   those are stated as per-instance lower bounds; [at] and the slices
-   depend on where the data lands and are the loosest. Unknown shapes
-   estimate nothing. *)
+   stamps on profiled queries), in the ledger's steps. The control-flow
+   walk is exact by construction — each path execution reveals exactly
+   one timestamp, peeks are pure reads, and parking the cursors a
+   finished walk left at their right ends rewinds a packed one from the
+   template and indexes a raw one, neither a step — so estimated and
+   actual agree to the step on both tiers, on a session's first walk and
+   on every repeat. The value/address extractions read one value per
+   instance from each stream class they touch, plus whatever their seeks
+   step through, so those are per-instance lower bounds; [at] and the
+   slices depend on where the data lands and are the loosest. Unknown
+   shapes estimate nothing. *)
 let estimate (t : Wet.t) shape =
   let execs = t.Wet.stats.Wet.path_execs in
   match shape with

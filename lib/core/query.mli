@@ -104,7 +104,9 @@ type class_estimate = {
   est_kind : string;
       (** Explain stream class: ["ts"], ["uvals"], ["pattern"],
           ["label.src"], ["label.dst"] *)
-  est_steps : int;  (** predicted cursor steps (fwd + bwd + seek dist) *)
+  est_steps : int;
+      (** predicted ledger steps: forward + backward, a seek's steps
+          included (see {!Wet_bistream.Telemetry}) *)
   est_exact : bool;  (** the model is exact, not a bound *)
 }
 

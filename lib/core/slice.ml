@@ -82,27 +82,17 @@ module Session = struct
     Wet_obs.Metrics.time h_forward @@ fun () ->
     let t = S.wet s in
     need t "index.out";
-    let recorder = S.recorder s and tally = S.tally s in
-    Ex.query ~recorder "slice.forward";
+    Ex.query ~recorder:(S.recorder s) "slice.forward";
     let expand c i push =
       List.iter (fun cc -> push cc i) t.Wet.copy_local_out.(c);
       List.iter
         (fun (e : Wet.edge) ->
           (* producer-instance streams are not sorted, so scan them *)
-          let l = e.Wet.e_labels.Wet.l_id in
           let dst, src = S.label_cursors s e.Wet.e_labels in
-          let d = Cursor.seek_steps ~tally src 0 in
-          if Ex.recording recorder then
-            Ex.touch ~recorder Ex.K_label_src l 0 Ex.Seek d;
+          Cursor.seek src 0;
           for j = 0 to e.Wet.e_labels.Wet.l_len - 1 do
-            if Ex.recording recorder then
-              Ex.touch ~recorder Ex.K_label_src l 0 Ex.Fwd 1;
-            if Cursor.step_forward ~tally src = i then begin
-              if Ex.recording recorder then
-                Ex.touch ~recorder Ex.K_label_dst l 0 Ex.Seek
-                  (Int.max 1 (Cursor.seek_steps ~tally dst j));
-              push e.Wet.e_dst (Cursor.read_at ~tally dst j)
-            end
+            if Cursor.step_forward src = i then
+              push e.Wet.e_dst (Cursor.read_at dst j)
           done)
         t.Wet.copy_remote_out.(c)
     in

@@ -87,17 +87,17 @@ type t = {
 }
 
 (* One reader's traversal state over a shared container: a cursor per
-   stream (timestamp cursors eagerly — they drive every control-flow
-   walk — label cursors lazily by [l_id]), the telemetry tally decode
-   work accounts to, and the explain recorder cursor movements report
-   to. Single-owner; the container underneath may be shared freely. *)
+   stream, each minted when first used (per node, per copy, per
+   (node, group), and per label by [l_id]), the ledger tally every
+   cursor counts its steps in, and the explain recorder bound to it.
+   Single-owner; the container underneath may be shared freely. *)
 type session = {
   s_wet : t;
   s_tally : Telemetry.tally;
   s_recorder : Ex.recorder;
   s_ts : Cursor.t array;  (* per node *)
-  s_uvals : Cursor.t option array;  (* per copy *)
-  s_patterns : Cursor.t option array array;  (* per node, per group *)
+  s_uvals : Cursor.t array;  (* per copy *)
+  s_patterns : Cursor.t array array;  (* per node, per group *)
   s_labels : (int, Cursor.t * Cursor.t) Hashtbl.t;  (* l_id -> dst, src *)
 }
 
@@ -121,22 +121,24 @@ let copies_of_stmt t s = t.stmt_copies.(s)
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The slot of a cursor not yet minted, told apart by physical
+   equality; no step is ever taken on it. *)
+let unminted =
+  Cursor.make ~tally:(Telemetry.make ()) ~label:0 (Stream.compress [||])
+
 let open_session ?(strict = false) ?tally ?recorder t =
   if strict && t.damage <> [] then
     Wet_error.fail Query "open_session: container damaged (%s)"
       (String.concat ", " t.damage);
+  let tally, recorder = Ex.bind ?tally ?recorder () in
   {
     s_wet = t;
-    s_tally = (match tally with Some x -> x | None -> Telemetry.make ());
-    s_recorder =
-      (match recorder with Some r -> r | None -> Ex.make_recorder ());
-    s_ts = Array.map (fun n -> Cursor.make n.n_ts) t.nodes;
-    s_uvals = Array.map (Option.map Cursor.make) t.copy_uvals;
+    s_tally = tally;
+    s_recorder = recorder;
+    s_ts = Array.make (Array.length t.nodes) unminted;
+    s_uvals = Array.make (Array.length t.copy_uvals) unminted;
     s_patterns =
-      Array.map
-        (fun n ->
-          Array.map (fun g -> Option.map Cursor.make g.g_pattern) n.n_groups)
-        t.nodes;
+      Array.map (fun n -> Array.make (Array.length n.n_groups) unminted) t.nodes;
     s_labels = Hashtbl.create 64;
   }
 
@@ -149,85 +151,73 @@ module Session = struct
 
   let recorder s = s.s_recorder
 
-  let ts_cursor s (n : node) = s.s_ts.(n.n_id)
+  (* A cursor of this session over [body], its ledger row named
+     [stream]. *)
+  let cursor s body stream =
+    Cursor.make ~tally:s.s_tally ~label:(Ex.label stream) body
+
+  (* Mint the cursor of slot [i]. Callers test the slot first, so the
+     stream name is built only here. *)
+  let mint s slots i body stream =
+    let c = cursor s body stream in
+    slots.(i) <- c;
+    c
+
+  let ts_cursor s (n : node) =
+    let c = s.s_ts.(n.n_id) in
+    if c != unminted then c else mint s s.s_ts n.n_id n.n_ts (Ex.Ts n.n_id)
 
   let label_cursors s (l : labels) =
     match Hashtbl.find_opt s.s_labels l.l_id with
     | Some p -> p
     | None ->
-      let p = (Cursor.make l.l_dst, Cursor.make l.l_src) in
+      let p =
+        ( cursor s l.l_dst (Ex.Label_dst l.l_id),
+          cursor s l.l_src (Ex.Label_src l.l_id) )
+      in
       Hashtbl.add s.s_labels l.l_id p;
       p
-
-  (* Query-explain instrumentation: cursor movements report to the
-     session's recorder when it is armed; disarmed cost is one flag
-     read. A seek is reported with the entries it decoded
-     ([Cursor.seek_steps]: none on a raw stream or a rewind), and a
-     [read_at] as a seek of at least one, the value it reads. A stream
-     is named by its kind and ids ([b] is the group of a pattern
-     stream, 0 otherwise), so reporting a step allocates nothing;
-     [Int.max] keeps the distance off the polymorphic compare. *)
-  let c_read_at s kind a b c k =
-    if Ex.recording s.s_recorder then begin
-      let d = Cursor.seek_steps ~tally:s.s_tally c k in
-      let v = Cursor.read_at ~tally:s.s_tally c k in
-      Ex.touch ~recorder:s.s_recorder kind a b Ex.Seek (Int.max 1 d);
-      v
-    end
-    else Cursor.read_at ~tally:s.s_tally c k
-
-  let c_find_ascending s kind a c v =
-    if Ex.recording s.s_recorder then begin
-      let c0 = Cursor.pos c in
-      let r = Cursor.find_ascending ~tally:s.s_tally c v in
-      let d = Cursor.pos c - c0 in
-      if d >= 0 then Ex.touch ~recorder:s.s_recorder kind a 0 Ex.Fwd d
-      else Ex.touch ~recorder:s.s_recorder kind a 0 Ex.Bwd (-d);
-      r
-    end
-    else Cursor.find_ascending ~tally:s.s_tally c v
 
   (* Timestamp-cursor primitives for the control-flow walks. *)
 
   let ts_pos s n = Cursor.pos (ts_cursor s n)
 
-  let ts_seek s (n : node) k =
-    let d = Cursor.seek_steps ~tally:s.s_tally (ts_cursor s n) k in
-    if Ex.recording s.s_recorder then
-      Ex.touch ~recorder:s.s_recorder Ex.K_ts n.n_id 0 Ex.Seek d
+  let ts_seek s n k = Cursor.seek (ts_cursor s n) k
 
-  let ts_step_forward s (n : node) =
-    if Ex.recording s.s_recorder then
-      Ex.touch ~recorder:s.s_recorder Ex.K_ts n.n_id 0 Ex.Fwd 1;
-    Cursor.step_forward ~tally:s.s_tally (ts_cursor s n)
+  let ts_step_forward s n = Cursor.step_forward (ts_cursor s n)
 
-  let ts_step_backward s (n : node) =
-    if Ex.recording s.s_recorder then
-      Ex.touch ~recorder:s.s_recorder Ex.K_ts n.n_id 0 Ex.Bwd 1;
-    Cursor.step_backward ~tally:s.s_tally (ts_cursor s n)
+  let ts_step_backward s n = Cursor.step_backward (ts_cursor s n)
 
   let ts_peek_forward s n = Cursor.peek_forward (ts_cursor s n)
 
   let ts_peek_backward s n = Cursor.peek_backward (ts_cursor s n)
 
-  let ts_find s (n : node) v =
-    c_find_ascending s Ex.K_ts n.n_id (ts_cursor s n) v
+  let ts_find s n v = Cursor.find_ascending (ts_cursor s n) v
 
   (* Label queries. *)
 
   let value_of_copy s c i =
     let t = s.s_wet in
     need t "labels.values";
-    match s.s_uvals.(c) with
+    match t.copy_uvals.(c) with
     | None -> Wet_error.fail Query "value_of_copy: copy %d has no def port" c
-    | Some uvals -> (
+    | Some body -> (
+      let uvals =
+        let u = s.s_uvals.(c) in
+        if u != unminted then u else mint s s.s_uvals c body (Ex.Uvals c)
+      in
       let node = node_of_copy t c in
       let g = t.copy_group.(c) in
-      match s.s_patterns.(node.n_id).(g) with
-      | None -> c_read_at s Ex.K_uvals c 0 uvals 0
-      | Some pattern ->
-        c_read_at s Ex.K_uvals c 0 uvals
-          (c_read_at s Ex.K_pattern node.n_id g pattern i))
+      match node.n_groups.(g).g_pattern with
+      | None -> Cursor.read_at uvals 0
+      | Some body ->
+        let slots = s.s_patterns.(node.n_id) in
+        let pattern =
+          let p = slots.(g) in
+          if p != unminted then p
+          else mint s slots g body (Ex.Pattern (node.n_id, g))
+        in
+        Cursor.read_at uvals (Cursor.read_at pattern i))
 
   (* Shared by data and control slots: locate the consumer instance on
      each candidate edge's dst label, then read the aligned producer
@@ -237,9 +227,8 @@ module Session = struct
       | [] -> None
       | e :: rest -> (
         let dst, src = label_cursors s e.e_labels in
-        let l = e.e_labels.l_id in
-        match c_find_ascending s Ex.K_label_dst l dst i with
-        | Some j -> Some (e.e_src, c_read_at s Ex.K_label_src l 0 src j)
+        match Cursor.find_ascending dst i with
+        | Some j -> Some (e.e_src, Cursor.read_at src j)
         | None -> search rest)
     in
     search edges
@@ -271,8 +260,7 @@ module Session = struct
   let timestamp s c i =
     let t = s.s_wet in
     need t "labels.ts";
-    let node = node_of_copy t c in
-    c_read_at s Ex.K_ts node.n_id 0 (ts_cursor s node) i
+    Cursor.read_at (ts_cursor s (node_of_copy t c)) i
 end
 
 (* ------------------------------------------------------------------ *)

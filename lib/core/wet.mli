@@ -178,11 +178,12 @@ val validate : t -> string list
 
 (** {1 Sessions}
 
-    A session owns one cursor per stream (timestamp cursors minted
-    eagerly, label cursors lazily), a {!Wet_bistream.Telemetry.tally}
-    its decode work accounts to, and a {!Wet_watch.Explain.recorder}
-    its cursor movements report to when armed. Opening one is
-    O(streams); no decompression happens until a query walks a cursor.
+    A session owns one cursor per stream, each minted when a query
+    first uses it, the {!Wet_bistream.Telemetry.tally} every one of its
+    cursors counts its steps in, and a {!Wet_watch.Explain.recorder}
+    bound to that tally. Opening one is O(nodes + copies + groups) and
+    allocates no cursor; no decompression happens until a query walks
+    a cursor.
 
     Sessions are single-owner: never share one between threads. Any
     interleaving of queries on N sessions over one container produces
@@ -194,8 +195,10 @@ val validate : t -> string list
     @param strict raise a [Wet_error] [Query] error immediately if [t]
       carries salvage {!damage} (default [false]: the session opens and
       queries on damaged sections raise {!Missing_stream} lazily).
-    @param tally account decode work to an existing tally instead.
-    @param recorder report explain touches to an existing recorder. *)
+    @param tally count steps in an existing tally instead (default: the
+      [recorder]'s, if one is given).
+    @param recorder use an existing recorder; it is bound to the
+      session's tally. *)
 val open_session :
   ?strict:bool ->
   ?tally:Wet_bistream.Telemetry.tally ->
@@ -211,18 +214,18 @@ module Session : sig
   (** The shared container this session reads. *)
   val wet : t -> wet
 
-  (** The tally this session's decode work accounts to. *)
+  (** The tally this session's cursors count their steps in. *)
   val tally : t -> Wet_bistream.Telemetry.tally
 
-  (** The recorder this session's cursor movements report to. *)
+  (** The explain recorder bound to this session's tally. *)
   val recorder : t -> Wet_watch.Explain.recorder
 
   (** {2 Timestamp-cursor primitives}
 
-      The per-node timestamp cursors driving control-flow walks.
-      Step/seek/find report to the session's recorder when armed, a seek
-      with the entries it decoded ({!Stream.Cursor.seek_steps}); peeks
-      are pure reads and are free. *)
+      The per-node timestamp cursors driving control-flow walks. Steps,
+      seeks and finds count in the session's tally as
+      {!Stream.Cursor} counts them; peeks are pure reads and count
+      nothing. *)
 
   val ts_cursor : t -> node -> Stream.Cursor.t
 

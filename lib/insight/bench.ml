@@ -11,7 +11,6 @@ type sample = {
   build_p95_ms : float;
   query_p50_ms : float;
   query_p95_ms : float;
-  query_steps : int;
   query_switches : int;
   build_peak_words : int;
   wet_words : int;
@@ -66,7 +65,6 @@ let sample_json s =
       ("build_p95_ms", Json.Num s.build_p95_ms);
       ("query_p50_ms", Json.Num s.query_p50_ms);
       ("query_p95_ms", Json.Num s.query_p95_ms);
-      ("query_steps", Json.Num (float_of_int s.query_steps));
       ("query_switches", Json.Num (float_of_int s.query_switches));
       ("build_peak_words", Json.Num (float_of_int s.build_peak_words));
       ("wet_words", Json.Num (float_of_int s.wet_words));
@@ -113,7 +111,6 @@ let sample_of_json j =
   let* build_p95_ms = num "build_p95_ms" in
   let* query_p50_ms = num "query_p50_ms" in
   let* query_p95_ms = num "query_p95_ms" in
-  let* query_steps = int "query_steps" in
   let* query_switches = int "query_switches" in
   (* Memory fields arrived with the streaming build; default 0 so files
      from before them still load (0 never anchors a regression). *)
@@ -154,7 +151,6 @@ let sample_of_json j =
       build_p95_ms;
       query_p50_ms;
       query_p95_ms;
-      query_steps;
       query_switches;
       build_peak_words;
       wet_words;
@@ -253,7 +249,13 @@ let metrics =
     ("bytes_per_label_t2", (fun s -> s.bytes_per_label_t2), false, `Size);
     ("ratio_t1", (fun s -> s.ratio_t1), true, `Size);
     ("ratio_t2", (fun s -> s.ratio_t2), true, `Size);
-    ("query_steps", (fun s -> float_of_int s.query_steps), false, `Size);
+    (* The resident WET, the sweep's direction switches and the shard
+       count are as deterministic as the sizes, so they gate as tightly;
+       a zero (a file from before the column) never regresses. *)
+    ("wet_words", (fun s -> float_of_int s.wet_words), false, `Size);
+    ("query_switches", (fun s -> float_of_int s.query_switches), false,
+     `Size);
+    ("shards", (fun s -> float_of_int s.shards), false, `Size);
     (* GC live-word peaks jitter with collector scheduling, so they gate
        at the loose wall threshold; a zero (pre-streaming baseline or
        untracked run) never regresses. *)

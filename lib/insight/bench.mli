@@ -23,8 +23,9 @@ type sample = {
   build_p95_ms : float;
   query_p50_ms : float;  (** fixed query sweep, see bench/main.ml *)
   query_p95_ms : float;
-  query_steps : int;  (** stream steps the sweep costs (deterministic) *)
-  query_switches : int;  (** direction reversals in the sweep *)
+  query_switches : int;
+      (** steps of the profiled sweep that reversed their cursor's
+          direction (deterministic) *)
   build_peak_words : int;
       (** peak GC live-word delta of a streaming build (0 = untracked or
           a pre-streaming file) *)
@@ -38,7 +39,7 @@ type sample = {
           difference against {!stream_p50_ms} is the reporter's
           overhead *)
   query_decode_steps : int;
-      (** tier-2 decode steps the profiled query sweep pays
+      (** ledger steps the profiled tier-2 query sweep pays
           (deterministic; 0 = pre-qprof file) *)
   query_bits_touched : int;
       (** stored bits the profiled sweep touches (deterministic) *)

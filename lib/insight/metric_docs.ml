@@ -73,25 +73,32 @@ let docs =
     ("pulse.reporter.ticks", Counter, "progress ticks offered to the reporter");
     ("pulse.reporter.emits", Counter, "progress lines/heartbeats emitted");
     ("pulse.reporter.emit_ns", Histogram, "time spent emitting progress (ns)");
-    (* query explain -> observatory *)
-    ("explain.streams", Counter, "streams touched by explained queries");
-    ("explain.fwd_steps", Counter, "forward stream steps (explained)");
-    ("explain.bwd_steps", Counter, "backward stream steps (explained)");
-    ("explain.seeks", Counter, "stream seeks (explained)");
-    ("explain.seek_distance", Counter, "total seek distance (explained)");
-    ("explain.dir_switches", Counter, "direction reversals (explained)");
-    ("explain.stream_steps", Histogram, "per-stream step cost (explained)");
+    (* query explain -> observatory: views over the cost ledger, each
+       equal over one window to the qprof counter it names *)
+    ("explain.fwd_steps", Counter,
+     "forward steps of explained queries (= qprof.fwd_steps)");
+    ("explain.bwd_steps", Counter,
+     "backward steps of explained queries (= qprof.bwd_steps)");
+    ("explain.dir_switches", Counter,
+     "direction switches of explained queries (= qprof.dir_switches)");
+    ("explain.seeks", Counter,
+     "repositioning calls of explained queries (= qprof.seeks)");
+    ("explain.seek_steps", Counter,
+     "steps taken inside those seeks (= qprof.seek_steps)");
     (* per-query profiling (wet_qprof) *)
     ("qprof.queries", Counter, "queries run under a profiling context");
-    ("qprof.fwd_steps", Counter, "forward decode steps (profiled, self)");
-    ("qprof.bwd_steps", Counter, "backward decode steps (profiled, self)");
+    ("qprof.fwd_steps", Counter, "forward ledger steps (profiled, self)");
+    ("qprof.bwd_steps", Counter, "backward ledger steps (profiled, self)");
     ("qprof.dir_switches", Counter,
-     "traversal direction reversals (profiled, self)");
+     "steps that reversed their cursor's direction (profiled, self)");
     ("qprof.dict_hits", Counter,
      "dictionary-hit entries decoded (profiled, self)");
     ("qprof.dict_misses", Counter,
      "verbatim entries decoded (profiled, self)");
     ("qprof.bits_touched", Counter, "stored bits touched (profiled, self)");
+    ("qprof.seeks", Counter, "cursor repositioning calls (profiled, self)");
+    ("qprof.seek_steps", Counter,
+     "ledger steps taken inside seeks (profiled, self)");
     ("qprof.seq_digram_hits", Counter,
      "sequitur digram hits inside profiled contexts (self)");
     ("qprof.seq_digram_misses", Counter,

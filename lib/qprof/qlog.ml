@@ -38,6 +38,8 @@ let to_json e =
       ("hits", num c.Qprof.c_hits);
       ("misses", num c.Qprof.c_misses);
       ("bits", num c.Qprof.c_bits);
+      ("seeks", num c.Qprof.c_seeks);
+      ("seek_steps", num c.Qprof.c_seek_steps);
       ("seq_input", num c.Qprof.c_seq_input);
       ("seq_digram_hits", num c.Qprof.c_seq_digram_hits);
       ("seq_digram_misses", num c.Qprof.c_seq_digram_misses);
@@ -83,6 +85,8 @@ let of_json j =
               c_hits = int "hits";
               c_misses = int "misses";
               c_bits = int "bits";
+              c_seeks = int "seeks";
+              c_seek_steps = int "seek_steps";
               c_seq_input = int "seq_input";
               c_seq_digram_hits = int "seq_digram_hits";
               c_seq_digram_misses = int "seq_digram_misses";

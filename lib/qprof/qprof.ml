@@ -14,6 +14,8 @@ type cost = {
   c_hits : int;
   c_misses : int;
   c_bits : int;
+  c_seeks : int;
+  c_seek_steps : int;
   c_seq_input : int;
   c_seq_digram_hits : int;
   c_seq_digram_misses : int;
@@ -31,6 +33,8 @@ let zero_cost =
     c_hits = 0;
     c_misses = 0;
     c_bits = 0;
+    c_seeks = 0;
+    c_seek_steps = 0;
     c_seq_input = 0;
     c_seq_digram_hits = 0;
     c_seq_digram_misses = 0;
@@ -48,6 +52,8 @@ let add_cost a b =
     c_hits = a.c_hits + b.c_hits;
     c_misses = a.c_misses + b.c_misses;
     c_bits = a.c_bits + b.c_bits;
+    c_seeks = a.c_seeks + b.c_seeks;
+    c_seek_steps = a.c_seek_steps + b.c_seek_steps;
     c_seq_input = a.c_seq_input + b.c_seq_input;
     c_seq_digram_hits = a.c_seq_digram_hits + b.c_seq_digram_hits;
     c_seq_digram_misses = a.c_seq_digram_misses + b.c_seq_digram_misses;
@@ -65,6 +71,8 @@ let sub_cost a b =
     c_hits = a.c_hits - b.c_hits;
     c_misses = a.c_misses - b.c_misses;
     c_bits = a.c_bits - b.c_bits;
+    c_seeks = a.c_seeks - b.c_seeks;
+    c_seek_steps = a.c_seek_steps - b.c_seek_steps;
     c_seq_input = a.c_seq_input - b.c_seq_input;
     c_seq_digram_hits = a.c_seq_digram_hits - b.c_seq_digram_hits;
     c_seq_digram_misses = a.c_seq_digram_misses - b.c_seq_digram_misses;
@@ -78,7 +86,8 @@ let decode_steps c = c.c_fwd + c.c_bwd
 
 let nonneg_cost c =
   c.c_fwd >= 0 && c.c_bwd >= 0 && c.c_switches >= 0 && c.c_hits >= 0
-  && c.c_misses >= 0 && c.c_bits >= 0 && c.c_seq_input >= 0
+  && c.c_misses >= 0 && c.c_bits >= 0 && c.c_seeks >= 0
+  && c.c_seek_steps >= 0 && c.c_seq_input >= 0
   && c.c_seq_digram_hits >= 0 && c.c_seq_digram_misses >= 0
   && c.c_seq_rules_created >= 0 && c.c_seq_rules_inlined >= 0
   && c.c_wall_ns >= 0 && c.c_alloc_words >= 0
@@ -101,8 +110,9 @@ type ctx = {
   k_shape : string;
   k_params : (string * string) list;
   k_bi0 : Telemetry.snapshot;
+  k_window : Telemetry.window;  (* the ledger rows this context touches *)
   k_seq0 : Sequitur.global;
-  k_ex0 : Ex.report;
+  k_queries0 : int;  (* entry points the recorder had noted *)
   k_armed_here : bool;  (* this context armed Explain and must disarm *)
   k_local : Metrics.Local.t;
   mutable k_children : cost;  (* summed totals of completed children *)
@@ -111,9 +121,9 @@ type ctx = {
 }
 
 (* A scope is one independent profiling surface: its own context stack,
-   and the tally/recorder its snapshots bracket. Each session profiles
-   into a scope built from its tally and recorder, so one connection's
-   decode work never bleeds into another's profile. *)
+   and the ledger its contexts read, with the recorder bound to it. Each
+   session profiles into a scope built from its tally and recorder, so
+   one connection's work never bleeds into another's profile. *)
 type scope = {
   sp_stack : ctx list ref;
   sp_tally : Telemetry.tally;
@@ -121,12 +131,8 @@ type scope = {
 }
 
 let make_scope ?tally ?recorder () =
-  {
-    sp_stack = ref [];
-    sp_tally = (match tally with Some t -> t | None -> Telemetry.make ());
-    sp_recorder =
-      (match recorder with Some r -> r | None -> Ex.make_recorder ());
-  }
+  let tally, recorder = Ex.bind ?tally ?recorder () in
+  { sp_stack = ref []; sp_tally = tally; sp_recorder = recorder }
 
 let active ~scope = !(scope.sp_stack) <> []
 
@@ -144,8 +150,9 @@ let start ~scope ?(params = []) shape =
       k_shape = shape;
       k_params = params;
       k_bi0 = Telemetry.snapshot ~tally:scope.sp_tally ();
+      k_window = Telemetry.open_window scope.sp_tally;
       k_seq0 = Sequitur.global_telemetry ();
-      k_ex0 = Ex.report ~recorder;
+      k_queries0 = Ex.query_count ~recorder;
       k_armed_here = armed_here;
       k_local = Metrics.Local.create ();
       k_children = zero_cost;
@@ -165,7 +172,8 @@ let () =
     [
       "qprof.queries"; "qprof.fwd_steps"; "qprof.bwd_steps";
       "qprof.dir_switches"; "qprof.dict_hits"; "qprof.dict_misses";
-      "qprof.bits_touched"; "qprof.seq_digram_hits";
+      "qprof.bits_touched"; "qprof.seeks"; "qprof.seek_steps";
+      "qprof.seq_digram_hits";
       "qprof.seq_digram_misses"; "qprof.alloc_words";
     ];
   ignore (Metrics.histogram "qprof.wall_ns")
@@ -186,6 +194,8 @@ let record reg p =
   c "qprof.dict_hits" p.p_self.c_hits;
   c "qprof.dict_misses" p.p_self.c_misses;
   c "qprof.bits_touched" p.p_self.c_bits;
+  c "qprof.seeks" p.p_self.c_seeks;
+  c "qprof.seek_steps" p.p_self.c_seek_steps;
   c "qprof.seq_digram_hits" p.p_self.c_seq_digram_hits;
   c "qprof.seq_digram_misses" p.p_self.c_seq_digram_misses;
   c "qprof.alloc_words" p.p_self.c_alloc_words;
@@ -211,7 +221,11 @@ let finish ~scope outcome =
       Sequitur.global_delta ~before:ctx.k_seq0
         ~after:(Sequitur.global_telemetry ())
     in
-    let ex = Ex.diff ~before:ctx.k_ex0 ~after:(Ex.report ~recorder) in
+    let streams =
+      Ex.stats_of_rows (Telemetry.window_rows ctx.k_window)
+    in
+    Telemetry.close_window ctx.k_window;
+    let queries = Ex.queries_since ~recorder ctx.k_queries0 in
     if ctx.k_armed_here then Ex.disarm ~recorder;
     let total =
       {
@@ -221,6 +235,8 @@ let finish ~scope outcome =
         c_hits = bi.Telemetry.g_hits;
         c_misses = bi.Telemetry.g_misses;
         c_bits = bi.Telemetry.g_bits;
+        c_seeks = bi.Telemetry.g_seeks;
+        c_seek_steps = bi.Telemetry.g_seek_steps;
         c_seq_input = sq.Sequitur.gs_input;
         c_seq_digram_hits = sq.Sequitur.gs_digram_hits;
         c_seq_digram_misses = sq.Sequitur.gs_digram_misses;
@@ -236,8 +252,8 @@ let finish ~scope outcome =
         p_params = ctx.k_params;
         p_total = total;
         p_self = sub_cost total ctx.k_children;
-        p_streams = ex.Ex.r_streams;
-        p_queries = ex.Ex.r_queries;
+        p_streams = streams;
+        p_queries = queries;
         p_outcome = outcome;
       }
     in
@@ -266,38 +282,33 @@ let profiled ~scope ?params shape f =
 (* Advisory hints                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let pct num den = 100. *. float_of_int num /. float_of_int (max 1 den)
-
+(* Each hint reads the cost vector alone and quotes only figures the
+   --analyze cost table prints, so advice and table never disagree. *)
 let hints p =
   let t = p.p_total in
   let decode = decode_steps t in
-  let ex_fwd, ex_bwd, ex_seek =
-    List.fold_left
-      (fun (f, b, s) st ->
-        (f + st.Ex.e_fwd, b + st.Ex.e_bwd, s + st.Ex.e_seek_dist))
-      (0, 0, 0) p.p_streams
-  in
+  let lookups = t.c_hits + t.c_misses in
   let out = ref [] in
   let hint fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
   if decode > 0 && 4 * t.c_switches >= decode then
     hint
-      "%.0f%% of decode steps were direction switches -- a cursor cache \
-       (one parked cursor per direction) would save ~%d steps"
-      (pct t.c_switches decode) t.c_switches;
-  if ex_seek > ex_fwd + ex_bwd && ex_seek > 0 then
+      "%d of %d decode steps were direction switches -- a cursor cache \
+       (one parked cursor per direction) would save up to %d steps"
+      t.c_switches decode t.c_switches;
+  if 2 * t.c_seek_steps > decode then
     hint
-      "seek distance (%d) exceeds sequential steps (%d) -- batch queries \
+      "%d of %d decode steps were taken inside %d seeks -- batch queries \
        in stream order or park cursors near the hot region"
-      ex_seek (ex_fwd + ex_bwd);
-  let lookups = t.c_hits + t.c_misses in
+      t.c_seek_steps decode t.c_seeks;
   if lookups > 0 && 2 * t.c_misses > lookups then
     hint
-      "%.0f%% of decoded entries were dictionary misses (verbatim 32-bit \
+      "%d of %d decoded entries were dictionary misses (verbatim 32-bit \
        payloads) -- these streams predict poorly; tier-1 may be faster \
        for this workload"
-      (pct t.c_misses lookups);
-  if decode = 0 && ex_fwd + ex_bwd + ex_seek > 0 then
+      t.c_misses lookups;
+  if decode > 0 && lookups = 0 then
     hint
-      "all touched streams are raw (tier-1): cursor movement is O(1) \
-       array access, decode cost is zero";
+      "all %d decode steps were on raw streams: each is an O(1) array \
+       read, and no dictionary entry was decoded"
+      decode;
   List.rev !out

@@ -1,13 +1,14 @@
 (** Request-scoped query profiling: exact per-query cost attribution.
 
-    A profiling context brackets one query (or any unit of work) with
-    snapshots of its scope's decode tally ({!Wet_bistream.Telemetry}),
-    the global Sequitur inference counters, the wall clock, the GC
-    allocation counters and the scope's armed {!Wet_watch.Explain}
-    recording. The difference between the two snapshots is, by
-    construction, exactly the work done inside the context — whichever
-    streams it landed on — so per-query costs reconcile with the tally
-    to the step.
+    A profiling context is a view over its scope's cost ledger
+    ({!Wet_bistream.Telemetry}): it brackets one query (or any unit of
+    work) with snapshots of the ledger's totals, the global Sequitur
+    inference counters, the wall clock and the GC allocation counters,
+    and opens a ledger window for the rows of the streams it touches.
+    The difference between the two snapshots is, by construction,
+    exactly the work done inside the context — whichever streams it
+    landed on — so per-query costs reconcile with the tally to the step,
+    and the context's rows sum to its cost.
 
     Contexts nest: an inner context's total is also part of its parent's
     window, so each context additionally tracks the summed totals of its
@@ -20,22 +21,23 @@
     metrics count every step exactly once no matter how contexts nest.
 
     When no context is active nothing here runs at all: the only
-    always-on cost is the global counter bumps inside the stream steps
-    themselves, which are unconditional in the same way the per-stream
-    PR4 telemetry is. *)
+    always-on cost is the ledger's own counting inside each cursor
+    step. *)
 
-(** Work attributed to one context, in physical units. The bistream
-    fields cover tier-2 decode work (raw tier-1 steps count in
-    [c_fwd]/[c_bwd]/[c_bits] but have no dictionary); the [c_seq_*]
-    fields cover Sequitur grammar inference (zero for pure queries,
-    non-zero when a build runs inside the context). *)
+(** Work attributed to one context, in physical units. The ledger
+    fields follow {!Wet_bistream.Telemetry}'s counting rule (raw steps
+    count in [c_fwd]/[c_bwd]/[c_bits] but have no dictionary); the
+    [c_seq_*] fields cover Sequitur grammar inference (zero for pure
+    queries, non-zero when a build runs inside the context). *)
 type cost = {
-  c_fwd : int;  (** forward cursor steps, all streams *)
-  c_bwd : int;  (** backward cursor steps *)
-  c_switches : int;  (** per-stream traversal direction reversals *)
+  c_fwd : int;  (** forward steps, all streams *)
+  c_bwd : int;  (** backward steps *)
+  c_switches : int;  (** steps that reversed their cursor's direction *)
   c_hits : int;  (** dictionary-hit entries decoded (packed streams) *)
   c_misses : int;  (** verbatim entries decoded (packed streams) *)
   c_bits : int;  (** stored bits touched *)
+  c_seeks : int;  (** repositioning calls *)
+  c_seek_steps : int;  (** steps taken inside them *)
   c_seq_input : int;
   c_seq_digram_hits : int;
   c_seq_digram_misses : int;
@@ -61,7 +63,8 @@ type profile = {
   p_total : cost;  (** inclusive cost of the whole context *)
   p_self : cost;  (** total minus completed child contexts *)
   p_streams : Wet_watch.Explain.stream_stats list;
-      (** per-stream cursor work recorded while the context was open *)
+      (** the ledger rows of the streams touched while the context was
+          open; they sum to [p_total]'s ledger fields *)
   p_queries : string list;  (** Explain entry points hit *)
   p_outcome : string;  (** ["ok"] or ["error: ..."] *)
 }
@@ -80,8 +83,9 @@ type profile = {
 
 type scope
 
-(** A fresh scope. Omitted [tally]/[recorder] are created fresh; a
-    server passes its session's own ([Wet.Session.tally],
+(** A fresh scope. An omitted [tally] is the [recorder]'s, or fresh;
+    an omitted [recorder] is fresh; the recorder is bound to the tally.
+    A server passes its session's own ([Wet.Session.tally],
     [Wet.Session.recorder]) so profiles attribute that session's work. *)
 val make_scope :
   ?tally:Wet_bistream.Telemetry.tally ->
@@ -91,11 +95,11 @@ val make_scope :
 
 (** {1 Context lifecycle} *)
 
-(** Open a context on the scope. The outermost context arms the scope's
-    {!Wet_watch.Explain} recorder if nobody else has (and its matching
-    {!finish} disarms); nested contexts share the one armed recording
-    and slice it with [Explain.diff]. The wall clock is read last, so
-    context setup is not charged to the query. *)
+(** Open a context on the scope, with its own ledger window. The
+    outermost context arms the scope's {!Wet_watch.Explain} recorder if
+    nobody else has, so the query entry points are noted (its matching
+    {!finish} disarms). The wall clock is read last, so context setup is
+    not charged to the query. *)
 val start : scope:scope -> ?params:(string * string) list -> string -> unit
 
 (** Close the scope's innermost context and return its profile. The
@@ -133,9 +137,10 @@ val profiled :
 
 (** {1 Advice} *)
 
-(** Human-readable advisory hints derived from the cost vector: heavy
-    direction switching (a cursor cache would help), seek-dominated
-    access (batch in stream order), poor dictionary hit rates (tier-1
-    may win), raw-only traversal (steps are O(1)). Empty when nothing
-    stands out. *)
+(** Human-readable advisory hints read from the cost vector alone, and
+    quoting only figures the [--analyze] cost table prints: heavy
+    direction switching (a cursor cache would help), most steps taken
+    inside seeks (batch in stream order), poor dictionary hit rates
+    (tier-1 may win), raw-only traversal (steps are O(1)). Empty when
+    nothing stands out. *)
 val hints : profile -> string list

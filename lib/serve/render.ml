@@ -192,6 +192,9 @@ let stats_json wet ~label =
 
 let ns_ms ns = float_of_int ns /. 1e6
 
+(* Every figure here reads the cost ledger: Actual sums the rows of the
+   profiled window by stream class, and the cost rows are the window's
+   totals, so Actual adds up to the decode steps. *)
 let analyze wet (p : Qprof.profile) =
   let c = p.Qprof.p_total in
   let ests = Query.estimate wet p.Qprof.p_shape in
@@ -255,11 +258,16 @@ let analyze wet (p : Qprof.profile) =
       ];
       [ "direction switches"; string_of_int c.Qprof.c_switches ];
       [
+        "seeks";
+        Printf.sprintf "%d (%d decode steps inside)" c.Qprof.c_seeks
+          c.Qprof.c_seek_steps;
+      ];
+      [
         "dictionary";
         (if lookups = 0 then "no packed entries decoded"
          else
-           Printf.sprintf "%d hits / %d misses (%.1f%% hit rate)"
-             c.Qprof.c_hits c.Qprof.c_misses
+           Printf.sprintf "%d hits / %d misses of %d entries (%.1f%% hit rate)"
+             c.Qprof.c_hits c.Qprof.c_misses lookups
              (100. *. float_of_int c.Qprof.c_hits /. float_of_int lookups));
       ];
       [

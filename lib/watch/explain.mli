@@ -1,15 +1,19 @@
 (** Query-explain: which compressed streams a query touched, and how.
 
-    When armed, the query and slice code reports every cursor movement
-    here; the resulting report shows which label streams a query walked,
-    in which directions, and how many decompression steps it paid — the
+    Explain is a view over the cost ledger ({!Wet_bistream.Telemetry}):
+    every cursor counts its own steps, once, in its session's tally, and
+    a report lists the rows of the streams touched while the recorder
+    was armed. The report shows which label streams a query walked, in
+    which directions, and how many decode steps it paid — the
     observable cost model behind the paper's tier-1 vs tier-2 query
-    timing tables. Disarmed cost is one flag read per cursor operation.
+    timing tables. Its steps are the ledger's steps, so its total is
+    the [decode steps] figure of [--analyze] and its Fwd/Bwd are
+    qprof's.
 
-    Recordings live in {!recorder} values. Each [Wet.Session] owns one
-    (single-owner, like the session itself), so concurrent sessions can
-    explain queries without interleaving; the CLI's [--explain] reports
-    its command's session recorder. *)
+    A {!recorder} keeps only what the ledger cannot: the armed window
+    and the entry-point names. Each [Wet.Session] owns one, bound to its
+    tally (single-owner, like the session itself); the CLI's [--explain]
+    reports its command's session recorder. *)
 
 (** Identity of a WET label stream. *)
 type stream =
@@ -19,97 +23,95 @@ type stream =
   | Label_src of int  (** producer side of edge-label [l_id] *)
   | Label_dst of int  (** consumer side of edge-label [l_id] *)
 
-(** The class of a stream, without its ids: what {!touch} takes, so
-    naming the stream a step lands on allocates nothing. *)
-type kind =
-  | K_ts  (** {!Ts} *)
-  | K_uvals  (** {!Uvals} *)
-  | K_pattern  (** {!Pattern} *)
-  | K_label_src  (** {!Label_src} *)
-  | K_label_dst  (** {!Label_dst} *)
+(** The ledger row name of a stream, for [Stream.Cursor.make ~label].
+    Ids must be non-negative and a pattern's group below [2^24];
+    [Invalid_argument] otherwise. *)
+val label : stream -> int
 
-type op =
-  | Fwd  (** forward cursor steps *)
-  | Bwd  (** backward cursor steps *)
-  | Seek  (** one repositioning; the count is the seek distance *)
+(** Inverse of {!label}. *)
+val stream_of_label : int -> stream
 
-(** One independent explain recording: armed flag, per-stream tallies,
-    query names. {!arm}, {!reset} and {!report} cost O(streams touched
-    since the last reset). Not thread-safe — single-owner. *)
+(** The armed window and the entry-point names of one explain
+    recording. Not thread-safe — single-owner. *)
 type recorder
 
-(** A fresh, disarmed recorder. *)
+(** A fresh, disarmed recorder, bound to a tally of its own until
+    {!bind} gives it the one its session counts in. *)
 val make_recorder : unit -> recorder
 
-(** Is this recorder currently armed? The per-session guard for
-    instrumentation sites: [if Ex.recording r then touch ~recorder:r ...]. *)
+(** [bind ?tally ?recorder ()] pairs a tally with a recorder that reads
+    it: the [recorder] given (default: a fresh one), made to read
+    [tally] if one is given (a recording in progress ends first, as
+    {!disarm} ends it), and the tally it then reads. [Wet.open_session]
+    and [Qprof.make_scope] pair what they are given this way. *)
+val bind :
+  ?tally:Wet_bistream.Telemetry.tally ->
+  ?recorder:recorder ->
+  unit ->
+  Wet_bistream.Telemetry.tally * recorder
+
+(** Is this recorder currently armed? *)
 val recording : recorder -> bool
 
-(** Clear recorded state and start recording. *)
+(** Clear what was recorded and start recording: open a window on the
+    ledger. *)
 val arm : recorder:recorder -> unit
 
 (** Stop recording; what was recorded stays until the next {!arm} or
     {!reset}. *)
 val disarm : recorder:recorder -> unit
 
-(** Clear recorded state, armed or not. *)
+(** Clear what was recorded, armed or not. *)
 val reset : recorder:recorder -> unit
 
-(** [touch ~recorder kind a b op n] records [n] cursor steps (or one
-    seek of distance [n]) on the stream of class [kind] with id [a] —
-    the node, copy or label id — and [b], the group of a {!K_pattern}
-    stream and 0 for the other kinds. No-op when the recorder is
-    disarmed or [n < 0].
-
-    A step on a stream already touched since the last {!arm} or
-    {!reset} allocates and hashes nothing: the recorder keeps its
-    tallies in dense per-kind tables indexed by the ids, grown on a
-    stream's first step. The recorder is a required argument because
-    an optional one would be boxed at every call. Ids must be
-    non-negative; [Invalid_argument] otherwise. *)
-val touch : recorder:recorder -> kind -> int -> int -> op -> int -> unit
-
-(** Note a query entry point (e.g. ["query.control_flow"]). *)
+(** Note a query entry point (e.g. ["query.control_flow"]); a no-op
+    while disarmed. *)
 val query : recorder:recorder -> string -> unit
 
+(** Entry points noted so far in this recording. *)
+val query_count : recorder:recorder -> int
+
+(** The entry points noted after the first [n], oldest first. *)
+val queries_since : recorder:recorder -> int -> string list
+
+(** One ledger row, named: the work on one stream within a window. *)
 type stream_stats = {
   e_stream : stream;
-  e_fwd : int;
-  e_bwd : int;
-  e_seeks : int;
-  e_seek_dist : int;  (** summed seek distances *)
-  e_switches : int;  (** forward/backward direction reversals *)
+  e_fwd : int;  (** forward steps *)
+  e_bwd : int;  (** backward steps *)
+  e_switches : int;  (** steps that reversed the cursor's direction *)
+  e_seeks : int;  (** repositioning calls *)
+  e_seek_steps : int;  (** steps taken inside them *)
+  e_hits : int;  (** dictionary hits decoded *)
+  e_misses : int;  (** verbatim entries decoded *)
+  e_bits : int;  (** stored bits touched *)
 }
 
 type report = { r_queries : string list; r_streams : stream_stats list }
 
-(** Snapshot of everything recorded since {!arm} (streams sorted). *)
+(** Ledger rows as named stats, sorted by stream (stably: cursors of
+    several sessions sharing a tally keep a row each). *)
+val stats_of_rows : Wet_bistream.Telemetry.row list -> stream_stats list
+
+(** What was recorded: while armed, the window so far; after {!disarm},
+    the window it closed. Costs O(streams touched in the window). *)
 val report : recorder:recorder -> report
 
-(** {!report}, with the tallies also folded into the [wet_obs]
-    instruments ([explain.streams], [explain.fwd_steps],
-    [explain.bwd_steps], [explain.seeks], [explain.seek_distance],
-    [explain.dir_switches]) and one [explain.stream_steps] histogram
-    observation per touched stream — no-ops while the sink is disabled.
-    This is the bridge between per-query explain profiles and the bench
-    observatory's metric exports. *)
+(** {!report}, with the rows also folded into the [wet_obs]
+    instruments [explain.fwd_steps], [explain.bwd_steps],
+    [explain.dir_switches], [explain.seeks] and [explain.seek_steps] —
+    no-ops while the sink is disabled. Over the same window, each
+    equals the [qprof.*] counter of the same suffix. *)
 val publish : recorder:recorder -> report
 
 val stream_kind : stream -> string
 val stream_name : stream -> string
 
-(** Steps paid on one stream: forward + backward + seek distance. *)
+(** Steps paid on one stream: forward + backward. *)
 val steps : stream_stats -> int
 
+(** Steps in the whole report: the ledger's decode steps. *)
 val total_steps : report -> int
-
-(** [diff ~before ~after] is the work recorded between two {!report}
-    snapshots of one continuously armed window: per-stream field-wise
-    subtraction (streams absent from [before] count from zero, all-zero
-    rows dropped) and the query names appended after [before] was taken.
-    [Wet_qprof] uses this so nested profiling contexts each claim their
-    own slice of a single armed recording. *)
-val diff : before:report -> after:report -> report
 
 (** Aggregated per {!stream_kind}:
     [(kind, (streams, fwd, bwd, seeks, switches))], sorted. *)

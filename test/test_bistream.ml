@@ -1,6 +1,10 @@
 module Bidir = Wet_bistream.Bidir
 module Stream = Wet_bistream.Stream
 
+(* A cursor counting in a ledger of its own. *)
+let cursor s =
+  Stream.Cursor.make ~tally:(Wet_bistream.Telemetry.make ()) ~label:0 s
+
 let all_variants =
   List.concat_map (fun m -> [ (m, 1); (m, 2); (m, 4) ]) Bidir.all_meths
 
@@ -136,7 +140,7 @@ let test_selection () =
     (fun (name, arr) ->
       let s = Stream.compress arr in
       Alcotest.(check (array int)) (name ^ " roundtrip") arr
-        (Stream.Cursor.to_array (Stream.Cursor.make s));
+        (Stream.Cursor.to_array (cursor s));
       Alcotest.(check bool) (name ^ " not worse than raw") true
         (Stream.bits s <= (32 * Array.length arr) + 1))
     (fixtures rng)
@@ -153,7 +157,7 @@ let test_find_ascending () =
   let arr = Array.init 1000 (fun i -> 3 * i) in
   List.iter
     (fun spec ->
-      let c = Stream.Cursor.make (Stream.compress_with spec arr) in
+      let c = cursor (Stream.compress_with spec arr) in
       let find = Stream.Cursor.find_ascending c in
       Alcotest.(check (option int)) "present" (Some 100) (find 300);
       Alcotest.(check (option int)) "absent" None (find 301);
@@ -166,7 +170,7 @@ let test_lower_bound () =
   let arr = Array.init 100 (fun i -> 2 * i) in
   List.iter
     (fun spec ->
-      let c = Stream.Cursor.make (Stream.compress_with spec arr) in
+      let c = cursor (Stream.compress_with spec arr) in
       let lower_bound = Stream.Cursor.lower_bound c in
       Alcotest.(check int) "exact" 5 (lower_bound 10);
       Alcotest.(check int) "between" 6 (lower_bound 11);
@@ -234,10 +238,8 @@ let prop_construction_is_stepping =
         (fun (m, ctx) ->
           let built = Marshal.to_string (Bidir.compress m ~ctx a) [] in
           let b = Bidir.compress m ~ctx a in
-          let tally = Wet_bistream.Telemetry.make () in
-          Bidir.seek ~tally b (Array.length a);
-          Bidir.seek ~tally b 0;
-          Bidir.reset_telemetry b;
+          Bidir.seek b (Array.length a);
+          Bidir.seek b 0;
           built = Marshal.to_string b [])
         construction_variants)
 
@@ -309,7 +311,6 @@ let test_selection_ties () =
 (* ---------------- pure peeks and template rewinds ---------------- *)
 
 module Cursor = Stream.Cursor
-module Telemetry = Wet_bistream.Telemetry
 
 (* A random cursor script over [n] values: steps both ways, seeks
    anywhere, seeks near the left end (where an FCM stream's tables
@@ -329,11 +330,11 @@ let script rng n len =
 
 (* [Rewind] is the template copy itself, so the states peeks see
    include those a rewind leaves. *)
-let apply_bidir ~template tally b = function
-  | Fwd -> if Bidir.cursor b < Bidir.length b then ignore (Bidir.step_forward ~tally b)
-  | Bwd -> if Bidir.cursor b > 0 then ignore (Bidir.step_backward ~tally b)
-  | Seek k -> Bidir.seek ~tally b k
-  | Read k -> if k < Bidir.length b then ignore (Bidir.read_at ~tally b k)
+let apply_bidir ~template b = function
+  | Fwd -> if Bidir.cursor b < Bidir.length b then ignore (Bidir.step_forward b)
+  | Bwd -> if Bidir.cursor b > 0 then ignore (Bidir.step_backward b)
+  | Seek k -> Bidir.seek b k
+  | Read k -> if k < Bidir.length b then ignore (Bidir.read_at b k)
   | Rewind -> Bidir.rewind ~template b
 
 let apply_cursor c = function
@@ -345,7 +346,7 @@ let apply_cursor c = function
 
 (* At every position a script reaches, each peek reveals what a step
    and its inverse on a clone reveal, and leaves the cursor marshalling
-   to the same bytes, traversal counters included. *)
+   to the same bytes. *)
 let prop_peeks_are_reads =
   QCheck.Test.make ~name:"peeks read what a step reveals and write nothing"
     ~count:30
@@ -353,14 +354,13 @@ let prop_peeks_are_reads =
     (fun (a, seed) ->
       let n = Array.length a in
       let rng = Wet_util.Prng.create seed in
-      let tally = Telemetry.make () in
       List.for_all
         (fun (m, ctx) ->
           let template = Bidir.compress m ~ctx a in
           let b = Bidir.clone template in
           List.for_all
             (fun op ->
-              apply_bidir ~template tally b op;
+              apply_bidir ~template b op;
               let frozen = Marshal.to_string b [] in
               let unmoved () = Marshal.to_string b [] = frozen in
               let forward =
@@ -370,8 +370,8 @@ let prop_peeks_are_reads =
                 unmoved ()
                 &&
                 let c = Bidir.clone b in
-                let x = Bidir.step_forward ~tally c in
-                ignore (Bidir.step_backward ~tally c);
+                let x = Bidir.step_forward c in
+                ignore (Bidir.step_backward c);
                 v = x
               and backward =
                 Bidir.cursor b = 0
@@ -380,8 +380,8 @@ let prop_peeks_are_reads =
                 unmoved ()
                 &&
                 let c = Bidir.clone b in
-                let x = Bidir.step_backward ~tally c in
-                ignore (Bidir.step_forward ~tally c);
+                let x = Bidir.step_backward c in
+                ignore (Bidir.step_forward c);
                 v = x
               in
               forward && backward)
@@ -391,7 +391,7 @@ let prop_peeks_are_reads =
 (* A cursor over [s] taken to [k] by single steps from wherever [c]
    stands: what stepping a clone of [c] to [k] reaches. *)
 let stepped_copy s c k =
-  let r = Cursor.make s in
+  let r = cursor s in
   for _ = 1 to Cursor.pos c do
     ignore (Cursor.step_forward r)
   done;
@@ -418,7 +418,7 @@ let prop_seek_is_stepping =
           let s = Stream.compress_with (`Bidir (m, ctx)) a in
           List.for_all
             (fun k ->
-              let c = Cursor.make s in
+              let c = cursor s in
               List.iter (apply_cursor c) (script rng n 8);
               let p0 = Cursor.pos c in
               let r = stepped_copy s c k in
@@ -451,7 +451,7 @@ let prop_seek_is_stepping =
 let test_seek_rewinds_when_cheaper () =
   let a = Array.init 5000 (fun i -> i * 37 mod 211) in
   let s = Stream.compress_with (`Bidir (Bidir.Fcm, 1)) a in
-  let c = Cursor.make s in
+  let c = cursor s in
   let check what k expected =
     let r = stepped_copy s c k in
     Alcotest.(check int) (what ^ ": entries decoded") expected
@@ -466,7 +466,7 @@ let test_seek_rewinds_when_cheaper () =
   Cursor.seek c 31;
   check "one back: step" 30 1;
   check "forward: step" 4000 3970;
-  let raw = Cursor.make (Stream.compress_with `Raw a) in
+  let raw = cursor (Stream.compress_with `Raw a) in
   Cursor.seek raw 4000;
   Alcotest.(check int) "raw: an index" 0 (Cursor.seek_steps raw 5)
 
@@ -478,7 +478,7 @@ let test_reads_allocate_nothing () =
       let what = variant_name (m, ctx) in
       let b = Bidir.compress m ~ctx a in
       Bidir.seek b 1500;
-      let c = Cursor.make (Stream.compress_with (`Bidir (m, ctx)) a) in
+      let c = cursor (Stream.compress_with (`Bidir (m, ctx)) a) in
       Cursor.seek c 1500;
       let before = Gc.minor_words () in
       for _ = 1 to 1000 do

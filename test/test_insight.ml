@@ -50,10 +50,16 @@ let test_bidir_dictionary () =
             (tag ^ " hits + misses = lookups")
             tl.Bidir.tl_lookups
             (tl.Bidir.tl_hits + tl.Bidir.tl_misses);
-          (* construction is not traversal *)
-          Alcotest.(check int) (tag ^ " fwd 0") 0 tl.Bidir.tl_fwd_steps;
-          Alcotest.(check int) (tag ^ " bwd 0") 0 tl.Bidir.tl_bwd_steps;
-          Alcotest.(check int) (tag ^ " switches 0") 0 tl.Bidir.tl_dir_switches;
+          (* construction is not traversal: a cursor over the built
+             stream has counted nothing until it moves *)
+          let tally = Telemetry.make () in
+          let c =
+            Stream.Cursor.make ~tally ~label:0
+              (Stream.compress_with (`Bidir (m, c)) arr)
+          in
+          ignore (Stream.Cursor.peek_forward c);
+          Alcotest.(check int) (tag ^ " no step counted") 0
+            (Telemetry.steps (Telemetry.snapshot ~tally ()));
           (* sliding the window re-classifies entries, but the pops undo
              the pushes: rewinding to the origin restores the figures *)
           ignore (Bidir.to_array b);
@@ -65,43 +71,48 @@ let test_bidir_dictionary () =
         all_variants)
     fixtures
 
+(* The ledger counts a packed cursor's steps: one per value revealed,
+   each one dictionary hit or miss touching its flag and payload, a
+   switch when the direction turns, and nothing for a peek. *)
 let test_bidir_steps () =
   let arr = Array.init 600 (fun i -> i * 7 mod 323) in
   List.iter
     (fun (m, c) ->
       let tag = variant_name (m, c) in
-      let b = Bidir.compress m ~ctx:c arr in
-      ignore (Bidir.to_array b);
-      let tl = Bidir.telemetry b in
+      let s = Stream.compress_with (`Bidir (m, c)) arr in
+      let tally = Telemetry.make () in
+      let cur = Stream.Cursor.make ~tally ~label:0 s in
+      let g () = Telemetry.snapshot ~tally () in
+      ignore (Stream.Cursor.to_array cur);
+      let tl = g () in
       Alcotest.(check int) (tag ^ " to_array = m fwd steps") 600
-        tl.Bidir.tl_fwd_steps;
-      Alcotest.(check int) (tag ^ " no bwd yet") 0 tl.Bidir.tl_bwd_steps;
-      Alcotest.(check int) (tag ^ " no switch yet") 0 tl.Bidir.tl_dir_switches;
-      ignore (Bidir.step_backward b);
-      let tl = Bidir.telemetry b in
-      Alcotest.(check int) (tag ^ " one bwd") 1 tl.Bidir.tl_bwd_steps;
-      Alcotest.(check int) (tag ^ " one switch") 1 tl.Bidir.tl_dir_switches;
-      (* peeks are invisible: a step plus its inverse, counters restored *)
-      let before = Bidir.telemetry b in
-      ignore (Bidir.peek_forward b);
-      ignore (Bidir.peek_backward b);
-      let after = Bidir.telemetry b in
-      Alcotest.(check int) (tag ^ " peek fwd invisible")
-        before.Bidir.tl_fwd_steps after.Bidir.tl_fwd_steps;
-      Alcotest.(check int) (tag ^ " peek bwd invisible")
-        before.Bidir.tl_bwd_steps after.Bidir.tl_bwd_steps;
-      Alcotest.(check int) (tag ^ " peek switch invisible")
-        before.Bidir.tl_dir_switches after.Bidir.tl_dir_switches;
-      Bidir.reset_telemetry b;
-      let tl = Bidir.telemetry b in
-      Alcotest.(check int) (tag ^ " reset fwd") 0 tl.Bidir.tl_fwd_steps;
-      Alcotest.(check int) (tag ^ " reset bwd") 0 tl.Bidir.tl_bwd_steps;
-      Alcotest.(check int) (tag ^ " reset switches") 0
-        tl.Bidir.tl_dir_switches;
-      (* dictionary figures survive the reset: they are representation,
-         not history *)
-      Alcotest.(check int) (tag ^ " lookups survive reset") (600 + c)
-        tl.Bidir.tl_lookups)
+        tl.Telemetry.g_fwd;
+      Alcotest.(check int) (tag ^ " no bwd yet") 0 tl.Telemetry.g_bwd;
+      Alcotest.(check int) (tag ^ " no switch yet") 0 tl.Telemetry.g_switches;
+      Alcotest.(check int) (tag ^ " one seek, no step inside") 1
+        tl.Telemetry.g_seeks;
+      Alcotest.(check int) (tag ^ " each step one hit or miss") 600
+        (tl.Telemetry.g_hits + tl.Telemetry.g_misses);
+      let hit_bits =
+        match m with
+        | Bidir.Fcm | Bidir.Dfcm -> 0
+        | Bidir.Last_n | Bidir.Last_stride -> [| 0; 0; 1; 2; 2 |].(c)
+      in
+      Alcotest.(check int) (tag ^ " bits = flag + payload per step")
+        (600 + (hit_bits * tl.Telemetry.g_hits) + (32 * tl.Telemetry.g_misses))
+        tl.Telemetry.g_bits;
+      ignore (Stream.Cursor.step_backward cur);
+      let tl = g () in
+      Alcotest.(check int) (tag ^ " one bwd") 1 tl.Telemetry.g_bwd;
+      Alcotest.(check int) (tag ^ " one switch") 1 tl.Telemetry.g_switches;
+      (* peeks are invisible *)
+      let before = g () in
+      ignore (Stream.Cursor.peek_forward cur);
+      ignore (Stream.Cursor.peek_backward cur);
+      Alcotest.(check bool) (tag ^ " peeks count nothing") true (before = g ());
+      (* dictionary figures are representation, not history *)
+      Alcotest.(check int) (tag ^ " lookups unmoved by traversal") (600 + c)
+        (Stream.telemetry s).Stream.tl_lookups)
     all_variants
 
 (* compressed_bits must equal the analytic formula reconstructed from
@@ -152,19 +163,25 @@ let test_raw_stream_telemetry () =
   Alcotest.(check int) "raw: no hits" 0 tl.Stream.tl_hits;
   Alcotest.(check int) "raw: no misses" 0 tl.Stream.tl_misses;
   let tally = Telemetry.make () in
-  let c = Stream.Cursor.make s in
-  ignore (Stream.Cursor.step_forward ~tally c);
-  ignore (Stream.Cursor.step_forward ~tally c);
-  ignore (Stream.Cursor.step_backward ~tally c);
+  let c = Stream.Cursor.make ~tally ~label:0 s in
+  ignore (Stream.Cursor.step_forward c);
+  ignore (Stream.Cursor.step_forward c);
+  ignore (Stream.Cursor.step_backward c);
   let g = Telemetry.snapshot ~tally () in
   Alcotest.(check int) "raw: fwd counted" 2 g.Telemetry.g_fwd;
   Alcotest.(check int) "raw: bwd counted" 1 g.Telemetry.g_bwd;
   Alcotest.(check int) "raw: switch counted" 1 g.Telemetry.g_switches;
-  (* seeks and random reads are O(1) on raw data: not traversal *)
-  Stream.Cursor.seek ~tally c 50;
-  ignore (Stream.Cursor.read_at ~tally c 10);
-  Alcotest.(check int) "raw: seek not counted" 2
-    (Telemetry.snapshot ~tally ()).Telemetry.g_fwd
+  Alcotest.(check int) "raw: 32 bits a step" 96 g.Telemetry.g_bits;
+  (* a raw seek indexes the array: one seek, no step; a read is a seek
+     and the step revealing its value *)
+  Stream.Cursor.seek c 50;
+  ignore (Stream.Cursor.read_at c 10);
+  let g = Telemetry.snapshot ~tally () in
+  Alcotest.(check int) "raw: the read's value is a step" 3 g.Telemetry.g_fwd;
+  Alcotest.(check int) "raw: two seeks" 2 g.Telemetry.g_seeks;
+  Alcotest.(check int) "raw: no step inside them" 0 g.Telemetry.g_seek_steps;
+  Alcotest.(check int) "raw: no dictionary" 0
+    (g.Telemetry.g_hits + g.Telemetry.g_misses)
 
 (* ------------------------------------------------------------------ *)
 (* Sequitur telemetry                                                  *)
@@ -334,7 +351,7 @@ let test_report_roundtrip () =
 
 let sample ?(workload = "w") ?(build = 100.) ?(sps = 1000.) ?(bpl1 = 4.)
     ?(bpl2 = 1.) ?(r1 = 4.) ?(r2 = 16.) ?(query = 10.) ?(steps = 1000)
-    ?(peak = 0) () =
+    ?(peak = 0) ?(words = 50_000) ?(switches = 40) ?(shards = 12) () =
   {
     Bench.workload;
     scale = 5;
@@ -348,14 +365,13 @@ let sample ?(workload = "w") ?(build = 100.) ?(sps = 1000.) ?(bpl1 = 4.)
     build_p95_ms = build *. 1.2;
     query_p50_ms = query;
     query_p95_ms = query *. 1.2;
-    query_steps = steps;
-    query_switches = 40;
+    query_switches = switches;
     build_peak_words = peak;
-    wet_words = 0;
-    shards = 0;
+    wet_words = words;
+    shards;
     stream_p50_ms = 0.;
     stream_progress_p50_ms = 0.;
-    query_decode_steps = 0;
+    query_decode_steps = steps;
     query_bits_touched = 0;
     qlog_overhead_frac = 0.;
     stream_checkpoint_p50_ms = 0.;
@@ -443,6 +459,31 @@ let test_threshold_edges () =
   in
   Alcotest.(check int) "disjoint workloads: no verdicts" 0 (List.length vs)
 
+(* The resident WET, the sweep's switches and the shard count are
+   deterministic, so each gates at the size threshold: 3% worse fails,
+   2% passes. *)
+let test_deterministic_gates () =
+  let regresses metric prev cur =
+    (Bench.check th ~prev:(run_of [ prev ]) ~cur:(run_of [ cur ])
+    |> find_verdict metric)
+      .Bench.v_regressed
+  in
+  Alcotest.(check bool) "wet_words +3% regresses" true
+    (regresses "wet_words" (sample ~words:100_000 ())
+       (sample ~words:103_000 ()));
+  Alcotest.(check bool) "wet_words +2% passes" false
+    (regresses "wet_words" (sample ~words:100_000 ())
+       (sample ~words:102_000 ()));
+  Alcotest.(check bool) "query_switches +3% regresses" true
+    (regresses "query_switches" (sample ~switches:1000 ())
+       (sample ~switches:1030 ()));
+  Alcotest.(check bool) "shards +3% regresses" true
+    (regresses "shards" (sample ~shards:100 ()) (sample ~shards:103 ()));
+  Alcotest.(check bool) "query_steps is gone" false
+    (List.exists
+       (fun v -> v.Bench.v_metric = "query_steps")
+       (Bench.check th ~prev:(run_of [ sample () ]) ~cur:(run_of [ sample () ])))
+
 let test_bench_roundtrip () =
   let r =
     run_of
@@ -466,7 +507,8 @@ let test_bench_roundtrip () =
         List.iter2
           (fun (a : Bench.sample) (b : Bench.sample) ->
             Alcotest.(check string) "workload" a.Bench.workload b.Bench.workload;
-            Alcotest.(check int) "steps" a.Bench.query_steps b.Bench.query_steps;
+            Alcotest.(check int) "steps" a.Bench.query_decode_steps
+              b.Bench.query_decode_steps;
             Alcotest.(check (float 1e-9)) "build" a.Bench.build_p50_ms
               b.Bench.build_p50_ms;
             Alcotest.(check (float 1e-3)) "sps" a.Bench.stmts_per_sec
@@ -588,6 +630,8 @@ let () =
         [
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "threshold edges" `Quick test_threshold_edges;
+          Alcotest.test_case "deterministic columns gate tightly" `Quick
+            test_deterministic_gates;
           Alcotest.test_case "save/load round trip" `Quick
             test_bench_roundtrip;
         ] );

@@ -30,6 +30,16 @@ let w2 = lazy (Builder.pack (Lazy.force w1))
 
 let wet_of_tier tier2 = if tier2 then Lazy.force w2 else Lazy.force w1
 
+(* parser at scale 1 packs no stream at all; gcc at scale 4 packs about
+   a fifth of its streams (last-n and last-stride), so its tier-2 WET
+   walks packed and raw streams side by side. *)
+let g1 =
+  lazy
+    (let res = Wl.run ~scale:4 (Wl.find "gcc") in
+     Builder.build res.Wet_interp.Interp.trace)
+
+let g2 = lazy (Builder.pack (Lazy.force g1))
+
 (* A fresh session on [wet] and a profiling scope over its tally and
    recorder, as [wet serve] builds per connection. *)
 let open_scoped wet =
@@ -211,6 +221,217 @@ let prop_nesting =
       && Qprof.depth ~scope = 0)
 
 (* ------------------------------------------------------------------ *)
+(* One ledger, many views                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Session queries over every kind of stream walk. *)
+type rq =
+  | Cf_fwd
+  | Cf_bwd
+  | Loads
+  | Addresses
+  | Locate of int
+  | Value of int
+  | Dep of int
+  | Stamp of int
+  | Back of int
+  | Forth of int
+  | Chop of int
+
+type act = Open | Close | Q of rq
+
+let print_rq = function
+  | Cf_fwd -> "cf-fwd"
+  | Cf_bwd -> "cf-bwd"
+  | Loads -> "loads"
+  | Addresses -> "addresses"
+  | Locate n -> Printf.sprintf "locate %d" n
+  | Value n -> Printf.sprintf "value %d" n
+  | Dep n -> Printf.sprintf "dep %d" n
+  | Stamp n -> Printf.sprintf "stamp %d" n
+  | Back n -> Printf.sprintf "back %d" n
+  | Forth n -> Printf.sprintf "forth %d" n
+  | Chop n -> Printf.sprintf "chop %d" n
+
+let gen_rq =
+  QCheck.Gen.(
+    let seed = int_bound 100_000 in
+    frequency
+      [
+        (2, return Cf_fwd);
+        (2, return Cf_bwd);
+        (1, return Loads);
+        (1, return Addresses);
+        (2, map (fun n -> Locate n) seed);
+        (3, map (fun n -> Value n) seed);
+        (3, map (fun n -> Dep n) seed);
+        (2, map (fun n -> Stamp n) seed);
+        (1, map (fun n -> Back n) seed);
+        (1, map (fun n -> Forth n) seed);
+        (1, map (fun n -> Chop n) seed);
+      ])
+
+(* (tier2, sessions, explain armed, (session, action) script) *)
+let gen_views =
+  QCheck.Gen.(
+    quad bool (int_range 1 3) bool
+      (list_size (int_range 1 25)
+         (pair (int_bound 2)
+            (frequency
+               [ (1, return Open); (1, return Close); (5, map (fun q -> Q q) gen_rq) ]))))
+
+let print_views (tier2, n, armed, script) =
+  Printf.sprintf "tier2=%b sessions=%d armed=%b [%s]" tier2 n armed
+    (String.concat "; "
+       (List.map
+          (fun (i, a) ->
+            Printf.sprintf "%d:%s" i
+              (match a with
+               | Open -> "open"
+               | Close -> "close"
+               | Q q -> print_rq q))
+          script))
+
+let nth_of l seed = List.nth l (seed mod List.length l)
+
+let run_rq s = function
+  | Cf_fwd ->
+    Query.Session.park s Query.Forward;
+    ignore (Query.Session.control_flow s Query.Forward ~f:(fun _ _ -> ()))
+  | Cf_bwd ->
+    Query.Session.park s Query.Backward;
+    ignore (Query.Session.control_flow s Query.Backward ~f:(fun _ _ -> ()))
+  | Loads -> ignore (Query.Session.load_values s ~f:(fun _ _ -> ()))
+  | Addresses -> ignore (Query.Session.addresses s ~f:(fun _ _ -> ()))
+  | Locate n ->
+    let total = (W.Session.wet s).W.stats.W.path_execs in
+    ignore (Query.Session.locate_time s (1 + (n mod total)))
+  | Value n | Dep n | Stamp n | Back n | Forth n | Chop n as q -> (
+    let wet = W.Session.wet s in
+    let inst c = n mod (W.node_of_copy wet c).W.n_nexec in
+    let defs = List.filter (fun c -> wet.W.copy_uvals.(c) <> None)
+        (List.init (W.num_copies wet) Fun.id) in
+    let c = nth_of defs n in
+    match q with
+    | Value _ -> ignore (W.Session.value_of_copy s c (inst c))
+    | Dep _ ->
+      let c =
+        nth_of
+          (List.filter
+             (fun c -> Array.length wet.W.copy_deps.(c) > 0)
+             (List.init (W.num_copies wet) Fun.id))
+          n
+      in
+      ignore
+        (W.Session.resolve_dep s c (inst c)
+           (n mod Array.length wet.W.copy_deps.(c)))
+    | Stamp _ -> ignore (W.Session.timestamp s c (inst c))
+    | Back _ -> ignore (Slice.Session.backward ~max_instances:200 s c (inst c))
+    | Forth _ -> ignore (Slice.Session.forward ~max_instances:200 s c (inst c))
+    | _ ->
+      let k = nth_of defs (n / 7) in
+      ignore
+        (Slice.Session.chop ~max_instances:200 s ~source:(c, inst c)
+           ~sink:(k, inst k)))
+
+(* The ledger fields of a cost, of a tally delta and of a set of rows. *)
+let cost_ledger (c : Qprof.cost) =
+  [ c.Qprof.c_fwd; c.Qprof.c_bwd; c.Qprof.c_switches; c.Qprof.c_hits;
+    c.Qprof.c_misses; c.Qprof.c_bits; c.Qprof.c_seeks; c.Qprof.c_seek_steps ]
+
+let delta_ledger (d : Telemetry.snapshot) =
+  [ d.Telemetry.g_fwd; d.Telemetry.g_bwd; d.Telemetry.g_switches;
+    d.Telemetry.g_hits; d.Telemetry.g_misses; d.Telemetry.g_bits;
+    d.Telemetry.g_seeks; d.Telemetry.g_seek_steps ]
+
+let rows_ledger rows =
+  List.fold_left
+    (fun acc (s : Ex.stream_stats) ->
+      List.map2 ( + ) acc
+        [ s.Ex.e_fwd; s.Ex.e_bwd; s.Ex.e_switches; s.Ex.e_hits;
+          s.Ex.e_misses; s.Ex.e_bits; s.Ex.e_seeks; s.Ex.e_seek_steps ])
+    [ 0; 0; 0; 0; 0; 0; 0; 0 ] rows
+
+(* Random session queries on one to three sessions, inside nested
+   profiling contexts, with explain armed or not: every view of the
+   ledger agrees with every other. Each context's rows sum to its cost;
+   the outermost context's cost is the tally's delta; an armed
+   recorder's report holds the same rows; and each explain.* counter
+   moves by what its qprof.* twin moves. *)
+let prop_views_reconcile =
+  QCheck.Test.make ~name:"every view of the ledger reconciles" ~count:40
+    (QCheck.make ~print:print_views gen_views)
+    (fun (tier2, nsess, armed, script) ->
+      let wet = Lazy.force (if tier2 then g2 else g1) in
+      Wet_obs.Sink.enable ();
+      Fun.protect ~finally:Wet_obs.Sink.disable @@ fun () ->
+      Metrics.reset ();
+      let sessions =
+        Array.init nsess (fun _ ->
+            let s, scope = open_scoped wet in
+            if armed then Ex.arm ~recorder:(W.Session.recorder s);
+            let g0 = Telemetry.snapshot ~tally:(W.Session.tally s) () in
+            Qprof.start ~scope "root";
+            (s, scope, g0))
+      in
+      let ok = ref true in
+      let check_profile (p : Qprof.profile) =
+        if rows_ledger p.Qprof.p_streams <> cost_ledger p.Qprof.p_total then
+          ok := false
+      in
+      List.iter
+        (fun (i, a) ->
+          let s, scope, _ = sessions.(i mod nsess) in
+          match a with
+          | Open -> Qprof.start ~scope "nested"
+          | Close ->
+            if Qprof.depth ~scope > 1 then
+              check_profile (Qprof.finish ~scope "ok")
+          | Q q -> run_rq s q)
+        script;
+      let totals =
+        Array.map
+          (fun (s, scope, g0) ->
+            while Qprof.depth ~scope > 1 do
+              check_profile (Qprof.finish ~scope "ok")
+            done;
+            let root = Qprof.finish ~scope "ok" in
+            check_profile root;
+            let recorder = W.Session.recorder s in
+            (* armed by the test, the recorder outlives the root; armed
+               by the root, it went with it *)
+            if Ex.recording recorder <> armed then ok := false;
+            Ex.disarm ~recorder;
+            let d =
+              Telemetry.delta ~before:g0
+                ~after:(Telemetry.snapshot ~tally:(W.Session.tally s) ())
+            in
+            if cost_ledger root.Qprof.p_total <> delta_ledger d then ok := false;
+            if armed then begin
+              let r = Ex.publish ~recorder in
+              if r.Ex.r_streams <> root.Qprof.p_streams then ok := false
+            end;
+            d)
+          sessions
+      in
+      let counter name = Metrics.value (Metrics.counter name) in
+      let sum f = Array.fold_left (fun a d -> a + f d) 0 totals in
+      List.iter
+        (fun (suffix, f) ->
+          let q = counter ("qprof." ^ suffix) in
+          if q <> sum f then ok := false;
+          if counter ("explain." ^ suffix) <> (if armed then q else 0) then
+            ok := false)
+        [
+          ("fwd_steps", fun d -> d.Telemetry.g_fwd);
+          ("bwd_steps", fun d -> d.Telemetry.g_bwd);
+          ("dir_switches", fun d -> d.Telemetry.g_switches);
+          ("seeks", fun d -> d.Telemetry.g_seeks);
+          ("seek_steps", fun d -> d.Telemetry.g_seek_steps);
+        ];
+      !ok)
+
+(* ------------------------------------------------------------------ *)
 (* qlog round trip                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -219,7 +440,7 @@ let gen_cost =
     map
       (fun l ->
         match l with
-        | [ a; b; c; d; e; f; g; h; i; j; k; l'; m ] ->
+        | [ a; b; c; d; e; f; g; h; i; j; k; l'; m; n; o ] ->
           {
             Qprof.c_fwd = a;
             c_bwd = b;
@@ -227,6 +448,8 @@ let gen_cost =
             c_hits = d;
             c_misses = e;
             c_bits = f;
+            c_seeks = n;
+            c_seek_steps = o;
             c_seq_input = g;
             c_seq_digram_hits = h;
             c_seq_digram_misses = i;
@@ -236,7 +459,7 @@ let gen_cost =
             c_alloc_words = m;
           }
         | _ -> assert false)
-      (list_repeat 13 (int_range 0 1_000_000_000)))
+      (list_repeat 15 (int_range 0 1_000_000_000)))
 
 let gen_entry =
   QCheck.Gen.(
@@ -379,6 +602,79 @@ let test_estimate_classes () =
     slice_ests
 
 (* ------------------------------------------------------------------ *)
+(* Hints read the ledger                                               *)
+(* ------------------------------------------------------------------ *)
+
+module Render = Wet_serve.Render
+
+(* The whole numbers a line quotes: its words, stripped of brackets
+   and commas, that are digits only ("O(1)" is not a figure). *)
+let ints_of line =
+  String.split_on_char ' ' line
+  |> List.filter_map (fun w ->
+         let is_punct c = c = '(' || c = ')' || c = ',' in
+         let n = String.length w in
+         let i = ref 0 and j = ref n in
+         while !i < n && is_punct w.[!i] do incr i done;
+         while !j > !i && is_punct w.[!j - 1] do decr j done;
+         let core = String.sub w !i (!j - !i) in
+         if core <> "" && String.for_all (fun c -> c >= '0' && c <= '9') core
+         then int_of_string_opt core
+         else None)
+
+(* Over the nine programs on both tiers, every --analyze hint quotes
+   only figures its own cost table prints, and a tier-1 value or address
+   trace, whose raw seeks take no step, never advises batching seeks. *)
+let test_hints_quote_the_table () =
+  List.iter
+    (fun (spec : Wl.t) ->
+      let scale = max 1 (spec.Wl.timing_scale / 64) in
+      let w1 =
+        Builder.run_streaming ~program:(Wl.compile spec)
+          ~input:(Wl.input spec ~scale) ()
+      in
+      List.iter
+        (fun (tier, wet) ->
+          let s, scope = open_scoped wet in
+          List.iter
+            (fun (shape, run) ->
+              let _, p = Qprof.run ~scope shape run in
+              let lines = Render.analyze wet p in
+              let hints, table =
+                List.partition
+                  (fun l -> String.length l > 6 && String.sub l 0 6 = "hint: ")
+                  lines
+              in
+              let figures = List.concat_map ints_of table in
+              let what = Printf.sprintf "%s %s %s" spec.Wl.name tier shape in
+              List.iter
+                (fun h ->
+                  List.iter
+                    (fun n ->
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s: %d of %S is in the table" what n h)
+                        true (List.mem n figures))
+                    (ints_of h);
+                  if tier = "tier-1"
+                     && (shape = "trace/values" || shape = "trace/addresses")
+                  then
+                    Alcotest.(check bool)
+                      (Printf.sprintf "%s: no seek hint (%s)" what h)
+                      false (has_sub h "inside"))
+                hints)
+            [
+              ("trace/cf", fun () -> ignore (Render.trace s ~kind:Render.Cf ~limit:16));
+              ("trace/values", fun () ->
+                  ignore (Render.trace s ~kind:Render.Values ~limit:16));
+              ("trace/addresses", fun () ->
+                  ignore (Render.trace s ~kind:Render.Addresses ~limit:16));
+              ("slice/backward", fun () -> ignore (Render.slice s ~output:None));
+              ("at", fun () -> ignore (Render.at s ~ts:None));
+            ])
+        [ ("tier-1", w1); ("tier-2", Builder.pack w1) ])
+    Wl.all
+
+(* ------------------------------------------------------------------ *)
 (* Off = free                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -417,6 +713,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_sum_consistency;
           QCheck_alcotest.to_alcotest prop_nesting;
+          QCheck_alcotest.to_alcotest prop_views_reconcile;
         ] );
       ( "qlog",
         [
@@ -429,6 +726,11 @@ let () =
             test_estimate_cf;
           Alcotest.test_case "estimated classes are touched" `Quick
             test_estimate_classes;
+        ] );
+      ( "hints",
+        [
+          Alcotest.test_case "hints quote their own cost table" `Quick
+            test_hints_quote_the_table;
         ] );
       ( "lifecycle",
         [

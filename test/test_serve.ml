@@ -582,6 +582,95 @@ let test_repeat_costs_the_first () =
       end)
     (Lazy.force bundled)
 
+(* One connection sends trace (all three kinds), slice and at, each with
+   analyze, over a tier-1 and a tier-2 container. The daemon's metrics
+   verb then moves qprof.fwd_steps + qprof.bwd_steps by the sum of the
+   answers' decode steps lines, and qprof.dir_switches by the sum of
+   their direction switches lines, to the step: both are views of the
+   connection's one ledger. *)
+let test_metrics_reconcile_with_analyze () =
+  with_temp_dir @@ fun dir ->
+  let paths =
+    List.filter_map
+      (fun (name, wet) ->
+        if String.starts_with ~prefix:"126.gcc" name then begin
+          let path =
+            Filename.concat dir
+              (String.map (fun c -> if c = ' ' then '_' else c) name ^ ".wet")
+          in
+          Store.save wet path;
+          Some path
+        end
+        else None)
+      (Lazy.force bundled)
+  in
+  Alcotest.(check int) "a tier-1 and a tier-2 container" 2 (List.length paths);
+  let socket = Filename.concat dir "serve.sock" in
+  let daemon =
+    Thread.create Server.run
+      {
+        Server.socket;
+        cache_capacity = 2;
+        qlog = None;
+        ring_capacity = 64;
+        domains = 1;
+      }
+  in
+  let c = connect socket in
+  let id = ref 0 in
+  let ask ?(params = []) ?wet ?(analyze = false) verb =
+    incr id;
+    (roundtrip c (P.request ?wet ~params ~analyze ~id:!id verb)).P.rs_lines
+  in
+  let counters () = counters_of_lines (ask P.Metrics) in
+  let figure prefix lines =
+    List.fold_left
+      (fun acc l ->
+        if String.starts_with ~prefix l then
+          match
+            String.split_on_char ' '
+              (String.sub l (String.length prefix)
+                 (String.length l - String.length prefix))
+            |> List.filter (( <> ) "")
+          with
+          | n :: _ -> acc + int_of_string n
+          | [] -> acc
+        else acc)
+      0 lines
+  in
+  let before = counters () in
+  let steps = ref 0 and switches = ref 0 in
+  List.iter
+    (fun wet ->
+      List.iter
+        (fun (verb, params) ->
+          let lines = ask ~wet ~params ~analyze:true verb in
+          steps := !steps + figure "decode steps" lines;
+          switches := !switches + figure "direction switches" lines)
+        [
+          (P.Trace, [ ("kind", "cf") ]);
+          (P.Trace, [ ("kind", "values") ]);
+          (P.Trace, [ ("kind", "addresses") ]);
+          (P.Slice, []);
+          (P.At, []);
+          (P.Trace, [ ("kind", "values") ]);
+        ])
+    paths;
+  let after = counters () in
+  let moved name =
+    Option.value (List.assoc_opt name after) ~default:0
+    - Option.value (List.assoc_opt name before) ~default:0
+  in
+  Alcotest.(check bool) "the answers paid some steps" true (!steps > 0);
+  Alcotest.(check int) "qprof fwd + bwd = the decode steps lines" !steps
+    (moved "qprof.fwd_steps" + moved "qprof.bwd_steps");
+  Alcotest.(check int) "qprof switches = the direction switches lines"
+    !switches
+    (moved "qprof.dir_switches");
+  ignore (ask P.Shutdown);
+  Client.close c;
+  Thread.join daemon
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -600,6 +689,8 @@ let () =
         [ Alcotest.test_case "histogram quantiles" `Quick test_quantiles ] );
       ( "daemon",
         [
+          Alcotest.test_case "metrics reconcile with analyze answers" `Quick
+            test_metrics_reconcile_with_analyze;
           Alcotest.test_case "concurrent clients reconcile" `Quick
             test_daemon_concurrent;
           Alcotest.test_case "hostile clients" `Quick test_daemon_hostile;

@@ -177,11 +177,15 @@ let test_rejects_garbage () =
 (* Older containers are refused by version, strictly and when
    salvaging, with a message that says to rebuild: v1 is the old
    monolithic format, v4 the sectioned format whose streams still
-   carried a default cursor. *)
+   carried a default cursor, v5 the one whose packed streams still
+   carried traversal counters. *)
 let test_rejects_legacy_v1 () =
   let _, _, _, w2 = List.hd (Lazy.force built) in
-  let v4 = Bytes.of_string (Container.encode w2) in
-  Bytes.set_int32_be v4 8 4l;
+  let older v =
+    let b = Bytes.of_string (Container.encode w2) in
+    Bytes.set_int32_be b 8 (Int32.of_int v);
+    Bytes.to_string b
+  in
   List.iter
     (fun (v, data) ->
       with_temp_file ".wet" (fun path ->
@@ -205,7 +209,8 @@ let test_rejects_legacy_v1 () =
     [
       (* the old monolithic format: magic, big-endian version 1, blob *)
       (1, "WETOCaml\x00\x00\x00\x01leftover marshal bytes");
-      (4, Bytes.to_string v4);
+      (4, older 4);
+      (5, older 5);
     ]
 
 (* Truncate at every section boundary, at every header field edge, and

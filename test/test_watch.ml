@@ -312,7 +312,8 @@ let check_consistent (r : Ex.report) =
     (fun (s : Ex.stream_stats) ->
       Alcotest.(check bool) "all tallies are non-negative" true
         (s.Ex.e_fwd >= 0 && s.Ex.e_bwd >= 0 && s.Ex.e_seeks >= 0
-         && s.Ex.e_seek_dist >= 0 && s.Ex.e_switches >= 0))
+         && s.Ex.e_seek_steps >= 0 && s.Ex.e_switches >= 0
+         && s.Ex.e_hits >= 0 && s.Ex.e_misses >= 0 && s.Ex.e_bits >= 0))
     r.Ex.r_streams;
   Alcotest.(check int) "total_steps sums the per-stream steps"
     (List.fold_left (fun a s -> a + Ex.steps s) 0 r.Ex.r_streams)
@@ -394,19 +395,19 @@ let test_explain_slice () =
   Alcotest.(check bool) "disarmed queries leave no trace" true
     (r.Ex.r_queries = [] && r.Ex.r_streams = [])
 
-(* The reference recorder: the earlier implementation, which keyed its
-   tallies by the [stream] value in a polymorphic [Hashtbl] and sorted
-   its report with [compare]. The dense-table recorder must produce the
-   same reports, field for field and in the same order. *)
+(* The reference recorder: the earlier explain implementation, which
+   kept its own tallies per stream in a polymorphic [Hashtbl] and sorted
+   its report with [compare], told here what each cursor call did. The
+   ledger, which the same calls count into, must report the same rows,
+   field for field and in the same order. *)
 module Ref_recorder = struct
   type stats = {
     st_stream : Ex.stream;
     mutable st_fwd : int;
     mutable st_bwd : int;
     mutable st_seeks : int;
-    mutable st_seek_dist : int;
+    mutable st_seek_steps : int;
     mutable st_switches : int;
-    mutable st_last : int;
   }
 
   type t = {
@@ -439,90 +440,84 @@ module Ref_recorder = struct
           st_fwd = 0;
           st_bwd = 0;
           st_seeks = 0;
-          st_seek_dist = 0;
+          st_seek_steps = 0;
           st_switches = 0;
-          st_last = 0;
         }
       in
       Hashtbl.replace r.tbl s st;
       st
 
-  let touch r s op n =
-    if !(r.armed) && n >= 0 then begin
+  (* [n] steps in one direction; [switched]: the first of them turned
+     its cursor around. *)
+  let steps r s ~fwd ~switched n =
+    if !(r.armed) && n > 0 then begin
       let st = stats_of r s in
-      match op with
-      | Ex.Fwd ->
-        st.st_fwd <- st.st_fwd + n;
-        if st.st_last = 2 then st.st_switches <- st.st_switches + 1;
-        st.st_last <- 1
-      | Ex.Bwd ->
-        st.st_bwd <- st.st_bwd + n;
-        if st.st_last = 1 then st.st_switches <- st.st_switches + 1;
-        st.st_last <- 2
-      | Ex.Seek ->
-        st.st_seeks <- st.st_seeks + 1;
-        st.st_seek_dist <- st.st_seek_dist + n;
-        st.st_last <- 0
+      if fwd then st.st_fwd <- st.st_fwd + n else st.st_bwd <- st.st_bwd + n;
+      if switched then st.st_switches <- st.st_switches + 1
+    end
+
+  let seek r s n =
+    if !(r.armed) then begin
+      let st = stats_of r s in
+      st.st_seeks <- st.st_seeks + 1;
+      st.st_seek_steps <- st.st_seek_steps + n
     end
 
   let report r =
     let streams =
-      Hashtbl.fold
-        (fun _ st acc ->
-          {
-            Ex.e_stream = st.st_stream;
-            e_fwd = st.st_fwd;
-            e_bwd = st.st_bwd;
-            e_seeks = st.st_seeks;
-            e_seek_dist = st.st_seek_dist;
-            e_switches = st.st_switches;
-          }
-          :: acc)
-        r.tbl []
-      |> List.sort compare
+      Hashtbl.fold (fun _ st acc -> st :: acc) r.tbl []
+      |> List.sort (fun a b -> compare a.st_stream b.st_stream)
+      |> List.map (fun st ->
+             ( st.st_stream, st.st_fwd, st.st_bwd, st.st_seeks,
+               st.st_seek_steps, st.st_switches ))
     in
-    { Ex.r_queries = List.rev r.queries; r_streams = streams }
+    (List.rev r.queries, streams)
 end
+
+(* What the ledger reports, in the reference's shape. *)
+let ledger_report recorder =
+  let r = Ex.report ~recorder in
+  ( r.Ex.r_queries,
+    List.map
+      (fun (s : Ex.stream_stats) ->
+        ( s.Ex.e_stream, s.Ex.e_fwd, s.Ex.e_bwd, s.Ex.e_seeks,
+          s.Ex.e_seek_steps, s.Ex.e_switches ))
+      r.Ex.r_streams )
+
+module Stream = Wet_bistream.Stream
+module Telemetry = Wet_bistream.Telemetry
+
+(* The cursors a script drives: raw and packed streams, ascending and
+   not, named over every stream kind. *)
+let ex_streams =
+  let asc = Array.init 300 (fun i -> 3 * i) in
+  let wavy = Array.init 300 (fun i -> [| 5; 1; 4; 1; 5; 9; 2; 6 |].(i mod 8) + i / 40) in
+  [|
+    (Ex.Ts 3, Stream.compress_with `Raw asc, true);
+    (Ex.Ts 1, Stream.compress_with (`Bidir (Wet_bistream.Bidir.Last_stride, 2)) asc, true);
+    (Ex.Uvals 7, Stream.compress_with (`Bidir (Wet_bistream.Bidir.Fcm, 1)) wavy, false);
+    (Ex.Uvals 9, Stream.compress_with `Raw wavy, false);
+    (Ex.Pattern (2, 1), Stream.compress_with (`Bidir (Wet_bistream.Bidir.Dfcm, 2)) wavy, false);
+    (Ex.Label_src 4, Stream.compress_with (`Bidir (Wet_bistream.Bidir.Last_n, 4)) wavy, false);
+    (Ex.Label_dst 4, Stream.compress_with (`Bidir (Wet_bistream.Bidir.Fcm, 2)) asc, true);
+  |]
 
 type ex_op =
   | Arm
   | Disarm
   | Reset
   | Query of string
-  | Touch of Ex.stream * Ex.op * int
+  | Step of int * bool  (** cursor, forward *)
+  | Seek of int * int
+  | Read of int * int
+  | Find of int * int
+  | Peek of int
   | Report
-  | Diff  (** diff from the previous snapshot to now *)
-
-(* The dense-table recorder names a stream by its kind and ids. *)
-let touch_dense recorder s op n =
-  match s with
-  | Ex.Ts a -> Ex.touch ~recorder Ex.K_ts a 0 op n
-  | Ex.Uvals a -> Ex.touch ~recorder Ex.K_uvals a 0 op n
-  | Ex.Pattern (a, b) -> Ex.touch ~recorder Ex.K_pattern a b op n
-  | Ex.Label_src a -> Ex.touch ~recorder Ex.K_label_src a 0 op n
-  | Ex.Label_dst a -> Ex.touch ~recorder Ex.K_label_dst a 0 op n
 
 let gen_ex_script =
   let open QCheck.Gen in
-  (* mostly a few hot ids, so streams are touched again and again, and
-     now and then one far out, so the tables must grow *)
-  let id = frequency [ (6, int_range 0 12); (1, int_range 0 100_000) ] in
-  let stream =
-    oneof
-      [
-        map (fun a -> Ex.Ts a) id;
-        map (fun a -> Ex.Uvals a) id;
-        map2
-          (fun a b -> Ex.Pattern (a, b))
-          id
-          (frequency [ (4, int_range 0 3); (1, id) ]);
-        map (fun a -> Ex.Label_src a) id;
-        map (fun a -> Ex.Label_dst a) id;
-      ]
-  in
-  let count =
-    oneof [ return (-1); return 0; return 1; int_range 2 1_000_000_000 ]
-  in
+  let cur = int_bound (Array.length ex_streams - 1) in
+  let pos = frequency [ (3, int_bound 40); (2, int_bound 300) ] in
   let op =
     frequency
       [
@@ -530,12 +525,12 @@ let gen_ex_script =
         (1, return Disarm);
         (1, return Reset);
         (1, map (fun q -> Query q) (oneofl [ "query.a"; "query.b" ]));
-        ( 12,
-          map3
-            (fun s o n -> Touch (s, o, n))
-            stream (oneofl [ Ex.Fwd; Ex.Bwd; Ex.Seek ]) count );
+        (8, map2 (fun c f -> Step (c, f)) cur bool);
+        (3, map2 (fun c k -> Seek (c, k)) cur pos);
+        (3, map2 (fun c k -> Read (c, k)) cur pos);
+        (2, map2 (fun c v -> Find (c, v)) cur (int_bound 900));
+        (1, map (fun c -> Peek c) cur);
         (2, return Report);
-        (2, return Diff);
       ]
   in
   list_size (int_range 0 300) op
@@ -545,92 +540,170 @@ let print_ex_op = function
   | Disarm -> "disarm"
   | Reset -> "reset"
   | Query q -> "query " ^ q
-  | Touch (s, o, n) ->
-    Printf.sprintf "touch %s %s %d" (Ex.stream_name s)
-      (match o with Ex.Fwd -> "fwd" | Ex.Bwd -> "bwd" | Ex.Seek -> "seek")
-      n
+  | Step (c, f) -> Printf.sprintf "step %d %s" c (if f then "fwd" else "bwd")
+  | Seek (c, k) -> Printf.sprintf "seek %d %d" c k
+  | Read (c, k) -> Printf.sprintf "read %d %d" c k
+  | Find (c, v) -> Printf.sprintf "find %d %d" c v
+  | Peek c -> Printf.sprintf "peek %d" c
   | Report -> "report"
-  | Diff -> "diff"
 
-(* Runs a script on both recorders, comparing every report and every
-   diff; the final report is compared too. *)
+(* Runs a script of cursor calls against the ledger, telling the
+   reference what each did, and compares every report and the final
+   one. The reference learns a seek's steps from its cursor's position
+   and from the count a seek returns (a read's from the ledger total),
+   and tracks each cursor's last direction itself. *)
 let prop_explain_matches_reference =
   QCheck.Test.make ~count:300
     ~name:"dense recorder reports equal the Hashtbl reference"
     (QCheck.make gen_ex_script
        ~print:(fun ops -> String.concat "; " (List.map print_ex_op ops)))
     (fun ops ->
-      let dense = Ex.make_recorder () and reference = Ref_recorder.make () in
-      let same what (a : Ex.report) (b : Ex.report) =
-        if a <> b then
-          QCheck.Test.fail_reportf "%s differs: %d vs %d streams" what
-            (List.length a.Ex.r_streams) (List.length b.Ex.r_streams)
+      let tally = Telemetry.make () in
+      let recorder = Ex.make_recorder () in
+      ignore (Ex.bind ~tally ~recorder ());
+      let reference = Ref_recorder.make () in
+      let curs =
+        Array.map
+          (fun (name, body, _) ->
+            Stream.Cursor.make ~tally ~label:(Ex.label name) body)
+          ex_streams
       in
-      let prev_dense = ref (Ex.report ~recorder:dense)
-      and prev_ref = ref (Ref_recorder.report reference) in
+      let last = Array.make (Array.length curs) 0 in
+      let name i = let n, _, _ = ex_streams.(i) in n in
+      let packed i =
+        let _, body, _ = ex_streams.(i) in
+        Stream.method_name body <> "raw"
+      in
+      let moved i ~fwd n =
+        if n > 0 then begin
+          let dir = if fwd then 1 else 2 in
+          Ref_recorder.steps reference (name i) ~fwd
+            ~switched:(last.(i) <> 0 && last.(i) <> dir) n;
+          last.(i) <- dir
+        end
+      in
+      (* A seek from [p] to [k] that took [d] steps: forward to the
+         right; to the left, backward unless it rewound and stepped
+         forward from 0. *)
+      let sought i p k d =
+        moved i ~fwd:(k > p || d <> p - k) d;
+        Ref_recorder.seek reference (name i) d
+      in
+      let same what =
+        let d = ledger_report recorder and r = Ref_recorder.report reference in
+        if d <> r then
+          QCheck.Test.fail_reportf "%s differs: %d vs %d streams" what
+            (List.length (snd d)) (List.length (snd r))
+      in
       List.iter
         (function
           | Arm ->
-            Ex.arm ~recorder:dense;
+            Ex.arm ~recorder;
             Ref_recorder.arm reference
           | Disarm ->
-            Ex.disarm ~recorder:dense;
+            Ex.disarm ~recorder;
             Ref_recorder.disarm reference
           | Reset ->
-            Ex.reset ~recorder:dense;
+            Ex.reset ~recorder;
             Ref_recorder.reset reference
           | Query q ->
-            Ex.query ~recorder:dense q;
+            Ex.query ~recorder q;
             Ref_recorder.query reference q
-          | Touch (s, o, n) ->
-            touch_dense dense s o n;
-            Ref_recorder.touch reference s o n
-          | Report ->
-            let d = Ex.report ~recorder:dense
-            and r = Ref_recorder.report reference in
-            same "report" d r;
-            prev_dense := d;
-            prev_ref := r
-          | Diff ->
-            let d = Ex.report ~recorder:dense
-            and r = Ref_recorder.report reference in
-            same "diff"
-              (Ex.diff ~before:!prev_dense ~after:d)
-              (Ex.diff ~before:!prev_ref ~after:r))
+          | Step (i, fwd) ->
+            let c = curs.(i) in
+            let p = Stream.Cursor.pos c in
+            if fwd && p < Stream.Cursor.length c then begin
+              ignore (Stream.Cursor.step_forward c);
+              moved i ~fwd:true 1
+            end
+            else if (not fwd) && p > 0 then begin
+              ignore (Stream.Cursor.step_backward c);
+              moved i ~fwd:false 1
+            end
+          | Seek (i, k) ->
+            let c = curs.(i) in
+            let k = min k (Stream.Cursor.length c) in
+            let p = Stream.Cursor.pos c in
+            sought i p k (Stream.Cursor.seek_steps c k)
+          | Read (i, k) ->
+            let c = curs.(i) in
+            let k = min k (Stream.Cursor.length c - 1) in
+            let p = Stream.Cursor.pos c in
+            let s0 = (Telemetry.snapshot ~tally ()).Telemetry.g_seek_steps in
+            ignore (Stream.Cursor.read_at c k);
+            sought i p k
+              ((Telemetry.snapshot ~tally ()).Telemetry.g_seek_steps - s0);
+            moved i ~fwd:true 1
+          | Find (i, v) ->
+            let _, _, ascending = ex_streams.(i) in
+            if ascending then begin
+              let c = curs.(i) in
+              let p = Stream.Cursor.pos c in
+              ignore (Stream.Cursor.find_ascending c v);
+              let q = Stream.Cursor.pos c in
+              let d = if packed i then abs (q - p) else 0 in
+              moved i ~fwd:(q > p) d;
+              Ref_recorder.seek reference (name i) d
+            end
+          | Peek i ->
+            let c = curs.(i) in
+            if Stream.Cursor.pos c < Stream.Cursor.length c then
+              ignore (Stream.Cursor.peek_forward c)
+          | Report -> same "report")
         ops;
-      same "final report" (Ex.report ~recorder:dense)
-        (Ref_recorder.report reference);
+      same "final report";
       true)
 
-(* A step on a stream already touched allocates nothing: 100,000 armed
-   steps over every kind and op, through the call [Wet.Session] and
-   [Slice] make, leave the minor heap's allocation count unmoved. *)
+(* A counted step allocates nothing: 100,000 armed cursor calls over
+   streams of every kind that have already moved — steps both ways,
+   seeks and reads — leave the minor heap's allocation count unmoved,
+   and land on those streams' rows. *)
 let test_explain_step_allocates_nothing () =
-  let recorder = Ex.make_recorder () in
+  let tally = Telemetry.make () in
+  let _, recorder = Ex.bind ~tally () in
   Ex.arm ~recorder;
-  let kinds =
-    [| Ex.K_ts; Ex.K_uvals; Ex.K_pattern; Ex.K_label_src; Ex.K_label_dst |]
-  and ops = [| Ex.Fwd; Ex.Bwd; Ex.Seek |] in
-  let step i =
-    Ex.touch ~recorder
-      kinds.(i mod 5)
-      (i mod 97) (i mod 3)
-      ops.(i mod 3)
-      (i land 7)
+  let names =
+    List.concat_map
+      (fun i ->
+        [ Ex.Ts i; Ex.Uvals i; Ex.Pattern (i, i mod 3); Ex.Label_src i;
+          Ex.Label_dst i ])
+      (List.init 20 Fun.id)
   in
-  for i = 0 to 5 * 97 * 3 - 1 do
-    step i
+  let data = Array.init 64 (fun i -> 7 * i) in
+  let curs =
+    Array.of_list
+      (List.mapi
+         (fun j name ->
+           let body =
+             if j mod 2 = 0 then Stream.compress_with `Raw data
+             else
+               Stream.compress_with
+                 (`Bidir (Wet_bistream.Bidir.Last_stride, 1)) data
+           in
+           Stream.Cursor.make ~tally ~label:(Ex.label name) body)
+         names)
+  in
+  let n = Array.length curs in
+  let call i =
+    let c = curs.(i mod n) in
+    match i / n mod 4 with
+    | 0 ->
+      if Stream.Cursor.pos c < 64 then ignore (Stream.Cursor.step_forward c)
+    | 1 -> if Stream.Cursor.pos c > 0 then ignore (Stream.Cursor.step_backward c)
+    | 2 -> Stream.Cursor.seek c (i land 31)
+    | _ -> ignore (Stream.Cursor.read_at c (i land 63))
+  in
+  for i = 0 to 8 * n - 1 do
+    call i
   done;
   let before = Gc.minor_words () in
   for i = 0 to 99_999 do
-    step i
+    call i
   done;
   let after = Gc.minor_words () in
-  Alcotest.(check (float 0.)) "minor words allocated by 100,000 steps" 0.
+  Alcotest.(check (float 0.)) "minor words allocated by 100,000 calls" 0.
     (after -. before);
-  (* 97 ids of each kind, and 3 groups of each pattern node *)
-  Alcotest.(check int) "on the streams touched before"
-    ((4 * 97) + (97 * 3))
+  Alcotest.(check int) "on the streams touched before" n
     (List.length (Ex.report ~recorder).Ex.r_streams)
 
 let () =
