@@ -16,25 +16,31 @@ let at_session (s : W.session) ~ts =
   List.iter
     (fun c ->
       let node = W.node_of_copy wet c in
-      for i = 0 to node.W.n_nexec - 1 do
-        let when_ = S.timestamp s c i in
-        if when_ <= ts then begin
-          (* slot 0 is the address operand, slot 1 the stored value *)
-          let addr =
-            match S.resolve_dep s c i 0 with
-            | Some (pc, pi) -> S.value_of_copy s pc pi
-            | None -> 0
-          in
-          let value =
-            match S.resolve_dep s c i 1 with
-            | Some (pc, pi) -> S.value_of_copy s pc pi
-            | None -> 0
-          in
-          match Hashtbl.find_opt cells addr with
-          | Some (prev_ts, _) when prev_ts >= when_ -> ()
-          | Some _ | None -> Hashtbl.replace cells addr (when_, value)
+      (* a node's timestamps strictly increase, so the first instance
+         past [ts] ends the copy's stores that matter *)
+      let rec store i =
+        if i < node.W.n_nexec then begin
+          let when_ = S.timestamp s c i in
+          if when_ <= ts then begin
+            (* slot 0 is the address operand, slot 1 the stored value *)
+            let addr =
+              match S.resolve_dep s c i 0 with
+              | Some (pc, pi) -> S.value_of_copy s pc pi
+              | None -> 0
+            in
+            let value =
+              match S.resolve_dep s c i 1 with
+              | Some (pc, pi) -> S.value_of_copy s pc pi
+              | None -> 0
+            in
+            (match Hashtbl.find_opt cells addr with
+             | Some (prev_ts, _) when prev_ts >= when_ -> ()
+             | Some _ | None -> Hashtbl.replace cells addr (when_, value));
+            store (i + 1)
+          end
         end
-      done)
+      in
+      store 0)
     stores;
   { cells }
 

@@ -7,8 +7,10 @@
     value} it stored — so the memory image at [t] is the latest store to
     each address no later than [t], plus zeros never written.
 
-    Cost is proportional to the total number of store executions, not to
-    [t]; it needs no re-execution of the program. *)
+    Cost is proportional to the number of store executions up to [t],
+    plus one timestamp read per store copy: a node's timestamps strictly
+    increase, so each copy's first instance past [t] ends its scan. It
+    needs no re-execution of the program. *)
 
 type t
 

@@ -35,12 +35,6 @@ let copies_matching (t : Wet.t) pred =
   done;
   !acc
 
-let instances_matching t pred =
-  List.fold_left
-    (fun acc c -> acc + (Wet.node_of_copy t c).Wet.n_nexec)
-    0
-    (copies_matching t pred)
-
 (* ------------------------------------------------------------------ *)
 (* Session queries (the primary implementations)                      *)
 (* ------------------------------------------------------------------ *)
@@ -246,6 +240,18 @@ type class_estimate = {
   est_exact : bool;  (* model is exact, not a bound *)
 }
 
+(* Lower bounds on what reading [n] values of copy [c] steps, per
+   stream class: each value is a [read_at] of the copy's unique values,
+   after one of its group's pattern when the group has one, and a
+   [read_at] takes a step at least. *)
+let value_reads (t : Wet.t) ~pattern ~uvals c n =
+  if t.Wet.copy_uvals.(c) <> None then begin
+    let node = Wet.node_of_copy t c in
+    if node.Wet.n_groups.(t.Wet.copy_group.(c)).Wet.g_pattern <> None then
+      pattern := !pattern + n;
+    uvals := !uvals + n
+  end
+
 (* Plan-time step predictions per query shape (the fingerprints the CLI
    stamps on profiled queries), in the ledger's steps. The control-flow
    walk is exact by construction — each path execution reveals exactly
@@ -253,39 +259,56 @@ type class_estimate = {
    finished walk left at their right ends rewinds a packed one from the
    template and indexes a raw one, neither a step — so estimated and
    actual agree to the step on both tiers, on a session's first walk and
-   on every repeat. The value/address extractions read one value per
-   instance from each stream class they touch, plus whatever their seeks
-   step through, so those are per-instance lower bounds; [at] and the
-   slices depend on where the data lands and are the loosest. Unknown
-   shapes estimate nothing. *)
+   on every repeat. The value/address extractions are lower bounds read
+   off the container's structure: an operand with no producer reads
+   nothing, a Local producer reads no label, a producer whose group has
+   no pattern reads no pattern stream, and the rest is one step per
+   value read ([value_reads]). An address a Remote producer feeds is
+   searched for on its edge's dst label, which on a raw label takes no
+   step, so dst gets no bound above 0, and its producer instance is
+   read off the src label. [at] and the slices depend on where the data
+   lands and are the loosest. Unknown shapes estimate nothing. *)
 let estimate (t : Wet.t) shape =
   let execs = t.Wet.stats.Wet.path_execs in
+  let bound est_kind est_steps = { est_kind; est_steps; est_exact = false } in
   match shape with
   | "trace/cf" -> [ { est_kind = "ts"; est_steps = execs; est_exact = true } ]
   | "trace/values" ->
-    let insts =
-      instances_matching t (function Instr.Load _ -> true | _ -> false)
-    in
-    [
-      { est_kind = "pattern"; est_steps = insts; est_exact = false };
-      { est_kind = "uvals"; est_steps = insts; est_exact = false };
-    ]
+    let pattern = ref 0 and uvals = ref 0 in
+    List.iter
+      (fun c ->
+        value_reads t ~pattern ~uvals c (Wet.node_of_copy t c).Wet.n_nexec)
+      (copies_matching t (function Instr.Load _ -> true | _ -> false));
+    [ bound "pattern" !pattern; bound "uvals" !uvals ]
   | "trace/addresses" ->
-    let insts = instances_matching t Instr.is_memory in
+    let src = ref 0 and pattern = ref 0 and uvals = ref 0 in
+    List.iter
+      (fun c ->
+        let slots = t.Wet.copy_deps.(c) in
+        if Array.length slots > 0 then
+          match slots.(0) with
+          | Wet.No_dep -> ()
+          | Wet.Local p ->
+            value_reads t ~pattern ~uvals p (Wet.node_of_copy t c).Wet.n_nexec
+          | Wet.Remote edges ->
+            List.iter
+              (fun (e : Wet.edge) ->
+                let n = e.Wet.e_labels.Wet.l_len in
+                src := !src + n;
+                value_reads t ~pattern ~uvals e.Wet.e_src n)
+              edges)
+      (copies_matching t Instr.is_memory);
     [
-      { est_kind = "label.dst"; est_steps = insts; est_exact = false };
-      { est_kind = "label.src"; est_steps = insts; est_exact = false };
-      { est_kind = "pattern"; est_steps = insts; est_exact = false };
-      { est_kind = "uvals"; est_steps = insts; est_exact = false };
+      bound "label.dst" 0;
+      bound "label.src" !src;
+      bound "pattern" !pattern;
+      bound "uvals" !uvals;
     ]
   | "at" ->
     (* locate_time probes node ts streams until the timestamp is found;
        the reconstruct then walks forward from there. *)
-    [ { est_kind = "ts"; est_steps = execs; est_exact = false } ]
+    [ bound "ts" execs ]
   | "slice/backward" | "slice/forward" | "slice/chop" ->
     let deps = t.Wet.stats.Wet.dep_instances in
-    [
-      { est_kind = "label.dst"; est_steps = deps; est_exact = false };
-      { est_kind = "label.src"; est_steps = deps; est_exact = false };
-    ]
+    [ bound "label.dst" deps; bound "label.src" deps ]
   | _ -> []

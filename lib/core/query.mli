@@ -115,7 +115,10 @@ type class_estimate = {
     ["trace/cf"] or ["slice/backward"]) will pay on [t] — the estimated
     side of the CLI's [--analyze] table. ["trace/cf"] is exact (one
     timestamp revealed per path execution; peeks, and the rewind that
-    parks a finished walk's cursors, decode nothing); the value,
-    address, [at] and slice shapes are per-instance approximations.
+    parks a finished walk's cursors, decode nothing). The value and
+    address shapes are lower bounds read off the container's structure:
+    an operand with no producer reads nothing, a local producer reads no
+    label, and a producer whose group has no pattern reads no pattern
+    stream. The [at] and slice shapes are looser approximations.
     Unknown shapes return [[]]. *)
 val estimate : Wet.t -> string -> class_estimate list

@@ -15,6 +15,20 @@ let h_chop = Wet_obs.Metrics.histogram "slice.chop_ns"
 let need (t : Wet.t) sec =
   if Wet.damaged t sec then raise (Wet.Missing_stream sec)
 
+(* A criterion names an execution the container holds. *)
+let check_criterion what (t : Wet.t) (c, i) =
+  let ncopies = Wet.num_copies t in
+  if c < 0 || c >= ncopies then
+    Wet_error.fail Query
+      "%s: criterion (copy %d, instance %d) out of range: copies are [0,%d)"
+      what c i ncopies;
+  let nexec = (Wet.node_of_copy t c).Wet.n_nexec in
+  if i < 0 || i >= nexec then
+    Wet_error.fail Query
+      "%s: criterion (copy %d, instance %d) out of range: instances of copy \
+       %d are [0,%d)"
+      what c i c nexec
+
 type result = {
   instances : int;
   copies : int;
@@ -22,48 +36,115 @@ type result = {
   truncated : bool;
 }
 
+(* A set of (copy, instance) pairs: one bitset per copy, made when the
+   set first reaches the copy, with a bit per execution of its node. *)
+module Iset = struct
+  type t = { wet : Wet.t; bits : Bytes.t array }
+
+  (* The slot of a copy not yet reached, told apart by physical
+     equality. *)
+  let unreached = Bytes.make 1 '\000'
+
+  let make wet = { wet; bits = Array.make (Wet.num_copies wet) unreached }
+
+  let mem s c i =
+    let b = s.bits.(c) in
+    b != unreached
+    && Char.code (Bytes.get b (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+  (* Adds [(c, i)]; [false] if it was there already. *)
+  let add s c i =
+    if s.bits.(c) == unreached then begin
+      let nexec = (Wet.node_of_copy s.wet c).Wet.n_nexec in
+      s.bits.(c) <- Bytes.make ((nexec + 7) lsr 3) '\000'
+    end;
+    let b = s.bits.(c) and k = i lsr 3 and bit = 1 lsl (i land 7) in
+    let byte = Char.code (Bytes.get b k) in
+    if byte land bit <> 0 then false
+    else begin
+      Bytes.set b k (Char.unsafe_chr (byte lor bit));
+      true
+    end
+end
+
+(* The instances counted into a result, with flags for the distinct
+   copies and statements among them. *)
+type counts = {
+  copy_seen : Bytes.t;
+  stmt_seen : Bytes.t;
+  mutable n_instances : int;
+  mutable n_copies : int;
+  mutable n_stmts : int;
+}
+
+let counts (t : Wet.t) =
+  {
+    copy_seen = Bytes.make (Wet.num_copies t) '\000';
+    stmt_seen = Bytes.make (Array.length t.Wet.stmt_copies) '\000';
+    n_instances = 0;
+    n_copies = 0;
+    n_stmts = 0;
+  }
+
+let count (t : Wet.t) k c =
+  k.n_instances <- k.n_instances + 1;
+  if Bytes.get k.copy_seen c = '\000' then begin
+    Bytes.set k.copy_seen c '\001';
+    k.n_copies <- k.n_copies + 1;
+    let st = t.Wet.copy_stmt.(c) in
+    if Bytes.get k.stmt_seen st = '\000' then begin
+      Bytes.set k.stmt_seen st '\001';
+      k.n_stmts <- k.n_stmts + 1
+    end
+  end
+
+let result k ~truncated =
+  {
+    instances = k.n_instances;
+    copies = k.n_copies;
+    stmts = k.n_stmts;
+    truncated;
+  }
+
+(* Depth-first from [(c0, i0)]: pop an instance, count it, then
+   [expand] it, which pushes each instance it depends on (or that
+   depends on it) that the walk has not reached yet. The stack holds
+   (copy, instance) pairs side by side. *)
 let walk ~max_instances ~f (t : Wet.t) c0 i0 ~expand =
-  let visited = Hashtbl.create 1024 in
-  let copies = Hashtbl.create 256 in
-  let stmts = Hashtbl.create 256 in
-  let work = ref [ (c0, i0) ] in
-  let count = ref 0 in
-  let truncated = ref false in
+  let reached = Iset.make t in
+  let k = counts t in
+  let stack = ref (Array.make 64 0) and sp = ref 0 in
   let push c i =
-    if not (Hashtbl.mem visited (c, i)) then begin
-      Hashtbl.replace visited (c, i) ();
-      work := (c, i) :: !work
+    if Iset.add reached c i then begin
+      if !sp = Array.length !stack then begin
+        let bigger = Array.make (2 * !sp) 0 in
+        Array.blit !stack 0 bigger 0 !sp;
+        stack := bigger
+      end;
+      !stack.(!sp) <- c;
+      !stack.(!sp + 1) <- i;
+      sp := !sp + 2
     end
   in
-  Hashtbl.replace visited (c0, i0) ();
-  let continue_ = ref true in
-  while !continue_ do
-    match !work with
-    | [] -> continue_ := false
-    | (c, i) :: rest ->
-      work := rest;
-      incr count;
-      (match f with Some f -> f c i | None -> ());
-      Hashtbl.replace copies c ();
-      Hashtbl.replace stmts t.Wet.copy_stmt.(c) ();
-      (match max_instances with
-       | Some m when !count >= m ->
-         truncated := true;
-         continue_ := false
-       | Some _ | None -> expand c i push)
+  push c0 i0;
+  let truncated = ref false in
+  while !sp > 0 && not !truncated do
+    sp := !sp - 2;
+    let c = !stack.(!sp) and i = !stack.(!sp + 1) in
+    (match f with Some f -> f c i | None -> ());
+    count t k c;
+    match max_instances with
+    | Some m when k.n_instances >= m -> truncated := true
+    | Some _ | None -> expand c i push
   done;
-  {
-    instances = !count;
-    copies = Hashtbl.length copies;
-    stmts = Hashtbl.length stmts;
-    truncated = !truncated;
-  }
+  result k ~truncated:!truncated
 
 module Session = struct
   let backward ?max_instances ?f s c0 i0 =
     Wet_obs.Metrics.time h_backward @@ fun () ->
     let t = S.wet s in
     need t "labels.deps";
+    check_criterion "slice.backward" t (c0, i0);
     Ex.query ~recorder:(S.recorder s) "slice.backward";
     let expand c i push =
       let nslots = Array.length t.Wet.copy_deps.(c) in
@@ -82,6 +163,7 @@ module Session = struct
     Wet_obs.Metrics.time h_forward @@ fun () ->
     let t = S.wet s in
     need t "index.out";
+    check_criterion "slice.forward" t (c0, i0);
     Ex.query ~recorder:(S.recorder s) "slice.forward";
     let expand c i push =
       List.iter (fun cc -> push cc i) t.Wet.copy_local_out.(c);
@@ -98,31 +180,27 @@ module Session = struct
     in
     walk ~max_instances ~f t c0 i0 ~expand
 
+  (* The backward walk from [sink], counting only the instances the
+     forward walk from [source] handed to its [f] — not every instance
+     it reached, so a truncated forward walk bounds the chop too. *)
   let chop ?max_instances ?f s ~source ~sink =
     Wet_obs.Metrics.time h_chop @@ fun () ->
     let t = S.wet s in
+    check_criterion "slice.chop source" t source;
+    check_criterion "slice.chop sink" t sink;
     Ex.query ~recorder:(S.recorder s) "slice.chop";
     let sc, si = source and kc, ki = sink in
-    let fwd = Hashtbl.create 256 in
+    let fwd = Iset.make t in
     ignore
       (forward ?max_instances s sc si ~f:(fun c i ->
-           Hashtbl.replace fwd (c, i) ()));
-    let count = ref 0 in
-    let copies = Hashtbl.create 64 in
-    let stmts = Hashtbl.create 64 in
+           ignore (Iset.add fwd c i)));
+    let k = counts t in
     let back =
       backward ?max_instances s kc ki ~f:(fun c i ->
-          if Hashtbl.mem fwd (c, i) then begin
-            incr count;
+          if Iset.mem fwd c i then begin
             (match f with Some f -> f c i | None -> ());
-            Hashtbl.replace copies c ();
-            Hashtbl.replace stmts t.Wet.copy_stmt.(c) ()
+            count t k c
           end)
     in
-    {
-      instances = !count;
-      copies = Hashtbl.length copies;
-      stmts = Hashtbl.length stmts;
-      truncated = back.truncated;
-    }
+    result k ~truncated:back.truncated
 end

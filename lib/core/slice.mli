@@ -6,7 +6,15 @@
     resolved entirely by traversing the compressed representation.
 
     Each function moves only the given session's cursors, so concurrent
-    slices over one shared container need one session each. *)
+    slices over one shared container need one session each. A criterion
+    must name an execution the container holds: a copy in
+    [\[0, num_copies)] and an instance below its node's [n_nexec];
+    otherwise the slice raises a [Wet_error] [Query] error naming the
+    copy, the instance and the valid range.
+
+    A walk is depth-first and pops the instance pushed last; [f] sees
+    the instances, and [max_instances] truncates the walk, in that
+    order. *)
 
 type result = {
   instances : int;  (** statement instances in the slice *)

@@ -182,6 +182,61 @@ fn main() {
     (Wet_analyses.State_reconstruct.global wet s "gen")
 
 
+(* An [at] early in a run reads, per store copy, the timestamps of its
+   instances up to [ts] and at most one past it: a node's timestamps
+   strictly increase, so the first one past [ts] ends the copy. Every
+   timestamp read is one seek on its node's ledger row, on both
+   tiers. *)
+let test_at_reads_up_to_ts () =
+  let module Ex = Wet_watch.Explain in
+  let module Wl = Wet_workloads.Spec in
+  List.iter
+    (fun name ->
+      let spec = Wl.find name in
+      let w1 =
+        Builder.run_streaming ~program:(Wl.compile spec)
+          ~input:(Wl.input spec ~scale:(max 1 (spec.Wl.timing_scale / 16)))
+          ()
+      in
+      List.iter
+        (fun (tier, wet) ->
+          let ts = wet.W.stats.W.path_execs / 16 in
+          let allowed =
+            List.fold_left
+              (fun acc c ->
+                let n = W.node_of_copy wet c in
+                let upto =
+                  Array.fold_left
+                    (fun k v -> if v <= ts then k + 1 else k)
+                    0
+                    (Wet_bistream.Stream.contents n.W.n_ts)
+                in
+                acc + min n.W.n_nexec (upto + 1))
+              0
+              (Wet_core.Query.copies_matching wet (function
+                | Wet_ir.Instr.Store _ -> true
+                | _ -> false))
+          in
+          let s = W.open_session wet in
+          let recorder = W.Session.recorder s in
+          Ex.arm ~recorder;
+          ignore (Wet_analyses.State_reconstruct.at_session s ~ts);
+          Ex.disarm ~recorder;
+          let reads =
+            List.fold_left
+              (fun acc (st : Ex.stream_stats) ->
+                match st.Ex.e_stream with
+                | Ex.Ts _ -> acc + st.Ex.e_seeks
+                | _ -> acc)
+              0 (Ex.report ~recorder).Ex.r_streams
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s %s: %d timestamp reads <= %d" name tier reads
+               allowed)
+            true (reads <= allowed))
+        [ ("tier-1", w1); ("tier-2", Builder.pack w1) ])
+    [ "126.gcc"; "197.parser" ]
+
 let test_value_locality () =
   (* a program whose loads see mostly one value *)
   let src =
@@ -229,7 +284,12 @@ let () =
       ( "value-locality",
         [ Alcotest.test_case "frequent values" `Quick test_value_locality ] );
       ( "state",
-        [ Alcotest.test_case "reconstruction oracle" `Quick test_state_reconstruction ] );
+        [
+          Alcotest.test_case "reconstruction oracle" `Quick
+            test_state_reconstruction;
+          Alcotest.test_case "at reads timestamps up to ts" `Quick
+            test_at_reads_up_to_ts;
+        ] );
       ( "dot",
         [
           Alcotest.test_case "nodes" `Quick test_dot_nodes;

@@ -357,6 +357,63 @@ let test_slice_truncation () =
   Alcotest.(check int) "capped" 3 r.Slice.instances;
   Alcotest.(check bool) "flagged" true r.Slice.truncated
 
+(* A criterion the container does not hold is a query error naming the
+   copy, the instance and the range, on every slice entry point: not a
+   phantom slice, and not a bare index error. *)
+let test_slice_criteria () =
+  let has_sub s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  List.iter
+    (fun (name, _, w1, w2) ->
+      List.iter
+        (fun wet ->
+          let s = W.open_session wet in
+          let ncopies = W.num_copies wet in
+          let c =
+            List.hd
+              (Query.copies_matching wet (function
+                | Instr.Output _ -> true
+                | _ -> false))
+          in
+          let n = (W.node_of_copy wet c).W.n_nexec in
+          let refused (bc, bi) what run =
+            match run () with
+            | (_ : Slice.result) ->
+              Alcotest.failf "%s: %s from (%d, %d) was not refused" name what
+                bc bi
+            | exception Wet_error.Error { Wet_error.stage = Query; msg } ->
+              let range =
+                if bc < 0 || bc >= ncopies then Printf.sprintf "[0,%d)" ncopies
+                else Printf.sprintf "[0,%d)" n
+              in
+              List.iter
+                (fun part ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: %S names %s" name msg part)
+                    true (has_sub msg part))
+                [ Printf.sprintf "copy %d, instance %d" bc bi; range ]
+          in
+          List.iter
+            (fun ((bc, bi) as bad) ->
+              refused bad "backward" (fun () -> Slice.Session.backward s bc bi);
+              refused bad "forward" (fun () -> Slice.Session.forward s bc bi);
+              refused bad "chop source" (fun () ->
+                  Slice.Session.chop s ~source:bad ~sink:(c, 0));
+              refused bad "chop sink" (fun () ->
+                  Slice.Session.chop s ~source:(c, 0) ~sink:bad))
+            [ (c, n); (c, -1); (ncopies, 0); (-1, 0) ];
+          (* both ends of the range still slice *)
+          List.iter
+            (fun i ->
+              Alcotest.(check bool) (name ^ " in-range criterion") true
+                ((Slice.Session.backward s c i).Slice.instances >= 1))
+            [ 0; n - 1 ])
+        [ w1; w2 ])
+    (Lazy.force built)
+
 (* ------------------------------------------------------------------ *)
 (* Sizes and statistics invariants                                    *)
 (* ------------------------------------------------------------------ *)
@@ -500,6 +557,7 @@ let base_suites =
           Alcotest.test_case "contents" `Quick test_slice_contents;
           Alcotest.test_case "duality" `Quick test_backward_forward_duality;
           Alcotest.test_case "truncation" `Quick test_slice_truncation;
+          Alcotest.test_case "criteria out of range" `Quick test_slice_criteria;
         ] );
       ( "sizes",
         [

@@ -622,57 +622,94 @@ let ints_of line =
          then int_of_string_opt core
          else None)
 
+(* The nine programs at a 64th of their timing scale, on both tiers. *)
+let nine =
+  lazy
+    (List.concat_map
+       (fun (spec : Wl.t) ->
+         let scale = max 1 (spec.Wl.timing_scale / 64) in
+         let w1 =
+           Builder.run_streaming ~program:(Wl.compile spec)
+             ~input:(Wl.input spec ~scale) ()
+         in
+         [ (spec, "tier-1", w1); (spec, "tier-2", Builder.pack w1) ])
+       Wl.all)
+
 (* Over the nine programs on both tiers, every --analyze hint quotes
    only figures its own cost table prints, and a tier-1 value or address
    trace, whose raw seeks take no step, never advises batching seeks. *)
 let test_hints_quote_the_table () =
   List.iter
-    (fun (spec : Wl.t) ->
-      let scale = max 1 (spec.Wl.timing_scale / 64) in
-      let w1 =
-        Builder.run_streaming ~program:(Wl.compile spec)
-          ~input:(Wl.input spec ~scale) ()
-      in
+    (fun ((spec : Wl.t), tier, wet) ->
+      let s, scope = open_scoped wet in
       List.iter
-        (fun (tier, wet) ->
-          let s, scope = open_scoped wet in
+        (fun (shape, run) ->
+          let _, p = Qprof.run ~scope shape run in
+          let lines = Render.analyze wet p in
+          let hints, table =
+            List.partition
+              (fun l -> String.length l > 6 && String.sub l 0 6 = "hint: ")
+              lines
+          in
+          let figures = List.concat_map ints_of table in
+          let what = Printf.sprintf "%s %s %s" spec.Wl.name tier shape in
           List.iter
-            (fun (shape, run) ->
-              let _, p = Qprof.run ~scope shape run in
-              let lines = Render.analyze wet p in
-              let hints, table =
-                List.partition
-                  (fun l -> String.length l > 6 && String.sub l 0 6 = "hint: ")
-                  lines
-              in
-              let figures = List.concat_map ints_of table in
-              let what = Printf.sprintf "%s %s %s" spec.Wl.name tier shape in
+            (fun h ->
               List.iter
-                (fun h ->
-                  List.iter
-                    (fun n ->
-                      Alcotest.(check bool)
-                        (Printf.sprintf "%s: %d of %S is in the table" what n h)
-                        true (List.mem n figures))
-                    (ints_of h);
-                  if tier = "tier-1"
-                     && (shape = "trace/values" || shape = "trace/addresses")
-                  then
-                    Alcotest.(check bool)
-                      (Printf.sprintf "%s: no seek hint (%s)" what h)
-                      false (has_sub h "inside"))
-                hints)
-            [
-              ("trace/cf", fun () -> ignore (Render.trace s ~kind:Render.Cf ~limit:16));
-              ("trace/values", fun () ->
-                  ignore (Render.trace s ~kind:Render.Values ~limit:16));
-              ("trace/addresses", fun () ->
-                  ignore (Render.trace s ~kind:Render.Addresses ~limit:16));
-              ("slice/backward", fun () -> ignore (Render.slice s ~output:None));
-              ("at", fun () -> ignore (Render.at s ~ts:None));
-            ])
-        [ ("tier-1", w1); ("tier-2", Builder.pack w1) ])
-    Wl.all
+                (fun n ->
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: %d of %S is in the table" what n h)
+                    true (List.mem n figures))
+                (ints_of h);
+              if tier = "tier-1"
+                 && (shape = "trace/values" || shape = "trace/addresses")
+              then
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: no seek hint (%s)" what h)
+                  false (has_sub h "inside"))
+            hints)
+        [
+          ("trace/cf", fun () -> ignore (Render.trace s ~kind:Render.Cf ~limit:16));
+          ("trace/values", fun () ->
+              ignore (Render.trace s ~kind:Render.Values ~limit:16));
+          ("trace/addresses", fun () ->
+              ignore (Render.trace s ~kind:Render.Addresses ~limit:16));
+          ("slice/backward", fun () -> ignore (Render.slice s ~output:None));
+          ("at", fun () -> ignore (Render.at s ~ts:None));
+        ])
+    (Lazy.force nine)
+
+(* Over the same containers, a value or address trace pays at least
+   what every [bound] row of its --analyze table estimates: the
+   estimates are lower bounds read off the container's structure. *)
+let test_bounds_hold () =
+  List.iter
+    (fun ((spec : Wl.t), tier, wet) ->
+      let s, scope = open_scoped wet in
+      List.iter
+        (fun (shape, kind) ->
+          let _, p =
+            Qprof.run ~scope shape (fun () ->
+                ignore (Render.trace s ~kind ~limit:16))
+          in
+          let actual k =
+            List.fold_left
+              (fun acc (st : Ex.stream_stats) ->
+                if Ex.stream_kind st.Ex.e_stream = k then acc + Ex.steps st
+                else acc)
+              0 p.Qprof.p_streams
+          in
+          List.iter
+            (fun (e : Query.class_estimate) ->
+              let a = actual e.Query.est_kind in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s %s %s: %s estimated %d, actual %d"
+                   spec.Wl.name tier shape e.Query.est_kind e.Query.est_steps a)
+                true
+                (e.Query.est_exact || e.Query.est_steps <= a))
+            (Query.estimate wet shape))
+        [ ("trace/values", Render.Values); ("trace/addresses", Render.Addresses) ])
+    (Lazy.force nine)
 
 (* ------------------------------------------------------------------ *)
 (* Off = free                                                          *)
@@ -731,6 +768,8 @@ let () =
         [
           Alcotest.test_case "hints quote their own cost table" `Quick
             test_hints_quote_the_table;
+          Alcotest.test_case "value and address bounds hold" `Quick
+            test_bounds_hold;
         ] );
       ( "lifecycle",
         [
