@@ -1,7 +1,8 @@
 (* Reproduction harness: regenerates every table and figure of the
-   paper's evaluation (§5) on the nine synthetic workloads, plus an
-   ablation (bidirectional streams vs Sequitur) and Bechamel
-   micro-benchmarks of the kernel behind each table.
+   paper's evaluation (§5) on the nine synthetic workloads, plus
+   ablations (bidirectional streams vs Sequitur, context sizes,
+   optimisation levels), the persisted observatory that `wet
+   bench-check` gates, and a streaming-memory smoke test.
 
      dune exec bench/main.exe              -- everything
      dune exec bench/main.exe table1 fig8  -- a subset
@@ -39,6 +40,8 @@ let scale_of w =
   if !quick then max 1 (s / 4) else s
 
 let mb = Sizes.mb
+
+let mw n = float_of_int n /. 1e6
 
 (* ------------------------------------------------------------------ *)
 (* Shared full-scale evaluation (Tables 1-4, Figure 8)                 *)
@@ -654,154 +657,23 @@ let opt_ablation () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: the kernel behind each table             *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  print_endline
-    "Bechamel micro-benchmarks (one kernel per table/figure; ns per run).";
-  let w = Spec.find "parser" in
-  let res = Spec.run ~scale:60 w in
-  let trace = res.Interp.trace in
-  let w1 = Builder.build trace in
-  let w2 = Builder.pack w1 in
-  let hottest =
-    Array.fold_left
-      (fun best (n : W.node) ->
-        if n.W.n_nexec > best.W.n_nexec then n else best)
-      w1.W.nodes.(0) w1.W.nodes
-  in
-  let ts = W.Stream.contents hottest.W.n_ts in
-  let packed = Wet_bistream.Stream.compress ts in
-  let tests =
-    [
-      (* Table 1/5: construction *)
-      Test.make ~name:"table1+5: build tier-1 WET"
-        (Staged.stage (fun () -> ignore (Builder.build trace)));
-      (* Tables 1-3: tier-2 packing *)
-      Test.make ~name:"tables1-3: pack to tier-2"
-        (Staged.stage (fun () -> ignore (Builder.pack w1)));
-      (* Table 4: architectural replay *)
-      Test.make ~name:"table4: arch replay"
-        (Staged.stage (fun () -> ignore (AP.of_trace trace)));
-      (* Table 6: control-flow extraction *)
-      Test.make ~name:"table6: cf trace (tier-2)"
-        (Staged.stage
-           (let s = W.open_session w2 in
-            fun () ->
-              Query.Session.park s Query.Forward;
-              ignore
-                (Query.Session.control_flow s Query.Forward
-                   ~f:(fun _ _ -> ()))));
-      (* Table 7 *)
-      Test.make ~name:"table7: load values (tier-2)"
-        (Staged.stage
-           (let s = W.open_session w2 in
-            fun () ->
-              ignore (Query.Session.load_values s ~f:(fun _ _ -> ()))));
-      (* Table 8 *)
-      Test.make ~name:"table8: addresses (tier-2)"
-        (Staged.stage
-           (let s = W.open_session w2 in
-            fun () ->
-              ignore (Query.Session.addresses s ~f:(fun _ _ -> ()))));
-      (* Table 9 *)
-      Test.make ~name:"table9: one backward slice (tier-2)"
-        (Staged.stage
-           (let s = W.open_session w2 in
-            let c, i = List.hd (slice_criteria w2 1) in
-            fun () -> ignore (Slice.Session.backward s c i)));
-      (* Figures 8/9 reduce to stream compression *)
-      Test.make ~name:"fig8+9: compress a ts stream"
-        (Staged.stage (fun () ->
-             ignore (Wet_bistream.Stream.compress ts)));
-      Test.make ~name:"fig8+9: step a packed stream"
-        (Staged.stage
-           (let cur =
-              Wet_bistream.Stream.Cursor.make
-                ~tally:(Wet_bistream.Telemetry.make ()) ~label:0 packed
-            in
-            fun () ->
-              Wet_bistream.Stream.Cursor.seek cur 0;
-              for _ = 1 to min 256 (Array.length ts) do
-                ignore (Wet_bistream.Stream.Cursor.step_forward cur)
-              done));
-    ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false ()
-  in
-  let raw =
-    Benchmark.all cfg instances
-      (Test.make_grouped ~name:"wet" ~fmt:"%s %s" tests)
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false
-      ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let est =
-        match Analyze.OLS.estimates ols with
-        | Some (x :: _) -> Printf.sprintf "%.0f" x
-        | Some [] | None -> "n/a"
-      in
-      rows := [ name; est ] :: !rows)
-    results;
-  Table.print ~title:"Micro-benchmarks."
-    ~header:[ "Kernel"; "ns/run" ]
-    (List.sort compare !rows)
-
-(* ------------------------------------------------------------------ *)
 (* Persisted bench observatory (BENCH_PR*.json + `wet bench-check`)    *)
 (* ------------------------------------------------------------------ *)
-
-let repeat = ref 3
-
-let warmup = ref 1
 
 let out_file = ref "BENCH_PR10.json"
 
 module Bench = Wet_insight.Bench
 module Qprof = Wet_qprof.Qprof
-module Qlog = Wet_qprof.Qlog
-module Store = Wet_core.Store
-module Serve = Wet_serve.Server
-module Serve_client = Wet_serve.Client
-module SP = Wet_serve.Protocol
 
-(* The sweep is 4 queries (cf fwd, cf bwd, load values, addresses); the
-   per-query table columns divide by this. *)
-let sweep_queries = 4
-
-(* The fixed query sweep every observatory sample times: both directions
-   of control flow, load values and addresses, all on the tier-2 WET —
-   the shape of Tables 6–8 in one deterministic unit of work. Every
-   sweep of a workload runs on one session, so each starts from the
-   cursors the last one left, and the cost figures below read that
-   session's ledger. *)
+(* The fixed query sweep the observatory profiles: both directions of
+   control flow, load values and addresses, all on the tier-2 WET — the
+   shape of Tables 6–8 in one deterministic unit of work. *)
 let query_sweep s =
   Query.Session.park s Query.Forward;
   ignore (Query.Session.control_flow s Query.Forward ~f:(fun _ _ -> ()));
   ignore (Query.Session.control_flow s Query.Backward ~f:(fun _ _ -> ()));
   ignore (Query.Session.load_values s ~f:(fun _ _ -> ()));
   ignore (Query.Session.addresses s ~f:(fun _ _ -> ()))
-
-let timed_ms f =
-  let t0 = Wet_obs.Clock.now_ns () in
-  let x = f () in
-  (x, float_of_int (Wet_obs.Clock.now_ns () - t0) /. 1e6)
-
-(* [warmup] discarded runs, then [repeat] timed ones (ms). *)
-let sampled f =
-  for _ = 1 to !warmup do
-    ignore (f ())
-  done;
-  List.init !repeat (fun _ -> snd (timed_ms f))
 
 (* One streaming build with peak tracking, against a live-word baseline
    taken after a compaction so earlier garbage doesn't inflate the
@@ -821,195 +693,12 @@ let streaming_peak w ~scale =
   let peak = max 0 (Builder.Sink.peak_live_words sink - live0) in
   (wet, peak, Builder.Sink.shard_count sink)
 
-(* One fused interp+build, the `wet build` hot path. With [progress] the
-   whole live-observability stack a user gets from `--progress` is
-   armed — sink enabled, heartbeats on, a reporter emitting JSONL to
-   /dev/null — so stream_progress_p50_ms minus stream_p50_ms is what
-   watching a build live actually costs. *)
-let streaming_build ?(progress = false) w ~scale =
-  let prog = Spec.compile w in
-  let input = Spec.input w ~scale in
-  let analysis = Wet_cfg.Program_analysis.of_program prog in
-  let run () =
-    let sink = Builder.Sink.create analysis in
-    let _ =
-      Interp.run_with_sink ~analysis ~sink:(Builder.Sink.events sink) prog
-        ~input
-    in
-    ignore (Builder.Sink.finish sink)
-  in
-  if not progress then run ()
-  else begin
-    let was_enabled = !Wet_obs.Sink.enabled in
-    let hb = !Wet_obs.Sink.heartbeat_every in
-    let oc = open_out "/dev/null" in
-    let reporter =
-      Wet_pulse.Reporter.create ~interval_ms:0 (Wet_pulse.Reporter.Jsonl oc)
-    in
-    Wet_obs.Sink.enable ();
-    Wet_obs.Sink.heartbeat_every := 50_000;
-    Wet_pulse.Reporter.install reporter;
-    Fun.protect
-      ~finally:(fun () ->
-        Wet_pulse.Reporter.uninstall ();
-        Wet_obs.Sink.heartbeat_every := hb;
-        if not was_enabled then Wet_obs.Sink.disable ();
-        close_out oc)
-      run
-  end
-
-module Journal = Wet_journal.Journal
-
-(* The same fused build with a checkpoint journal armed: one sink
-   snapshot + fsync'd append per shard flush into [journal]
-   (truncated each run). stream_checkpoint_p50_ms minus stream_p50_ms
-   is what durability costs. Mirrors [streaming_build]'s shape —
-   compile, input and analysis inside the timed region — so the two
-   walls are directly comparable. *)
-let streaming_checkpoint w ~scale ~journal =
-  let prog = Spec.compile w in
-  let input = Spec.input w ~scale in
-  ignore
-    (Builder.Checkpoint.build ~label:w.Spec.name ~journal ~program:prog
-       ~input ())
-
-(* One crash recovery, timed by the recovery path itself: kill a
-   checkpointed build at its midpoint shard, then [Checkpoint.resume]
-   reads the journal, restores the latest snapshot and re-executes up
-   to the watermark. One-shot — a kill is not repeatable inside the
-   warmup/repeat loop — so the number is recorded but never gated. *)
-let resume_once w ~scale ~shards ~journal =
-  let prog = Spec.compile w in
-  let input = Spec.input w ~scale in
-  let kill_at = max 1 (shards / 2) in
-  (match
-     Fun.protect
-       ~finally:(fun () -> Journal.kill_after_records := None)
-       (fun () ->
-         Builder.Checkpoint.build ~label:w.Spec.name
-           ~on_header_written:(fun () ->
-             Journal.kill_after_records := Some kill_at)
-           ~journal ~program:prog ~input ())
-   with
-   | _wet -> ()  (* tiny scales can finish before the kill fires *)
-   | exception Journal.Kill_injected -> ());
-  let r = Builder.Checkpoint.resume ~journal () in
-  r.Builder.Checkpoint.r_resume_ms
-
-(* Serve round trips: save the tier-2 WET to a temp container, stand up
-   an in-process daemon on a temp socket, and time [trace] requests end
-   to end — encode, socket write, dispatch under the engine lock,
-   response read. A discarded first request warms the daemon's cache so
-   the sampled walls measure serving, not loading. The daemon enables
-   the span sink for its own lifetime; the prior sink state is restored
-   so later stream walls stay comparable. *)
-let serve_roundtrips w2 ~name =
-  let dir = Filename.temp_file "wet_serve_bench" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  let wet_path = Filename.concat dir (name ^ ".wet") in
-  let socket = Filename.concat dir "bench.sock" in
-  let sink_was_enabled = !Wet_obs.Sink.enabled in
-  let cleanup () =
-    List.iter
-      (fun p -> try Sys.remove p with Sys_error _ -> ())
-      [ wet_path; socket ];
-    (try Unix.rmdir dir with Unix.Unix_error _ -> ());
-    if not sink_was_enabled then Wet_obs.Sink.disable ()
-  in
-  Fun.protect ~finally:cleanup (fun () ->
-      Store.save w2 wet_path;
-      (* the daemon gets its own domain so its compute overlaps the
-         clients' turnaround — in one runtime the two would serialise
-         on the master lock and the concurrent phase could never beat
-         the single-client rate *)
-      (* the adaptive domain default: the concurrent columns measure
-         what a client gets from this machine's daemon — parallel
-         dispatch where cores exist, thread time-sharing where not *)
-      let daemon =
-        Domain.spawn (fun () ->
-            Serve.run
-              { (Serve.default_config ~socket) with Serve.cache_capacity = 2 })
-      in
-      let rec connect tries =
-        match Serve_client.connect socket with
-        | Ok c -> c
-        | Error e ->
-          if tries = 0 then failwith ("serve bench: " ^ e)
-          else begin
-            Thread.delay 0.02;
-            connect (tries - 1)
-          end
-      in
-      let client = connect 250 in
-      let trace_req id =
-        SP.request ~wet:wet_path
-          ~params:[ ("kind", "cf"); ("limit", "16") ]
-          ~id SP.Trace
-      in
-      let roundtrip_on c id =
-        match Serve_client.request c (trace_req id) with
-        | Ok r when r.SP.rs_ok -> ()
-        | Ok r ->
-          failwith
-            ("serve bench: " ^ Option.value r.SP.rs_error ~default:"error")
-        | Error e -> failwith ("serve bench: " ^ e)
-      in
-      let roundtrip id = roundtrip_on client id in
-      let walls, mt_walls, mt_wall_s =
-        Fun.protect
-          ~finally:(fun () ->
-            ignore (Serve_client.request client (SP.request ~id:0 SP.Shutdown));
-            Serve_client.close client;
-            Domain.join daemon)
-          (fun () ->
-            for i = 1 to !warmup + 1 do
-              roundtrip i
-            done;
-            let walls =
-              List.init (max 5 (!repeat * 5)) (fun i ->
-                  snd (timed_ms (fun () -> roundtrip (100 + i))))
-            in
-            (* Concurrent phase: 4 clients, each its own connection (so
-               each gets its own server-side session over the shared
-               resident WET), hammering the same trace verb. Per-request
-               walls feed the MT p50; the burst's total wall feeds the
-               aggregate requests/sec. *)
-            let clients = 4 in
-            let per_client = max 5 (!repeat * 5) in
-            let results = Array.make clients [] in
-            let burst () =
-              let threads =
-                List.init clients (fun k ->
-                    Thread.create
-                      (fun k ->
-                        let c = connect 250 in
-                        Fun.protect
-                          ~finally:(fun () -> Serve_client.close c)
-                          (fun () ->
-                            results.(k) <-
-                              List.init per_client (fun i ->
-                                  snd
-                                    (timed_ms (fun () ->
-                                         roundtrip_on c
-                                           (1000 + (k * per_client) + i))))))
-                      k)
-              in
-              List.iter Thread.join threads
-            in
-            let (), mt_wall_ms = timed_ms burst in
-            let mt_walls = List.concat (Array.to_list results) in
-            (walls, mt_walls, mt_wall_ms /. 1e3))
-      in
-      let mt_rps =
-        if mt_wall_s <= 0. then 0.
-        else float_of_int (List.length mt_walls) /. mt_wall_s
-      in
-      ( Bench.percentile 0.5 walls,
-        Bench.percentile 0.95 walls,
-        Bench.percentile 0.5 mt_walls,
-        mt_rps ))
-
+(* Per workload, at its timing scale (a quarter of it with --quick),
+   the figures no clock enters: sizes and ratios on both tiers, the
+   resident WET, a streaming build's peak and shards, and the decode
+   cost of one profiled sweep. Each reads the same on every run of one
+   commit, so `wet bench-check` gates them all tightly; timings are
+   perfbench's. *)
 let observatory () =
   let samples =
     List.map
@@ -1021,159 +710,74 @@ let observatory () =
         progress "observatory %s (scale %d)" w.Spec.name scale;
         (* streaming build first, before any trace is materialised, so
            the live-word peak reflects the sink alone *)
-        let _wet, peak_words, shards = streaming_peak w ~scale in
+        let _wet, build_peak_words, shards = streaming_peak w ~scale in
         let res = Spec.run ~scale w in
         let stmts = res.Interp.stmts_executed in
-        let build_ms = sampled (fun () -> Builder.build res.Interp.trace) in
         let w1 = Builder.build res.Interp.trace in
         let orig = Sizes.original w1 in
         let t1 = Sizes.current w1 in
         let w2 = Builder.pack w1 in
         let t2 = Sizes.current w2 in
+        (* one plain sweep leaves the cursors where every later sweep
+           leaves them, so the profiled sweep starts from that fixed
+           point and its cost reads the same on every run *)
         let sweep = W.open_session w2 in
+        query_sweep sweep;
         let scope =
           Qprof.make_scope ~tally:(W.Session.tally sweep)
             ~recorder:(W.Session.recorder sweep) ()
         in
-        let query_ms = sampled (fun () -> query_sweep sweep) in
-        let stream_ms = sampled (fun () -> streaming_build w ~scale) in
-        let stream_progress_ms =
-          sampled (fun () -> streaming_build ~progress:true w ~scale)
-        in
-        (* exact decode cost of one sweep, read off the ledger. By
-           this point the sweep has run several times, so the cursor
-           start state is the sweep's own fixed point and the figures
-           are deterministic run to run. *)
         let _, prof =
           Qprof.profiled ~scope
             ~params:[ ("workload", w.Spec.name) ]
             "bench/sweep"
             (fun () -> query_sweep sweep)
         in
-        (* qlog overhead: the same sweep inside a profiling context with
-           a qlog line appended, vs the plain walls already sampled *)
-        let qlog_ms =
-          sampled (fun () ->
-              let _, p =
-                Qprof.profiled ~scope "bench/sweep" (fun () ->
-                    query_sweep sweep)
-              in
-              Qlog.append "/dev/null" p)
-        in
-        (* durable-build costs: the checkpointed fused build, then one
-           kill-at-midpoint recovery, into a throwaway journal *)
-        let journal = Filename.temp_file "wet_bench" ".jrnl" in
-        let stream_ckpt_ms, resume_ms =
-          Fun.protect
-            ~finally:(fun () ->
-              try Sys.remove journal with Sys_error _ -> ())
-            (fun () ->
-              let ckpt =
-                sampled (fun () -> streaming_checkpoint w ~scale ~journal)
-              in
-              (ckpt, resume_once w ~scale ~shards ~journal))
-        in
-        let stream_p50 = Bench.percentile 0.5 stream_ms in
-        let stream_ckpt_p50 = Bench.percentile 0.5 stream_ckpt_ms in
-        let checkpoint_overhead_frac =
-          if stream_p50 <= 0. then 0.
-          else (stream_ckpt_p50 -. stream_p50) /. stream_p50
-        in
-        let query_p50 = Bench.percentile 0.5 query_ms in
-        let qlog_overhead_frac =
-          if query_p50 <= 0. then 0.
-          else (Bench.percentile 0.5 qlog_ms -. query_p50) /. query_p50
-        in
-        (* serve round trips against the same tier-2 WET *)
-        let serve_p50_ms, serve_p95_ms, serve_mt_p50_ms, serve_mt_rps =
-          serve_roundtrips w2 ~name:w.Spec.name
-        in
-        let build_p50 = Bench.percentile 0.5 build_ms in
+        let cost = prof.Qprof.p_total in
         let per_label b = b.Sizes.total_bytes /. float_of_int stmts in
         {
           Bench.workload = w.Spec.name;
           scale;
           stmts;
-          stmts_per_sec = float_of_int stmts /. (build_p50 /. 1e3);
           bytes_per_label_t1 = per_label t1;
           bytes_per_label_t2 = per_label t2;
           ratio_t1 = orig.Sizes.total_bytes /. t1.Sizes.total_bytes;
           ratio_t2 = orig.Sizes.total_bytes /. t2.Sizes.total_bytes;
-          build_p50_ms = build_p50;
-          build_p95_ms = Bench.percentile 0.95 build_ms;
-          query_p50_ms = Bench.percentile 0.5 query_ms;
-          query_p95_ms = Bench.percentile 0.95 query_ms;
-          query_switches = prof.Qprof.p_total.Qprof.c_switches;
-          build_peak_words = peak_words;
           wet_words = Obj.reachable_words (Obj.repr w1);
+          build_peak_words;
           shards;
-          stream_p50_ms = stream_p50;
-          stream_progress_p50_ms = Bench.percentile 0.5 stream_progress_ms;
-          query_decode_steps = Qprof.decode_steps prof.Qprof.p_total;
-          query_bits_touched = prof.Qprof.p_total.Qprof.c_bits;
-          qlog_overhead_frac;
-          stream_checkpoint_p50_ms = stream_ckpt_p50;
-          checkpoint_overhead_frac;
-          resume_ms;
-          serve_p50_ms;
-          serve_p95_ms;
-          serve_mt_p50_ms;
-          serve_mt_rps;
+          query_decode_steps = Qprof.decode_steps cost;
+          query_bits_touched = cost.Qprof.c_bits;
+          query_switches = cost.Qprof.c_switches;
         })
       Spec.all
   in
-  let run =
-    {
-      Bench.label = "observatory";
-      quick = !quick;
-      repeat = !repeat;
-      warmup = !warmup;
-      samples;
-    }
-  in
-  Bench.save run !out_file;
+  Bench.save { Bench.samples } !out_file;
   Table.print
     ~title:
-      (Printf.sprintf
-         "Bench observatory (%s scale, %d warmup + %d timed) -> %s."
+      (Printf.sprintf "Bench observatory (%s scale) -> %s."
          (if !quick then "quick" else "timing")
-         !warmup !repeat !out_file)
+         !out_file)
     ~header:
-      [ "Workload"; "Stmts"; "Stmts/s"; "B/label T2"; "Ratio T2";
-        "Build p50 (ms)"; "Query p50 (ms)"; "Switches"; "Peak (Mw)"; "Shards";
-        "Stream p50 (ms)"; "Reporter +%"; "Ckpt +%"; "Resume (ms)";
-        "Decode/q"; "Bits/q"; "Qlog +%"; "Serve p50 (ms)"; "Serve p95 (ms)";
-        "MT p50 (ms)"; "MT req/s" ]
+      [ "Workload"; "Scale"; "Stmts"; "B/label T1"; "B/label T2"; "Ratio T1";
+        "Ratio T2"; "WET (Mw)"; "Peak (Mw)"; "Shards"; "Sweep steps";
+        "Sweep bits"; "Switches" ]
     (List.map
        (fun (s : Bench.sample) ->
-         let overhead_pct =
-           if s.Bench.stream_p50_ms <= 0. then 0.
-           else
-             (s.Bench.stream_progress_p50_ms -. s.Bench.stream_p50_ms)
-             /. s.Bench.stream_p50_ms *. 100.
-         in
          [
            s.Bench.workload;
+           Table.i s.Bench.scale;
            Table.millions s.Bench.stmts;
-           Printf.sprintf "%.3g" s.Bench.stmts_per_sec;
+           Table.f2 s.Bench.bytes_per_label_t1;
            Table.f2 s.Bench.bytes_per_label_t2;
+           Table.f2 s.Bench.ratio_t1;
            Table.f2 s.Bench.ratio_t2;
-           Table.f2 s.Bench.build_p50_ms;
-           Table.f2 s.Bench.query_p50_ms;
-           Table.i s.Bench.query_switches;
-           Table.f2 (float_of_int s.Bench.build_peak_words /. 1e6);
+           Table.f2 (mw s.Bench.wet_words);
+           Table.f2 (mw s.Bench.build_peak_words);
            Table.i s.Bench.shards;
-           Table.f2 s.Bench.stream_p50_ms;
-           Printf.sprintf "%+.1f" overhead_pct;
-           Printf.sprintf "%+.1f" (100. *. s.Bench.checkpoint_overhead_frac);
-           Table.f2 s.Bench.resume_ms;
-           Table.i (s.Bench.query_decode_steps / sweep_queries);
-           Table.i (s.Bench.query_bits_touched / sweep_queries);
-           Printf.sprintf "%+.1f" (100. *. s.Bench.qlog_overhead_frac);
-           Table.f2 s.Bench.serve_p50_ms;
-           Table.f2 s.Bench.serve_p95_ms;
-           Table.f2 s.Bench.serve_mt_p50_ms;
-           Printf.sprintf "%.3g" s.Bench.serve_mt_rps;
+           Table.i s.Bench.query_decode_steps;
+           Table.i s.Bench.query_bits_touched;
+           Table.i s.Bench.query_switches;
          ])
        samples)
 
@@ -1183,7 +787,6 @@ let observatory () =
    O(shard size + final WET) bound the sink advertises. Runs at quick
    scales; exit 3 on any violation, mirroring bench-check. *)
 let memsmoke () =
-  let mw n = float_of_int n /. 1e6 in
   let failures = ref 0 in
   let rows =
     List.map
@@ -1227,13 +830,12 @@ let all_targets =
     ("table7", table7); ("table8", table8); ("table9", table9);
     ("fig8", fig8); ("fig9", fig9); ("ablation", ablation);
     ("optablation", opt_ablation); ("ctxablation", ctx_ablation);
-    ("micro", micro); ("observatory", observatory);
-    ("memsmoke", memsmoke);
+    ("observatory", observatory); ("memsmoke", memsmoke);
   ]
 
 let () =
   (* Hand-rolled flag parsing: positional target names plus --quick,
-     --quiet, --repeat N, --warmup N and --out FILE. *)
+     --quiet and --out FILE. *)
   let rec parse acc = function
     | [] -> List.rev acc
     | "--" :: rest -> parse acc rest
@@ -1243,19 +845,11 @@ let () =
     | "--quiet" :: rest ->
       Wet_obs.Log.quiet := true;
       parse acc rest
-    | (("--repeat" | "--warmup") as flag) :: v :: rest -> (
-      match int_of_string_opt v with
-      | Some n when n >= (if flag = "--repeat" then 1 else 0) ->
-        (if flag = "--repeat" then repeat else warmup) := n;
-        parse acc rest
-      | _ ->
-        Printf.eprintf "%s needs a non-negative integer, got %s\n" flag v;
-        exit 1)
     | "--out" :: path :: rest ->
       out_file := path;
       parse acc rest
-    | (("--repeat" | "--warmup" | "--out") as flag) :: [] ->
-      Printf.eprintf "%s needs an argument\n" flag;
+    | [ "--out" ] ->
+      prerr_endline "--out needs an argument";
       exit 1
     | a :: rest -> parse (a :: acc) rest
   in

@@ -1512,133 +1512,72 @@ let fsck_cmd =
 
 (* The CI regression gate: diff a BENCH_PR*.json produced by
    `bench/main.exe observatory` against a committed baseline. Exit 3 on
-   regression, mirroring fsck's "the input is bad" convention. *)
+   regression, mirroring fsck's "the input is bad" convention; a file
+   that does not load or a scale that differs is a usage error (2). *)
 
 let bench_check_cmd =
   let current_arg =
     let doc = "The freshly produced bench observatory file." in
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"CURRENT" ~doc)
+    Arg.(required & pos 0 (some file) None & info [] ~docv:"CURRENT" ~doc)
   in
   let against_arg =
     let doc = "Baseline bench file to compare against." in
     Arg.(
-      required & opt (some string) None & info [ "against" ] ~docv:"FILE" ~doc)
+      required & opt (some file) None & info [ "against" ] ~docv:"FILE" ~doc)
   in
-  let wall_arg =
-    let doc =
-      "Allowed relative worsening for wall-clock metrics (stmts/s, build \
-       and query p50) before flagging a regression."
-    in
-    Arg.(
-      value
-      & opt float Bench_obs.default_thresholds.Bench_obs.wall_frac
-      & info [ "wall-threshold" ] ~docv:"FRAC" ~doc)
-  in
-  let size_arg =
-    let doc =
-      "Allowed relative worsening for deterministic size/step metrics \
-       (bytes/label, compression ratios, query steps)."
-    in
-    Arg.(
-      value
-      & opt float Bench_obs.default_thresholds.Bench_obs.size_frac
-      & info [ "size-threshold" ] ~docv:"FRAC" ~doc)
-  in
-  let warn_only_arg =
-    let doc = "Report regressions but exit 0 (first-run CI bootstrap)." in
-    Arg.(value & flag & info [ "warn-only" ] ~doc)
-  in
-  let allow_missing_arg =
-    let doc =
-      "Exit 0 with a note when the baseline file does not exist (instead \
-       of a usage error)."
-    in
-    Arg.(value & flag & info [ "allow-missing-baseline" ] ~doc)
-  in
-  let action current against wall_frac size_frac warn_only allow_missing =
-    if not (Sys.file_exists against) then begin
-      if allow_missing then begin
-        Printf.printf
-          "bench-check: no baseline at %s; nothing to compare (record %s as \
-           the new baseline)\n"
-          against current;
+  let action current against =
+    let ( let* ) = Result.bind in
+    match
+      let* cur = Bench_obs.load current in
+      let* prev = Bench_obs.load against in
+      Bench_obs.check ~prev ~cur
+    with
+    | Error m -> `Error (false, m)
+    | Ok [] ->
+      Printf.printf "bench-check: no overlapping workloads between %s and %s\n"
+        current against;
+      `Ok ()
+    | Ok verdicts ->
+      let rows =
+        List.map
+          (fun (v : Bench_obs.verdict) ->
+            [
+              v.Bench_obs.v_workload;
+              v.Bench_obs.v_metric;
+              Printf.sprintf "%.4g" v.Bench_obs.v_prev;
+              Printf.sprintf "%.4g" v.Bench_obs.v_cur;
+              Printf.sprintf "%+.1f%%" (100. *. v.Bench_obs.v_worse_frac);
+              (if v.Bench_obs.v_regressed then "REGRESSED" else "ok");
+            ])
+          verdicts
+      in
+      Table.print
+        ~title:
+          (Printf.sprintf "bench-check: %s vs baseline %s (%.0f%% allowed)."
+             current against (100. *. Bench_obs.threshold))
+        ~align:Table.[ Left; Left; Right; Right; Right; Left ]
+        ~header:
+          [ "Workload"; "Metric"; "Baseline"; "Current"; "Worse by"; "Status" ]
+        rows;
+      let bad = List.filter (fun v -> v.Bench_obs.v_regressed) verdicts in
+      if bad = [] then begin
+        Printf.printf "bench-check: ok (%d comparisons)\n"
+          (List.length verdicts);
         `Ok ()
       end
-      else `Error (false, Printf.sprintf "baseline %s does not exist" against)
-    end
-    else
-      match (Bench_obs.load current, Bench_obs.load against) with
-      | Error m, _ | _, Error m -> `Error (false, m)
-      | Ok cur, Ok prev ->
-        if cur.Bench_obs.quick <> prev.Bench_obs.quick then
-          Printf.printf
-            "note: comparing a %s run against a %s baseline; wall numbers \
-             are not comparable\n"
-            (if cur.Bench_obs.quick then "quick" else "full")
-            (if prev.Bench_obs.quick then "quick" else "full");
-        let verdicts =
-          Bench_obs.check
-            { Bench_obs.wall_frac; size_frac }
-            ~prev ~cur
-        in
-        if verdicts = [] then begin
-          Printf.printf
-            "bench-check: no overlapping workloads between %s and %s\n"
-            current against;
-          `Ok ()
-        end
-        else begin
-          let rows =
-            List.map
-              (fun (v : Bench_obs.verdict) ->
-                [
-                  v.Bench_obs.v_workload;
-                  v.Bench_obs.v_metric;
-                  Printf.sprintf "%.4g" v.Bench_obs.v_prev;
-                  Printf.sprintf "%.4g" v.Bench_obs.v_cur;
-                  Printf.sprintf "%+.1f%%" (100. *. v.Bench_obs.v_worse_frac);
-                  Printf.sprintf "%.0f%%" (100. *. v.Bench_obs.v_threshold);
-                  (if v.Bench_obs.v_regressed then "REGRESSED" else "ok");
-                ])
-              verdicts
-          in
-          Table.print
-            ~title:
-              (Printf.sprintf "bench-check: %s vs baseline %s." current against)
-            ~align:Table.[ Left; Left; Right; Right; Right; Right; Left ]
-            ~header:
-              [ "Workload"; "Metric"; "Baseline"; "Current"; "Worse by";
-                "Allowed"; "Status" ]
-            rows;
-          let bad =
-            List.filter (fun v -> v.Bench_obs.v_regressed) verdicts
-          in
-          if bad = [] then begin
-            Printf.printf "bench-check: ok (%d comparisons)\n"
-              (List.length verdicts);
-            `Ok ()
-          end
-          else begin
-            Printf.printf "bench-check: %d regression(s) of %d comparisons\n"
-              (List.length bad) (List.length verdicts);
-            if warn_only then begin
-              print_endline "bench-check: --warn-only set, not failing";
-              `Ok ()
-            end
-            else exit 3
-          end
-        end
+      else begin
+        Printf.printf "bench-check: %d regression(s) of %d comparisons\n"
+          (List.length bad) (List.length verdicts);
+        exit 3
+      end
   in
   Cmd.v
     (Cmd.info "bench-check"
        ~doc:
          "Compare a bench observatory file (BENCH_PR*.json) against a \
-          baseline and fail (exit 3) on metric regressions beyond the \
-          noise thresholds.")
-    Term.(
-      ret
-        (const action $ current_arg $ against_arg $ wall_arg $ size_arg
-         $ warn_only_arg $ allow_missing_arg))
+          baseline of the same scales and fail (exit 3) when any column \
+          is more than 2% worse.")
+    Term.(ret (const action $ current_arg $ against_arg))
 
 (* ---------------- obs (offline report / diff) ---------------- *)
 

@@ -237,7 +237,7 @@ end
 type class_estimate = {
   est_kind : string;  (* Explain stream class: ts/uvals/pattern/label.* *)
   est_steps : int;  (* predicted ledger steps: fwd + bwd, seeks' included *)
-  est_exact : bool;  (* model is exact, not a bound *)
+  est_exact : bool;  (* model is exact, not a lower bound *)
 }
 
 (* Lower bounds on what reading [n] values of copy [c] steps, per
@@ -266,8 +266,11 @@ let value_reads (t : Wet.t) ~pattern ~uvals c n =
    value read ([value_reads]). An address a Remote producer feeds is
    searched for on its edge's dst label, which on a raw label takes no
    step, so dst gets no bound above 0, and its producer instance is
-   read off the src label. [at] and the slices depend on where the data
-   lands and are the loosest. Unknown shapes estimate nothing. *)
+   read off the src label. [at] and the slices have no model: what they
+   read depends on where the timestamp or the dependences land, and
+   neither [path_execs] nor [dep_instances] bounds it from either side
+   (a bzip2 backward slice pays nearly five times [dep_instances], a
+   gcc one under half). They and every unknown shape estimate nothing. *)
 let estimate (t : Wet.t) shape =
   let execs = t.Wet.stats.Wet.path_execs in
   let bound est_kind est_steps = { est_kind; est_steps; est_exact = false } in
@@ -304,11 +307,4 @@ let estimate (t : Wet.t) shape =
       bound "pattern" !pattern;
       bound "uvals" !uvals;
     ]
-  | "at" ->
-    (* locate_time probes node ts streams until the timestamp is found;
-       the reconstruct then walks forward from there. *)
-    [ bound "ts" execs ]
-  | "slice/backward" | "slice/forward" | "slice/chop" ->
-    let deps = t.Wet.stats.Wet.dep_instances in
-    [ bound "label.dst" deps; bound "label.src" deps ]
   | _ -> []

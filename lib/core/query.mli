@@ -107,7 +107,7 @@ type class_estimate = {
   est_steps : int;
       (** predicted ledger steps: forward + backward, a seek's steps
           included (see {!Wet_bistream.Telemetry}) *)
-  est_exact : bool;  (** the model is exact, not a bound *)
+  est_exact : bool;  (** the model is exact, not a lower bound *)
 }
 
 (** [estimate t shape] predicts, per stream class, how many cursor steps
@@ -119,6 +119,8 @@ type class_estimate = {
     address shapes are lower bounds read off the container's structure:
     an operand with no producer reads nothing, a local producer reads no
     label, and a producer whose group has no pattern reads no pattern
-    stream. The [at] and slice shapes are looser approximations.
-    Unknown shapes return [[]]. *)
+    stream; no run of the shape pays fewer steps. The [at] and slice
+    shapes have no model — what they read depends on where the
+    timestamp or the dependences land — so they, like unknown shapes,
+    return [[]]. *)
 val estimate : Wet.t -> string -> class_estimate list

@@ -234,7 +234,7 @@ let analyze wet (p : Qprof.profile) =
               string_of_int (actual k);
               (match est with
                | Some e when e.Query.est_exact -> "exact"
-               | Some _ -> "bound"
+               | Some _ -> "lower bound"
                | None -> "unplanned");
             ])
           kinds

@@ -1,6 +1,6 @@
 (* wet_insight: telemetry invariants, the Sizes.detail <-> Sizes.current
    bit agreement, stats JSON round trips, and the bench-check gate
-   (including the exactly-at-threshold edge). *)
+   (including the exactly-at-threshold edge and the files it refuses). *)
 
 module Bidir = Wet_bistream.Bidir
 module Stream = Wet_bistream.Stream
@@ -349,147 +349,143 @@ let test_report_roundtrip () =
 (* bench-check                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let sample ?(workload = "w") ?(build = 100.) ?(sps = 1000.) ?(bpl1 = 4.)
-    ?(bpl2 = 1.) ?(r1 = 4.) ?(r2 = 16.) ?(query = 10.) ?(steps = 1000)
-    ?(peak = 0) ?(words = 50_000) ?(switches = 40) ?(shards = 12) () =
+let sample ?(workload = "w") ?(scale = 5) () =
   {
     Bench.workload;
-    scale = 5;
+    scale;
     stmts = 100_000;
-    stmts_per_sec = sps;
-    bytes_per_label_t1 = bpl1;
-    bytes_per_label_t2 = bpl2;
-    ratio_t1 = r1;
-    ratio_t2 = r2;
-    build_p50_ms = build;
-    build_p95_ms = build *. 1.2;
-    query_p50_ms = query;
-    query_p95_ms = query *. 1.2;
-    query_switches = switches;
-    build_peak_words = peak;
-    wet_words = words;
-    shards;
-    stream_p50_ms = 0.;
-    stream_progress_p50_ms = 0.;
-    query_decode_steps = steps;
-    query_bits_touched = 0;
-    qlog_overhead_frac = 0.;
-    stream_checkpoint_p50_ms = 0.;
-    checkpoint_overhead_frac = 0.;
-    resume_ms = 0.;
-    serve_p50_ms = 0.;
-    serve_p95_ms = 0.;
-    serve_mt_p50_ms = 0.;
-    serve_mt_rps = 0.;
+    bytes_per_label_t1 = 4.;
+    bytes_per_label_t2 = 1.;
+    ratio_t1 = 4.;
+    ratio_t2 = 50.;
+    wet_words = 100_000;
+    build_peak_words = 400_000;
+    shards = 100;
+    query_decode_steps = 10_000;
+    query_bits_touched = 200_000;
+    query_switches = 1_000;
   }
 
-let run_of samples =
-  { Bench.label = "test"; quick = true; repeat = 3; warmup = 1; samples }
+let run_of samples = { Bench.samples }
 
-let th = Bench.{ wall_frac = 0.25; size_frac = 0.02 }
+let check_ok ~prev ~cur =
+  match Bench.check ~prev ~cur with
+  | Ok verdicts -> verdicts
+  | Error e -> Alcotest.fail e
 
-let find_verdict metric verdicts =
-  List.find (fun v -> v.Bench.v_metric = metric) verdicts
+let verdict metric ~prev ~cur =
+  check_ok ~prev:(run_of [ prev ]) ~cur:(run_of [ cur ])
+  |> List.find (fun v -> v.Bench.v_metric = metric)
 
 let test_threshold_edges () =
-  (* lower-is-better, exactly at threshold: 100 -> 125 at 25% passes *)
+  Alcotest.(check (float 0.)) "one threshold" 0.02 Bench.threshold;
+  let base = sample () in
+  (* lower is better: 100,000 -> 102,000 words is exactly 2% worse *)
   let v =
-    Bench.check th
-      ~prev:(run_of [ sample ~build:100. () ])
-      ~cur:(run_of [ sample ~build:125. () ])
-    |> find_verdict "build_p50_ms"
+    verdict "wet_words" ~prev:base ~cur:{ base with Bench.wet_words = 102_000 }
   in
-  Alcotest.(check bool) "exactly at wall threshold passes" false
+  Alcotest.(check bool) "wet_words exactly 2% worse passes" false
     v.Bench.v_regressed;
-  Alcotest.(check (float 1e-12)) "worse_frac = 0.25" 0.25 v.Bench.v_worse_frac;
-  (* just over fails *)
+  Alcotest.(check (float 1e-12)) "worse_frac = 0.02" 0.02 v.Bench.v_worse_frac;
   let v =
-    Bench.check th
-      ~prev:(run_of [ sample ~build:100. () ])
-      ~cur:(run_of [ sample ~build:125.2 () ])
-    |> find_verdict "build_p50_ms"
+    verdict "wet_words" ~prev:base ~cur:{ base with Bench.wet_words = 102_001 }
   in
-  Alcotest.(check bool) "just over wall threshold fails" true
-    v.Bench.v_regressed;
-  (* higher-is-better: stmts/s 1000 -> 750 is exactly -25% *)
+  Alcotest.(check bool) "wet_words just over 2% fails" true v.Bench.v_regressed;
+  (* higher is better: ratio 50 -> 49 is exactly 2% worse *)
   let v =
-    Bench.check th
-      ~prev:(run_of [ sample ~sps:1000. () ])
-      ~cur:(run_of [ sample ~sps:750. () ])
-    |> find_verdict "stmts_per_sec"
+    verdict "ratio_t2" ~prev:base ~cur:{ base with Bench.ratio_t2 = 49. }
   in
-  Alcotest.(check bool) "exactly at threshold (higher-better) passes" false
+  Alcotest.(check bool) "ratio_t2 exactly 2% worse passes" false
     v.Bench.v_regressed;
   let v =
-    Bench.check th
-      ~prev:(run_of [ sample ~sps:1000. () ])
-      ~cur:(run_of [ sample ~sps:749. () ])
-    |> find_verdict "stmts_per_sec"
+    verdict "ratio_t2" ~prev:base ~cur:{ base with Bench.ratio_t2 = 48.99 }
   in
-  Alcotest.(check bool) "below threshold (higher-better) fails" true
-    v.Bench.v_regressed;
-  (* size metrics gate tightly: ratio 16 -> 15.6 is -2.5% > 2% *)
-  let v =
-    Bench.check th
-      ~prev:(run_of [ sample ~r2:16. () ])
-      ~cur:(run_of [ sample ~r2:15.6 () ])
-    |> find_verdict "ratio_t2"
-  in
-  Alcotest.(check bool) "ratio regression caught" true v.Bench.v_regressed;
+  Alcotest.(check bool) "ratio_t2 just over 2% fails" true v.Bench.v_regressed;
   (* improvements never regress *)
-  let vs =
-    Bench.check th
-      ~prev:(run_of [ sample () ])
-      ~cur:(run_of [ sample ~build:50. ~sps:2000. ~bpl2:0.5 ~r2:32. () ])
+  let better =
+    {
+      base with
+      Bench.wet_words = 50_000;
+      ratio_t2 = 100.;
+      bytes_per_label_t2 = 0.5;
+      query_decode_steps = 1;
+    }
   in
-  Alcotest.(check bool) "improvement passes" false (Bench.regressed vs);
-  (* zero baseline never anchors a regression *)
+  Alcotest.(check bool) "improvement passes" false
+    (Bench.regressed
+       (check_ok ~prev:(run_of [ base ]) ~cur:(run_of [ better ])));
+  (* a zero baseline never anchors a regression, in either direction *)
   let v =
-    Bench.check th
-      ~prev:(run_of [ sample ~build:0. () ])
-      ~cur:(run_of [ sample ~build:999. () ])
-    |> find_verdict "build_p50_ms"
+    verdict "wet_words"
+      ~prev:{ base with Bench.wet_words = 0 }
+      ~cur:{ base with Bench.wet_words = 999_999 }
   in
-  Alcotest.(check bool) "zero baseline guard" false v.Bench.v_regressed;
+  Alcotest.(check bool) "zero baseline guard (lower better)" false
+    v.Bench.v_regressed;
+  let v =
+    verdict "ratio_t2"
+      ~prev:{ base with Bench.ratio_t2 = 0. }
+      ~cur:{ base with Bench.ratio_t2 = 0.001 }
+  in
+  Alcotest.(check bool) "zero baseline guard (higher better)" false
+    v.Bench.v_regressed;
   (* workloads only in cur are skipped *)
   let vs =
-    Bench.check th
+    check_ok
       ~prev:(run_of [ sample ~workload:"old" () ])
       ~cur:(run_of [ sample ~workload:"new" () ])
   in
   Alcotest.(check int) "disjoint workloads: no verdicts" 0 (List.length vs)
 
-(* The resident WET, the sweep's switches and the shard count are
-   deterministic, so each gates at the size threshold: 3% worse fails,
-   2% passes. *)
+(* Every gated column is deterministic, so each gates at the one 2%
+   threshold: 3% worse in that column alone regresses it and nothing
+   else. [scale] and [stmts] name the run and are not gated. *)
 let test_deterministic_gates () =
-  let regresses metric prev cur =
-    (Bench.check th ~prev:(run_of [ prev ]) ~cur:(run_of [ cur ])
-    |> find_verdict metric)
-      .Bench.v_regressed
+  let base = sample () in
+  let worse =
+    [
+      ("bytes_per_label_t1", { base with Bench.bytes_per_label_t1 = 4.12 });
+      ("bytes_per_label_t2", { base with Bench.bytes_per_label_t2 = 1.03 });
+      ("ratio_t1", { base with Bench.ratio_t1 = 3.88 });
+      ("ratio_t2", { base with Bench.ratio_t2 = 48.5 });
+      ("wet_words", { base with Bench.wet_words = 103_000 });
+      ("build_peak_words", { base with Bench.build_peak_words = 412_000 });
+      ("shards", { base with Bench.shards = 103 });
+      ("query_decode_steps", { base with Bench.query_decode_steps = 10_300 });
+      ("query_bits_touched", { base with Bench.query_bits_touched = 206_000 });
+      ("query_switches", { base with Bench.query_switches = 1_030 });
+    ]
   in
-  Alcotest.(check bool) "wet_words +3% regresses" true
-    (regresses "wet_words" (sample ~words:100_000 ())
-       (sample ~words:103_000 ()));
-  Alcotest.(check bool) "wet_words +2% passes" false
-    (regresses "wet_words" (sample ~words:100_000 ())
-       (sample ~words:102_000 ()));
-  Alcotest.(check bool) "query_switches +3% regresses" true
-    (regresses "query_switches" (sample ~switches:1000 ())
-       (sample ~switches:1030 ()));
-  Alcotest.(check bool) "shards +3% regresses" true
-    (regresses "shards" (sample ~shards:100 ()) (sample ~shards:103 ()));
-  Alcotest.(check bool) "query_steps is gone" false
-    (List.exists
-       (fun v -> v.Bench.v_metric = "query_steps")
-       (Bench.check th ~prev:(run_of [ sample () ]) ~cur:(run_of [ sample () ])))
+  let regressed_metrics cur =
+    check_ok ~prev:(run_of [ base ]) ~cur:(run_of [ cur ])
+    |> List.filter_map (fun v ->
+           if v.Bench.v_regressed then Some v.Bench.v_metric else None)
+  in
+  List.iter
+    (fun (metric, cur) ->
+      Alcotest.(check (list string))
+        (metric ^ " 3% worse regresses it alone")
+        [ metric ] (regressed_metrics cur))
+    worse;
+  Alcotest.(check (list string)) "the gate covers exactly these columns"
+    (List.map fst worse)
+    (List.map
+       (fun v -> v.Bench.v_metric)
+       (check_ok ~prev:(run_of [ base ]) ~cur:(run_of [ base ])));
+  Alcotest.(check (list string)) "stmts is not gated" []
+    (regressed_metrics { base with Bench.stmts = 1 })
 
 let test_bench_roundtrip () =
   let r =
     run_of
       [
-        sample ~workload:"a" ~build:12.345 ();
-        sample ~workload:"b" ~sps:9.75e6 ~steps:123456 ();
+        sample ~workload:"a" ();
+        {
+          (sample ~workload:"b" ~scale:875 ()) with
+          Bench.bytes_per_label_t2 = 0.342036018942;
+          ratio_t1 = 11.7536118037;
+          query_decode_steps = 123_456;
+        };
       ]
   in
   let path = Filename.temp_file "wet_bench" ".json" in
@@ -500,23 +496,62 @@ let test_bench_roundtrip () =
       match Bench.load path with
       | Error e -> Alcotest.fail e
       | Ok r' ->
-        Alcotest.(check string) "label" r.Bench.label r'.Bench.label;
-        Alcotest.(check bool) "quick" r.Bench.quick r'.Bench.quick;
-        Alcotest.(check int) "repeat" r.Bench.repeat r'.Bench.repeat;
-        Alcotest.(check int) "samples" 2 (List.length r'.Bench.samples);
-        List.iter2
-          (fun (a : Bench.sample) (b : Bench.sample) ->
-            Alcotest.(check string) "workload" a.Bench.workload b.Bench.workload;
-            Alcotest.(check int) "steps" a.Bench.query_decode_steps
-              b.Bench.query_decode_steps;
-            Alcotest.(check (float 1e-9)) "build" a.Bench.build_p50_ms
-              b.Bench.build_p50_ms;
-            Alcotest.(check (float 1e-3)) "sps" a.Bench.stmts_per_sec
-              b.Bench.stmts_per_sec)
-          r.Bench.samples r'.Bench.samples;
+        Alcotest.(check bool) "loaded run = saved run" true (r = r');
         (* a round-tripped run never regresses against itself *)
         Alcotest.(check bool) "self-compare clean" false
-          (Bench.regressed (Bench.check th ~prev:r ~cur:r')))
+          (Bench.regressed (check_ok ~prev:r ~cur:r')))
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* A file in the retired format, whose wall-clock columns are gone, is
+   refused with a hint to regenerate it; so is a sample missing a
+   field, which no default stands in for. *)
+let test_bench_v1_refused () =
+  let refusal j =
+    match Bench.of_json j with
+    | Ok _ -> Alcotest.fail ("loaded: " ^ Json.to_string j)
+    | Error m -> m
+  in
+  let m =
+    match
+      Json.parse
+        {|{"schema":"wet-bench/1","label":"observatory","quick":true,"repeat":3,"warmup":1,"samples":[]}|}
+    with
+    | Ok j -> refusal j
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) ("regeneration hint: " ^ m) true
+    (contains m "regenerate" && contains m "bench/main.exe observatory");
+  let drop k = function
+    | Json.Obj fields -> Json.Obj (List.remove_assoc k fields)
+    | j -> j
+  in
+  let m =
+    match Bench.to_json (run_of [ sample () ]) with
+    | Json.Obj [ schema; ("samples", Json.Arr [ s ]) ] ->
+      refusal (Json.Obj [ schema; ("samples", Json.Arr [ drop "shards" s ]) ])
+    | j -> Alcotest.fail ("unexpected layout: " ^ Json.to_string j)
+  in
+  Alcotest.(check bool) ("missing field named: " ^ m) true
+    (contains m "shards")
+
+(* Figures of one workload at two scales do not compare, so the gate
+   refuses them instead of reporting a regression or a pass. *)
+let test_bench_scale_mismatch () =
+  match
+    Bench.check
+      ~prev:(run_of [ sample ~workload:"a" (); sample ~workload:"181.mcf" () ])
+      ~cur:
+        (run_of
+           [ sample ~workload:"a" (); sample ~workload:"181.mcf" ~scale:6 () ])
+  with
+  | Ok _ -> Alcotest.fail "a scale mismatch was compared"
+  | Error m ->
+    Alcotest.(check bool) ("names the workload and scales: " ^ m) true
+      (contains m "181.mcf" && contains m "scale 5" && contains m "scale 6")
 
 let test_percentile () =
   let xs = [ 5.; 1.; 4.; 2.; 3. ] in
@@ -634,6 +669,10 @@ let () =
             test_deterministic_gates;
           Alcotest.test_case "save/load round trip" `Quick
             test_bench_roundtrip;
+          Alcotest.test_case "wet-bench/1 is refused" `Quick
+            test_bench_v1_refused;
+          Alcotest.test_case "scale mismatch is refused" `Quick
+            test_bench_scale_mismatch;
         ] );
       ( "metric-docs",
         [

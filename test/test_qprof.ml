@@ -590,16 +590,14 @@ let test_estimate_classes () =
       (Query.estimate wet shape)
   in
   check_shape "trace/values" Vals;
-  (* slice estimates are bounds over *possible* walks (a given slice may
-     follow only label-free local dependences), so only the full-sweep
-     shape pins estimated classes to touched classes *)
-  let slice_ests = Query.estimate wet "slice/backward" in
-  Alcotest.(check bool) "slice has a plan" true (slice_ests <> []);
+  (* what [at] and a slice read depends on where the timestamp or the
+     dependences land, so neither has a model and --analyze prints their
+     classes "unplanned" *)
   List.iter
-    (fun (e : Query.class_estimate) ->
-      Alcotest.(check bool) "slice estimates are bounds" false
-        e.Query.est_exact)
-    slice_ests
+    (fun shape ->
+      Alcotest.(check int) (shape ^ " estimates nothing") 0
+        (List.length (Query.estimate wet shape)))
+    [ "at"; "slice/backward"; "slice/forward"; "slice/chop" ]
 
 (* ------------------------------------------------------------------ *)
 (* Hints read the ledger                                               *)
@@ -679,19 +677,19 @@ let test_hints_quote_the_table () =
         ])
     (Lazy.force nine)
 
-(* Over the same containers, a value or address trace pays at least
-   what every [bound] row of its --analyze table estimates: the
-   estimates are lower bounds read off the container's structure. *)
+(* Over the same containers, no query pays less than a row of its
+   --analyze table estimates unless the row is exact: the value and
+   address estimates are lower bounds read off the container's
+   structure, and [at] (at stratified timestamps) and the default
+   backward slice estimate nothing. *)
 let test_bounds_hold () =
   List.iter
     (fun ((spec : Wl.t), tier, wet) ->
       let s, scope = open_scoped wet in
+      let total = wet.W.stats.W.path_execs in
       List.iter
-        (fun (shape, kind) ->
-          let _, p =
-            Qprof.run ~scope shape (fun () ->
-                ignore (Render.trace s ~kind ~limit:16))
-          in
+        (fun (shape, run) ->
+          let _, p = Qprof.run ~scope shape run in
           let actual k =
             List.fold_left
               (fun acc (st : Ex.stream_stats) ->
@@ -708,7 +706,18 @@ let test_bounds_hold () =
                 true
                 (e.Query.est_exact || e.Query.est_steps <= a))
             (Query.estimate wet shape))
-        [ ("trace/values", Render.Values); ("trace/addresses", Render.Addresses) ])
+        ([
+           ("trace/values", fun () ->
+               ignore (Render.trace s ~kind:Render.Values ~limit:16));
+           ("trace/addresses", fun () ->
+               ignore (Render.trace s ~kind:Render.Addresses ~limit:16));
+           ("slice/backward", fun () -> ignore (Render.slice s ~output:None));
+         ]
+        @ List.map
+            (fun q ->
+              ("at", fun () ->
+                  ignore (Render.at s ~ts:(Some (max 1 (q * total / 4))))))
+            [ 0; 1; 2; 3; 4 ]))
     (Lazy.force nine)
 
 (* ------------------------------------------------------------------ *)
