@@ -72,11 +72,10 @@ let corrupt_exit path fault =
 
 (* Commands operating on a WET accept either a saved [.wet] container or
    anything [load_program] accepts (built on the fly). On-the-fly builds
-   stream interpreter events through the sharded sink by default, so no
-   whole-execution trace is ever materialised; [--batch] restores the
-   old materialise-then-build pipeline. *)
+   stream interpreter events through the sharded sink, so no
+   whole-execution trace is ever materialised. *)
 let with_wet ?(optimize = 0) ?(tier2 = false) ?(salvage = false)
-    ?(batch = false) ?shard_events name scale input f =
+    ?shard_events name scale input f =
   if is_wet_file name then begin
     match Store.load ~salvage name with
     | wet -> (
@@ -94,12 +93,7 @@ let with_wet ?(optimize = 0) ?(tier2 = false) ?(salvage = false)
   end
   else
     with_program ~optimize name scale input (fun p input label ->
-        let wet =
-          if batch then
-            let res = Interp.run p ~input in
-            Builder.build res.Interp.trace
-          else Builder.run_streaming ?shard_events ~program:p ~input ()
-        in
+        let wet = Builder.run_streaming ?shard_events ~program:p ~input () in
         let wet = if tier2 then Builder.pack wet else wet in
         f wet label)
 
@@ -467,26 +461,13 @@ let optimize_arg =
   let doc = "Optimisation level applied before running (0 or 1)." in
   Arg.(value & opt int 0 & info [ "O"; "optimize" ] ~docv:"LEVEL" ~doc)
 
-(* On-the-fly builds default to the streaming sink; these two flags tune
-   or disable it. *)
 let shard_events_arg =
   let doc =
-    "Streaming build only: buffer at most $(docv) raw interpreter events \
-     before compressing a shard (default 65536). Smaller shards lower \
-     peak memory; the resulting WET is identical either way."
+    "When building on the fly: buffer at most $(docv) raw interpreter \
+     events before compressing a shard (default 65536). Smaller shards \
+     lower peak memory; the resulting WET is identical either way."
   in
   Arg.(value & opt (some int) None & info [ "shard-events" ] ~docv:"N" ~doc)
-
-let batch_arg =
-  let doc =
-    "Materialise the whole execution trace in memory before building the \
-     WET, instead of streaming interpreter events through the sharded \
-     sink (the default). Produces a byte-identical WET."
-  in
-  Arg.(value & flag & info [ "batch" ] ~doc)
-
-let stream_term =
-  Term.(const (fun batch shard -> (batch, shard)) $ batch_arg $ shard_events_arg)
 
 (* ---------------- run ---------------- *)
 
@@ -517,9 +498,9 @@ let stats_cmd =
     in
     Arg.(value & flag & info [ "salvage" ] ~doc)
   in
-  let action obs (batch, shard_events) prog scale input tier2 json salvage =
+  let action obs shard_events prog scale input tier2 json salvage =
     with_obs obs @@ fun () ->
-    with_wet ~tier2 ~salvage ~batch ?shard_events prog scale input
+    with_wet ~tier2 ~salvage ?shard_events prog scale input
       (fun wet label ->
         let report = Insight_report.of_wet ~label wet in
         if json then
@@ -562,8 +543,8 @@ let stats_cmd =
          "Report sizes, per-stream compression and telemetry for a WET \
           (built on the fly or loaded from a .wet container).")
     Term.(
-      ret (const action $ obs_term $ stream_term $ program_arg $ scale_arg
-           $ input_arg $ tier2_arg $ json_arg $ salvage_arg))
+      ret (const action $ obs_term $ shard_events_arg $ program_arg
+           $ scale_arg $ input_arg $ tier2_arg $ json_arg $ salvage_arg))
 
 (* ---------------- trace ---------------- *)
 
@@ -579,8 +560,7 @@ let limit_arg =
   Arg.(value & opt int 50 & info [ "limit" ] ~docv:"N" ~doc)
 
 let trace_cmd =
-  let action obs (batch, shard_events) explain qp remote prog scale input
-      kind limit =
+  let action obs shard_events explain qp remote prog scale input kind limit =
     let kind_name, render_kind =
       match kind with
       | `Cf -> ("cf", Render.Cf)
@@ -593,7 +573,7 @@ let trace_cmd =
         [ ("kind", kind_name); ("limit", string_of_int limit) ]
     | None ->
       with_obs obs @@ fun () ->
-      with_wet ~batch ?shard_events prog scale input (fun wet _ ->
+      with_wet ?shard_events prog scale input (fun wet _ ->
           with_session ~explain qp ~shape:("trace/" ^ kind_name)
             ~params:[ ("limit", string_of_int limit) ]
             wet
@@ -604,9 +584,9 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Extract a control-flow, load-value or address trace from the WET.")
     Term.(
-      ret (const action $ obs_term $ stream_term $ explain_arg $ qprof_term
-           $ remote_arg $ program_arg $ scale_arg $ input_arg $ trace_kind
-           $ limit_arg))
+      ret (const action $ obs_term $ shard_events_arg $ explain_arg
+           $ qprof_term $ remote_arg $ program_arg $ scale_arg $ input_arg
+           $ trace_kind $ limit_arg))
 
 (* ---------------- slice ---------------- *)
 
@@ -618,7 +598,7 @@ let slice_cmd =
     in
     Arg.(value & opt (some int) None & info [ "output" ] ~docv:"K" ~doc)
   in
-  let action obs (batch, shard_events) explain qp remote prog scale input k =
+  let action obs shard_events explain qp remote prog scale input k =
     match remote with
     | Some socket ->
       remote_query ~socket ~qp ~prog Serve_protocol.Slice
@@ -627,7 +607,7 @@ let slice_cmd =
          | None -> [])
     | None ->
       with_obs obs @@ fun () ->
-      with_wet ~batch ?shard_events prog scale input (fun wet _ ->
+      with_wet ?shard_events prog scale input (fun wet _ ->
           with_session ~explain qp ~shape:"slice/backward"
             ~params:
               [
@@ -640,8 +620,9 @@ let slice_cmd =
   Cmd.v
     (Cmd.info "slice" ~doc:"Compute a backward WET slice of an output value.")
     Term.(
-      ret (const action $ obs_term $ stream_term $ explain_arg $ qprof_term
-           $ remote_arg $ program_arg $ scale_arg $ input_arg $ output_arg))
+      ret (const action $ obs_term $ shard_events_arg $ explain_arg
+           $ qprof_term $ remote_arg $ program_arg $ scale_arg $ input_arg
+           $ output_arg))
 
 (* ---------------- paths ---------------- *)
 
@@ -650,14 +631,14 @@ let paths_cmd =
     let doc = "Show the N hottest paths." in
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
   in
-  let action obs (batch, shard_events) qp remote prog scale input top =
+  let action obs shard_events qp remote prog scale input top =
     match remote with
     | Some socket ->
       remote_query ~socket ~qp ~prog Serve_protocol.Paths
         [ ("top", string_of_int top) ]
     | None ->
       with_obs obs @@ fun () ->
-      with_wet ~batch ?shard_events prog scale input (fun wet _ ->
+      with_wet ?shard_events prog scale input (fun wet _ ->
           with_session qp ~shape:"paths"
             ~params:[ ("top", string_of_int top) ]
             wet
@@ -666,8 +647,8 @@ let paths_cmd =
   Cmd.v
     (Cmd.info "paths" ~doc:"Profile Ball-Larus paths (hot path mining).")
     Term.(
-      ret (const action $ obs_term $ stream_term $ qprof_term $ remote_arg
-           $ program_arg $ scale_arg $ input_arg $ top_arg))
+      ret (const action $ obs_term $ shard_events_arg $ qprof_term
+           $ remote_arg $ program_arg $ scale_arg $ input_arg $ top_arg))
 
 (* ---------------- build (persist a WET) ---------------- *)
 
@@ -691,7 +672,7 @@ let build_cmd =
       "Make the build durable: journal a CRC'd, fsync'd checkpoint to \
        $(docv) at every shard boundary, so a build killed at any point \
        is resumable with $(b,--resume) and finishes byte-identical to an \
-       uninterrupted one. Streaming builds only."
+       uninterrupted one."
     in
     Arg.(
       value & opt (some string) None
@@ -750,8 +731,8 @@ let build_cmd =
         print_saved label wet out;
         Printf.printf "checkpoint journal: %s\n" journal)
   in
-  let action obs (batch, shard_events) prog scale input tier2 optimize out
-      checkpoint checkpoint_every kill resume =
+  let action obs shard_events prog scale input tier2 optimize out checkpoint
+      checkpoint_every kill resume =
     with_obs obs @@ fun () ->
     match (resume, prog) with
     | Some _, Some _ ->
@@ -784,48 +765,42 @@ let build_cmd =
         else
           with_program ~optimize prog scale input (fun p input label ->
               let wet =
-                if batch then
-                  let res = Interp.run p ~input in
-                  Builder.build res.Interp.trace
-                else Builder.run_streaming ?shard_events ~program:p ~input ()
+                Builder.run_streaming ?shard_events ~program:p ~input ()
               in
               let wet = if tier2 then Builder.pack wet else wet in
               Store.save wet out;
               print_saved label wet out)
-      | Some journal ->
-        if batch then
-          `Error
-            (true, "--checkpoint journals the streaming build; drop --batch")
-        else (
-          match
-            match kill with
-            | None -> Ok None
-            | Some s -> Result.map Option.some (Faultsim.kill_of_spec s)
-          with
-          | Error m -> `Error (true, m)
-          | Ok kill -> (
-            try
-              checkpointed_build ~journal
-                ~checkpoint_every:(max 1 checkpoint_every) ~kill
-                ~shard_events ~tier2 ~optimize prog scale input out
-            with Journal.Kill_injected ->
-              (* the campaign's stand-in for [kill -9]: no cleanup, no
-                 output container — only the journal survives *)
-              Printf.eprintf
-                "wet: build killed by injected fault (%s); journal %s \
-                 retained for --resume\n"
-                (Option.fold ~none:"-" ~some:Faultsim.kill_to_spec kill)
-                journal;
-              exit 70)))
+      | Some journal -> (
+        match
+          match kill with
+          | None -> Ok None
+          | Some s -> Result.map Option.some (Faultsim.kill_of_spec s)
+        with
+        | Error m -> `Error (true, m)
+        | Ok kill -> (
+          try
+            checkpointed_build ~journal
+              ~checkpoint_every:(max 1 checkpoint_every) ~kill ~shard_events
+              ~tier2 ~optimize prog scale input out
+          with Journal.Kill_injected ->
+            (* the campaign's stand-in for [kill -9]: no cleanup, no
+               output container — only the journal survives *)
+            Printf.eprintf
+              "wet: build killed by injected fault (%s); journal %s retained \
+               for --resume\n"
+              (Option.fold ~none:"-" ~some:Faultsim.kill_to_spec kill)
+              journal;
+            exit 70)))
   in
   Cmd.v
     (Cmd.info "build"
        ~doc:
-         "Build a WET (streaming by default; see --batch) and save it to \
-          disk for later queries. With --checkpoint/--resume the build \
-          survives being killed at any point.")
+         "Build a WET, streaming the interpreter's events through the \
+          sharded sink, and save it to disk for later queries. With \
+          --checkpoint/--resume the build survives being killed at any \
+          point.")
     Term.(
-      ret (const action $ obs_term $ stream_term $ prog_opt_arg $ scale_arg
+      ret (const action $ obs_term $ shard_events_arg $ prog_opt_arg $ scale_arg
            $ input_arg $ tier2_arg $ optimize_arg $ out_arg $ checkpoint_arg
            $ checkpoint_every_arg $ kill_arg $ resume_arg))
 
@@ -835,10 +810,10 @@ let verify_cmd =
   let action obs prog scale input tier2 =
     with_obs obs @@ fun () ->
     with_program prog scale input (fun p input label ->
-        let res = Interp.run p ~input in
-        let tr = res.Interp.trace in
-        let wet = Builder.build tr in
+        let wet = Builder.run_streaming ~program:p ~input () in
         let wet = if tier2 then Builder.pack wet else wet in
+        (* the reference: a separate run that materialises the raw trace *)
+        let tr = (Interp.run p ~input).Interp.trace in
         (* the WET must regenerate the exact control-flow trace *)
         let s = W.open_session wet in
         Query.Session.park s Query.Forward;
@@ -853,25 +828,22 @@ let verify_cmd =
               incr i)
         in
         if n <> Array.length blocks then ok := false;
-        (* and every load value *)
-        let load_count = ref 0 in
-        let sum = ref 0 in
-        let _ =
-          Query.Session.load_values s ~f:(fun _ v ->
-              incr load_count;
-              sum := !sum + v)
-        in
+        (* and count the load values it extracts *)
+        let load_count = Query.Session.load_values s ~f:(fun _ _ -> ()) in
         Printf.printf
-          "%s: control-flow trace %s (%d block executions); %d load values            extracted\n"
+          "%s: control-flow trace %s (%d block executions); %d load values \
+           extracted\n"
           label
           (if !ok then "EXACT" else "MISMATCH")
-          n !load_count;
+          n load_count;
         if not !ok then exit 1)
   in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
-        "Self-check: rebuild the WET and verify it regenerates the raw          trace exactly.")
+        "Self-check: build the WET, check that it regenerates the control-flow \
+         trace of a separate raw-trace run exactly, and count the load \
+         values it extracts.")
     Term.(
       ret (const action $ obs_term $ program_arg $ scale_arg $ input_arg
            $ tier2_arg))
@@ -883,7 +855,7 @@ let at_cmd =
     let doc = "Global timestamp to inspect (default: the midpoint)." in
     Arg.(value & opt (some int) None & info [ "ts" ] ~docv:"T" ~doc)
   in
-  let action obs (batch, shard_events) explain qp remote prog scale input ts =
+  let action obs shard_events explain qp remote prog scale input ts =
     match remote with
     | Some socket ->
       remote_query ~socket ~qp ~prog Serve_protocol.At
@@ -892,7 +864,7 @@ let at_cmd =
          | None -> [])
     | None ->
       with_obs obs @@ fun () ->
-      with_wet ~batch ?shard_events prog scale input (fun wet _ ->
+      with_wet ?shard_events prog scale input (fun wet _ ->
           let total = wet.W.stats.W.path_execs in
           let ts = Option.value ts ~default:(max 1 (total / 2)) in
           with_session ~explain qp ~shape:"at"
@@ -905,8 +877,9 @@ let at_cmd =
        ~doc:"Inspect an arbitrary execution point: location, control flow \
              and reconstructed global state.")
     Term.(
-      ret (const action $ obs_term $ stream_term $ explain_arg $ qprof_term
-           $ remote_arg $ program_arg $ scale_arg $ input_arg $ ts_arg))
+      ret (const action $ obs_term $ shard_events_arg $ explain_arg
+           $ qprof_term $ remote_arg $ program_arg $ scale_arg $ input_arg
+           $ ts_arg))
 
 (* ---------------- dot ---------------- *)
 
@@ -917,9 +890,9 @@ let dot_cmd =
     Arg.(value & opt (enum [ ("nodes", `Nodes); ("slice", `Slice) ]) `Nodes
          & info [ "what" ] ~docv:"KIND" ~doc)
   in
-  let action obs (batch, shard_events) prog scale input what =
+  let action obs shard_events prog scale input what =
     with_obs obs @@ fun () ->
-    with_wet ~batch ?shard_events prog scale input (fun wet _ ->
+    with_wet ?shard_events prog scale input (fun wet _ ->
         match what with
         | `Nodes -> print_string (Wet_analyses.Dot_export.nodes wet)
         | `Slice -> (
@@ -936,15 +909,15 @@ let dot_cmd =
   Cmd.v
     (Cmd.info "dot" ~doc:"Export WET structure as Graphviz.")
     Term.(
-      ret (const action $ obs_term $ stream_term $ program_arg $ scale_arg
-           $ input_arg $ what_arg))
+      ret (const action $ obs_term $ shard_events_arg $ program_arg
+           $ scale_arg $ input_arg $ what_arg))
 
 (* ---------------- profile ---------------- *)
 
-(* Run the whole pipeline under the observation sink — interpret, build
-   tier-1, pack tier-2, save/load a container, one query of every kind —
-   then print a phase/metric summary. [--metrics-out] / [--trace-out]
-   dump the raw data the summary is derived from. *)
+(* Run the whole pipeline under the observation sink — interpret into
+   the tier-1 build, pack tier-2, save/load a container, one query of
+   every kind — then print a phase/metric summary. [--metrics-out] /
+   [--trace-out] dump the raw data the summary is derived from. *)
 
 let profile_cmd =
   let heartbeat_arg =
@@ -1061,8 +1034,7 @@ let profile_cmd =
         Wet_obs.Span.with_ "profile"
           ~attrs:[ ("program", Wet_obs.Span.Str label) ]
           (fun () ->
-            let res = Interp.run p ~input in
-            let w1 = Builder.build res.Interp.trace in
+            let w1 = Builder.run_streaming ~program:p ~input () in
             let w2 = Builder.pack w1 in
             let tmp = Filename.temp_file "wet_profile" ".wet" in
             Fun.protect
@@ -1090,7 +1062,7 @@ let profile_cmd =
         let rows =
           List.filter_map phase_row
             [
-              "interp.run"; "build.tier1"; "build.tier2"; "store.save";
+              "interp.run"; "build.stream"; "build.tier2"; "store.save";
               "store.load"; "profile.queries"; "profile";
             ]
         in
@@ -1286,7 +1258,7 @@ let watch_cmd =
                   Printf.printf "watchpoint: fewer than %d matches (%d total)\n"
                     k matched
                 | Some ts -> (
-                  let wet = Builder.build res.Interp.trace in
+                  let wet = Builder.run_streaming ~program:p ~input () in
                   match
                     Query.Session.locate_time (W.open_session wet) ts
                   with

@@ -18,8 +18,13 @@ let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "181.mcf" in
   let w = Spec.find name in
   Printf.printf "cache behaviour of %s\n\n" w.Spec.name;
-  let res = Spec.run ~scale:w.Spec.timing_scale w in
-  let wet = Wet_core.Builder.build res.Wet_interp.Interp.trace in
+  let scale = w.Spec.timing_scale in
+  let wet =
+    Wet_core.Builder.run_streaming ~program:(Spec.compile w)
+      ~input:(Spec.input w ~scale) ()
+  in
+  (* the raw trace, for the merged memory-operation order below *)
+  let res = Spec.run ~scale w in
 
   (* Gather one address trace per memory instruction from the WET. *)
   let per_copy : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in

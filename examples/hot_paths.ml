@@ -17,8 +17,11 @@ let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "197.parser" in
   let w = Spec.find name in
   Printf.printf "mining hot paths of %s (%s)\n\n" w.Spec.name w.Spec.description;
-  let res = Spec.run ~scale:w.Spec.timing_scale w in
-  let wet = Wet_core.Builder.build res.Wet_interp.Interp.trace in
+  let scale = w.Spec.timing_scale in
+  let wet =
+    Wet_core.Builder.run_streaming ~program:(Spec.compile w)
+      ~input:(Spec.input w ~scale) ()
+  in
 
   let nodes = Array.copy wet.W.nodes in
   Array.sort (fun a b -> compare b.W.n_nexec a.W.n_nexec) nodes;

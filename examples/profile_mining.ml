@@ -22,8 +22,13 @@ let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "256.bzip2" in
   let w = Spec.find name in
   Printf.printf "mining %s\n\n" w.Spec.name;
-  let res = Spec.run ~scale:w.Spec.timing_scale w in
-  let wet = Wet_core.Builder.build res.Wet_interp.Interp.trace in
+  let scale = w.Spec.timing_scale in
+  let wet =
+    Wet_core.Builder.run_streaming ~program:(Spec.compile w)
+      ~input:(Spec.input w ~scale) ()
+  in
+  (* the raw trace, for the hot data streams of section 2 *)
+  let res = Spec.run ~scale w in
 
   (* 1. isomorphism *)
   let iso, total, redundant = Iso.summary wet in

@@ -1,6 +1,7 @@
 (* Quickstart: compile a MiniC program, run it under the tracing
-   interpreter, build the compressed Whole Execution Trace, and ask it
-   the four kinds of questions from the paper (§2):
+   interpreter straight into the builder of its compressed Whole
+   Execution Trace, and ask it the four kinds of questions from the
+   paper (§2):
    control flow, values, dependences, and a WET slice.
 
      dune exec examples/quickstart.exe *)
@@ -31,18 +32,23 @@ fn main() {
 
 let () =
   (* 1. Compile and run with tracing. The interpreter stands in for the
-     paper's simulator: no instrumentation touches the program. *)
+     paper's simulator: no instrumentation touches the program. Its
+     events go straight into the builder's sink, which applies tier-1
+     structural compression shard by shard while the program runs, so
+     the uncompressed trace never exists. *)
   let program = Wet_minic.Frontend.compile_exn source in
-  let result = Wet_interp.Interp.run program ~input:[||] in
-  Printf.printf "program output: %d\n"
-    result.Wet_interp.Interp.outputs.(0);
-  Printf.printf "statements executed: %d\n\n"
-    result.Wet_interp.Interp.stmts_executed;
+  let analysis = Wet_cfg.Program_analysis.of_program program in
+  let sink = Builder.Sink.create analysis in
+  let outputs, stmts =
+    Wet_interp.Interp.run_with_sink ~analysis ~sink:(Builder.Sink.events sink)
+      program ~input:[||]
+  in
+  Printf.printf "program output: %d\n" outputs.(0);
+  Printf.printf "statements executed: %d\n\n" stmts;
 
-  (* 2. Build the WET (tier-1 structural compression), then pack every
-     label stream with the bidirectional compressors (tier-2). *)
-  let tier1 = Builder.build result.Wet_interp.Interp.trace in
-  let wet = Builder.pack tier1 in
+  (* 2. Finish the tier-1 WET, then pack every label stream with the
+     bidirectional compressors (tier-2). *)
+  let wet = Builder.pack (Builder.Sink.finish sink) in
   let orig = Sizes.original wet and comp = Sizes.current wet in
   Printf.printf "WET nodes (executed Ball-Larus paths): %d\n"
     (Array.length wet.W.nodes);

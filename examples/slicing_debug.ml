@@ -48,12 +48,11 @@ fn main() {
 
 let () =
   let program = Wet_minic.Frontend.compile_exn source in
-  let res = Wet_interp.Interp.run program ~input:[||] in
-  let out = res.Wet_interp.Interp.outputs in
+  let out = Wet_interp.Interp.outputs_only program ~input:[||] in
   Printf.printf "outputs: total=%d evens=%d peak=%d (true peak is %d)\n\n"
     out.(0) out.(1) out.(2) (out.(2) - 1);
 
-  let wet = Wet_core.Builder.build res.Wet_interp.Interp.trace in
+  let wet = Wet_core.Builder.run_streaming ~program ~input:[||] () in
   let sess = Wet_core.Wet.open_session wet in
 
   (* Output statements in source order. *)

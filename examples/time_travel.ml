@@ -41,11 +41,13 @@ fn main() {
 
 let () =
   let program = Wet_minic.Frontend.compile_exn source in
-  let res = Wet_interp.Interp.run program ~input:[||] in
-  let wet = Wet_core.Builder.pack (Wet_core.Builder.build res.Wet_interp.Interp.trace) in
+  let out = Wet_interp.Interp.outputs_only program ~input:[||] in
+  let wet =
+    Wet_core.Builder.(pack (run_streaming ~program ~input:[||] ()))
+  in
   let total = wet.W.stats.W.path_execs in
   Printf.printf "run spans timestamps 1..%d; final output %d\n\n" total
-    res.Wet_interp.Interp.outputs.(0);
+    out.(0);
 
   let session = W.open_session wet in
   let show ts =

@@ -17,8 +17,11 @@ let () =
   let name = if Array.length Sys.argv > 1 then Sys.argv.(1) else "255.vortex" in
   let w = Spec.find name in
   Printf.printf "load value predictability for %s\n\n" w.Spec.name;
-  let res = Spec.run ~scale:w.Spec.timing_scale w in
-  let wet = Wet_core.Builder.build res.Wet_interp.Interp.trace in
+  let scale = w.Spec.timing_scale in
+  let wet =
+    Wet_core.Builder.run_streaming ~program:(Spec.compile w)
+      ~input:(Spec.input w ~scale) ()
+  in
 
   (* Gather the value trace of every load with enough executions. *)
   let traces : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in

@@ -431,7 +431,7 @@ module Sink = struct
     w_paths : Win.t;
     w_cd : Win.t;
     w_deps : Win.t;
-    w_vals : Win.t;  (* unused when values_from is set *)
+    w_vals : Win.t;
     (* processed position -> (copy, instance); same eviction boundary *)
     w_copy : Win.t;
     w_inst : Win.t;
@@ -446,7 +446,7 @@ module Sink = struct
     (* pending call patches, LIFO (calls nest) *)
     pending_vpos : Dyn.t;
     pending_slot : Dyn.t;
-    (* forward references, resolved at finish (as in the batch path) *)
+    (* forward references, resolved at finish *)
     pend_gid : Dyn.t;
     pend_inst : Dyn.t;
     pend_prod : Dyn.t;
@@ -469,10 +469,10 @@ module Sink = struct
     analysis : PA.t;
     shard_events : int;
     track_peak : bool;
-    values_from : (int -> int) option;
     s : state;
-    (* durability hook: runs at the end of every [flush_shard], with the
-       sink quiescent — the point to snapshot and journal *)
+    (* durability hook, set by [Checkpoint.drive]: runs at the end of
+       every [flush_shard], with the sink quiescent — the point to
+       snapshot and journal *)
     mutable on_shard_flushed : (t -> unit) option;
     (* streaming machinery (rebuilt on resume, never marshalled) *)
     mutable live_iter : ((int -> unit) -> unit) option;
@@ -481,12 +481,11 @@ module Sink = struct
   }
 
   let create ?(shard_events = default_shard_events) ?(track_peak = false)
-      ?values_from ?on_shard_flushed analysis =
+      analysis =
     {
       analysis;
       shard_events = max 1 shard_events;
       track_peak;
-      values_from;
       s =
         {
           proto_of = Hashtbl.create 256;
@@ -529,7 +528,7 @@ module Sink = struct
           events_since_flush = 0;
           shards = 0;
         };
-      on_shard_flushed;
+      on_shard_flushed = None;
       live_iter = None;
       peak_live = 0;
       finished = false;
@@ -537,12 +536,12 @@ module Sink = struct
 
   (* ---------------- checkpointing ---------------- *)
 
-  let snapshot t =
-    if t.values_from <> None then
-      Wet_error.fail Wet_error.Build
-        "snapshot of a batch sink (values_from is not restorable)";
-    Marshal.to_string t.s []
+  (* Everything replay has learned, none of the runtime plumbing:
+     meaningful at any quiescent point, i.e. from [on_shard_flushed]. *)
+  let snapshot t = Marshal.to_string t.s []
 
+  (* The per-kind counts of events consumed so far: where a
+     fast-forwarded re-execution must start delivering again. *)
   let watermark t : Wet_interp.Interp.watermark =
     {
       Wet_interp.Interp.wm_stmts = t.s.vals_fed;
@@ -553,8 +552,10 @@ module Sink = struct
       wm_rets = t.s.rets_fed;
     }
 
+  (* A sink rebuilt from a [snapshot]; [analysis] must come from the
+     program the snapshot was built from. *)
   let resume_from ?(shard_events = default_shard_events)
-      ?(track_peak = false) ?on_shard_flushed ~snapshot analysis =
+      ?(track_peak = false) ~snapshot analysis =
     let s : state =
       try Marshal.from_string snapshot 0
       with Failure _ ->
@@ -564,9 +565,8 @@ module Sink = struct
       analysis;
       shard_events = max 1 shard_events;
       track_peak;
-      values_from = None;
       s;
-      on_shard_flushed;
+      on_shard_flushed = None;
       live_iter = None;
       peak_live = 0;
       finished = false;
@@ -605,21 +605,16 @@ module Sink = struct
           "internal: position %d referenced after eviction" pos
 
   let value_at t pos =
-    match t.values_from with
-    | Some f -> f pos
-    | None ->
-      if Win.mem t.s.w_vals pos then Win.get t.s.w_vals pos
-      else (
-        match Hashtbl.find_opt t.s.retained pos with
-        | Some (v, _, _) -> v
-        | None ->
-          Wet_error.fail Wet_error.Build
-            "internal: value at %d referenced after eviction" pos)
+    if Win.mem t.s.w_vals pos then Win.get t.s.w_vals pos
+    else
+      match Hashtbl.find_opt t.s.retained pos with
+      | Some (v, _, _) -> v
+      | None ->
+        Wet_error.fail Wet_error.Build
+          "internal: value at %d referenced after eviction" pos
 
   (* Replay one path execution through the slot state machine — the
-     per-shard compression step. Identical event-for-event to the old
-     whole-trace replay loop, reading the windows where that read the
-     materialized trace arrays. *)
+     per-shard compression step, reading the buffered event windows. *)
   let process_exec t (p : proto) =
     let s = t.s in
     ensure_slots s.st !(s.next_slot);
@@ -765,7 +760,8 @@ module Sink = struct
      the interpreter still holds live (register/memory shadows, branch
      histories, calling contexts), producers named by still-buffered
      dependence events, and unresolved forward references. Without a
-     live iterator (trace replay) nothing is evicted. *)
+     live iterator (no interpreter has announced one) nothing is
+     evicted. *)
   let flush_shard t =
     check_open t "flush_shard";
     let s = t.s in
@@ -779,12 +775,7 @@ module Sink = struct
          if pos >= 0 && pos < boundary && not (Hashtbl.mem fresh pos) then begin
            let entry =
              if Win.mem s.w_copy pos then
-               let v =
-                 match t.values_from with
-                 | Some _ -> 0
-                 | None -> Win.get s.w_vals pos
-               in
-               (v, Win.get s.w_copy pos, Win.get s.w_inst pos)
+               (Win.get s.w_vals pos, Win.get s.w_copy pos, Win.get s.w_inst pos)
              else
                match Hashtbl.find_opt s.retained pos with
                | Some e -> e
@@ -806,9 +797,7 @@ module Sink = struct
        s.retained <- fresh;
        Win.drop_to s.w_copy boundary;
        Win.drop_to s.w_inst boundary;
-       (match t.values_from with
-        | None -> Win.drop_to s.w_vals boundary
-        | Some _ -> ()));
+       Win.drop_to s.w_vals boundary);
     Win.drop_to s.w_paths s.paths_done;
     Win.drop_to s.w_cd s.cd_done;
     Win.drop_to s.w_deps s.deps_done;
@@ -838,9 +827,7 @@ module Sink = struct
 
   let feed_value t v =
     check_open t "feed";
-    (match t.values_from with
-     | None -> Win.push t.s.w_vals v
-     | Some _ -> ());
+    Win.push t.s.w_vals v;
     t.s.vals_fed <- t.s.vals_fed + 1;
     bump t
 
@@ -864,9 +851,7 @@ module Sink = struct
       Wet_error.fail Wet_error.Build "return patch with no pending call";
     let vpos = Dyn.pop t.s.pending_vpos in
     let slot = Dyn.pop t.s.pending_slot in
-    (match t.values_from with
-     | None -> Win.set t.s.w_vals vpos v
-     | Some _ -> ());
+    Win.set t.s.w_vals vpos v;
     Win.set t.s.w_deps slot producer;
     t.s.rets_fed <- t.s.rets_fed + 1
 
@@ -1113,8 +1098,8 @@ module Sink = struct
     t.finished <- true;
     let s = t.s in
     (* Calls the run abandoned (a Halt below them) are never patched:
-       their slots legitimately stay holes, exactly as the batch path
-       leaves them, so they no longer gate the replay. *)
+       their slots legitimately stay holes, exactly as [Interp.run]'s
+       trace leaves them, so they no longer gate the replay. *)
     Dyn.clear s.pending_vpos;
     Dyn.clear s.pending_slot;
     process_available t;
@@ -1145,49 +1130,6 @@ module Sink = struct
     sample_live t;
     wet
 end
-
-(* ------------------------------------------------------------------ *)
-(* Batch entry points: feed a materialized trace through the sink.    *)
-(* ------------------------------------------------------------------ *)
-
-(* The trace arrays already carry the call-return patches applied, so
-   the replay needs no pending-call bookkeeping; values resolve out of
-   the trace instead of being buffered a second time. *)
-let feed_trace sink (trace : T.t) =
-  let dep_cursor = ref 0 in
-  let block_cursor = ref 0 in
-  let pos = ref 0 in
-  Array.iter
-    (fun key ->
-      let p = Sink.get_proto sink key in
-      let n = Array.length p.p_instrs in
-      let bp = ref 0 in
-      for o = 0 to n - 1 do
-        if !bp + 1 < Array.length p.p_block_start
-           && p.p_block_start.(!bp + 1) = o
-        then incr bp;
-        if p.p_block_start.(!bp) = o then begin
-          Sink.feed_block sink trace.T.cd_producer.(!block_cursor);
-          incr block_cursor
-        end;
-        for _s = 1 to p.p_slot_count.(o) do
-          Sink.feed_dep sink trace.T.deps.(!dep_cursor);
-          incr dep_cursor
-        done;
-        Sink.feed_value sink trace.T.values.(!pos);
-        incr pos
-      done;
-      Sink.feed_path sink key)
-    trace.T.paths
-
-let build trace =
-  Wet_obs.Span.with_ "build.tier1" (fun () ->
-      let sink =
-        Sink.create ~values_from:(fun p -> trace.T.values.(p))
-          trace.T.analysis
-      in
-      feed_trace sink trace;
-      Sink.finish sink)
 
 (* ------------------------------------------------------------------ *)
 (* Tier 2                                                             *)
@@ -1263,13 +1205,13 @@ let pack w = Wet_obs.Span.with_ "build.tier2" (fun () -> pack_tier2 w)
 (* Streaming entry point: interpret straight into a sink.             *)
 (* ------------------------------------------------------------------ *)
 
-let run_streaming ?shard_events ?(track_peak = false) ?max_stmts
-    ?interprocedural_cd ?analysis ~program ~input () =
+let run_streaming ?shard_events ?max_stmts ?interprocedural_cd ?analysis
+    ~program ~input () =
   let analysis =
     match analysis with Some a -> a | None -> PA.of_program program
   in
   Wet_obs.Span.with_ "build.stream" (fun () ->
-      let sink = Sink.create ?shard_events ~track_peak analysis in
+      let sink = Sink.create ?shard_events analysis in
       let _outputs, _stmts =
         Wet_interp.Interp.run_with_sink ?max_stmts ?interprocedural_cd
           ~analysis ~sink:(Sink.events sink) program ~input

@@ -1,7 +1,7 @@
 (** WET construction (tier-1) and stream packing (tier-2).
 
-    Tier-1 customized compression runs while replaying the event
-    stream:
+    Tier-1 customized compression runs while the interpreter executes
+    the program, on the event stream it delivers:
     {ul
     {- nodes are interned per executed Ball–Larus path, so one timestamp
        is recorded per path execution rather than per block (§3.1);}
@@ -12,12 +12,13 @@
        between the same node pair with identical sequences share one
        label record (§3.3).}}
 
-    The replay is streaming: a {!Sink} consumes interpreter events
-    incrementally, buffers at most about one shard of raw events, runs
-    the compression eagerly per shard, and splices the shard streams
-    into the final {!Wet.t} at {!Sink.finish}. The batch {!build} is a
-    thin wrapper that feeds a materialized trace through the same sink,
-    so the two paths produce byte-identical containers.
+    A {!Sink} consumes interpreter events incrementally, buffers at
+    most about one shard of raw events, runs the compression eagerly
+    per shard, and splices the shard streams into the final {!Wet.t} at
+    {!Sink.finish}; the uncompressed trace never exists. The shard size
+    is unobservable: every shard size yields the same container, and
+    {!Wet_interp.Interp.run}'s materialized {!Wet_interp.Trace.t} is
+    the independent reference that container is checked against.
 
     All label sequences are raw after tier-1; {!pack} rewrites each of
     them as a bidirectionally compressed stream with per-stream method
@@ -26,18 +27,16 @@
     Failures raise [Wet_error.Error] (stage [Build] or [Pack]). *)
 
 (** A bounded-memory consumer of {!Wet_interp.Interp.event_sink}
-    events. Feed it either by passing {!Sink.events} to
-    {!Wet_interp.Interp.run_with_sink} (no trace is ever materialized)
-    or through the individual feed functions; then {!Sink.finish}.
+    events. Feed it by passing {!Sink.events} to
+    {!Wet_interp.Interp.run_with_sink}, then call {!Sink.finish}.
 
     Buffering is bounded by [shard_events] plus whatever an unreturned
     call pins: a call's return-value link is patched only when the
     callee returns, so the replay holds back the caller's path
     execution (and everything after it) until then — deep recursion
-    temporarily widens the window. Eviction of replayed positions
-    needs the interpreter's live-position iterator and therefore only
-    happens in sink-fed runs, not when replaying a materialized
-    trace. *)
+    temporarily widens the window. Eviction of replayed positions uses
+    the live-position iterator the interpreter hands over through
+    [es_live]. *)
 module Sink : sig
   type t
 
@@ -51,67 +50,13 @@ module Sink : sig
         {!default_shard_events}).
       @param track_peak sample [Gc.stat] live words at shard
         boundaries and expose the maximum via {!peak_live_words};
-        off by default because [Gc.stat] walks the heap.
-      @param values_from resolve statement values through this function
-        (indexed by dynamic position) instead of buffering them — used
-        by the batch path, where the trace already holds them.
-      @param on_shard_flushed called at the end of every shard flush,
-        with the sink quiescent (replay caught up, windows trimmed) —
-        the point where {!Checkpoint} snapshots the sink. *)
+        off by default because [Gc.stat] walks the heap. *)
   val create :
-    ?shard_events:int ->
-    ?track_peak:bool ->
-    ?values_from:(int -> int) ->
-    ?on_shard_flushed:(t -> unit) ->
-    Wet_cfg.Program_analysis.t ->
-    t
+    ?shard_events:int -> ?track_peak:bool -> Wet_cfg.Program_analysis.t -> t
 
-  (** [snapshot t] marshals the sink's accumulated state — everything
-      replay has learned, none of the runtime plumbing — into a string
-      a later process can {!resume_from}. Meaningful at any quiescent
-      point; {!Checkpoint} takes it from [on_shard_flushed]. Batch
-      sinks (with [values_from]) cannot be snapshotted. *)
-  val snapshot : t -> string
-
-  (** The per-kind counts of events this sink has already consumed —
-      the point a fast-forwarded re-execution must reach before
-      delivering events again ({!Wet_interp.Interp.fast_forward}). *)
-  val watermark : t -> Wet_interp.Interp.watermark
-
-  (** [resume_from ~snapshot analysis] reconstructs a sink from a
-      {!snapshot}. [analysis] must be derived from the same program the
-      snapshot was built from. Runtime options are the caller's again:
-      they are configuration, not state.
-      @raise Wet_error.Error (stage [Build]) on an undecodable
-        snapshot. *)
-  val resume_from :
-    ?shard_events:int ->
-    ?track_peak:bool ->
-    ?on_shard_flushed:(t -> unit) ->
-    snapshot:string ->
-    Wet_cfg.Program_analysis.t ->
-    t
-
-  (** The sink's feed functions bundled as an interpreter event sink. *)
+  (** The sink as an interpreter event sink: every event is fed in, and
+      a path end may flush a shard. *)
   val events : t -> Wet_interp.Interp.event_sink
-
-  (** One element of [Trace.cd_producer]: a block was entered. *)
-  val feed_block : t -> int -> unit
-
-  (** One element of [Trace.deps]: the next dependence slot. *)
-  val feed_dep : t -> int -> unit
-
-  (** One element of [Trace.values]: a statement completed. *)
-  val feed_value : t -> int -> unit
-
-  (** One element of [Trace.paths]: a path execution ended. May flush. *)
-  val feed_path : t -> int -> unit
-
-  (** The value/dep just fed belong to a call awaiting its return. *)
-  val feed_call : t -> unit
-
-  (** [feed_ret t v producer] patches the innermost pending call. *)
-  val feed_ret : t -> int -> int -> unit
 
   (** Replay and compress everything the buffer allows, then evict
       positions no future event can reference. Called automatically
@@ -137,23 +82,18 @@ module Sink : sig
   val retained_positions : t -> int
 end
 
-(** Build a tier-1 WET from a recorded trace by feeding it through a
-    {!Sink} — byte-identical to the streaming path. *)
-val build : Wet_interp.Trace.t -> Wet.t
-
 (** Tier-2: compress every label stream of a tier-1 WET. The input WET
     remains usable. @raise Wet_error.Error if already packed. *)
 val pack : Wet.t -> Wet.t
 
-(** [run_streaming ~program ~input ()] is the full streaming pipeline:
-    interpret [program] directly into a {!Sink} — no [Trace.t] is ever
-    allocated, so peak memory is bounded by the shard size plus the
-    final WET, not by execution length — and return the tier-1 WET.
-    [shard_events] and [track_peak] are passed to {!Sink.create}; the
-    remaining optional arguments match {!Wet_interp.Interp.run}. *)
+(** [run_streaming ~program ~input ()] builds a WET: interpret
+    [program] directly into a {!Sink} — no [Trace.t] is ever allocated,
+    so peak memory is bounded by the shard size plus the final WET, not
+    by execution length — and return the tier-1 WET. [shard_events] is
+    passed to {!Sink.create}; the remaining optional arguments match
+    {!Wet_interp.Interp.run}. *)
 val run_streaming :
   ?shard_events:int ->
-  ?track_peak:bool ->
   ?max_stmts:int ->
   ?interprocedural_cd:bool ->
   ?analysis:Wet_cfg.Program_analysis.t ->
@@ -167,11 +107,13 @@ val run_streaming :
 
     {!Checkpoint.build} writes one header record (the post-optimization
     program, the input, and the build configuration — a resumed build
-    needs nothing else) and then, via the sink's [on_shard_flushed]
-    hook, one checkpoint record per flushed shard: a {!Sink.snapshot}
-    plus its {!Sink.watermark}. Every record is CRC'd and fsync'd
-    before the build proceeds, so a crash at any byte loses at most the
-    work since the last flushed shard.
+    needs nothing else) and then one checkpoint record per flushed
+    shard, taken with the sink quiescent (replay caught up, windows
+    trimmed): a marshalled snapshot of everything the sink has learned,
+    plus its watermark, the per-kind counts of events it has consumed.
+    Every record is CRC'd and fsync'd before the build proceeds, so a
+    crash at any byte loses at most the work since the last flushed
+    shard.
 
     {!Checkpoint.resume} reads the longest intact journal prefix,
     truncates any torn tail (never trusting it), restores the last

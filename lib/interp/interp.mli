@@ -1,10 +1,11 @@
 (** The IR interpreter — the repository's stand-in for the paper's
     simulator-based profiler. It executes a program on a given input
-    stream and records the raw whole-execution trace the WET builder
-    consumes: either materialized as a {!Trace.t} ({!run}) or delivered
+    stream and records its raw whole-execution trace: either delivered
     incrementally to an {!event_sink} as it happens ({!run_with_sink}),
-    so a streaming builder can compress on the fly without the full
-    event list ever existing. No instrumentation of the program itself.
+    which is how the WET builder consumes it, compressing on the fly
+    without the full event list ever existing, or materialized as a
+    {!Trace.t} ({!run}), the independent reference WETs are checked
+    against. No instrumentation of the program itself.
 
     Semantics notes: registers and memory words start at 0; arithmetic is
     63-bit OCaml [int] arithmetic; shift amounts are masked to 6 bits (63 saturates);

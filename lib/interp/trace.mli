@@ -1,8 +1,9 @@
 (** Raw whole-execution traces.
 
     The interpreter (the stand-in for the paper's Trimaran simulator)
-    produces one of these; the WET builder consumes it. A trace records,
-    in exact dynamic order:
+    produces one of these: the independent reference a WET, built from
+    the same events as they stream past, is checked against. A trace
+    records, in exact dynamic order:
 
     {ul
     {- one entry per {e completed Ball–Larus path} ({!field-paths}) — path

@@ -7,8 +7,7 @@ module Interp = Wet_interp.Interp
 
 let build src input =
   let prog = Wet_minic.Frontend.compile_exn src in
-  let res = Interp.run prog ~input in
-  (res, Builder.build res.Interp.trace)
+  (Interp.run prog ~input, Builder.run_streaming ~program:prog ~input ())
 
 (* Two statements computing the same function of the same input are
    value-isomorphic; a third computing something else is not. *)

@@ -111,9 +111,8 @@ let built =
     (List.map
        (fun (name, src, input) ->
          let prog = Wet_minic.Frontend.compile_exn src in
-         let res = Interp.run prog ~input in
-         let tr = res.Interp.trace in
-         let w1 = Builder.build tr in
+         let tr = (Interp.run prog ~input).Interp.trace in
+         let w1 = Builder.run_streaming ~program:prog ~input () in
          let w2 = Builder.pack w1 in
          (name, tr, w1, w2))
        programs)
@@ -304,8 +303,7 @@ fn main() {
 |}
   in
   let prog = Wet_minic.Frontend.compile_exn src in
-  let res = Interp.run prog ~input:[||] in
-  let wet = Builder.build res.Interp.trace in
+  let wet = Builder.run_streaming ~program:prog ~input:[||] () in
   let out =
     List.hd
       (Query.copies_matching wet (function Instr.Output _ -> true | _ -> false))
@@ -643,8 +641,7 @@ fn main() {
 |}
   in
   let prog = Wet_minic.Frontend.compile_exn src in
-  let res = Interp.run prog ~input:[||] in
-  let wet = Builder.build res.Interp.trace in
+  let wet = Builder.run_streaming ~program:prog ~input:[||] () in
   (* find the Const 5 (seed) and the Output *)
   let find pred = List.hd (Wet_core.Query.copies_matching wet pred) in
   let seed = find (function Instr.Const (_, 5) -> true | _ -> false) in
@@ -679,8 +676,9 @@ fn main() {
   in
   let prog = Wet_minic.Frontend.compile_exn src in
   let slice_stmts interprocedural_cd =
-    let res = Interp.run prog ~input:[||] ~interprocedural_cd in
-    let wet = Builder.build res.Interp.trace in
+    let wet =
+      Builder.run_streaming ~interprocedural_cd ~program:prog ~input:[||] ()
+    in
     (* slice from leaf's add statement: with interprocedural CD it must
        pull in the call and the guarding branch in main *)
     let add =
@@ -710,7 +708,9 @@ fn main() {
 
 (* End-to-end fuzz: random programs with loops, calls, arrays and input
    go through the full pipeline; every reconstruction the WET offers is
-   checked against the raw trace, on both tiers. *)
+   checked against the raw trace, on both tiers, for builds at several
+   shard sizes — so the sink's own call/return patching and eviction are
+   checked against [Interp.run]'s independently patched trace. *)
 let random_program rng =
   let stmts =
     List.init 7 (fun i ->
@@ -784,9 +784,11 @@ let fuzz_one seed =
           done);
       cf_ok && !vals_ok && !deps_ok
     in
-    let w1 = Builder.build tr in
-    let w2 = Builder.pack w1 in
-    check w1 && check w2
+    List.for_all
+      (fun shard_events ->
+        let w1 = Builder.run_streaming ~shard_events ~program:prog ~input () in
+        check w1 && check (Builder.pack w1))
+      [ 1; 7; Builder.Sink.default_shard_events ]
 
 let prop_pipeline_fuzz =
   QCheck.Test.make ~name:"random programs reconstruct exactly on both tiers"

@@ -223,8 +223,10 @@ let wet_fixtures =
     (List.concat_map
        (fun (name, scale) ->
          let w = Spec.find name in
-         let res = Spec.run ~scale w in
-         let w1 = Builder.build res.Interp.trace in
+         let w1 =
+           Builder.run_streaming ~program:(Spec.compile w)
+             ~input:(Spec.input w ~scale) ()
+         in
          let w2 = Builder.pack w1 in
          [ (name ^ " tier1", w1); (name ^ " tier2", w2) ])
        [ ("197.parser", 8); ("164.gzip", 2) ])
@@ -570,8 +572,10 @@ let test_metric_docs_cover_registry () =
   Wet_obs.Metrics.reset ();
   (* run a pipeline that instantiates the dynamic families too *)
   let w = Spec.find "197.parser" in
-  let res = Spec.run ~scale:6 w in
-  let w1 = Builder.build res.Interp.trace in
+  let w1 =
+    Builder.run_streaming ~program:(Spec.compile w)
+      ~input:(Spec.input w ~scale:6) ()
+  in
   let w2 = Builder.pack w1 in
   let s = W.open_session w2 in
   let recorder = W.Session.recorder s in

@@ -190,7 +190,9 @@ let test_wet_on_trivial_programs () =
   List.iter
     (fun src ->
       let res = run src in
-      let wet = Wet_core.Builder.build res.Interp.trace in
+      let wet =
+        Wet_core.Builder.run_streaming ~program:(compile src) ~input:[||] ()
+      in
       let wet2 = Wet_core.Builder.pack wet in
       let n =
         Wet_core.Query.Session.control_flow

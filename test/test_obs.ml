@@ -426,8 +426,10 @@ let test_heartbeat_count () =
 let test_pack_method_accounting () =
   with_sink (fun () ->
       let w = Spec.find "parser" in
-      let res = Spec.run ~scale:2 w in
-      let w1 = Builder.build res.Interp.trace in
+      let w1 =
+        Builder.run_streaming ~program:(Spec.compile w)
+          ~input:(Spec.input w ~scale:2) ()
+      in
       ignore (Builder.pack w1);
       let total = Obs.value (Obs.counter "pack.streams") in
       let per_method =
@@ -450,7 +452,7 @@ let test_pack_method_accounting () =
         (fun expected ->
           Alcotest.(check bool) (expected ^ " span present") true
             (List.mem expected names))
-        [ "interp.run"; "build.tier1"; "build.tier2" ])
+        [ "interp.run"; "build.stream"; "build.tier2" ])
 
 let () =
   Alcotest.run "obs"

@@ -21,10 +21,11 @@ module Query = Wet_core.Query
 module Slice = Wet_core.Slice
 
 (* One real workload, both tiers, built once. *)
-let w1 =
-  lazy
-    (let res = Wl.run ~scale:1 (Wl.find "parser") in
-     Builder.build res.Wet_interp.Interp.trace)
+let build name ~scale =
+  let w = Wl.find name in
+  Builder.run_streaming ~program:(Wl.compile w) ~input:(Wl.input w ~scale) ()
+
+let w1 = lazy (build "parser" ~scale:1)
 
 let w2 = lazy (Builder.pack (Lazy.force w1))
 
@@ -33,10 +34,7 @@ let wet_of_tier tier2 = if tier2 then Lazy.force w2 else Lazy.force w1
 (* parser at scale 1 packs no stream at all; gcc at scale 4 packs about
    a fifth of its streams (last-n and last-stride), so its tier-2 WET
    walks packed and raw streams side by side. *)
-let g1 =
-  lazy
-    (let res = Wl.run ~scale:4 (Wl.find "gcc") in
-     Builder.build res.Wet_interp.Interp.trace)
+let g1 = lazy (build "gcc" ~scale:4)
 
 let g2 = lazy (Builder.pack (Lazy.force g1))
 

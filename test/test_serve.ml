@@ -37,8 +37,7 @@ fn main() {
 let wets =
   lazy
     (let prog = Wet_minic.Frontend.compile_exn program_src in
-     let res = Interp.run prog ~input:[||] in
-     let w1 = Builder.build res.Interp.trace in
+     let w1 = Builder.run_streaming ~program:prog ~input:[||] () in
      (w1, Builder.pack w1))
 
 let with_temp_dir f =

@@ -41,8 +41,7 @@ fn main() {
 let tiers =
   lazy
     (let prog = Wet_minic.Frontend.compile_exn program_src in
-     let res = Interp.run prog ~input:[||] in
-     let w1 = Builder.build res.Interp.trace in
+     let w1 = Builder.run_streaming ~program:prog ~input:[||] () in
      [ ("tier1", w1); ("tier2", Builder.pack w1) ])
 
 (* ------------------------------------------------------------------ *)

@@ -59,9 +59,8 @@ let built =
     (List.map
        (fun (name, src, input) ->
          let prog = Wet_minic.Frontend.compile_exn src in
-         let res = Interp.run prog ~input in
-         let tr = res.Interp.trace in
-         let w1 = Builder.build tr in
+         let tr = (Interp.run prog ~input).Interp.trace in
+         let w1 = Builder.run_streaming ~program:prog ~input () in
          let w2 = Builder.pack w1 in
          (name, tr, w1, w2))
        programs)

@@ -1,7 +1,8 @@
-(* Streaming-vs-batch equivalence: the sink must produce byte-identical
-   saved containers to the materialize-then-build path, at every shard
-   size, on both tiers — the whole point of the streaming redesign is
-   that flush points are unobservable in the output. *)
+(* Shard-size equivalence: the sink must save byte-identical containers
+   at every shard size, on both tiers — flush points are unobservable in
+   the output. The reference here is a one-shard build, which flushes
+   nothing before [finish]; test_core checks builds against the raw
+   trace itself. *)
 
 module W = Wet_core.Wet
 module Builder = Wet_core.Builder
@@ -71,18 +72,17 @@ let saved_bytes wet =
       Store.save wet path;
       file_bytes path)
 
-let check_identical label batch streamed =
-  let b = saved_bytes batch and s = saved_bytes streamed in
-  Alcotest.(check bool) (label ^ ": containers byte-identical") true (b = s)
+let check_identical label reference streamed =
+  let r = saved_bytes reference and s = saved_bytes streamed in
+  Alcotest.(check bool) (label ^ ": containers byte-identical") true (r = s)
 
-let batch_build prog input =
-  let res = Interp.run prog ~input in
-  (Builder.build res.Interp.trace, res.Interp.trace)
+let one_shard prog input =
+  Builder.run_streaming ~shard_events:max_int ~program:prog ~input ()
 
 let test_equivalence () =
   List.iter
     (fun (name, prog, input) ->
-      let w1, _ = batch_build prog input in
+      let w1 = one_shard prog input in
       let w2 = Builder.pack w1 in
       List.iter
         (fun shard_events ->
@@ -114,7 +114,7 @@ fn main() {
 |}
   in
   let prog = Wet_minic.Frontend.compile_exn src in
-  let w1, _ = batch_build prog [||] in
+  let w1 = one_shard prog [||] in
   for shard_events = 1 to 64 do
     let s1 = Builder.run_streaming ~shard_events ~program:prog ~input:[||] () in
     check_identical
@@ -124,7 +124,7 @@ fn main() {
   (* the original field failure: 197.parser at scale 5, shard 100 *)
   let spec = Spec.find "197.parser" in
   let prog = Spec.compile spec and input = Spec.input spec ~scale:5 in
-  let w1, _ = batch_build prog input in
+  let w1 = one_shard prog input in
   List.iter
     (fun shard_events ->
       let s1 = Builder.run_streaming ~shard_events ~program:prog ~input () in
@@ -133,16 +133,26 @@ fn main() {
         w1 s1)
     [ 100; 101; 137 ]
 
-(* Shard size far larger than the whole event stream: a single flush at
-   finish, still identical. *)
+(* Shard size far larger than the whole event stream: no shard is
+   flushed before finish, and the result is still identical to a build
+   at the default shard size. *)
 let test_shard_larger_than_trace () =
   List.iter
     (fun (name, prog, input) ->
-      let w1, _ = batch_build prog input in
-      let s1 =
-        Builder.run_streaming ~shard_events:max_int ~program:prog ~input ()
+      let analysis = Wet_cfg.Program_analysis.of_program prog in
+      let sink = Builder.Sink.create ~shard_events:max_int analysis in
+      let _ =
+        Interp.run_with_sink ~analysis ~sink:(Builder.Sink.events sink) prog
+          ~input
       in
-      check_identical (name ^ " oversized shard") w1 s1)
+      Alcotest.(check int)
+        (name ^ ": no shard flushed before finish")
+        0
+        (Builder.Sink.shard_count sink);
+      let s1 = Builder.Sink.finish sink in
+      check_identical (name ^ " oversized shard")
+        (Builder.run_streaming ~program:prog ~input ())
+        s1)
     workloads
 
 (* A shard boundary landing exactly on the final event: the finishing
@@ -150,7 +160,8 @@ let test_shard_larger_than_trace () =
    the flush point is under test control. *)
 let test_empty_last_shard () =
   let name, prog, input = List.hd workloads in
-  let w1, trace = batch_build prog input in
+  let w1 = one_shard prog input in
+  let trace = (Interp.run prog ~input).Interp.trace in
   let total_events =
     trace.T.nstmts + Array.length trace.T.deps
     + Array.length trace.T.cd_producer
@@ -168,7 +179,7 @@ let test_empty_last_shard () =
    unobservable: flush after every path execution. *)
 let test_explicit_flush () =
   let name, prog, input = List.nth workloads 1 in
-  let w1, _ = batch_build prog input in
+  let w1 = one_shard prog input in
   let sink = Builder.Sink.create ~shard_events:max_int (Wet_cfg.Program_analysis.of_program prog) in
   let es = Builder.Sink.events sink in
   let es' =
@@ -219,7 +230,7 @@ let test_feed_after_finish () =
   let _ = Builder.Sink.finish sink in
   Alcotest.check_raises "feed after finish"
     (Wet_error.Error { Wet_error.stage = Wet_error.Build; msg = "feed after finish" })
-    (fun () -> Builder.Sink.feed_value sink 0);
+    (fun () -> (Builder.Sink.events sink).Interp.es_stmt 0);
   Alcotest.check_raises "double finish"
     (Wet_error.Error
        { Wet_error.stage = Wet_error.Build; msg = "finish after finish" })

@@ -238,9 +238,9 @@ let test_ring_wraparound () =
 (* Probes on a real run                                                *)
 (* ------------------------------------------------------------------ *)
 
-let run_with probes =
-  let input = Wl.input (Wl.find "parser") ~scale:1 in
-  Watch.with_armed probes (fun () -> Interp.run prog ~input)
+let input = Wl.input (Wl.find "parser") ~scale:1
+
+let run_with probes = Watch.with_armed probes (fun () -> Interp.run prog ~input)
 
 let test_sampling () =
   let f = parse_exn "store & fn=main" in
@@ -266,7 +266,7 @@ let test_watchpoint_locates () =
   Alcotest.(check bool) "the filter matches something" true (m > 0);
   let k = min 5 m in
   let probe = Watch.probe prog f (Watch.Stop_at k) in
-  let res = run_with [ probe ] in
+  ignore (run_with [ probe ]);
   let ts =
     match Watch.stopped probe with
     | Some ts -> ts
@@ -280,7 +280,7 @@ let test_watchpoint_locates () =
   let last, _ = Ring.get ring (Ring.length ring - 1) in
   Alcotest.(check int) "the stop timestamp is the K-th match's" last.E.e_ts
     ts;
-  let wet = Builder.build res.Interp.trace in
+  let wet = Builder.run_streaming ~program:prog ~input () in
   let sess = W.open_session wet in
   match Query.Session.locate_time sess ts with
   | None -> Alcotest.fail "stopped timestamp not locatable"
@@ -326,8 +326,7 @@ let check_consistent (r : Ex.report) =
     (List.length r.Ex.r_streams)
 
 let test_explain_control_flow () =
-  let res = Wl.run ~scale:1 (Wl.find "parser") in
-  let w1 = Builder.build res.Interp.trace in
+  let w1 = Builder.run_streaming ~program:prog ~input () in
   List.iter
     (fun wet ->
       let sess = W.open_session wet in
@@ -361,8 +360,7 @@ let test_explain_control_flow () =
     [ w1; Builder.pack w1 ]
 
 let test_explain_slice () =
-  let res = Wl.run ~scale:1 (Wl.find "parser") in
-  let wet = Builder.pack (Builder.build res.Interp.trace) in
+  let wet = Builder.(pack (run_streaming ~program:prog ~input ())) in
   let sess = W.open_session wet in
   let recorder = W.Session.recorder sess in
   (* slice an output so the dependence cone is non-trivial *)

@@ -69,7 +69,10 @@ let test_wet_pipeline_spot () =
   List.iter
     (fun w ->
       let res = Spec.run ~scale:(tiny w) w in
-      let wet = Wet_core.Builder.build res.Interp.trace in
+      let wet =
+        Wet_core.Builder.run_streaming ~program:(Spec.compile w)
+          ~input:(Spec.input w ~scale:(tiny w)) ()
+      in
       let blocks = ref 0 in
       let n =
         Wet_core.Query.Session.control_flow
