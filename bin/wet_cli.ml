@@ -256,84 +256,6 @@ let with_obs o f =
   with Sys_error m ->
     `Error (false, "cannot write observability output: " ^ m)
 
-(* ---------------- query explain ---------------- *)
-
-module Explain = Wet_watch.Explain
-
-let explain_arg =
-  let doc =
-    "Arm query-explain: after the command's queries run, report which \
-     compressed label streams they touched, in which directions, and how \
-     many decompression steps each cost."
-  in
-  Arg.(value & flag & info [ "explain" ] ~doc)
-
-let print_explain (r : Explain.report) =
-  if r.Explain.r_streams = [] then
-    print_endline "explain: no compressed streams touched"
-  else begin
-    let queries =
-      List.fold_left
-        (fun acc q -> if List.mem q acc then acc else q :: acc)
-        [] r.Explain.r_queries
-      |> List.rev
-    in
-    let kind_rows =
-      List.map
-        (fun (kind, (streams, fwd, bwd, seeks, switches)) ->
-          [
-            kind; string_of_int streams; string_of_int fwd;
-            string_of_int bwd; string_of_int seeks; string_of_int switches;
-          ])
-        (Explain.by_kind r)
-    in
-    Table.print
-      ~title:
-        (Printf.sprintf "Query explain: %s (%d streams, %d steps)."
-           (String.concat ", " queries)
-           (List.length r.Explain.r_streams)
-           (Explain.total_steps r))
-      ~align:Table.[ Left; Right; Right; Right; Right; Right ]
-      ~header:
-        [ "Stream kind"; "Streams"; "Fwd"; "Bwd"; "Seeks"; "Dir switches" ]
-      kind_rows;
-    let busiest =
-      List.sort
-        (fun a b -> compare (Explain.steps b) (Explain.steps a))
-        r.Explain.r_streams
-    in
-    let rows =
-      List.filteri (fun i _ -> i < 5) busiest
-      |> List.map (fun (s : Explain.stream_stats) ->
-             [
-               Explain.stream_name s.Explain.e_stream;
-               string_of_int (Explain.steps s);
-               string_of_int s.Explain.e_fwd;
-               string_of_int s.Explain.e_bwd;
-               string_of_int s.Explain.e_seeks;
-               string_of_int s.Explain.e_switches;
-             ])
-    in
-    Table.print ~title:"Busiest streams."
-      ~align:Table.[ Left; Right; Right; Right; Right; Right ]
-      ~header:[ "Stream"; "Steps"; "Fwd"; "Bwd"; "Seeks"; "Dir switches" ]
-      rows
-  end
-
-(* The report covers what ran, so it prints when the query fails too. *)
-let with_explain explain s f =
-  if not explain then f ()
-  else begin
-    let recorder = W.Session.recorder s in
-    Explain.arm ~recorder;
-    let r = try Ok (f ()) with e -> Error e in
-    Explain.disarm ~recorder;
-    (* [publish] also folds the tallies into the wet_obs instruments, so
-       --explain combined with --metrics-out exports them. *)
-    print_explain (Explain.publish ~recorder);
-    match r with Ok v -> v | Error e -> raise e
-  end
-
 (* ---------------- query profiling (--analyze / --qlog-out) ------- *)
 
 module Qprof = Wet_qprof.Qprof
@@ -342,9 +264,11 @@ module Qlog = Wet_qprof.Qlog
 let analyze_arg =
   let doc =
     "Profile the command's query: report estimated vs. actual cursor \
-     steps per stream class, the exact cost vector (wall, decode steps, \
-     direction switches, dictionary hit rate, stored bits touched, \
-     allocation) and advisory hints."
+     steps per stream class, with each class's streams, forward and \
+     backward steps, seeks and direction switches; the exact cost vector \
+     (wall, decode steps, direction switches, dictionary hit rate, stored \
+     bits touched, allocation); the five busiest streams; and advisory \
+     hints."
   in
   Arg.(value & flag & info [ "analyze" ] ~doc)
 
@@ -394,12 +318,10 @@ let with_qprof q ~shape ~params s f =
     match res with Ok v -> v | Error e -> raise e
   end
 
-(* A command's queries read through one session, which --explain and
-   --analyze/--qlog-out observe — what [wet serve] does per
-   connection. *)
-let with_session ?(explain = false) q ~shape ~params wet f =
+(* A command's queries read through one session, which --analyze and
+   --qlog-out observe — what [wet serve] does per connection. *)
+let with_session q ~shape ~params wet f =
   let s = W.open_session wet in
-  with_explain explain s @@ fun () ->
   with_qprof q ~shape ~params s (fun () -> f s)
 
 (* ---------------- remote queries (wet serve client) ---------------- *)
@@ -413,18 +335,39 @@ let remote_arg =
   in
   Arg.(value & opt (some string) None & info [ "remote" ] ~docv:"SOCKET" ~doc)
 
+(* The first flag given that observes this process, which a remote
+   query does not run in. *)
+let local_obs_flag o =
+  List.find_map
+    (fun (given, flag) -> if given then Some flag else None)
+    [
+      (o.o_metrics <> None, "--metrics-out");
+      (o.o_trace <> None, "--trace-out");
+      (o.o_progress, "--progress");
+      (o.o_progress_out <> None, "--progress-out");
+      (o.o_log_out <> None, "--log-out");
+    ]
+
 (* One round-trip: the response's [lines] are exactly what the local
    code path would have printed, so emitting them with [print_endline]
-   keeps remote and local output byte-identical. *)
-let remote_query ~socket ~qp ~prog verb params =
-  if qp.q_qlog <> None then
+   keeps remote and local output byte-identical. Flags that would
+   observe this process are refused, not dropped. *)
+let remote_query ~socket ~obs ~qp ~prog verb params =
+  match (qp.q_qlog, local_obs_flag obs) with
+  | Some _, _ ->
     `Error
       ( true,
         "--qlog-out is local; the daemon appends its own access log \
          (wet serve --qlog)" )
-  else if not (is_wet_file prog) then
+  | None, Some flag ->
+    `Error
+      ( true,
+        flag
+        ^ " is local; read the daemon's instruments with its metrics verb \
+           or `wet top SOCKET`" )
+  | None, None when not (is_wet_file prog) ->
     `Error (true, "--remote queries name a saved .wet container path")
-  else
+  | None, None -> (
     match
       Serve_client.call ~socket
         (Serve_protocol.request ~id:1 ~wet:prog ~params
@@ -437,7 +380,7 @@ let remote_query ~socket ~qp ~prog verb params =
           Option.value r.Serve_protocol.rs_error ~default:"request failed" )
     | Ok r ->
       List.iter print_endline r.Serve_protocol.rs_lines;
-      `Ok ()
+      `Ok ())
 
 (* ---------------- arguments ---------------- *)
 
@@ -560,7 +503,7 @@ let limit_arg =
   Arg.(value & opt int 50 & info [ "limit" ] ~docv:"N" ~doc)
 
 let trace_cmd =
-  let action obs shard_events explain qp remote prog scale input kind limit =
+  let action obs shard_events qp remote prog scale input kind limit =
     let kind_name, render_kind =
       match kind with
       | `Cf -> ("cf", Render.Cf)
@@ -569,12 +512,12 @@ let trace_cmd =
     in
     match remote with
     | Some socket ->
-      remote_query ~socket ~qp ~prog Serve_protocol.Trace
+      remote_query ~socket ~obs ~qp ~prog Serve_protocol.Trace
         [ ("kind", kind_name); ("limit", string_of_int limit) ]
     | None ->
       with_obs obs @@ fun () ->
       with_wet ?shard_events prog scale input (fun wet _ ->
-          with_session ~explain qp ~shape:("trace/" ^ kind_name)
+          with_session qp ~shape:("trace/" ^ kind_name)
             ~params:[ ("limit", string_of_int limit) ]
             wet
           @@ fun s ->
@@ -584,8 +527,8 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Extract a control-flow, load-value or address trace from the WET.")
     Term.(
-      ret (const action $ obs_term $ shard_events_arg $ explain_arg
-           $ qprof_term $ remote_arg $ program_arg $ scale_arg $ input_arg
+      ret (const action $ obs_term $ shard_events_arg $ qprof_term
+           $ remote_arg $ program_arg $ scale_arg $ input_arg
            $ trace_kind $ limit_arg))
 
 (* ---------------- slice ---------------- *)
@@ -598,17 +541,17 @@ let slice_cmd =
     in
     Arg.(value & opt (some int) None & info [ "output" ] ~docv:"K" ~doc)
   in
-  let action obs shard_events explain qp remote prog scale input k =
+  let action obs shard_events qp remote prog scale input k =
     match remote with
     | Some socket ->
-      remote_query ~socket ~qp ~prog Serve_protocol.Slice
+      remote_query ~socket ~obs ~qp ~prog Serve_protocol.Slice
         (match k with
          | Some k -> [ ("output", string_of_int k) ]
          | None -> [])
     | None ->
       with_obs obs @@ fun () ->
       with_wet ?shard_events prog scale input (fun wet _ ->
-          with_session ~explain qp ~shape:"slice/backward"
+          with_session qp ~shape:"slice/backward"
             ~params:
               [
                 ( "output",
@@ -620,8 +563,8 @@ let slice_cmd =
   Cmd.v
     (Cmd.info "slice" ~doc:"Compute a backward WET slice of an output value.")
     Term.(
-      ret (const action $ obs_term $ shard_events_arg $ explain_arg
-           $ qprof_term $ remote_arg $ program_arg $ scale_arg $ input_arg
+      ret (const action $ obs_term $ shard_events_arg $ qprof_term
+           $ remote_arg $ program_arg $ scale_arg $ input_arg
            $ output_arg))
 
 (* ---------------- paths ---------------- *)
@@ -634,7 +577,7 @@ let paths_cmd =
   let action obs shard_events qp remote prog scale input top =
     match remote with
     | Some socket ->
-      remote_query ~socket ~qp ~prog Serve_protocol.Paths
+      remote_query ~socket ~obs ~qp ~prog Serve_protocol.Paths
         [ ("top", string_of_int top) ]
     | None ->
       with_obs obs @@ fun () ->
@@ -855,10 +798,10 @@ let at_cmd =
     let doc = "Global timestamp to inspect (default: the midpoint)." in
     Arg.(value & opt (some int) None & info [ "ts" ] ~docv:"T" ~doc)
   in
-  let action obs shard_events explain qp remote prog scale input ts =
+  let action obs shard_events qp remote prog scale input ts =
     match remote with
     | Some socket ->
-      remote_query ~socket ~qp ~prog Serve_protocol.At
+      remote_query ~socket ~obs ~qp ~prog Serve_protocol.At
         (match ts with
          | Some ts -> [ ("ts", string_of_int ts) ]
          | None -> [])
@@ -867,7 +810,7 @@ let at_cmd =
       with_wet ?shard_events prog scale input (fun wet _ ->
           let total = wet.W.stats.W.path_execs in
           let ts = Option.value ts ~default:(max 1 (total / 2)) in
-          with_session ~explain qp ~shape:"at"
+          with_session qp ~shape:"at"
             ~params:[ ("ts", string_of_int ts) ]
             wet
           @@ fun s -> List.iter print_endline (Render.at s ~ts:(Some ts)))
@@ -877,8 +820,8 @@ let at_cmd =
        ~doc:"Inspect an arbitrary execution point: location, control flow \
              and reconstructed global state.")
     Term.(
-      ret (const action $ obs_term $ shard_events_arg $ explain_arg
-           $ qprof_term $ remote_arg $ program_arg $ scale_arg $ input_arg
+      ret (const action $ obs_term $ shard_events_arg $ qprof_term
+           $ remote_arg $ program_arg $ scale_arg $ input_arg
            $ ts_arg))
 
 (* ---------------- dot ---------------- *)

@@ -5,11 +5,11 @@
     a {!row}; the call that moves the cursor counts each step once,
     into its row and into the tally's totals, following the counting
     rule of DESIGN.md ("The cost ledger"). Every observer is a view: a
-    qprof context brackets the totals with two {!snapshot}s, and an
-    explain report or a qprof context reads the rows touched inside a
-    {!window}. A tally is monotone for the life of its owner and never
-    marshalled, so deltas of disjoint windows sum exactly to the delta
-    of their union. *)
+    qprof context brackets the totals with two {!snapshot}s and reads
+    the rows touched inside a {!window}, and [--analyze], the qlog and
+    the [qprof.*] instruments print what it read. A tally is monotone
+    for the life of its owner and never marshalled, so deltas of
+    disjoint windows sum exactly to the delta of their union. *)
 
 type snapshot = {
   g_fwd : int;  (** forward steps *)

@@ -65,8 +65,8 @@ type stats = {
 
 (* The container ([t]) is immutable once built, and the streams inside
    are pristine compressed bodies. All traversal state — cursor
-   positions, bidir window clones, telemetry tallies, explain
-   recordings — lives in [session] values. *)
+   positions, bidir window clones, telemetry tallies, entry-point
+   recorders — lives in [session] values. *)
 type t = {
   program : Wet_ir.Program.t;
   analysis : Wet_cfg.Program_analysis.t;
@@ -89,7 +89,8 @@ type t = {
 (* One reader's traversal state over a shared container: a cursor per
    stream, each minted when first used (per node, per copy, per
    (node, group), and per label by [l_id]), the ledger tally every
-   cursor counts its steps in, and the explain recorder bound to it.
+   cursor counts its steps in, and the recorder its queries note their
+   entry points in.
    Single-owner; the container underneath may be shared freely. *)
 type session = {
   s_wet : t;
@@ -130,7 +131,10 @@ let open_session ?(strict = false) ?tally ?recorder t =
   if strict && t.damage <> [] then
     Wet_error.fail Query "open_session: container damaged (%s)"
       (String.concat ", " t.damage);
-  let tally, recorder = Ex.bind ?tally ?recorder () in
+  let tally = match tally with Some t -> t | None -> Telemetry.make () in
+  let recorder =
+    match recorder with Some r -> r | None -> Ex.make_recorder ()
+  in
   {
     s_wet = t;
     s_tally = tally;

@@ -180,10 +180,10 @@ val validate : t -> string list
 
     A session owns one cursor per stream, each minted when a query
     first uses it, the {!Wet_bistream.Telemetry.tally} every one of its
-    cursors counts its steps in, and a {!Wet_watch.Explain.recorder}
-    bound to that tally. Opening one is O(nodes + copies + groups) and
-    allocates no cursor; no decompression happens until a query walks
-    a cursor.
+    cursors counts its steps in, and the {!Wet_watch.Explain.recorder}
+    its queries note their entry points in. Opening one is
+    O(nodes + copies + groups) and allocates no cursor; no
+    decompression happens until a query walks a cursor.
 
     Sessions are single-owner: never share one between threads. Any
     interleaving of queries on N sessions over one container produces
@@ -195,10 +195,10 @@ val validate : t -> string list
     @param strict raise a [Wet_error] [Query] error immediately if [t]
       carries salvage {!damage} (default [false]: the session opens and
       queries on damaged sections raise {!Missing_stream} lazily).
-    @param tally count steps in an existing tally instead (default: the
-      [recorder]'s, if one is given).
-    @param recorder use an existing recorder; it is bound to the
-      session's tally. *)
+    @param tally count steps in an existing tally instead (default: a
+      fresh one).
+    @param recorder note entry points in an existing recorder instead
+      (default: a fresh one). *)
 val open_session :
   ?strict:bool ->
   ?tally:Wet_bistream.Telemetry.tally ->
@@ -217,7 +217,8 @@ module Session : sig
   (** The tally this session's cursors count their steps in. *)
   val tally : t -> Wet_bistream.Telemetry.tally
 
-  (** The explain recorder bound to this session's tally. *)
+  (** The recorder this session's queries note their entry points in;
+      a qprof context over the session arms it. *)
   val recorder : t -> Wet_watch.Explain.recorder
 
   (** {2 Timestamp-cursor primitives}

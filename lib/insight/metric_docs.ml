@@ -73,18 +73,6 @@ let docs =
     ("pulse.reporter.ticks", Counter, "progress ticks offered to the reporter");
     ("pulse.reporter.emits", Counter, "progress lines/heartbeats emitted");
     ("pulse.reporter.emit_ns", Histogram, "time spent emitting progress (ns)");
-    (* query explain -> observatory: views over the cost ledger, each
-       equal over one window to the qprof counter it names *)
-    ("explain.fwd_steps", Counter,
-     "forward steps of explained queries (= qprof.fwd_steps)");
-    ("explain.bwd_steps", Counter,
-     "backward steps of explained queries (= qprof.bwd_steps)");
-    ("explain.dir_switches", Counter,
-     "direction switches of explained queries (= qprof.dir_switches)");
-    ("explain.seeks", Counter,
-     "repositioning calls of explained queries (= qprof.seeks)");
-    ("explain.seek_steps", Counter,
-     "steps taken inside those seeks (= qprof.seek_steps)");
     (* per-query profiling (wet_qprof) *)
     ("qprof.queries", Counter, "queries run under a profiling context");
     ("qprof.fwd_steps", Counter, "forward ledger steps (profiled, self)");
@@ -99,10 +87,6 @@ let docs =
     ("qprof.seeks", Counter, "cursor repositioning calls (profiled, self)");
     ("qprof.seek_steps", Counter,
      "ledger steps taken inside seeks (profiled, self)");
-    ("qprof.seq_digram_hits", Counter,
-     "sequitur digram hits inside profiled contexts (self)");
-    ("qprof.seq_digram_misses", Counter,
-     "sequitur digram misses inside profiled contexts (self)");
     ("qprof.alloc_words", Counter,
      "words allocated by profiled queries (self)");
     ("qprof.wall_ns", Histogram, "profiled query latency (ns)");

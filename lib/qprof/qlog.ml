@@ -40,11 +40,6 @@ let to_json e =
       ("bits", num c.Qprof.c_bits);
       ("seeks", num c.Qprof.c_seeks);
       ("seek_steps", num c.Qprof.c_seek_steps);
-      ("seq_input", num c.Qprof.c_seq_input);
-      ("seq_digram_hits", num c.Qprof.c_seq_digram_hits);
-      ("seq_digram_misses", num c.Qprof.c_seq_digram_misses);
-      ("seq_rules_created", num c.Qprof.c_seq_rules_created);
-      ("seq_rules_inlined", num c.Qprof.c_seq_rules_inlined);
       ("alloc_words", num c.Qprof.c_alloc_words);
       ("streams", num e.e_streams);
       ("queries", Json.Arr (List.map (fun q -> Json.Str q) e.e_queries));
@@ -87,11 +82,6 @@ let of_json j =
               c_bits = int "bits";
               c_seeks = int "seeks";
               c_seek_steps = int "seek_steps";
-              c_seq_input = int "seq_input";
-              c_seq_digram_hits = int "seq_digram_hits";
-              c_seq_digram_misses = int "seq_digram_misses";
-              c_seq_rules_created = int "seq_rules_created";
-              c_seq_rules_inlined = int "seq_rules_inlined";
               c_wall_ns = int "wall_ns";
               c_alloc_words = int "alloc_words";
             };

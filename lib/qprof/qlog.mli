@@ -16,15 +16,17 @@ type entry = {
   e_params : (string * string) list;
   e_cost : Qprof.cost;  (** the profiled context's inclusive total *)
   e_streams : int;  (** distinct streams the query touched *)
-  e_queries : string list;  (** Explain entry points hit *)
+  e_queries : string list;  (** entry points the query hit *)
   e_outcome : string;
 }
 
 val entry_of_profile : Qprof.profile -> entry
 val to_json : entry -> Wet_insight.Json.t
 
-(** Missing numeric fields default to 0 (forward compatibility);
-    [Error] on a wrong or missing schema tag or missing shape. *)
+(** Missing numeric fields default to 0 and unknown fields are
+    ignored, so lines from older builds, which also logged Sequitur
+    counters, still load; [Error] on a wrong or missing schema tag or
+    missing shape. *)
 val of_json : Wet_insight.Json.t -> (entry, string) result
 
 (** One JSONL line (no trailing newline). *)

@@ -1,5 +1,4 @@
 module Telemetry = Wet_bistream.Telemetry
-module Sequitur = Wet_sequitur.Sequitur
 module Metrics = Wet_obs.Metrics
 module Ex = Wet_watch.Explain
 
@@ -16,11 +15,6 @@ type cost = {
   c_bits : int;
   c_seeks : int;
   c_seek_steps : int;
-  c_seq_input : int;
-  c_seq_digram_hits : int;
-  c_seq_digram_misses : int;
-  c_seq_rules_created : int;
-  c_seq_rules_inlined : int;
   c_wall_ns : int;
   c_alloc_words : int;
 }
@@ -35,11 +29,6 @@ let zero_cost =
     c_bits = 0;
     c_seeks = 0;
     c_seek_steps = 0;
-    c_seq_input = 0;
-    c_seq_digram_hits = 0;
-    c_seq_digram_misses = 0;
-    c_seq_rules_created = 0;
-    c_seq_rules_inlined = 0;
     c_wall_ns = 0;
     c_alloc_words = 0;
   }
@@ -54,11 +43,6 @@ let add_cost a b =
     c_bits = a.c_bits + b.c_bits;
     c_seeks = a.c_seeks + b.c_seeks;
     c_seek_steps = a.c_seek_steps + b.c_seek_steps;
-    c_seq_input = a.c_seq_input + b.c_seq_input;
-    c_seq_digram_hits = a.c_seq_digram_hits + b.c_seq_digram_hits;
-    c_seq_digram_misses = a.c_seq_digram_misses + b.c_seq_digram_misses;
-    c_seq_rules_created = a.c_seq_rules_created + b.c_seq_rules_created;
-    c_seq_rules_inlined = a.c_seq_rules_inlined + b.c_seq_rules_inlined;
     c_wall_ns = a.c_wall_ns + b.c_wall_ns;
     c_alloc_words = a.c_alloc_words + b.c_alloc_words;
   }
@@ -73,11 +57,6 @@ let sub_cost a b =
     c_bits = a.c_bits - b.c_bits;
     c_seeks = a.c_seeks - b.c_seeks;
     c_seek_steps = a.c_seek_steps - b.c_seek_steps;
-    c_seq_input = a.c_seq_input - b.c_seq_input;
-    c_seq_digram_hits = a.c_seq_digram_hits - b.c_seq_digram_hits;
-    c_seq_digram_misses = a.c_seq_digram_misses - b.c_seq_digram_misses;
-    c_seq_rules_created = a.c_seq_rules_created - b.c_seq_rules_created;
-    c_seq_rules_inlined = a.c_seq_rules_inlined - b.c_seq_rules_inlined;
     c_wall_ns = a.c_wall_ns - b.c_wall_ns;
     c_alloc_words = a.c_alloc_words - b.c_alloc_words;
   }
@@ -87,10 +66,7 @@ let decode_steps c = c.c_fwd + c.c_bwd
 let nonneg_cost c =
   c.c_fwd >= 0 && c.c_bwd >= 0 && c.c_switches >= 0 && c.c_hits >= 0
   && c.c_misses >= 0 && c.c_bits >= 0 && c.c_seeks >= 0
-  && c.c_seek_steps >= 0 && c.c_seq_input >= 0
-  && c.c_seq_digram_hits >= 0 && c.c_seq_digram_misses >= 0
-  && c.c_seq_rules_created >= 0 && c.c_seq_rules_inlined >= 0
-  && c.c_wall_ns >= 0 && c.c_alloc_words >= 0
+  && c.c_seek_steps >= 0 && c.c_wall_ns >= 0 && c.c_alloc_words >= 0
 
 (* ------------------------------------------------------------------ *)
 (* Profiling contexts                                                  *)
@@ -111,9 +87,7 @@ type ctx = {
   k_params : (string * string) list;
   k_bi0 : Telemetry.snapshot;
   k_window : Telemetry.window;  (* the ledger rows this context touches *)
-  k_seq0 : Sequitur.global;
   k_queries0 : int;  (* entry points the recorder had noted *)
-  k_armed_here : bool;  (* this context armed Explain and must disarm *)
   k_local : Metrics.Local.t;
   mutable k_children : cost;  (* summed totals of completed children *)
   k_alloc0 : float;
@@ -121,17 +95,17 @@ type ctx = {
 }
 
 (* A scope is one independent profiling surface: its own context stack,
-   and the ledger its contexts read, with the recorder bound to it. Each
-   session profiles into a scope built from its tally and recorder, so
-   one connection's work never bleeds into another's profile. *)
+   the ledger its contexts read and the recorder its queries note entry
+   points in. Each session profiles into a scope built from its tally
+   and recorder, so one connection's work never bleeds into another's
+   profile. *)
 type scope = {
   sp_stack : ctx list ref;
   sp_tally : Telemetry.tally;
   sp_recorder : Ex.recorder;
 }
 
-let make_scope ?tally ?recorder () =
-  let tally, recorder = Ex.bind ?tally ?recorder () in
+let make_scope ~tally ~recorder () =
   { sp_stack = ref []; sp_tally = tally; sp_recorder = recorder }
 
 let active ~scope = !(scope.sp_stack) <> []
@@ -143,17 +117,14 @@ let allocated_words (st : Gc.stat) =
 
 let start ~scope ?(params = []) shape =
   let recorder = scope.sp_recorder in
-  let armed_here = not (Ex.recording recorder) in
-  if armed_here then Ex.arm ~recorder;
+  if not (active ~scope) then Ex.arm ~recorder;
   let ctx =
     {
       k_shape = shape;
       k_params = params;
       k_bi0 = Telemetry.snapshot ~tally:scope.sp_tally ();
       k_window = Telemetry.open_window scope.sp_tally;
-      k_seq0 = Sequitur.global_telemetry ();
       k_queries0 = Ex.query_count ~recorder;
-      k_armed_here = armed_here;
       k_local = Metrics.Local.create ();
       k_children = zero_cost;
       k_alloc0 = allocated_words (Gc.quick_stat ());
@@ -173,8 +144,7 @@ let () =
       "qprof.queries"; "qprof.fwd_steps"; "qprof.bwd_steps";
       "qprof.dir_switches"; "qprof.dict_hits"; "qprof.dict_misses";
       "qprof.bits_touched"; "qprof.seeks"; "qprof.seek_steps";
-      "qprof.seq_digram_hits";
-      "qprof.seq_digram_misses"; "qprof.alloc_words";
+      "qprof.alloc_words";
     ];
   ignore (Metrics.histogram "qprof.wall_ns")
 
@@ -196,8 +166,6 @@ let record reg p =
   c "qprof.bits_touched" p.p_self.c_bits;
   c "qprof.seeks" p.p_self.c_seeks;
   c "qprof.seek_steps" p.p_self.c_seek_steps;
-  c "qprof.seq_digram_hits" p.p_self.c_seq_digram_hits;
-  c "qprof.seq_digram_misses" p.p_self.c_seq_digram_misses;
   c "qprof.alloc_words" p.p_self.c_alloc_words;
   Metrics.observe (Metrics.Local.histogram reg "qprof.wall_ns")
     p.p_total.c_wall_ns;
@@ -217,16 +185,11 @@ let finish ~scope outcome =
       Telemetry.delta ~before:ctx.k_bi0
         ~after:(Telemetry.snapshot ~tally:scope.sp_tally ())
     in
-    let sq =
-      Sequitur.global_delta ~before:ctx.k_seq0
-        ~after:(Sequitur.global_telemetry ())
-    in
     let streams =
       Ex.stats_of_rows (Telemetry.window_rows ctx.k_window)
     in
     Telemetry.close_window ctx.k_window;
     let queries = Ex.queries_since ~recorder ctx.k_queries0 in
-    if ctx.k_armed_here then Ex.disarm ~recorder;
     let total =
       {
         c_fwd = bi.Telemetry.g_fwd;
@@ -237,11 +200,6 @@ let finish ~scope outcome =
         c_bits = bi.Telemetry.g_bits;
         c_seeks = bi.Telemetry.g_seeks;
         c_seek_steps = bi.Telemetry.g_seek_steps;
-        c_seq_input = sq.Sequitur.gs_input;
-        c_seq_digram_hits = sq.Sequitur.gs_digram_hits;
-        c_seq_digram_misses = sq.Sequitur.gs_digram_misses;
-        c_seq_rules_created = sq.Sequitur.gs_rules_created;
-        c_seq_rules_inlined = sq.Sequitur.gs_rules_inlined;
         c_wall_ns = max 0 wall;
         c_alloc_words = max 0 (int_of_float alloc);
       }
@@ -262,7 +220,9 @@ let finish ~scope outcome =
      | parent :: _ ->
        parent.k_children <- add_cost parent.k_children total;
        Metrics.merge ~into:parent.k_local ctx.k_local
-     | [] -> Metrics.merge ctx.k_local);
+     | [] ->
+       Ex.disarm ~recorder;
+       Metrics.merge ctx.k_local);
     p
 
 let run ~scope ?params shape f =

@@ -2,9 +2,11 @@
 
     A profiling context is a view over its scope's cost ledger
     ({!Wet_bistream.Telemetry}): it brackets one query (or any unit of
-    work) with snapshots of the ledger's totals, the global Sequitur
-    inference counters, the wall clock and the GC allocation counters,
-    and opens a ledger window for the rows of the streams it touches.
+    work) with snapshots of the ledger's totals, the wall clock and the
+    GC allocation counters, and opens a ledger window for the rows of
+    the streams it touches. It is the only reader of those rows: the
+    [--analyze] report, the qlog and the [qprof.*] instruments all
+    print what it returns.
     The difference between the two snapshots is, by construction,
     exactly the work done inside the context — whichever streams it
     landed on — so per-query costs reconcile with the tally to the step,
@@ -26,9 +28,7 @@
 
 (** Work attributed to one context, in physical units. The ledger
     fields follow {!Wet_bistream.Telemetry}'s counting rule (raw steps
-    count in [c_fwd]/[c_bwd]/[c_bits] but have no dictionary); the
-    [c_seq_*] fields cover Sequitur grammar inference (zero for pure
-    queries, non-zero when a build runs inside the context). *)
+    count in [c_fwd]/[c_bwd]/[c_bits] but have no dictionary). *)
 type cost = {
   c_fwd : int;  (** forward steps, all streams *)
   c_bwd : int;  (** backward steps *)
@@ -38,11 +38,6 @@ type cost = {
   c_bits : int;  (** stored bits touched *)
   c_seeks : int;  (** repositioning calls *)
   c_seek_steps : int;  (** steps taken inside them *)
-  c_seq_input : int;
-  c_seq_digram_hits : int;
-  c_seq_digram_misses : int;
-  c_seq_rules_created : int;
-  c_seq_rules_inlined : int;
   c_wall_ns : int;
   c_alloc_words : int;  (** words allocated (minor + major - promoted) *)
 }
@@ -65,15 +60,18 @@ type profile = {
   p_streams : Wet_watch.Explain.stream_stats list;
       (** the ledger rows of the streams touched while the context was
           open; they sum to [p_total]'s ledger fields *)
-  p_queries : string list;  (** Explain entry points hit *)
+  p_queries : string list;
+      (** the entry points noted while the context was open, oldest
+          first *)
   p_outcome : string;  (** ["ok"] or ["error: ..."] *)
 }
 
 (** {1 Scopes}
 
     A scope is one independent profiling surface: a private context
-    stack plus the {!Wet_bistream.Telemetry.tally} and
-    {!Wet_watch.Explain.recorder} its snapshots bracket. Every lifecycle
+    stack, the {!Wet_bistream.Telemetry.tally} its snapshots bracket and
+    the {!Wet_watch.Explain.recorder} its queries note entry points in.
+    Every lifecycle
     function takes the scope it acts on. A caller builds one scope per
     session, from the session's own tally and recorder — [wet serve]
     per connection, each CLI command for its one session — so each
@@ -83,21 +81,20 @@ type profile = {
 
 type scope
 
-(** A fresh scope. An omitted [tally] is the [recorder]'s, or fresh;
-    an omitted [recorder] is fresh; the recorder is bound to the tally.
-    A server passes its session's own ([Wet.Session.tally],
-    [Wet.Session.recorder]) so profiles attribute that session's work. *)
+(** A fresh scope over a session's own [Wet.Session.tally] and
+    [Wet.Session.recorder], so profiles attribute that session's
+    work. *)
 val make_scope :
-  ?tally:Wet_bistream.Telemetry.tally ->
-  ?recorder:Wet_watch.Explain.recorder ->
+  tally:Wet_bistream.Telemetry.tally ->
+  recorder:Wet_watch.Explain.recorder ->
   unit ->
   scope
 
 (** {1 Context lifecycle} *)
 
 (** Open a context on the scope, with its own ledger window. The
-    outermost context arms the scope's {!Wet_watch.Explain} recorder if
-    nobody else has, so the query entry points are noted (its matching
+    outermost context also arms the scope's {!Wet_watch.Explain}
+    recorder, so the query entry points are noted (its matching
     {!finish} disarms). The wall clock is read last, so context setup is
     not charged to the query. *)
 val start : scope:scope -> ?params:(string * string) list -> string -> unit

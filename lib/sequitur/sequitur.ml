@@ -31,61 +31,6 @@ type t = {
   mutable n_rules_inlined : int;  (* rule-utility expansions *)
 }
 
-(* Process-global inference counters, mirroring the per-grammar ones.
-   Monotone for the life of the process and never marshalled: consumers
-   (Wet_qprof) only look at snapshot deltas, which bracket exactly the
-   grammar work done in a window regardless of which grammars it hit. *)
-
-type global = {
-  gs_input : int;
-  gs_digram_hits : int;
-  gs_digram_misses : int;
-  gs_rules_created : int;
-  gs_rules_inlined : int;
-}
-
-let global_zero =
-  {
-    gs_input = 0;
-    gs_digram_hits = 0;
-    gs_digram_misses = 0;
-    gs_rules_created = 0;
-    gs_rules_inlined = 0;
-  }
-
-let g_input = ref 0
-let g_digram_hits = ref 0
-let g_digram_misses = ref 0
-let g_rules_created = ref 0
-let g_rules_inlined = ref 0
-
-let global_telemetry () =
-  {
-    gs_input = !g_input;
-    gs_digram_hits = !g_digram_hits;
-    gs_digram_misses = !g_digram_misses;
-    gs_rules_created = !g_rules_created;
-    gs_rules_inlined = !g_rules_inlined;
-  }
-
-let global_delta ~before ~after =
-  {
-    gs_input = after.gs_input - before.gs_input;
-    gs_digram_hits = after.gs_digram_hits - before.gs_digram_hits;
-    gs_digram_misses = after.gs_digram_misses - before.gs_digram_misses;
-    gs_rules_created = after.gs_rules_created - before.gs_rules_created;
-    gs_rules_inlined = after.gs_rules_inlined - before.gs_rules_inlined;
-  }
-
-let global_add a b =
-  {
-    gs_input = a.gs_input + b.gs_input;
-    gs_digram_hits = a.gs_digram_hits + b.gs_digram_hits;
-    gs_digram_misses = a.gs_digram_misses + b.gs_digram_misses;
-    gs_rules_created = a.gs_rules_created + b.gs_rules_created;
-    gs_rules_inlined = a.gs_rules_inlined + b.gs_rules_inlined;
-  }
-
 let rec dummy =
   { term = 0; nt = None; guard = None; prev = dummy; next = dummy }
 
@@ -98,7 +43,6 @@ let new_rule t =
   t.next_id <- t.next_id + 1;
   t.rules <- r :: t.rules;
   t.n_rules_created <- t.n_rules_created + 1;
-  incr g_rules_created;
   r
 
 let is_guard s = s.guard <> None
@@ -175,12 +119,10 @@ let rec check t s =
     | None ->
       Hashtbl.replace t.index key s;
       t.n_digram_misses <- t.n_digram_misses + 1;
-      incr g_digram_misses;
       false
     | Some m when m == s || m.next == s || m == s.next -> false
     | Some m ->
       t.n_digram_hits <- t.n_digram_hits + 1;
-      incr g_digram_hits;
       match_digram t s m;
       true
   end
@@ -229,7 +171,6 @@ and expand_rule t s =
     join t last right;
     r.dead <- true;
     t.n_rules_inlined <- t.n_rules_inlined + 1;
-    incr g_rules_inlined;
     Hashtbl.replace t.index (key_of last right) last;
     ignore (check t left)
 
@@ -237,7 +178,6 @@ let append t v =
   let last = t.start.g.prev in
   insert_after t last (mk_term v);
   t.n_input <- t.n_input + 1;
-  incr g_input;
   ignore (check t last)
 
 let build values =

@@ -50,31 +50,6 @@ type telemetry = {
 
 val telemetry : t -> telemetry
 
-(** Process-global inference counters, bumped at the same sites as the
-    per-grammar ones but monotone for the life of the process and never
-    marshalled. Consumers ([Wet_qprof]) bracket a window of work with
-    two {!global_telemetry} snapshots and look only at the
-    {!global_delta}, so deltas of disjoint windows sum exactly to the
-    delta of their union. *)
-type global = {
-  gs_input : int;  (** terminals appended, all grammars *)
-  gs_digram_hits : int;
-  gs_digram_misses : int;
-  gs_rules_created : int;
-  gs_rules_inlined : int;
-}
-
-val global_zero : global
-
-(** Current value of the process-global counters. *)
-val global_telemetry : unit -> global
-
-(** Field-wise [after - before]. *)
-val global_delta : before:global -> after:global -> global
-
-(** Field-wise sum (for aggregating deltas). *)
-val global_add : global -> global -> global
-
 (** The non-start rules as [(expansion, static uses)] pairs: the terminal
     sequence each rule derives and how many times it is referenced in the
     grammar. The repeated substrings a grammar discovers — on an address

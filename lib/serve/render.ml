@@ -192,19 +192,24 @@ let stats_json wet ~label =
 
 let ns_ms ns = float_of_int ns /. 1e6
 
-(* Every figure here reads the cost ledger: Actual sums the rows of the
-   profiled window by stream class, and the cost rows are the window's
-   totals, so Actual adds up to the decode steps. *)
+(* Every figure here reads the cost ledger: a class's columns sum the
+   rows of the profiled window on that class's streams, and the cost
+   rows are the window's totals, so Actual (its Fwd + Bwd) adds up to
+   the decode steps. *)
 let analyze wet (p : Qprof.profile) =
   let c = p.Qprof.p_total in
   let ests = Query.estimate wet p.Qprof.p_shape in
-  let actual kind =
+  let by_class kind =
     List.fold_left
-      (fun acc (s : Explain.stream_stats) ->
+      (fun (streams, fwd, bwd, seeks, switches) (s : Explain.stream_stats) ->
         if Explain.stream_kind s.Explain.e_stream = kind then
-          acc + Explain.steps s
-        else acc)
-      0 p.Qprof.p_streams
+          ( streams + 1,
+            fwd + s.Explain.e_fwd,
+            bwd + s.Explain.e_bwd,
+            seeks + s.Explain.e_seeks,
+            switches + s.Explain.e_switches )
+        else (streams, fwd, bwd, seeks, switches))
+      (0, 0, 0, 0, 0) p.Qprof.p_streams
   in
   let kinds =
     let touched =
@@ -226,25 +231,32 @@ let analyze wet (p : Qprof.profile) =
         List.map
           (fun k ->
             let est = List.find_opt (fun e -> e.Query.est_kind = k) ests in
+            let streams, fwd, bwd, seeks, switches = by_class k in
             [
               k;
               (match est with
                | Some e -> string_of_int e.Query.est_steps
                | None -> "-");
-              string_of_int (actual k);
+              string_of_int (fwd + bwd);
               (match est with
                | Some e when e.Query.est_exact -> "exact"
                | Some _ -> "lower bound"
                | None -> "unplanned");
-            ])
+            ]
+            @ List.map string_of_int [ streams; fwd; bwd; seeks; switches ])
           kinds
       in
       table_lines
         ~title:
           (Printf.sprintf "Estimated vs actual cursor steps (%s)."
              p.Qprof.p_shape)
-        ~align:Table.[ Left; Right; Right; Left ]
-        ~header:[ "Stream class"; "Estimated"; "Actual"; "Model" ]
+        ~align:
+          Table.[ Left; Right; Right; Left; Right; Right; Right; Right; Right ]
+        ~header:
+          [
+            "Stream class"; "Estimated"; "Actual"; "Model"; "Streams"; "Fwd";
+            "Bwd"; "Seeks"; "Dir switches";
+          ]
         rows
   in
   let lookups = c.Qprof.c_hits + c.Qprof.c_misses in
@@ -280,31 +292,19 @@ let analyze wet (p : Qprof.profile) =
         Printf.sprintf "%.2f Mwords"
           (float_of_int c.Qprof.c_alloc_words /. 1e6);
       ];
+      [
+        "streams touched";
+        (let entry_points =
+           List.fold_left
+             (fun acc q -> if List.mem q acc then acc else acc @ [ q ])
+             [] p.Qprof.p_queries
+         in
+         Printf.sprintf "%d (%s)"
+           (List.length p.Qprof.p_streams)
+           (if entry_points = [] then "no entry points recorded"
+            else String.concat ", " entry_points));
+      ];
     ]
-    @ (if c.Qprof.c_seq_input = 0 then []
-       else
-         [
-           [
-             "sequitur (build inside query)";
-             Printf.sprintf "%d appends, %d digram hits, %d rules"
-               c.Qprof.c_seq_input c.Qprof.c_seq_digram_hits
-               c.Qprof.c_seq_rules_created;
-           ];
-         ])
-    @ [
-        [
-          "streams touched";
-          (let entry_points =
-             List.fold_left
-               (fun acc q -> if List.mem q acc then acc else acc @ [ q ])
-               [] p.Qprof.p_queries
-           in
-           Printf.sprintf "%d (%s)"
-             (List.length p.Qprof.p_streams)
-             (if entry_points = [] then "no entry points recorded"
-              else String.concat ", " entry_points));
-        ];
-      ]
   in
   let cost_lines =
     table_lines
@@ -313,5 +313,25 @@ let analyze wet (p : Qprof.profile) =
       ~header:[ "Cost"; "Value" ]
       cost_rows
   in
-  estimate_lines @ cost_lines
+  (* The five streams that cost the most steps, busiest first (a stable
+     sort: ties keep the window's stream order). *)
+  let busiest_lines =
+    if p.Qprof.p_streams = [] then []
+    else
+      List.stable_sort
+        (fun a b -> Int.compare (Explain.steps b) (Explain.steps a))
+        p.Qprof.p_streams
+      |> List.filteri (fun i _ -> i < 5)
+      |> List.map (fun (s : Explain.stream_stats) ->
+             Explain.stream_name s.Explain.e_stream
+             :: List.map string_of_int
+                  [
+                    Explain.steps s; s.Explain.e_fwd; s.Explain.e_bwd;
+                    s.Explain.e_seeks; s.Explain.e_switches;
+                  ])
+      |> table_lines ~title:"Busiest streams."
+           ~align:Table.[ Left; Right; Right; Right; Right; Right ]
+           ~header:[ "Stream"; "Steps"; "Fwd"; "Bwd"; "Seeks"; "Dir switches" ]
+  in
+  estimate_lines @ cost_lines @ busiest_lines
   @ List.map (fun h -> Printf.sprintf "hint: %s" h) (Qprof.hints p)

@@ -51,10 +51,11 @@ let c_sessions_reused = Obs.counter "serve.sessions.reused"
    merges a snapshot out while the owner might be recording.
 
    The connection is also the ownership unit for read-side cursor
-   state: it carries a private decode tally, explain recorder and qprof
-   scope, and a table of [Wet.session]s (one per container path) minted
-   against them. Everything in it except [local] is touched only by the
-   connection's own thread. *)
+   state: it carries a private decode tally, the recorder its queries
+   note entry points in, the qprof scope over both, and a table of
+   [Wet.session]s (one per container path) minted against them.
+   Everything in it except [local] is touched only by the connection's
+   own thread. *)
 type conn = {
   id : int;
   fd : Unix.file_descr;

@@ -48,27 +48,39 @@ type stream_stats = {
   e_bits : int;
 }
 
-type report = { r_queries : string list; r_streams : stream_stats list }
-
-(* A recorder is one explain recording over its session's ledger: the
-   window opened when it was armed, the rows that window held when it
-   was disarmed, and the query names seen while armed. *)
+(* A recorder notes the entry points a query hits while armed: the
+   names, newest first, and how many there are. *)
 type recorder = {
-  mutable rc_tally : Telemetry.tally;
-  mutable rc_window : Telemetry.window option;  (* Some while armed *)
-  mutable rc_closed : stream_stats list;  (* the last window, disarmed *)
+  mutable rc_armed : bool;
   mutable rc_queries : string list;  (* newest first *)
+  mutable rc_count : int;  (* List.length rc_queries *)
 }
 
-let make_recorder () =
-  {
-    rc_tally = Telemetry.make ();
-    rc_window = None;
-    rc_closed = [];
-    rc_queries = [];
-  }
+let make_recorder () = { rc_armed = false; rc_queries = []; rc_count = 0 }
 
-let recording r = r.rc_window <> None
+let recording r = r.rc_armed
+
+let arm ~recorder =
+  recorder.rc_queries <- [];
+  recorder.rc_count <- 0;
+  recorder.rc_armed <- true
+
+let disarm ~recorder = recorder.rc_armed <- false
+
+let query ~recorder name =
+  if recorder.rc_armed then begin
+    recorder.rc_queries <- name :: recorder.rc_queries;
+    recorder.rc_count <- recorder.rc_count + 1
+  end
+
+let query_count ~recorder = recorder.rc_count
+
+let queries_since ~recorder n =
+  let rec take k acc = function
+    | q :: rest when k > 0 -> take (k - 1) (q :: acc) rest
+    | _ -> acc
+  in
+  take (recorder.rc_count - n) [] recorder.rc_queries
 
 let stream_kind = function
   | Ts _ -> "ts"
@@ -85,7 +97,7 @@ let stream_name = function
   | Label_dst l -> Printf.sprintf "label %d dst" l
 
 (* The order [compare] gives streams (constructor, then ids), without
-   the polymorphic walk: reports list their streams in it. *)
+   the polymorphic walk: profiles list their rows in it. *)
 let kind_rank = function
   | Ts _ -> 0
   | Uvals _ -> 1
@@ -121,100 +133,4 @@ let stats_of_rows rows =
   List.map stats_of_row rows
   |> List.stable_sort (fun x y -> compare_stream x.e_stream y.e_stream)
 
-let disarm ~recorder =
-  match recorder.rc_window with
-  | None -> ()
-  | Some w ->
-    recorder.rc_closed <- stats_of_rows (Telemetry.window_rows w);
-    Telemetry.close_window w;
-    recorder.rc_window <- None
-
-let clear r =
-  r.rc_closed <- [];
-  r.rc_queries <- []
-
-let arm ~recorder =
-  Option.iter Telemetry.close_window recorder.rc_window;
-  clear recorder;
-  recorder.rc_window <- Some (Telemetry.open_window recorder.rc_tally)
-
-let reset ~recorder =
-  if recording recorder then arm ~recorder else clear recorder
-
-let bind ?tally ?recorder () =
-  let recorder = Option.value recorder ~default:(make_recorder ()) in
-  (match tally with
-   | Some t when t != recorder.rc_tally ->
-     disarm ~recorder;
-     recorder.rc_tally <- t
-   | _ -> ());
-  (recorder.rc_tally, recorder)
-
-let query ~recorder name =
-  if recorder.rc_window <> None then
-    recorder.rc_queries <- name :: recorder.rc_queries
-
-let query_count ~recorder = List.length recorder.rc_queries
-
-let queries_since ~recorder n =
-  List.filteri (fun i _ -> i < query_count ~recorder - n) recorder.rc_queries
-  |> List.rev
-
-let report ~recorder =
-  {
-    r_queries = List.rev recorder.rc_queries;
-    r_streams =
-      (match recorder.rc_window with
-       | Some w -> stats_of_rows (Telemetry.window_rows w)
-       | None -> recorder.rc_closed);
-  }
-
 let steps s = s.e_fwd + s.e_bwd
-
-let total_steps r = List.fold_left (fun a s -> a + steps s) 0 r.r_streams
-
-(* ------------------------------------------------------------------ *)
-(* Feeding the observatory                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* Registered up front (interning is idempotent) so --list-metrics sees
-   them even before the first explained query. *)
-let c_fwd = Wet_obs.Metrics.counter "explain.fwd_steps"
-
-let c_bwd = Wet_obs.Metrics.counter "explain.bwd_steps"
-
-let c_switches = Wet_obs.Metrics.counter "explain.dir_switches"
-
-let c_seeks = Wet_obs.Metrics.counter "explain.seeks"
-
-let c_seek_steps = Wet_obs.Metrics.counter "explain.seek_steps"
-
-let publish ~recorder =
-  let r = report ~recorder in
-  List.iter
-    (fun s ->
-      Wet_obs.Metrics.add c_fwd s.e_fwd;
-      Wet_obs.Metrics.add c_bwd s.e_bwd;
-      Wet_obs.Metrics.add c_switches s.e_switches;
-      Wet_obs.Metrics.add c_seeks s.e_seeks;
-      Wet_obs.Metrics.add c_seek_steps s.e_seek_steps)
-    r.r_streams;
-  r
-
-(* Aggregate per stream category — the shape CLI tables want. *)
-let by_kind r =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      let k = stream_kind s.e_stream in
-      let streams, fwd, bwd, seeks, switches =
-        Option.value (Hashtbl.find_opt tbl k) ~default:(0, 0, 0, 0, 0)
-      in
-      Hashtbl.replace tbl k
-        ( streams + 1,
-          fwd + s.e_fwd,
-          bwd + s.e_bwd,
-          seeks + s.e_seeks,
-          switches + s.e_switches ))
-    r.r_streams;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare

@@ -188,6 +188,7 @@ fn main() {
    tiers. *)
 let test_at_reads_up_to_ts () =
   let module Ex = Wet_watch.Explain in
+  let module Qprof = Wet_qprof.Qprof in
   let module Wl = Wet_workloads.Spec in
   List.iter
     (fun name ->
@@ -217,17 +218,21 @@ let test_at_reads_up_to_ts () =
                 | _ -> false))
           in
           let s = W.open_session wet in
-          let recorder = W.Session.recorder s in
-          Ex.arm ~recorder;
-          ignore (Wet_analyses.State_reconstruct.at_session s ~ts);
-          Ex.disarm ~recorder;
+          let scope =
+            Qprof.make_scope ~tally:(W.Session.tally s)
+              ~recorder:(W.Session.recorder s) ()
+          in
+          let _, p =
+            Qprof.profiled ~scope "at" (fun () ->
+                Wet_analyses.State_reconstruct.at_session s ~ts)
+          in
           let reads =
             List.fold_left
               (fun acc (st : Ex.stream_stats) ->
                 match st.Ex.e_stream with
                 | Ex.Ts _ -> acc + st.Ex.e_seeks
                 | _ -> acc)
-              0 (Ex.report ~recorder).Ex.r_streams
+              0 p.Qprof.p_streams
           in
           Alcotest.(check bool)
             (Printf.sprintf "%s %s: %d timestamp reads <= %d" name tier reads

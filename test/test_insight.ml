@@ -578,22 +578,29 @@ let test_metric_docs_cover_registry () =
   in
   let w2 = Builder.pack w1 in
   let s = W.open_session w2 in
-  let recorder = W.Session.recorder s in
-  Wet_watch.Explain.arm ~recorder;
+  let scope =
+    Wet_qprof.Qprof.make_scope ~tally:(W.Session.tally s)
+      ~recorder:(W.Session.recorder s) ()
+  in
   ignore
-    (Wet_core.Query.Session.control_flow s Wet_core.Query.Forward
-       ~f:(fun _ _ -> ()));
-  ignore (Wet_watch.Explain.publish ~recorder);
-  Wet_watch.Explain.disarm ~recorder;
+    (Wet_qprof.Qprof.profiled ~scope "trace/cf" (fun () ->
+         Wet_core.Query.Session.control_flow s Wet_core.Query.Forward
+           ~f:(fun _ _ -> ())));
+  let names = List.map fst (Wet_obs.Metrics.snapshot ()) in
   let undocumented =
-    List.filter_map
-      (fun (name, _) ->
-        match Metric_docs.lookup name with Some _ -> None | None -> Some name)
-      (Wet_obs.Metrics.snapshot ())
+    List.filter (fun name -> Metric_docs.lookup name = None) names
   in
   Wet_obs.Sink.disable ();
   Alcotest.(check (list string)) "every registered instrument is documented"
     [] undocumented;
+  (* the ledger has one set of counters: qprof's, with no explain.*
+     twins and no Sequitur counts, which no query makes *)
+  Alcotest.(check (list string)) "no explain.* or qprof.seq_* instrument" []
+    (List.filter
+       (fun name ->
+         List.hd (String.split_on_char '.' name) = "explain"
+         || String.starts_with ~prefix:"qprof.seq_" name)
+       names);
   (* the pattern resolver really is resolving patterns *)
   Alcotest.(check bool) "pack.method pattern resolves" true
     (Metric_docs.lookup "pack.method.dfcm/4.streams" <> None);

@@ -4,13 +4,13 @@
    telescoping the subsystem is built on); nested contexts count each
    step exactly once in the merged [qprof.*] metrics; qlog entries
    round-trip through their JSONL encoding; the planner's exact
-   [Query.estimate] agrees with the armed recording; and with no
-   context open the profiler arms nothing and records nothing. *)
+   [Query.estimate] agrees with the profiled rows; the [--analyze]
+   tables sum to the profile they print; and with no context open the
+   profiler arms nothing and records nothing. *)
 
 module Qprof = Wet_qprof.Qprof
 module Qlog = Wet_qprof.Qlog
 module Telemetry = Wet_bistream.Telemetry
-module Sequitur = Wet_sequitur.Sequitur
 module Ex = Wet_watch.Explain
 module Metrics = Wet_obs.Metrics
 module Json = Wet_insight.Json
@@ -86,8 +86,9 @@ let run_op s op =
       ignore
         (Slice.Session.backward s c ((W.node_of_copy wet c).W.n_nexec - 1))
     | [] -> ())
-  (* A build inside a profiled region: exercises the Sequitur global
-     counters, and [compress]'s own telemetry save/restore. *)
+  (* A build inside a profiled region: packing moves no cursor of the
+     session, so it costs the context wall time and allocation but adds
+     nothing to its ledger fields. *)
   | Pack -> ignore (Builder.pack (Lazy.force w1))
 
 let gen_op =
@@ -114,11 +115,6 @@ let bi_fields (c : Qprof.cost) =
   ( c.Qprof.c_fwd, c.Qprof.c_bwd, c.Qprof.c_switches, c.Qprof.c_hits,
     c.Qprof.c_misses, c.Qprof.c_bits )
 
-let seq_fields (c : Qprof.cost) =
-  ( c.Qprof.c_seq_input, c.Qprof.c_seq_digram_hits,
-    c.Qprof.c_seq_digram_misses, c.Qprof.c_seq_rules_created,
-    c.Qprof.c_seq_rules_inlined )
-
 let sum_totals profs =
   List.fold_left
     (fun acc (p : Qprof.profile) -> Qprof.add_cost acc p.Qprof.p_total)
@@ -134,7 +130,6 @@ let prop_sum_consistency =
       let s, scope = open_scoped (wet_of_tier tier2) in
       let tally = W.Session.tally s in
       let g0 = Telemetry.snapshot ~tally () in
-      let s0 = Sequitur.global_telemetry () in
       let profs =
         List.map
           (fun op ->
@@ -147,17 +142,9 @@ let prop_sum_consistency =
       let d =
         Telemetry.delta ~before:g0 ~after:(Telemetry.snapshot ~tally ())
       in
-      let sd =
-        Sequitur.global_delta ~before:s0 ~after:(Sequitur.global_telemetry ())
-      in
-      let sum = sum_totals profs in
-      bi_fields sum
+      bi_fields (sum_totals profs)
       = ( d.Telemetry.g_fwd, d.Telemetry.g_bwd, d.Telemetry.g_switches,
           d.Telemetry.g_hits, d.Telemetry.g_misses, d.Telemetry.g_bits )
-      && seq_fields sum
-         = ( sd.Sequitur.gs_input, sd.Sequitur.gs_digram_hits,
-             sd.Sequitur.gs_digram_misses, sd.Sequitur.gs_rules_created,
-             sd.Sequitur.gs_rules_inlined )
       && List.for_all
            (fun (p : Qprof.profile) ->
              (* flat contexts: self = total, and both are physical *)
@@ -269,17 +256,17 @@ let gen_rq =
         (1, map (fun n -> Chop n) seed);
       ])
 
-(* (tier2, sessions, explain armed, (session, action) script) *)
+(* (tier2, sessions, (session, action) script) *)
 let gen_views =
   QCheck.Gen.(
-    quad bool (int_range 1 3) bool
+    triple bool (int_range 1 3)
       (list_size (int_range 1 25)
          (pair (int_bound 2)
             (frequency
                [ (1, return Open); (1, return Close); (5, map (fun q -> Q q) gen_rq) ]))))
 
-let print_views (tier2, n, armed, script) =
-  Printf.sprintf "tier2=%b sessions=%d armed=%b [%s]" tier2 n armed
+let print_views (tier2, n, script) =
+  Printf.sprintf "tier2=%b sessions=%d [%s]" tier2 n
     (String.concat "; "
        (List.map
           (fun (i, a) ->
@@ -351,15 +338,14 @@ let rows_ledger rows =
     [ 0; 0; 0; 0; 0; 0; 0; 0 ] rows
 
 (* Random session queries on one to three sessions, inside nested
-   profiling contexts, with explain armed or not: every view of the
-   ledger agrees with every other. Each context's rows sum to its cost;
-   the outermost context's cost is the tally's delta; an armed
-   recorder's report holds the same rows; and each explain.* counter
-   moves by what its qprof.* twin moves. *)
+   profiling contexts: every view of the ledger agrees with every other.
+   Each context's rows sum to its cost; the outermost context's cost is
+   the tally's delta; and each qprof.* counter moves by the sum of those
+   deltas. *)
 let prop_views_reconcile =
   QCheck.Test.make ~name:"every view of the ledger reconciles" ~count:40
     (QCheck.make ~print:print_views gen_views)
-    (fun (tier2, nsess, armed, script) ->
+    (fun (tier2, nsess, script) ->
       let wet = Lazy.force (if tier2 then g2 else g1) in
       Wet_obs.Sink.enable ();
       Fun.protect ~finally:Wet_obs.Sink.disable @@ fun () ->
@@ -367,7 +353,6 @@ let prop_views_reconcile =
       let sessions =
         Array.init nsess (fun _ ->
             let s, scope = open_scoped wet in
-            if armed then Ex.arm ~recorder:(W.Session.recorder s);
             let g0 = Telemetry.snapshot ~tally:(W.Session.tally s) () in
             Qprof.start ~scope "root";
             (s, scope, g0))
@@ -395,20 +380,13 @@ let prop_views_reconcile =
             done;
             let root = Qprof.finish ~scope "ok" in
             check_profile root;
-            let recorder = W.Session.recorder s in
-            (* armed by the test, the recorder outlives the root; armed
-               by the root, it went with it *)
-            if Ex.recording recorder <> armed then ok := false;
-            Ex.disarm ~recorder;
+            (* armed by the root, the recorder went with it *)
+            if Ex.recording (W.Session.recorder s) then ok := false;
             let d =
               Telemetry.delta ~before:g0
                 ~after:(Telemetry.snapshot ~tally:(W.Session.tally s) ())
             in
             if cost_ledger root.Qprof.p_total <> delta_ledger d then ok := false;
-            if armed then begin
-              let r = Ex.publish ~recorder in
-              if r.Ex.r_streams <> root.Qprof.p_streams then ok := false
-            end;
             d)
           sessions
       in
@@ -416,10 +394,7 @@ let prop_views_reconcile =
       let sum f = Array.fold_left (fun a d -> a + f d) 0 totals in
       List.iter
         (fun (suffix, f) ->
-          let q = counter ("qprof." ^ suffix) in
-          if q <> sum f then ok := false;
-          if counter ("explain." ^ suffix) <> (if armed then q else 0) then
-            ok := false)
+          if counter ("qprof." ^ suffix) <> sum f then ok := false)
         [
           ("fwd_steps", fun d -> d.Telemetry.g_fwd);
           ("bwd_steps", fun d -> d.Telemetry.g_bwd);
@@ -438,7 +413,7 @@ let gen_cost =
     map
       (fun l ->
         match l with
-        | [ a; b; c; d; e; f; g; h; i; j; k; l'; m; n; o ] ->
+        | [ a; b; c; d; e; f; g; h; i; j ] ->
           {
             Qprof.c_fwd = a;
             c_bwd = b;
@@ -446,18 +421,13 @@ let gen_cost =
             c_hits = d;
             c_misses = e;
             c_bits = f;
-            c_seeks = n;
-            c_seek_steps = o;
-            c_seq_input = g;
-            c_seq_digram_hits = h;
-            c_seq_digram_misses = i;
-            c_seq_rules_created = j;
-            c_seq_rules_inlined = k;
-            c_wall_ns = l';
-            c_alloc_words = m;
+            c_seeks = g;
+            c_seek_steps = h;
+            c_wall_ns = i;
+            c_alloc_words = j;
           }
         | _ -> assert false)
-      (list_repeat 15 (int_range 0 1_000_000_000)))
+      (list_repeat 10 (int_range 0 1_000_000_000)))
 
 let gen_entry =
   QCheck.Gen.(
@@ -618,6 +588,17 @@ let ints_of line =
          then int_of_string_opt core
          else None)
 
+(* The rows of the --analyze table whose title starts with [title]:
+   the lines after its header and rule, up to the blank line that ends
+   it. *)
+let table_rows title lines =
+  let rec from = function
+    | l :: _ :: _ :: rest when String.starts_with ~prefix:title l -> upto rest
+    | _ :: rest -> from rest
+    | [] -> []
+  and upto = function "" :: _ | [] -> [] | l :: rest -> l :: upto rest in
+  from lines
+
 (* The nine programs at a 64th of their timing scale, on both tiers. *)
 let nine =
   lazy
@@ -631,9 +612,24 @@ let nine =
          [ (spec, "tier-1", w1); (spec, "tier-2", Builder.pack w1) ])
        Wl.all)
 
+(* The five query shapes the CLI profiles, run through [Render] on a
+   session. *)
+let render_shapes s =
+  [
+    ("trace/cf", fun () -> ignore (Render.trace s ~kind:Render.Cf ~limit:16));
+    ("trace/values", fun () ->
+        ignore (Render.trace s ~kind:Render.Values ~limit:16));
+    ("trace/addresses", fun () ->
+        ignore (Render.trace s ~kind:Render.Addresses ~limit:16));
+    ("slice/backward", fun () -> ignore (Render.slice s ~output:None));
+    ("at", fun () -> ignore (Render.at s ~ts:None));
+  ]
+
 (* Over the nine programs on both tiers, every --analyze hint quotes
-   only figures its own cost table prints, and a tier-1 value or address
-   trace, whose raw seeks take no step, never advises batching seeks. *)
+   only figures its own cost table prints (not the per-class or busiest
+   tables, whose many figures would let any hint pass), and a tier-1
+   value or address trace, whose raw seeks take no step, never advises
+   batching seeks. *)
 let test_hints_quote_the_table () =
   List.iter
     (fun ((spec : Wl.t), tier, wet) ->
@@ -642,12 +638,12 @@ let test_hints_quote_the_table () =
         (fun (shape, run) ->
           let _, p = Qprof.run ~scope shape run in
           let lines = Render.analyze wet p in
-          let hints, table =
-            List.partition
-              (fun l -> String.length l > 6 && String.sub l 0 6 = "hint: ")
-              lines
+          let hints =
+            List.filter (String.starts_with ~prefix:"hint: ") lines
           in
-          let figures = List.concat_map ints_of table in
+          let figures =
+            List.concat_map ints_of (table_rows "Query cost (" lines)
+          in
           let what = Printf.sprintf "%s %s %s" spec.Wl.name tier shape in
           List.iter
             (fun h ->
@@ -664,15 +660,7 @@ let test_hints_quote_the_table () =
                   (Printf.sprintf "%s: no seek hint (%s)" what h)
                   false (has_sub h "inside"))
             hints)
-        [
-          ("trace/cf", fun () -> ignore (Render.trace s ~kind:Render.Cf ~limit:16));
-          ("trace/values", fun () ->
-              ignore (Render.trace s ~kind:Render.Values ~limit:16));
-          ("trace/addresses", fun () ->
-              ignore (Render.trace s ~kind:Render.Addresses ~limit:16));
-          ("slice/backward", fun () -> ignore (Render.slice s ~output:None));
-          ("at", fun () -> ignore (Render.at s ~ts:None));
-        ])
+        (render_shapes s))
     (Lazy.force nine)
 
 (* Over the same containers, no query pays less than a row of its
@@ -716,6 +704,75 @@ let test_bounds_hold () =
               ("at", fun () ->
                   ignore (Render.at s ~ts:(Some (max 1 (q * total / 4))))))
             [ 0; 1; 2; 3; 4 ]))
+    (Lazy.force nine)
+
+(* The last [n] words of a table row as integers, and the words before
+   them joined back with single spaces (a stream or class name). *)
+let split_row n row =
+  let words = List.filter (( <> ) "") (String.split_on_char ' ' row) in
+  let k = List.length words - n in
+  ( String.concat " " (List.filteri (fun i _ -> i < k) words),
+    List.filteri (fun i _ -> i >= k) words |> List.map int_of_string )
+
+(* Over the nine programs on both tiers and the five shapes, the tables
+   --analyze prints add up to the profile: each class's Actual is its
+   Fwd + Bwd; the Streams, Fwd, Bwd, Seeks and Dir switches columns sum
+   to the profile's streams, forward and backward steps, seeks and
+   switches; and the busiest table lists the five rows with the most
+   steps, most first, as the profile orders ties. *)
+let test_analyze_sums () =
+  List.iter
+    (fun ((spec : Wl.t), tier, wet) ->
+      let s, scope = open_scoped wet in
+      List.iter
+        (fun (shape, run) ->
+          let _, p = Qprof.run ~scope shape run in
+          let what = Printf.sprintf "%s %s %s" spec.Wl.name tier shape in
+          let lines = Render.analyze wet p in
+          let classes =
+            List.map
+              (fun row ->
+                let words =
+                  List.filter (( <> ) "") (String.split_on_char ' ' row)
+                in
+                let _, cols = split_row 5 row in
+                (int_of_string (List.nth words 2), cols))
+              (table_rows "Estimated vs actual cursor steps" lines)
+          in
+          List.iter
+            (fun (actual, cols) ->
+              Alcotest.(check int)
+                (what ^ ": Actual = Fwd + Bwd")
+                (List.nth cols 1 + List.nth cols 2)
+                actual)
+            classes;
+          let c = p.Qprof.p_total in
+          Alcotest.(check (list int))
+            (what ^ ": columns sum to the profile")
+            [
+              List.length p.Qprof.p_streams; c.Qprof.c_fwd; c.Qprof.c_bwd;
+              c.Qprof.c_seeks; c.Qprof.c_switches;
+            ]
+            (List.fold_left
+               (fun acc (_, cols) -> List.map2 ( + ) acc cols)
+               [ 0; 0; 0; 0; 0 ] classes);
+          let busiest =
+            List.stable_sort
+              (fun a b -> Int.compare (Ex.steps b) (Ex.steps a))
+              p.Qprof.p_streams
+            |> List.filteri (fun i _ -> i < 5)
+            |> List.map (fun (st : Ex.stream_stats) ->
+                   ( Ex.stream_name st.Ex.e_stream,
+                     [
+                       Ex.steps st; st.Ex.e_fwd; st.Ex.e_bwd; st.Ex.e_seeks;
+                       st.Ex.e_switches;
+                     ] ))
+          in
+          Alcotest.(check (list (pair string (list int))))
+            (what ^ ": the five busiest streams")
+            busiest
+            (List.map (split_row 5) (table_rows "Busiest streams." lines)))
+        (render_shapes s))
     (Lazy.force nine)
 
 (* ------------------------------------------------------------------ *)
@@ -770,6 +827,8 @@ let () =
             test_estimate_cf;
           Alcotest.test_case "estimated classes are touched" `Quick
             test_estimate_classes;
+          Alcotest.test_case "analyze tables sum to the profile" `Quick
+            test_analyze_sums;
         ] );
       ( "hints",
         [

@@ -538,7 +538,7 @@ module Ex = Wet_watch.Explain
 (* A request repeated on one session costs what the first did: the
    control-flow walk's return to parked cursors decodes nothing, so
    every trace cf pays one timestamp step per path execution, in the
-   session's tally and in its Explain recording alike. Repeated value
+   session's tally and in its profile's ts rows alike. Repeated value
    and address traces return the first request's rows, which are a
    fresh session's. *)
 let test_repeat_costs_the_first () =
@@ -566,7 +566,7 @@ let test_repeat_costs_the_first () =
           let what = Printf.sprintf "%s trace cf #%d" name i in
           Alcotest.(check int) (what ^ ": tally decode steps") execs
             (Qprof.decode_steps p.Qprof.p_total);
-          Alcotest.(check int) (what ^ ": explain ts actual") execs ts
+          Alcotest.(check int) (what ^ ": ts rows") execs ts
         done;
         List.iter
           (fun (kname, kind) ->

@@ -1,9 +1,10 @@
 (* Semantics of the wet_watch tracer driver: filter-spec parsing and
    printing round-trips, compiled predicates against an independent
    reference evaluator, flight-recorder wraparound, watchpoint
-   timestamps agreeing with [Query.locate_time], and the query-explain
-   invariant that a full forward control-flow sweep pays exactly one
-   forward timestamp step per path execution. *)
+   timestamps agreeing with [Query.locate_time], and the named ledger
+   rows: a full forward control-flow sweep pays exactly one forward
+   timestamp step per path execution, and the rows a window reads
+   equal a hash-table reference's. *)
 
 module E = Wet_watch.Event
 module F = Wet_watch.Filter
@@ -17,6 +18,9 @@ module Builder = Wet_core.Builder
 module W = Wet_core.Wet
 module Query = Wet_core.Query
 module Slice = Wet_core.Slice
+module Qprof = Wet_qprof.Qprof
+module Stream = Wet_bistream.Stream
+module Telemetry = Wet_bistream.Telemetry
 
 (* One real program (with several functions) shared by the tests that
    need resolvable [fn=] atoms. *)
@@ -303,43 +307,41 @@ let test_watchpoint_locates () =
 (* Query explain                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let check_consistent (r : Ex.report) =
-  Alcotest.(check bool) "report names at least one query" true
-    (r.Ex.r_queries <> []);
-  Alcotest.(check bool) "report touches at least one stream" true
-    (r.Ex.r_streams <> []);
+(* Named rows as a profile or a window returns them: each stream once,
+   every count physical, and the steps summing to [steps]. *)
+let check_consistent ~steps (rows : Ex.stream_stats list) =
+  Alcotest.(check bool) "at least one stream touched" true (rows <> []);
   List.iter
     (fun (s : Ex.stream_stats) ->
       Alcotest.(check bool) "all tallies are non-negative" true
         (s.Ex.e_fwd >= 0 && s.Ex.e_bwd >= 0 && s.Ex.e_seeks >= 0
          && s.Ex.e_seek_steps >= 0 && s.Ex.e_switches >= 0
          && s.Ex.e_hits >= 0 && s.Ex.e_misses >= 0 && s.Ex.e_bits >= 0))
-    r.Ex.r_streams;
-  Alcotest.(check int) "total_steps sums the per-stream steps"
-    (List.fold_left (fun a s -> a + Ex.steps s) 0 r.Ex.r_streams)
-    (Ex.total_steps r);
-  let agg =
-    List.fold_left (fun a (_, (streams, _, _, _, _)) -> a + streams) 0
-      (Ex.by_kind r)
-  in
-  Alcotest.(check int) "by_kind accounts for every stream" agg
-    (List.length r.Ex.r_streams)
+    rows;
+  Alcotest.(check int) "the rows' steps sum to the decode steps" steps
+    (List.fold_left (fun a s -> a + Ex.steps s) 0 rows);
+  let streams = List.map (fun (s : Ex.stream_stats) -> s.Ex.e_stream) rows in
+  Alcotest.(check bool) "one row per stream, sorted" true
+    (List.sort_uniq compare streams = streams)
 
+(* A forward sweep under a profiling context, as --analyze runs it. *)
 let test_explain_control_flow () =
   let w1 = Builder.run_streaming ~program:prog ~input () in
   List.iter
     (fun wet ->
       let sess = W.open_session wet in
-      let recorder = W.Session.recorder sess in
-      Ex.arm ~recorder;
-      let blocks =
-        Query.Session.control_flow sess Query.Forward ~f:(fun _ _ -> ())
+      let scope =
+        Qprof.make_scope ~tally:(W.Session.tally sess)
+          ~recorder:(W.Session.recorder sess) ()
       in
-      Ex.disarm ~recorder;
-      let r = Ex.report ~recorder in
-      Alcotest.(check bool) "control_flow noted as a query" true
-        (List.mem "query.control_flow" r.Ex.r_queries);
-      check_consistent r;
+      let blocks, p =
+        Qprof.profiled ~scope "trace/cf" (fun () ->
+            Query.Session.control_flow sess Query.Forward ~f:(fun _ _ -> ()))
+      in
+      Alcotest.(check (list string)) "control_flow noted as the query"
+        [ "query.control_flow" ] p.Qprof.p_queries;
+      check_consistent ~steps:(Qprof.decode_steps p.Qprof.p_total)
+        p.Qprof.p_streams;
       Alcotest.(check int) "block executions regenerated"
         wet.W.stats.W.block_execs blocks;
       let ts_fwd, other =
@@ -348,56 +350,64 @@ let test_explain_control_flow () =
             match s.Ex.e_stream with
             | Ex.Ts _ -> (fwd + s.Ex.e_fwd, other)
             | _ -> (fwd, other + 1))
-          (0, 0) r.Ex.r_streams
+          (0, 0) p.Qprof.p_streams
       in
       Alcotest.(check int)
         "a forward sweep pays exactly one forward ts step per path execution"
         wet.W.stats.W.path_execs ts_fwd;
       Alcotest.(check int) "and touches only ts streams" 0 other;
       Alcotest.(check int) "and never steps backward" 0
-        (List.fold_left (fun a (s : Ex.stream_stats) -> a + s.Ex.e_bwd) 0
-           r.Ex.r_streams))
+        p.Qprof.p_total.Qprof.c_bwd)
     [ w1; Builder.pack w1 ]
 
+(* A slice read through a bare ledger window, with the session's
+   recorder armed by hand. *)
 let test_explain_slice () =
   let wet = Builder.(pack (run_streaming ~program:prog ~input ())) in
   let sess = W.open_session wet in
-  let recorder = W.Session.recorder sess in
+  let tally = W.Session.tally sess and recorder = W.Session.recorder sess in
   (* slice an output so the dependence cone is non-trivial *)
-  (match
-     Query.copies_matching wet (function
-       | Wet_ir.Instr.Output _ -> true
-       | _ -> false)
-   with
-   | [] -> Alcotest.fail "workload has no outputs"
-   | c :: _ ->
-     Ex.arm ~recorder;
-     ignore
-       (Slice.Session.backward sess c ((W.node_of_copy wet c).W.n_nexec - 1));
-     Ex.disarm ~recorder);
-  let r = Ex.report ~recorder in
-  Alcotest.(check bool) "slice.backward noted as a query" true
-    (List.mem "slice.backward" r.Ex.r_queries);
-  check_consistent r;
+  let c =
+    match
+      Query.copies_matching wet (function
+        | Wet_ir.Instr.Output _ -> true
+        | _ -> false)
+    with
+    | [] -> Alcotest.fail "workload has no outputs"
+    | c :: _ -> c
+  in
+  let g0 = Telemetry.snapshot ~tally () in
+  let w = Telemetry.open_window tally in
+  Ex.arm ~recorder;
+  ignore (Slice.Session.backward sess c ((W.node_of_copy wet c).W.n_nexec - 1));
+  Ex.disarm ~recorder;
+  let rows = Ex.stats_of_rows (Telemetry.window_rows w) in
+  Telemetry.close_window w;
+  Alcotest.(check (list string)) "slice.backward noted as the query"
+    [ "slice.backward" ]
+    (Ex.queries_since ~recorder 0);
+  check_consistent
+    ~steps:
+      (Telemetry.steps
+         (Telemetry.delta ~before:g0 ~after:(Telemetry.snapshot ~tally ())))
+    rows;
   Alcotest.(check bool) "a dependence walk touches edge-label streams" true
     (List.exists
        (fun (s : Ex.stream_stats) ->
          match s.Ex.e_stream with
          | Ex.Label_src _ | Ex.Label_dst _ -> true
          | _ -> false)
-       r.Ex.r_streams);
-  (* disarmed queries record nothing *)
-  Ex.reset ~recorder;
+       rows);
+  (* disarmed queries note nothing *)
   ignore (Query.Session.load_values sess ~f:(fun _ _ -> ()));
-  let r = Ex.report ~recorder in
-  Alcotest.(check bool) "disarmed queries leave no trace" true
-    (r.Ex.r_queries = [] && r.Ex.r_streams = [])
+  Alcotest.(check int) "disarmed queries note no entry point" 1
+    (Ex.query_count ~recorder)
 
 (* The reference recorder: the earlier explain implementation, which
    kept its own tallies per stream in a polymorphic [Hashtbl] and sorted
    its report with [compare], told here what each cursor call did. The
-   ledger, which the same calls count into, must report the same rows,
-   field for field and in the same order. *)
+   ledger, which the same calls count into, must report the same rows
+   over the same windows, field for field and in the same order. *)
 module Ref_recorder = struct
   type stats = {
     st_stream : Ex.stream;
@@ -472,18 +482,47 @@ module Ref_recorder = struct
     (List.rev r.queries, streams)
 end
 
-(* What the ledger reports, in the reference's shape. *)
-let ledger_report recorder =
-  let r = Ex.report ~recorder in
-  ( r.Ex.r_queries,
+(* The ledger side of the comparison: a recorder and the window an Arm
+   opens, whose rows a Disarm keeps after closing it. *)
+type ledger_view = {
+  lv_tally : Telemetry.tally;
+  lv_recorder : Ex.recorder;
+  mutable lv_window : Telemetry.window option;  (* Some while armed *)
+  mutable lv_closed : Ex.stream_stats list;  (* the last window's rows *)
+}
+
+let ledger_arm v =
+  Option.iter Telemetry.close_window v.lv_window;
+  v.lv_window <- Some (Telemetry.open_window v.lv_tally);
+  v.lv_closed <- [];
+  Ex.arm ~recorder:v.lv_recorder
+
+let ledger_disarm v =
+  Option.iter
+    (fun w ->
+      v.lv_closed <- Ex.stats_of_rows (Telemetry.window_rows w);
+      Telemetry.close_window w)
+    v.lv_window;
+  v.lv_window <- None;
+  Ex.disarm ~recorder:v.lv_recorder
+
+(* Clear what was recorded, armed or not. *)
+let ledger_reset v =
+  let armed = Option.is_some v.lv_window in
+  ledger_arm v;
+  if not armed then ledger_disarm v
+
+(* What the ledger reports, in the reference's shape: the open window's
+   rows while armed, the closed window's after. *)
+let ledger_report v =
+  ( Ex.queries_since ~recorder:v.lv_recorder 0,
     List.map
       (fun (s : Ex.stream_stats) ->
         ( s.Ex.e_stream, s.Ex.e_fwd, s.Ex.e_bwd, s.Ex.e_seeks,
           s.Ex.e_seek_steps, s.Ex.e_switches ))
-      r.Ex.r_streams )
-
-module Stream = Wet_bistream.Stream
-module Telemetry = Wet_bistream.Telemetry
+      (match v.lv_window with
+       | Some w -> Ex.stats_of_rows (Telemetry.window_rows w)
+       | None -> v.lv_closed) )
 
 (* The cursors a script drives: raw and packed streams, ascending and
    not, named over every stream kind. *)
@@ -557,8 +596,14 @@ let prop_explain_matches_reference =
        ~print:(fun ops -> String.concat "; " (List.map print_ex_op ops)))
     (fun ops ->
       let tally = Telemetry.make () in
-      let recorder = Ex.make_recorder () in
-      ignore (Ex.bind ~tally ~recorder ());
+      let view =
+        {
+          lv_tally = tally;
+          lv_recorder = Ex.make_recorder ();
+          lv_window = None;
+          lv_closed = [];
+        }
+      in
       let reference = Ref_recorder.make () in
       let curs =
         Array.map
@@ -588,7 +633,7 @@ let prop_explain_matches_reference =
         Ref_recorder.seek reference (name i) d
       in
       let same what =
-        let d = ledger_report recorder and r = Ref_recorder.report reference in
+        let d = ledger_report view and r = Ref_recorder.report reference in
         if d <> r then
           QCheck.Test.fail_reportf "%s differs: %d vs %d streams" what
             (List.length (snd d)) (List.length (snd r))
@@ -596,16 +641,16 @@ let prop_explain_matches_reference =
       List.iter
         (function
           | Arm ->
-            Ex.arm ~recorder;
+            ledger_arm view;
             Ref_recorder.arm reference
           | Disarm ->
-            Ex.disarm ~recorder;
+            ledger_disarm view;
             Ref_recorder.disarm reference
           | Reset ->
-            Ex.reset ~recorder;
+            ledger_reset view;
             Ref_recorder.reset reference
           | Query q ->
-            Ex.query ~recorder q;
+            Ex.query ~recorder:view.lv_recorder q;
             Ref_recorder.query reference q
           | Step (i, fwd) ->
             let c = curs.(i) in
@@ -652,14 +697,13 @@ let prop_explain_matches_reference =
       same "final report";
       true)
 
-(* A counted step allocates nothing: 100,000 armed cursor calls over
-   streams of every kind that have already moved — steps both ways,
-   seeks and reads — leave the minor heap's allocation count unmoved,
-   and land on those streams' rows. *)
+(* A counted step allocates nothing: 100,000 cursor calls inside an
+   open window, over streams of every kind that have already moved —
+   steps both ways, seeks and reads — leave the minor heap's allocation
+   count unmoved, and land on those streams' rows. *)
 let test_explain_step_allocates_nothing () =
   let tally = Telemetry.make () in
-  let _, recorder = Ex.bind ~tally () in
-  Ex.arm ~recorder;
+  let w = Telemetry.open_window tally in
   let names =
     List.concat_map
       (fun i ->
@@ -702,7 +746,7 @@ let test_explain_step_allocates_nothing () =
   Alcotest.(check (float 0.)) "minor words allocated by 100,000 calls" 0.
     (after -. before);
   Alcotest.(check int) "on the streams touched before" n
-    (List.length (Ex.report ~recorder).Ex.r_streams)
+    (List.length (Telemetry.window_rows w))
 
 let () =
   Alcotest.run "watch"
