@@ -32,7 +32,7 @@ let quick = ref false
    span behind. *)
 let time name f = Wet_obs.Span.timed name f
 
-let progress fmt = Wet_obs.Log.progress fmt
+let progress fmt = Wet_obs.Log.info fmt
 
 let scale_of w =
   let s = w.Spec.default_scale in

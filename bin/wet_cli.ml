@@ -21,8 +21,7 @@ module Insight_json = Wet_insight.Json
 module Bench_obs = Wet_insight.Bench
 module Metric_docs = Wet_insight.Metric_docs
 module Obs_diff = Wet_insight.Obs_diff
-module Pulse_ring = Wet_pulse.Ring
-module Pulse_reporter = Wet_pulse.Reporter
+module Reporter = Wet_obs.Reporter
 module Journal = Wet_journal.Journal
 module Checkpoint = Wet_core.Builder.Checkpoint
 module Render = Wet_serve.Render
@@ -120,7 +119,7 @@ let trace_out_arg =
 let progress_arg =
   let doc =
     "Render a live status line on stderr while the pipeline runs \
-     (statement rate, shard count, peak live words, ring drops)."
+     (statements, statement rate, shard count)."
   in
   Arg.(value & flag & info [ "progress" ] ~doc)
 
@@ -215,33 +214,21 @@ let with_obs o f =
       | exception Sys_error m ->
         `Error (false, "cannot write progress output: " ^ m)
       | oc ->
-        let ring = Pulse_ring.create () in
-        Pulse_ring.install ring;
         let out =
           match oc with
-          | Some oc -> Pulse_reporter.Jsonl oc
-          | None -> Pulse_reporter.Tty
+          | Some oc -> Reporter.Jsonl oc
+          | None -> Reporter.Tty
         in
-        let reporter = Pulse_reporter.create ~ring out in
-        Pulse_reporter.install reporter;
+        let reporter = Reporter.create out in
+        Reporter.install reporter;
         let hb0 = !Wet_obs.Sink.heartbeat_every in
         if hb0 = 0 then
           Wet_obs.Sink.heartbeat_every := progress_heartbeat_default;
-        (* the reporter owns the status line; raise the threshold so
-           heartbeat info lines don't interleave with it (the status
-           line itself is threshold-exempt, so it keeps rendering) *)
-        let threshold0 = !Wet_obs.Log.threshold in
-        if
-          Wet_obs.Log.severity threshold0
-          < Wet_obs.Log.severity Wet_obs.Log.Warn
-        then Wet_obs.Log.threshold := Wet_obs.Log.Warn;
         Fun.protect
           ~finally:(fun () ->
-            Pulse_reporter.finish reporter;
-            Pulse_reporter.uninstall ();
-            Pulse_ring.uninstall ();
+            Reporter.finish reporter;
+            Reporter.uninstall ();
             Wet_obs.Sink.heartbeat_every := hb0;
-            Wet_obs.Log.threshold := threshold0;
             Option.iter close_out oc)
           f
     end
@@ -863,13 +850,6 @@ let dot_cmd =
    [--trace-out] dump the raw data the summary is derived from. *)
 
 let profile_cmd =
-  let heartbeat_arg =
-    let doc =
-      "Emit a progress heartbeat (trace instant + stderr line) every \
-       $(docv) executed statements (0 = off)."
-    in
-    Arg.(value & opt int 0 & info [ "heartbeat" ] ~docv:"N" ~doc)
-  in
   let phase_row name =
     let evs = Wet_obs.Sink.events () in
     match
@@ -962,7 +942,7 @@ let profile_cmd =
     end;
     `Ok ()
   in
-  let action obs prog scale input optimize heartbeat list_metrics_flag =
+  let action obs prog scale input optimize list_metrics_flag =
     with_obs obs @@ fun () ->
     if list_metrics_flag then list_metrics prog
     else
@@ -972,7 +952,6 @@ let profile_cmd =
     | Some prog ->
     Wet_obs.Sink.enable ();
     Wet_obs.Metrics.reset ();
-    Wet_obs.Sink.heartbeat_every := heartbeat;
     with_program ~optimize prog scale input (fun p input label ->
         Wet_obs.Span.with_ "profile"
           ~attrs:[ ("program", Wet_obs.Span.Str label) ]
@@ -1068,7 +1047,7 @@ let profile_cmd =
           the registered instruments with --list-metrics.")
     Term.(
       ret (const action $ obs_term $ opt_program_arg $ scale_arg $ input_arg
-           $ optimize_arg $ heartbeat_arg $ list_metrics_arg))
+           $ optimize_arg $ list_metrics_arg))
 
 (* ---------------- watch ---------------- *)
 
@@ -1599,22 +1578,6 @@ let print_hottest path mf top =
     ~header:[ "Instrument"; "Kind"; "Value" ]
     rows
 
-let print_ring_accounting mf =
-  match List.assoc_opt "pulse.ring.pushed" mf.mf_instruments with
-  | None -> print_endline "ring: no pulse ring was armed for this run"
-  | Some pushed_j ->
-    let pushed = jint "value" pushed_j in
-    let dropped =
-      match List.assoc_opt "pulse.ring.dropped" mf.mf_instruments with
-      | Some j -> jint "value" j
-      | None -> 0
-    in
-    Printf.printf "ring: %d events pushed, %d dropped (%.1f%%), %d retained\n"
-      pushed dropped
-      (if pushed > 0 then 100. *. float_of_int dropped /. float_of_int pushed
-       else 0.)
-      (pushed - dropped)
-
 (* The trace's complete events ([ph = "X"]) sorted by start time, with
    the recorded span-stack depth as indentation, read as the phase
    tree. GC deltas ride along as span attributes. *)
@@ -1699,7 +1662,6 @@ let obs_report_cmd =
          | Error m ->
            Printf.printf "note: cannot read trace: %s\n" m));
       print_hottest metrics mf top;
-      print_ring_accounting mf;
       `Ok ()
   in
   Cmd.v
@@ -1707,7 +1669,7 @@ let obs_report_cmd =
        ~doc:
          "Pretty-print an end-of-run observability report from a metrics \
           export (and optionally a trace export): per-phase span tree \
-          with GC deltas, hottest instruments, ring-drop accounting.")
+          with GC deltas and the hottest instruments.")
     Term.(ret (const action $ metrics_arg $ trace_arg $ obs_top_arg))
 
 let obs_diff_cmd =
@@ -2005,6 +1967,14 @@ let serve_cmd =
     Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"N" ~doc)
   in
   let action obs socket cache qlog ring domains =
+    (* The daemon's spans live in its ring, so a trace export would be
+       empty; refuse it before anything runs or is written. *)
+    if obs.o_trace <> None then
+      `Error
+        ( true,
+          "--trace-out would write no spans: the daemon keeps its request \
+           spans in its ring; read them with the `watch` verb" )
+    else
     with_obs obs @@ fun () ->
     let dft = Serve_server.default_config ~socket in
     match

@@ -1231,6 +1231,25 @@ module Checkpoint = struct
 
   let fail fmt = Wet_error.fail Wet_error.Journal fmt
 
+  (* The layout of the marshalled [header], [ckpt] and [Sink.state]
+     records, written as a line in front of the header record's Marshal
+     payload. Marshal checks no types: a journal of another layout
+     would unmarshal into a value of the wrong type, so nothing is
+     unmarshalled from a journal whose header names another layout, or
+     none. Bump it with any change to those three records;
+     test_journal's golden digest fails until it is bumped and the
+     digest re-recorded. *)
+  let layout = "wet-journal-layout/2"
+
+  (* The layout line a header payload starts with, and the offset of
+     the Marshal bytes after it. Journals written before the layout was
+     named hold a bare Marshal payload, with no line. *)
+  let layout_line payload =
+    match String.index_opt payload '\n' with
+    | Some i when String.starts_with ~prefix:"wet-journal-layout/" payload ->
+      Some (String.sub payload 0 i, i + 1)
+    | _ -> None
+
   type header = {
     h_program : Program.t;  (* post-optimization: resume never re-optimizes *)
     h_input : int array;
@@ -1317,7 +1336,8 @@ module Checkpoint = struct
     in
     let w = J.create journal in
     (match
-       J.append w ~tag:tag_header (Marshal.to_string header [])
+       J.append w ~tag:tag_header
+         (layout ^ "\n" ^ Marshal.to_string header [])
      with
     | () -> ()
     | exception e ->
@@ -1330,14 +1350,27 @@ module Checkpoint = struct
         let sink = Sink.create ~shard_events ~track_peak analysis in
         drive w ~header sink)
 
-  let header_of scan =
+  (* [Ok None]: no intact header record. [Error]: a header of another
+     layout, refused before anything is unmarshalled. *)
+  let header_of journal scan =
     match scan.J.records with
-    | [] -> None
-    | hd :: _ when hd.J.tag <> tag_header -> None
-    | hd :: rest -> (
-      match (Marshal.from_string hd.J.payload 0 : header) with
-      | header -> Some (header, rest)
-      | exception Failure _ -> None)
+    | hd :: rest when hd.J.tag = tag_header -> (
+      match layout_line hd.J.payload with
+      | Some (l, body) when l = layout -> (
+        match (Marshal.from_string hd.J.payload body : header) with
+        | header -> Ok (Some (header, rest))
+        | exception Failure _ -> Ok None)
+      | named ->
+        Error
+          (Printf.sprintf
+             "%s: journal layout %s, but this build reads %s; rebuild it \
+              from scratch"
+             journal
+             (match named with
+              | Some (l, _) -> l
+              | None -> "none (written before journals named their layout)")
+             layout))
+    | _ -> Ok None
 
   let last_checkpoint rest =
     List.fold_left
@@ -1356,22 +1389,25 @@ module Checkpoint = struct
     match J.read journal with
     | Error m -> Error m
     | Ok scan -> (
-      match header_of scan with
-      | None -> Error (journal ^ ": no intact header record")
-      | Some (header, rest) -> Ok (header, last_checkpoint rest, scan.J.torn))
+      match header_of journal scan with
+      | Error m -> Error m
+      | Ok None -> Error (journal ^ ": no intact header record")
+      | Ok (Some (header, rest)) ->
+        Ok (header, last_checkpoint rest, scan.J.torn))
 
   let resume ?(track_peak = false) ~journal () =
     let scan =
       match J.read journal with Ok s -> s | Error m -> fail "%s" m
     in
     let header, rest =
-      match header_of scan with
-      | Some hr -> hr
-      | None ->
+      match header_of journal scan with
+      | Ok (Some hr) -> hr
+      | Ok None ->
         fail
           "%s: no intact header record — the build died before its \
            configuration was durable; restart it from scratch"
           journal
+      | Error m -> fail "%s" m
     in
     let ckpt = last_checkpoint rest in
     (* drop any torn tail, then keep journaling subsequent shards so a

@@ -66,10 +66,7 @@ let docs =
     ("slice.chop_ns", Histogram, "chop latency (ns)");
     (* tracer driver *)
     ("watch.<name>.matches", Counter, "events matched by watch <name>");
-    (* live pulse *)
-    ("pulse.ring.pushed", Counter, "events pushed into the pulse event ring");
-    ("pulse.ring.dropped", Counter,
-     "ring events overwritten before anyone read them");
+    (* live progress reporter *)
     ("pulse.reporter.ticks", Counter, "progress ticks offered to the reporter");
     ("pulse.reporter.emits", Counter, "progress lines/heartbeats emitted");
     ("pulse.reporter.emit_ns", Histogram, "time spent emitting progress (ns)");

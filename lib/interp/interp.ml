@@ -114,12 +114,13 @@ let c_outputs = Wet_obs.Metrics.counter "interp.outputs"
 (* Last heartbeat position: a live progress gauge for long runs. *)
 let g_heartbeat = Wet_obs.Metrics.gauge "interp.heartbeat_stmts"
 
+(* A heartbeat prints nothing: the tick drives [Wet_obs.Reporter], the
+   one renderer of progress. *)
 let heartbeat pos =
   Wet_obs.Metrics.set g_heartbeat pos;
   Wet_obs.Span.instant "interp.heartbeat"
     ~attrs:[ ("stmts", Wet_obs.Span.Int pos) ];
-  Wet_obs.Sink.tick ();
-  Wet_obs.Log.progress "interp: %d statements" pos
+  Wet_obs.Sink.tick ()
 
 (* Tracer-driver event kinds (dense indices, fixed at module init). *)
 let k_entry = Wet_watch.Event.kind_index Wet_watch.Event.Block_entry

@@ -100,7 +100,6 @@ let debug fmt = Printf.ksprintf (emit Debug) fmt
 let info fmt = Printf.ksprintf (emit Info) fmt
 let warn fmt = Printf.ksprintf (emit Warn) fmt
 let error fmt = Printf.ksprintf (emit Error) fmt
-let progress fmt = info fmt
 
 let status fmt =
   Printf.ksprintf

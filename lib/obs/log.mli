@@ -9,10 +9,10 @@
     daemon's access and error lines can be collected machine-readably.
 
     The {!status} line is the live-progress UI element (a [\r]-rewritten
-    stderr line, used by [Wet_pulse.Reporter]): it honours {!quiet} and
-    the JSONL sink but not the threshold, and regular log lines know to
-    terminate an active status line before printing so the two never
-    interleave on one row. *)
+    stderr line, drawn by {!Reporter}, the one renderer of progress):
+    it honours {!quiet} and the JSONL sink but not the threshold, and
+    regular log lines know to terminate an active status line before
+    printing so the two never interleave on one row. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -48,9 +48,6 @@ val info : ('a, unit, string, unit) format4 -> 'a
 
 val warn : ('a, unit, string, unit) format4 -> 'a
 val error : ('a, unit, string, unit) format4 -> 'a
-
-(** Historical alias of {!info} — the pipeline's progress lines. *)
-val progress : ('a, unit, string, unit) format4 -> 'a
 
 (** Rewrite the live status line: ["\r<text>"] on stderr, no newline.
     Suppressed by {!quiet}; mirrored to the JSONL sink (level

@@ -1,5 +1,4 @@
-module Obs = Wet_obs.Metrics
-module Clock = Wet_obs.Clock
+module Obs = Metrics
 
 (* Live cells, interned by name: the interpreter and builder own the
    writes, the reporter only reads. [interp.stmts] is credited once at
@@ -10,8 +9,6 @@ let c_stmts = Obs.counter "interp.stmts"
 let g_hb = Obs.gauge "interp.heartbeat_stmts"
 
 let c_shards = Obs.counter "build.shards"
-
-let g_peak = Obs.gauge "build.peak_live_words"
 
 (* The reporter's own overhead, visible in the same exports it reads. *)
 let c_ticks = Obs.counter "pulse.reporter.ticks"
@@ -24,7 +21,6 @@ type sink = Tty | Jsonl of out_channel
 
 type t = {
   out : sink;
-  ring : Ring.t option;
   interval_ns : int;
   t0 : int;
   mutable last_ns : int;
@@ -32,15 +28,14 @@ type t = {
   mutable seq : int;
 }
 
-let create ?ring ?(interval_ms = 100) out =
+let create ?(interval_ms = 100) out =
   (match out with
    | Jsonl oc ->
      Printf.fprintf oc "{\"schema\":%S,\"type\":\"meta\",\"stream\":\"pulse\"}\n%!"
-       Wet_obs.Export.schema
+       Export.schema
    | Tty -> ());
   {
     out;
-    ring;
     interval_ns = interval_ms * 1_000_000;
     t0 = Clock.now_ns ();
     last_ns = 0;
@@ -65,14 +60,6 @@ let emit t now =
       if dt_s > 0. then float_of_int (stmts - t.last_stmts) /. dt_s else 0.
     in
     let shards = Obs.value c_shards in
-    let peak = Obs.gauge_value g_peak in
-    let pushed, dropped =
-      match t.ring with
-      | None -> (0, 0)
-      | Some r ->
-        let s = Ring.stats r in
-        (s.Ring.total, s.Ring.dropped)
-    in
     t.seq <- t.seq + 1;
     t.last_ns <- now;
     t.last_stmts <- stmts;
@@ -80,17 +67,16 @@ let emit t now =
     match t.out with
     | Jsonl oc ->
       Printf.fprintf oc
-        "{\"type\":\"heartbeat\",\"seq\":%d,\"elapsed_ms\":%.1f,\"stmts\":%d,\"stmts_per_sec\":%.0f,\"shards\":%d,\"peak_live_words\":%d,\"ring_pushed\":%d,\"ring_dropped\":%d}\n\
+        "{\"type\":\"heartbeat\",\"seq\":%d,\"elapsed_ms\":%.1f,\"stmts\":%d,\"stmts_per_sec\":%.0f,\"shards\":%d}\n\
          %!"
         t.seq
         (Clock.to_s (now - t.t0) *. 1e3)
-        stmts rate shards peak pushed dropped
+        stmts rate shards
     | Tty ->
       (* Through the Log layer, not a raw eprintf: --quiet suppresses
          the line and a JSONL log sink receives it as a status object. *)
-      Wet_obs.Log.status
-        "[wet] %6s stmts  %6s/s  shards %-4d  peak %6sw  ring drops %-6d"
-        (human stmts) (human (int_of_float rate)) shards (human peak) dropped)
+      Log.status "[wet] %6s stmts  %6s/s  shards %-4d" (human stmts)
+        (human (int_of_float rate)) shards)
 
 let tick t =
   Obs.incr c_ticks;
@@ -102,9 +88,9 @@ let force t = emit t (Clock.now_ns ())
 let finish t =
   force t;
   match t.out with
-  | Tty -> Wet_obs.Log.finish_status ()
+  | Tty -> Log.finish_status ()
   | Jsonl oc -> flush oc
 
-let install t = Wet_obs.Sink.set_on_tick (fun () -> tick t)
+let install t = Sink.set_on_tick (fun () -> tick t)
 
-let uninstall () = Wet_obs.Sink.clear_on_tick ()
+let uninstall () = Sink.clear_on_tick ()

@@ -1,21 +1,20 @@
-(** Live progress for long builds.
+(** Live progress for long builds, from the pipeline's one renderer of
+    progress.
 
     A reporter is driven by {!Wet_obs.Sink.tick} pulses — the
     interpreter fires one at every heartbeat
     ({!Wet_obs.Sink.heartbeat_every}) and [Builder.Sink] at every shard
     boundary. Each pulse is rate-limited against [interval_ms]; when
     one is due, the reporter reads the live process-view instruments
-    (statement count and rate, shard count, [build.peak_live_words])
-    and the ring's drop accounting, and renders one of:
+    (statement count and rate, shard count) and renders one of:
 
     - [Tty]: a single [\r]-rewritten status line on [stderr]
       ([--progress]);
     - [Jsonl]: one machine-readable heartbeat object per line
       ([--progress-out]), after a
       [{"schema":"wet-obs/2","type":"meta","stream":"pulse"}] header.
-      Heartbeat fields: [seq], [elapsed_ms], [stmts] (monotone
-      non-decreasing), [stmts_per_sec], [shards], [peak_live_words],
-      [ring_pushed], [ring_dropped].
+      Heartbeat fields, exactly: [type], [seq], [elapsed_ms], [stmts]
+      (monotone non-decreasing), [stmts_per_sec], [shards].
 
     The reporter's own cost is recorded in the same registry it reads:
     ["pulse.reporter.ticks"], ["pulse.reporter.emits"] and the
@@ -25,10 +24,10 @@ type sink = Tty | Jsonl of out_channel
 
 type t
 
-(** [create ?ring ?interval_ms out] — [interval_ms] (default 100)
+(** [create ?interval_ms out] — [interval_ms] (default 100)
     rate-limits emission; 0 emits on every tick. The [Jsonl] header
     line is written immediately. *)
-val create : ?ring:Ring.t -> ?interval_ms:int -> sink -> t
+val create : ?interval_ms:int -> sink -> t
 
 (** Rate-limited: emits when at least [interval_ms] has elapsed since
     the previous emission. *)

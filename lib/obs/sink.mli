@@ -5,7 +5,8 @@
     conditional branch, so instrumented code paths run at full speed.
     {!enable} arms the whole library — metric mutations start taking
     effect and spans start accumulating trace events in an in-memory
-    buffer that {!Export} serialises. *)
+    buffer that {!Export} serialises, or go to the installed tap
+    ({!set_tap}) instead. *)
 
 (** Attribute values attached to spans and events. *)
 type value = Int of int | Float of float | Str of string | Bool of bool
@@ -33,19 +34,22 @@ val disable : unit -> unit
     timestamps are made relative to. *)
 val epoch_ns : unit -> int
 
-(** Append an event (no-op when disabled; the hooks check first). The
-    event is also offered to the installed {!set_tap} observer before
-    it reaches the buffer. *)
+(** Append an event to the buffer, or hand it to the installed
+    {!set_tap} observer instead (no-op when disabled; the hooks check
+    first). Each event has one home: a tapped event never reaches the
+    buffer. *)
 val record : event -> unit
 
-(** All events recorded since {!enable}, in emission order. Spans are
-    emitted when they close, so a parent appears after its children. *)
+(** All events recorded since {!enable} while no tap was installed, in
+    emission order. Spans are emitted when they close, so a parent
+    appears after its children. *)
 val events : unit -> event list
 
-(** Install an observer called with every {!record}ed event — how
-    [Wet_pulse.Ring] sees span and instant events without the sink
-    growing a dependency on it. At most one tap is installed; a new
-    {!set_tap} replaces the previous one. *)
+(** Install an observer that takes every {!record}ed event in place of
+    the buffer — how [Wet_serve.Ring], the [wet serve] daemon's bounded
+    ring, keeps its request spans without the sink growing a dependency
+    on it or an unbounded buffer growing beside it. At most one tap is
+    installed; a new {!set_tap} replaces the previous one. *)
 val set_tap : (event -> unit) -> unit
 
 val clear_tap : unit -> unit
@@ -58,7 +62,7 @@ val heartbeat_every : int ref
 (** [tick ()] invokes the {!set_on_tick} callback when the sink is
     enabled — the pipeline's progress pulse. The interpreter calls it
     at every heartbeat and [Builder.Sink] at every shard boundary;
-    [Wet_pulse.Reporter] rate-limits and renders. Costs one flag read
+    {!Reporter} rate-limits and renders. Costs one flag read
     when disabled, one option match when no callback is installed. *)
 val tick : unit -> unit
 

@@ -1,29 +1,16 @@
-type entry =
-  | Span of Wet_obs.Sink.event
-  | Watch of Wet_watch.Event.t * int
-
 type stats = { total : int; dropped : int; retained : int; capacity : int }
-
-(* The counters mirror the ring's own fields into the process metric
-   view so they show up in [--metrics-out] dumps; the authoritative
-   numbers are the fields, read under the lock by [stats]. Both are
-   updated while holding the lock, so the mirror is race-free even when
-   several domains push. *)
-let c_pushed = Wet_obs.Metrics.counter "pulse.ring.pushed"
-
-let c_dropped = Wet_obs.Metrics.counter "pulse.ring.dropped"
 
 type t = {
   cap : int;
   lock : Mutex.t;
-  cells : entry option array;
+  cells : Wet_obs.Sink.event option array;
   mutable total : int;
   mutable dropped : int;
 }
 
 let create ?(capacity = 4096) () =
   if capacity <= 0 then
-    Wet_error.fail Obs "Wet_pulse.Ring.create: capacity must be positive";
+    Wet_error.fail Obs "Wet_serve.Ring.create: capacity must be positive";
   {
     cap = capacity;
     lock = Mutex.create ();
@@ -32,17 +19,11 @@ let create ?(capacity = 4096) () =
     dropped = 0;
   }
 
-let capacity t = t.cap
-
 let push t e =
   Mutex.lock t.lock;
-  if t.total >= t.cap then begin
-    t.dropped <- t.dropped + 1;
-    Wet_obs.Metrics.incr c_dropped
-  end;
+  if t.total >= t.cap then t.dropped <- t.dropped + 1;
   t.cells.(t.total mod t.cap) <- Some e;
   t.total <- t.total + 1;
-  Wet_obs.Metrics.incr c_pushed;
   Mutex.unlock t.lock
 
 let stats_unlocked t =
@@ -73,10 +54,6 @@ let snapshot t =
   Mutex.unlock t.lock;
   (es, s)
 
-let install t =
-  Wet_obs.Sink.set_tap (fun ev -> push t (Span ev));
-  Wet_watch.Watch.set_tap (fun ev ~wall_ns -> push t (Watch (ev, wall_ns)))
+let install t = Wet_obs.Sink.set_tap (push t)
 
-let uninstall () =
-  Wet_obs.Sink.clear_tap ();
-  Wet_watch.Watch.clear_tap ()
+let uninstall () = Wet_obs.Sink.clear_tap ()

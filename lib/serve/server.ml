@@ -6,7 +6,6 @@ module Sink = Wet_obs.Sink
 module Export = Wet_obs.Export
 module Log = Wet_obs.Log
 module Clock = Wet_obs.Clock
-module Ring = Wet_pulse.Ring
 module Qprof = Wet_qprof.Qprof
 module Qlog = Wet_qprof.Qlog
 module Json = Wet_insight.Json
@@ -134,10 +133,9 @@ type state = {
      table. Read verbs run outside it: each connection's session owns
      its cursors, and its decode work lands on its own tally. *)
   engine : Mutex.t;
-  (* serialises the instrumentation spine shared by every connection
-     thread: the flight-recorder ring (sink taps and snapshots) and
-     access-qlog appends. *)
-  instr : Mutex.t;
+  (* serialises access-qlog appends from every connection thread; the
+     ring takes its own lock *)
+  qlog_lock : Mutex.t;
   conns_lock : Mutex.t;
   mutable conns : conn list;
   mutable in_flight : int;
@@ -238,7 +236,7 @@ let health_data t =
             ("misses", json_int misses);
             ("evictions", json_int evictions);
           ] );
-      ("ring", ring_stats_json (with_lock t.instr (fun () -> Ring.stats t.ring)));
+      ("ring", ring_stats_json (Ring.stats t.ring));
       ("wets", Json.Arr (List.map entry_json resident));
     ]
 
@@ -266,32 +264,22 @@ let watch_data t req =
   match int_param req "last" ~default:32 with
   | Error _ as e -> e
   | Ok last ->
-    let entries, stats =
-      with_lock t.instr (fun () -> Ring.snapshot t.ring)
-    in
+    let entries, stats = Ring.snapshot t.ring in
     let keep =
       let n = List.length entries in
       List.filteri (fun i _ -> i >= n - last) entries
     in
-    let entry_json = function
-      | Ring.Span (e : Sink.event) ->
-        Json.Obj
-          ([
-             ("type", Json.Str "span");
-             ("name", Json.Str e.Sink.ev_name);
-             ("ts_ns", json_int e.Sink.ev_ts_ns);
-           ]
-          @
-          match e.Sink.ev_dur_ns with
-          | None -> []
-          | Some d -> [ ("dur_ns", json_int d) ])
-      | Ring.Watch (ev, stamp) ->
-        Json.Obj
-          [
-            ("type", Json.Str "watch");
-            ("event", Json.Str (Fmt.str "%a" Wet_watch.Event.pp ev));
-            ("ts_ns", json_int stamp);
-          ]
+    let entry_json (e : Sink.event) =
+      Json.Obj
+        ([
+           ("type", Json.Str "span");
+           ("name", Json.Str e.Sink.ev_name);
+           ("ts_ns", json_int e.Sink.ev_ts_ns);
+         ]
+        @
+        match e.Sink.ev_dur_ns with
+        | None -> []
+        | Some d -> [ ("dur_ns", json_int d) ])
     in
     Ok
       (Json.Obj
@@ -392,24 +380,21 @@ let handle t conn req =
     Qprof.run ~scope:conn.scope ~params shape (fun () -> answer t conn req)
   in
   let dur_ns = Clock.now_ns () - start_ns in
-  (* the request span feeds the flight-recorder ring via the sink tap;
-     the ring and the qlog are shared by every connection thread, so
-     both sit under the instrumentation lock *)
-  with_lock t.instr (fun () ->
-      Sink.record
-        {
-          Sink.ev_name = "serve." ^ P.verb_name req.P.rq_verb;
-          ev_ts_ns = start_ns;
-          ev_dur_ns = Some dur_ns;
-          ev_depth = 0;
-          ev_attrs =
-            [ ("conn", Sink.Int conn.id); ("id", Sink.Int req.P.rq_id) ];
-        };
-      match t.cfg.qlog with
-      | None -> ()
-      | Some path -> (
-        try Qlog.append path profile
-        with Sys_error m -> Log.error "cannot append access qlog: %s" m));
+  (* the sink's tap hands the request span to the ring, its one home *)
+  Sink.record
+    {
+      Sink.ev_name = "serve." ^ P.verb_name req.P.rq_verb;
+      ev_ts_ns = start_ns;
+      ev_dur_ns = Some dur_ns;
+      ev_depth = 0;
+      ev_attrs = [ ("conn", Sink.Int conn.id); ("id", Sink.Int req.P.rq_id) ];
+    };
+  (match t.cfg.qlog with
+   | None -> ()
+   | Some path ->
+     with_lock t.qlog_lock (fun () ->
+         try Qlog.append path profile
+         with Sys_error m -> Log.error "cannot append access qlog: %s" m));
   with_lock conn.lock (fun () ->
       Obs.incr (conn.c_requests req.P.rq_verb);
       Obs.observe conn.h_request_ns dur_ns);
@@ -544,7 +529,7 @@ let run cfg =
       ring;
       t0_ns = Clock.now_ns ();
       engine = Mutex.create ();
-      instr = Mutex.create ();
+      qlog_lock = Mutex.create ();
       conns_lock = Mutex.create ();
       conns = [];
       in_flight = 0;

@@ -12,8 +12,10 @@
     bumps [serve.*] instruments in the connection's private
     {!Wet_obs.Metrics.Local} registry; the [metrics] verb folds those
     registries over the process view with {!Wet_obs.Metrics.merge} into
-    one wet-obs/2 snapshot. A bounded {!Wet_pulse.Ring} taps request
-    spans as the flight recorder the [watch] verb replays. *)
+    one wet-obs/2 snapshot. Request spans have one home, a bounded
+    {!Ring} installed as the span sink's tap: the [watch] verb replays
+    it, [health] reports its counts, and the sink's export buffer stays
+    empty however long the daemon runs. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)

@@ -41,35 +41,12 @@ let ring p = p.p_ring
 
 let stopped p = p.p_stopped
 
-(* Optional forwarder to an external flight recorder (the pulse ring).
-   Decoded [Event.t] records are only materialised when a tap is
-   installed, so the default capture path stays allocation-free. *)
-let tap : (Event.t -> wall_ns:int -> unit) option ref = ref None
-
-let set_tap f = tap := Some f
-
-let clear_tap () = tap := None
-
 let capture p ~kind ~func ~block ~pos ~value ~addr ~ts =
   match p.p_ring with
   | None -> ()
   | Some r ->
-    let wall = Wet_obs.Clock.now_ns () in
-    Ring.record r ~kind ~func ~block ~pos ~value ~addr ~ts ~wall_ns:wall;
-    (match !tap with
-     | None -> ()
-     | Some f ->
-       f
-         {
-           Event.e_kind = Event.kind_of_index kind;
-           e_func = func;
-           e_block = block;
-           e_pos = pos;
-           e_value = value;
-           e_addr = addr;
-           e_ts = ts;
-         }
-         ~wall_ns:wall)
+    Ring.record r ~kind ~func ~block ~pos ~value ~addr ~ts
+      ~wall_ns:(Wet_obs.Clock.now_ns ())
 
 (* Matched: count, then act. Only the ring write reads a clock, and only
    [Capture]/sampled/pre-trigger matches reach it. *)

@@ -10,7 +10,9 @@
     no-overhead-when-disabled guarantee of the [wet_obs] layer. Probe
     match counts also register as [wet_obs] counters
     (["watch.<name>.matches"]), so they appear in [--metrics-out]
-    dumps whenever the metrics sink is armed. *)
+    dumps whenever the metrics sink is armed. A recorded match has one
+    home, its probe's own flight recorder ({!ring}): [wet watch] prints
+    it and [--jsonl] exports it. *)
 
 type action =
   | Count  (** count matches only *)
@@ -64,12 +66,3 @@ val emit : int -> int -> int -> int -> int -> int -> int -> unit
 
 (** Arm around [f], always disarming afterwards. *)
 val with_armed : probe list -> (unit -> 'a) -> 'a
-
-(** Install an observer called with every event a probe records to its
-    flight recorder ([Capture] / sampled / pre-trigger matches; [Count]
-    probes never record) — how [Wet_pulse.Ring] sees watch events.
-    [wall_ns] is the same monotonic stamp stored in the probe's ring.
-    At most one tap; a new {!set_tap} replaces the previous one. *)
-val set_tap : (Event.t -> wall_ns:int -> unit) -> unit
-
-val clear_tap : unit -> unit

@@ -52,6 +52,74 @@ let iter_instances r f =
     f r.pos_copy.(pos) r.pos_inst.(pos) pos
   done
 
+(* A backward slicer over the raw trace alone, the oracle [Slice] is
+   checked against: [trace_backward r p] is the closure of the execution
+   at position [p] over two links, each execution's dependence slots
+   ([Instr.dyn_use_count] of them, laid out in position order) and its
+   block execution's [cd_producer]. Block executions are numbered from
+   each path's [n_block_start]; reached positions are named
+   (copy, instance) through [replay], sorted. *)
+let trace_backward r =
+  let tr = r.trace and wet = r.wet in
+  let n = tr.T.nstmts in
+  let slot0 = Array.make (n + 1) 0 in
+  for p = 0 to n - 1 do
+    slot0.(p + 1) <-
+      slot0.(p) + Instr.dyn_use_count (W.instr_of_copy wet r.pos_copy.(p))
+  done;
+  let node_of = Hashtbl.create 64 in
+  Array.iter
+    (fun (nd : W.node) -> Hashtbl.replace node_of (nd.W.n_func, nd.W.n_path) nd)
+    wet.W.nodes;
+  let block = Array.make (max 1 n) 0 in
+  let pos = ref 0 and blk = ref 0 in
+  Array.iter
+    (fun pkey ->
+      let node = Hashtbl.find node_of (T.decode_path pkey) in
+      let starts = node.W.n_block_start in
+      let bp = ref 0 in
+      Array.iteri
+        (fun o _ ->
+          while !bp + 1 < Array.length starts && starts.(!bp + 1) <= o do
+            incr bp
+          done;
+          block.(!pos) <- !blk + !bp;
+          incr pos)
+        node.W.n_stmts;
+      blk := !blk + Array.length node.W.n_blocks)
+    tr.T.paths;
+  fun p0 ->
+    let seen = Array.make (max 1 n) false in
+    let stack = ref [] in
+    let push q =
+      if q >= 0 && not seen.(q) then begin
+        seen.(q) <- true;
+        stack := q :: !stack
+      end
+    in
+    push p0;
+    while !stack <> [] do
+      let p = List.hd !stack in
+      stack := List.tl !stack;
+      for s = slot0.(p) to slot0.(p + 1) - 1 do
+        push tr.T.deps.(s)
+      done;
+      push tr.T.cd_producer.(block.(p))
+    done;
+    let out = ref [] in
+    Array.iteri
+      (fun q reached ->
+        if reached then out := (r.pos_copy.(q), r.pos_inst.(q)) :: !out)
+      seen;
+    List.sort compare !out
+
+(* The instances a WET backward slice visits, sorted (a repeat would
+   show as a duplicate). *)
+let wet_backward sess c i =
+  let got = ref [] in
+  ignore (Slice.Session.backward sess c i ~f:(fun c i -> got := (c, i) :: !got));
+  List.sort compare !got
+
 let programs =
   [
     ( "fib-array",
@@ -287,6 +355,24 @@ let test_slices_match_tiers () =
             (r1.Slice.instances >= 1))
         outputs)
     (Lazy.force built)
+
+(* Every slice the WET answers equals the raw-trace walk's, on both tiers
+   of every program, from every 7th execution and from the last one. *)
+let test_slices_match_trace () =
+  each_tier (fun name tr wet ->
+      let r = replay wet tr in
+      let oracle = trace_backward r in
+      let sess = W.open_session wet in
+      let n = tr.T.nstmts in
+      for p = 0 to n - 1 do
+        if p mod 7 = 0 || p = n - 1 then
+          let c = r.pos_copy.(p) and i = r.pos_inst.(p) in
+          if wet_backward sess c i <> oracle p then
+            Alcotest.failf
+              "%s: the slice from position %d (copy %d, instance %d) differs \
+               from the raw-trace walk"
+              name p c i
+      done)
 
 let test_slice_contents () =
   (* hand-checked example: slicing the printed sum pulls in exactly the
@@ -552,6 +638,8 @@ let base_suites =
       ( "slices",
         [
           Alcotest.test_case "tiers agree" `Quick test_slices_match_tiers;
+          Alcotest.test_case "agrees with a raw-trace walk" `Quick
+            test_slices_match_trace;
           Alcotest.test_case "contents" `Quick test_slice_contents;
           Alcotest.test_case "duality" `Quick test_backward_forward_duality;
           Alcotest.test_case "truncation" `Quick test_slice_truncation;
@@ -710,7 +798,8 @@ fn main() {
    go through the full pipeline; every reconstruction the WET offers is
    checked against the raw trace, on both tiers, for builds at several
    shard sizes — so the sink's own call/return patching and eviction are
-   checked against [Interp.run]'s independently patched trace. *)
+   checked against [Interp.run]'s independently patched trace — and so
+   is the backward slice from every statement execution. *)
 let random_program rng =
   let stmts =
     List.init 7 (fun i ->
@@ -765,6 +854,13 @@ let fuzz_one seed =
       let cf_ok = Array.of_list (List.rev !out) = tr.T.blocks in
       (* values and dependences *)
       let r = replay wet tr in
+      (* backward slices from every statement execution *)
+      let oracle = trace_backward r in
+      let slices_ok = ref true in
+      for p = 0 to tr.T.nstmts - 1 do
+        if wet_backward sess r.pos_copy.(p) r.pos_inst.(p) <> oracle p then
+          slices_ok := false
+      done;
       let vals_ok = ref true in
       let deps_ok = ref true in
       let depc = ref 0 in
@@ -782,7 +878,7 @@ let fuzz_one seed =
             in
             if S.resolve_dep sess c i s <> want then deps_ok := false
           done);
-      cf_ok && !vals_ok && !deps_ok
+      cf_ok && !vals_ok && !deps_ok && !slices_ok
     in
     List.for_all
       (fun shard_events ->

@@ -76,6 +76,11 @@ let file_bytes path =
   close_in ic;
   s
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
 let saved_bytes wet =
   let path = Filename.temp_file "wet_journal" ".wet" in
   Fun.protect
@@ -157,11 +162,6 @@ let test_read_errors () =
   let oc = open_out_bin path in
   output_string oc "definitely not a journal";
   close_out oc;
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
   match Journal.read path with
   | Error m -> Alcotest.(check bool) "mentions magic" true (contains m "magic")
   | Ok _ -> Alcotest.fail "bad magic must be Error"
@@ -453,6 +453,76 @@ let test_describe () =
        Alcotest.(check bool) "watermark advanced" true
          (c.Checkpoint.c_watermark.Interp.wm_stmts > 0))
 
+(* A journal whose header names another layout is refused before
+   anything is unmarshalled, and before the file is reopened: one
+   written the way journals were before they named their layout (a
+   bare Marshal of the header, then one checkpoint), and one naming
+   another layout string. *)
+let test_other_layout_refused () =
+  with_tmp_dir @@ fun dir ->
+  let name, prog, input = List.hd workloads in
+  let _ = clean_build dir name prog input in
+  let clean = Filename.concat dir (name ^ ".clean.j") in
+  let header =
+    match Checkpoint.describe clean with
+    | Ok (h, _, _) -> h
+    | Error m -> Alcotest.fail m
+  in
+  let ckpt =
+    match Journal.read clean with
+    | Ok { Journal.records = _ :: ck :: _; _ } -> ck.Journal.payload
+    | _ -> Alcotest.fail "clean journal lost its first checkpoint"
+  in
+  List.iter
+    (fun (file, header_payload, named) ->
+      let path = Filename.concat dir file in
+      let w = Journal.create path in
+      Journal.append w ~tag:0 header_payload;
+      Journal.append w ~tag:1 ckpt;
+      Journal.close w;
+      let before = file_bytes path in
+      let names_both m =
+        contains m ("journal layout " ^ named)
+        && contains m "reads wet-journal-layout/" && contains m "rebuild"
+        && not (contains m "no intact header record")
+      in
+      (match Checkpoint.resume ~journal:path () with
+       | _ -> Alcotest.failf "%s: a journal of another layout was resumed" file
+       | exception Wet_error.Error { Wet_error.stage = Wet_error.Journal; msg }
+         ->
+         Alcotest.(check bool) ("resume names both layouts: " ^ msg) true
+           (names_both msg));
+      Alcotest.(check bool) (file ^ ": the refused journal is unchanged") true
+        (file_bytes path = before);
+      match Checkpoint.describe path with
+      | Ok _ -> Alcotest.failf "%s: describe read another layout" file
+      | Error m ->
+        Alcotest.(check bool) ("describe names both layouts: " ^ m) true
+          (names_both m))
+    [
+      ("unnamed.j", Marshal.to_string header [], "none");
+      ( "other.j",
+        "wet-journal-layout/1\n" ^ Marshal.to_string header [],
+        "wet-journal-layout/1" );
+    ]
+
+(* Journals are byte-identical across runs, so one digest pins the
+   marshalled layout of [header], [ckpt] and [Sink.state]. A change to
+   any of them fails here until [Checkpoint]'s layout string is bumped
+   (so older journals are refused, not misread) and the digest below is
+   re-recorded. *)
+let golden_journal_md5 = "18c81026537dd1675149bbf3a2f8ab38"
+
+let test_golden_journal_digest () =
+  with_tmp_dir @@ fun dir ->
+  let spec = Spec.find "parser" in
+  let journal = Filename.concat dir "parser.j" in
+  ignore
+    (Checkpoint.build ~shard_events:64 ~label:"parser" ~journal
+       ~program:(Spec.compile spec) ~input:(Spec.input spec ~scale:1) ());
+  Alcotest.(check string) "journal digest" golden_journal_md5
+    (Digest.to_hex (Digest.file journal))
+
 (* ---------------- orphaned save temps ---------------- *)
 
 let test_orphan_sweep () =
@@ -532,6 +602,10 @@ let () =
             test_header_only_and_headerless;
           Alcotest.test_case "describe reports without recovering" `Quick
             test_describe;
+          Alcotest.test_case "a journal of another layout is refused" `Quick
+            test_other_layout_refused;
+          Alcotest.test_case "golden journal digest" `Quick
+            test_golden_journal_digest;
         ] );
       ( "orphans",
         [

@@ -1,15 +1,17 @@
-(* Semantics of the wet_pulse layer and the domain-local metrics rework:
-   the QCheck law that any partition of a recorded workload across local
-   registries merges back to exactly the single-registry result, gauge
-   last-write resolution, merge kind mismatches, ring wraparound and
-   drop accounting (including under concurrent pushes from two
-   domains), the sink/watch taps, and reporter heartbeat output. *)
+(* Live observation and the domain-local metrics: the QCheck law that
+   any partition of a recorded workload across local registries merges
+   back to exactly the single-registry result, gauge last-write
+   resolution, merge kind mismatches, the daemon's ring (wraparound and
+   drop accounting, including under concurrent pushes from two domains,
+   and the span tap that makes it the one home of the events it takes),
+   watch matches kept in their probe's own ring, and the progress
+   reporter's heartbeat output. *)
 
 module Obs = Wet_obs.Metrics
 module Sink = Wet_obs.Sink
 module Span = Wet_obs.Span
-module Ring = Wet_pulse.Ring
-module Reporter = Wet_pulse.Reporter
+module Ring = Wet_serve.Ring
+module Reporter = Wet_obs.Reporter
 module Watch = Wet_watch.Watch
 module F = Wet_watch.Filter
 module E = Wet_watch.Event
@@ -141,18 +143,15 @@ let test_domain_workers_merge () =
 (* ------------------------------------------------------------------ *)
 
 let mk_ev i =
-  Ring.Span
-    {
-      Sink.ev_name = Printf.sprintf "e%d" i;
-      ev_ts_ns = i;
-      ev_dur_ns = None;
-      ev_depth = 0;
-      ev_attrs = [];
-    }
+  {
+    Sink.ev_name = Printf.sprintf "e%d" i;
+    ev_ts_ns = i;
+    ev_dur_ns = None;
+    ev_depth = 0;
+    ev_attrs = [];
+  }
 
-let entry_name = function
-  | Ring.Span e -> e.Sink.ev_name
-  | Ring.Watch (e, _) -> E.kind_name e.E.e_kind
+let entry_name (e : Sink.event) = e.Sink.ev_name
 
 let test_ring_wraparound () =
   let r = Ring.create ~capacity:8 () in
@@ -201,6 +200,8 @@ let test_ring_concurrent_push () =
     s.Ring.dropped;
   Alcotest.(check int) "window bounded" cap s.Ring.retained
 
+(* A tapped event has one home: the ring takes it and the sink's export
+   buffer keeps nothing until the tap is removed. *)
 let test_sink_tap_feeds_ring () =
   with_sink (fun () ->
       let r = Ring.create () in
@@ -211,12 +212,20 @@ let test_sink_tap_feeds_ring () =
           Alcotest.(check int) "instant + span close" 2 s.Ring.total;
           Alcotest.(check (list string)) "emission order"
             [ "t.instant"; "t.span" ]
-            (List.map entry_name entries));
-      (* taps removed: later spans stay out of the ring *)
+            (List.map entry_name entries);
+          Alcotest.(check int) "the buffer keeps nothing while tapped" 0
+            (List.length (Sink.events ())));
+      (* taps removed: later spans stay out of the ring and reach the
+         buffer again *)
       Span.instant "t.after";
       Alcotest.(check int) "uninstalled tap sees nothing" 2
-        (Ring.stats r).Ring.total)
+        (Ring.stats r).Ring.total;
+      Alcotest.(check (list string)) "the buffer records again"
+        [ "t.after" ]
+        (List.map entry_name (Sink.events ())))
 
+(* A watch match has one home, its probe's own ring; a span ring
+   installed beside it sees nothing of it. *)
 let test_watch_tap_feeds_ring () =
   let prog = Wl.compile (Wl.find "parser") in
   with_sink (fun () ->
@@ -227,15 +236,18 @@ let test_watch_tap_feeds_ring () =
           Watch.with_armed [ p ]
             (fun () ->
               Watch.emit (E.kind_index E.Block_entry) 0 1 2 0 (-1) 7);
-          let entries, s = Ring.snapshot r in
-          Alcotest.(check int) "one watch entry" 1 s.Ring.total;
-          match entries with
-          | [ Ring.Watch (e, wall) ] ->
-            Alcotest.(check bool) "decoded kind" true
-              (e.E.e_kind = E.Block_entry);
-            Alcotest.(check int) "timestamp carried" 7 e.E.e_ts;
-            Alcotest.(check bool) "wall stamp present" true (wall > 0)
-          | _ -> Alcotest.fail "expected one Watch entry"))
+          Alcotest.(check int) "the span ring sees nothing" 0
+            (Ring.stats r).Ring.total;
+          match Watch.ring p with
+          | None -> Alcotest.fail "a Capture probe has a ring"
+          | Some pr -> (
+            match Wet_watch.Ring.to_list pr with
+            | [ (e, wall) ] ->
+              Alcotest.(check bool) "decoded kind" true
+                (e.E.e_kind = E.Block_entry);
+              Alcotest.(check int) "timestamp carried" 7 e.E.e_ts;
+              Alcotest.(check bool) "wall stamp present" true (wall > 0)
+            | _ -> Alcotest.fail "expected one match in the probe's ring")))
 
 (* ------------------------------------------------------------------ *)
 (* Reporter                                                            *)
@@ -248,14 +260,12 @@ let jint k j =
 
 let test_reporter_jsonl_heartbeats () =
   with_sink (fun () ->
-      let path = Filename.temp_file "wet_pulse" ".jsonl" in
+      let path = Filename.temp_file "wet_progress" ".jsonl" in
       Fun.protect ~finally:(fun () -> Sys.remove path)
         (fun () ->
           let oc = open_out path in
           let stmts = Obs.counter "interp.stmts" in
-          let ring = Ring.create () in
-          Ring.push ring (mk_ev 0);
-          let r = Reporter.create ~ring ~interval_ms:0 (Reporter.Jsonl oc) in
+          let r = Reporter.create ~interval_ms:0 (Reporter.Jsonl oc) in
           Reporter.install r;
           Fun.protect ~finally:Reporter.uninstall (fun () ->
               Obs.add stmts 100;
@@ -290,14 +300,20 @@ let test_reporter_jsonl_heartbeats () =
             Alcotest.(check (list int)) "seq increments" [ 1; 2; 3 ] seqs;
             List.iter
               (fun b ->
-                Alcotest.(check int) "ring stats flow through" 1
-                  (jint "ring_pushed" b))
+                Alcotest.(check (list string)) "exact heartbeat keys"
+                  [
+                    "type"; "seq"; "elapsed_ms"; "stmts"; "stmts_per_sec";
+                    "shards";
+                  ]
+                  (match b with
+                   | Json.Obj fields -> List.map fst fields
+                   | _ -> []))
               beats
           | [] -> Alcotest.fail "no heartbeat output"))
 
 let test_reporter_rate_limit () =
   with_sink (fun () ->
-      let path = Filename.temp_file "wet_pulse" ".jsonl" in
+      let path = Filename.temp_file "wet_progress" ".jsonl" in
       Fun.protect ~finally:(fun () -> Sys.remove path)
         (fun () ->
           let oc = open_out path in

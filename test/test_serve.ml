@@ -421,6 +421,75 @@ let test_bogus_kinds_bounded () =
   Client.close c;
   Thread.join daemon
 
+(* Request spans have one home, the daemon's ring: the sink's export
+   buffer, which nothing in a daemon reads, keeps none of them however
+   many requests arrive, the [watch] verb replays the last ones oldest
+   first, and [health] accounts for every span that fell out. *)
+let test_spans_live_in_the_ring () =
+  with_temp_dir @@ fun dir ->
+  let w1, _ = Lazy.force wets in
+  let wet_path = Filename.concat dir "fib.wet" in
+  Store.save w1 wet_path;
+  let socket = Filename.concat dir "serve.sock" in
+  let capacity = 16 in
+  let daemon =
+    Thread.create Server.run
+      { (Server.default_config ~socket) with Server.ring_capacity = capacity }
+  in
+  let c = connect socket in
+  let verb i = if i mod 2 = 1 then P.Paths else P.Health in
+  for i = 1 to 300 do
+    ignore
+      (roundtrip c
+         (match verb i with
+          | P.Paths ->
+            P.request ~wet:wet_path ~params:[ ("top", "1") ] ~id:i P.Paths
+          | v -> P.request ~id:i v))
+  done;
+  let serve_spans =
+    List.filter
+      (fun (e : Wet_obs.Sink.event) ->
+        String.starts_with ~prefix:"serve." e.Wet_obs.Sink.ev_name)
+      (Wet_obs.Sink.events ())
+  in
+  Alcotest.(check int) "the export buffer holds no request span" 0
+    (List.length serve_spans);
+  let int_of key j =
+    match Option.bind (Json.member key j) Json.to_int with
+    | Some v -> v
+    | None -> Alcotest.failf "missing integer %S" key
+  in
+  let watch =
+    roundtrip c (P.request ~params:[ ("last", "4") ] ~id:301 P.Watch)
+  in
+  let entries =
+    match Option.bind (Json.member "entries" watch.P.rs_data) Json.to_list with
+    | Some es -> es
+    | None -> Alcotest.fail "watch answered no entries"
+  in
+  let field key e =
+    Option.value (Option.bind (Json.member key e) Json.to_str) ~default:""
+  in
+  Alcotest.(check (list string)) "four span entries" [ "span"; "span"; "span"; "span" ]
+    (List.map (field "type") entries);
+  Alcotest.(check (list string)) "the last four requests, oldest first"
+    (List.map (fun i -> "serve." ^ P.verb_name (verb i)) [ 297; 298; 299; 300 ])
+    (List.map (field "name") entries);
+  let health = roundtrip c (P.request ~id:302 P.Health) in
+  let ring =
+    match Json.member "ring" health.P.rs_data with
+    | Some r -> r
+    | None -> Alcotest.fail "health has no ring object"
+  in
+  let pushed = int_of "pushed" ring in
+  Alcotest.(check bool) "every request pushed a span" true (pushed >= 301);
+  Alcotest.(check int) "dropped = pushed - capacity" (pushed - capacity)
+    (int_of "dropped" ring);
+  Alcotest.(check int) "retained = capacity" capacity (int_of "retained" ring);
+  ignore (roundtrip c (P.request ~id:303 P.Shutdown));
+  Client.close c;
+  Thread.join daemon
+
 (* ------------------------------------------------------------------ *)
 (* Render: formatting only the rows a trace returns                   *)
 (* ------------------------------------------------------------------ *)
@@ -695,6 +764,8 @@ let () =
           Alcotest.test_case "hostile clients" `Quick test_daemon_hostile;
           Alcotest.test_case "bogus trace kinds share one shape" `Quick
             test_bogus_kinds_bounded;
+          Alcotest.test_case "request spans live only in the ring" `Quick
+            test_spans_live_in_the_ring;
         ] );
       ( "render",
         [
