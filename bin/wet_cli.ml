@@ -21,6 +21,7 @@ module Insight_json = Wet_insight.Json
 module Bench_obs = Wet_insight.Bench
 module Metric_docs = Wet_insight.Metric_docs
 module Obs_diff = Wet_insight.Obs_diff
+module Obs_read = Wet_insight.Obs_read
 module Reporter = Wet_obs.Reporter
 module Journal = Wet_journal.Journal
 module Checkpoint = Wet_core.Builder.Checkpoint
@@ -280,36 +281,28 @@ let ns_ms ns = float_of_int ns /. 1e6
 let print_analyze wet (p : Qprof.profile) =
   List.iter print_endline (Render.analyze wet p)
 
-(* Wrap the query part of a command (not the build: [with_wet] has
-   already produced the WET when this runs) in a profiling context over
-   the session's tally and recorder. The sink is enabled so the
-   per-query [qprof.*] instruments land in the process registry and
-   export via --metrics-out. *)
-let with_qprof q ~shape ~params s f =
-  if (not q.q_analyze) && q.q_qlog = None then f ()
-  else begin
-    Wet_obs.Sink.enable ();
-    let scope =
-      Qprof.make_scope ~tally:(W.Session.tally s)
-        ~recorder:(W.Session.recorder s) ()
-    in
-    let res, prof = Qprof.run ~scope ~params shape f in
-    (match q.q_qlog with
-     | None -> ()
-     | Some path -> (
-       try Qlog.append path prof
-       with Sys_error m ->
-         Printf.eprintf "error: cannot write qlog: %s\n" m;
-         exit 2));
-    if q.q_analyze then print_analyze (W.Session.wet s) prof;
-    match res with Ok v -> v | Error e -> raise e
-  end
-
-(* A command's queries read through one session, which --analyze and
-   --qlog-out observe — what [wet serve] does per connection. *)
+(* A command's query (not the build: [with_wet] has already produced
+   the WET when this runs) reads through one session and runs inside a
+   profiling context over the session's tally and recorder, as each
+   request of [wet serve] does. The context is the query's one count
+   and latency: [qprof.latency.<shape>] under --metrics-out, the qlog
+   line and the --analyze report all read its profile. *)
 let with_session q ~shape ~params wet f =
   let s = W.open_session wet in
-  with_qprof q ~shape ~params s (fun () -> f s)
+  let scope =
+    Qprof.make_scope ~tally:(W.Session.tally s)
+      ~recorder:(W.Session.recorder s) ()
+  in
+  let res, prof = Qprof.run ~scope ~params shape (fun () -> f s) in
+  (match q.q_qlog with
+   | None -> ()
+   | Some path -> (
+     try Qlog.append path prof
+     with Sys_error m ->
+       Printf.eprintf "error: cannot write qlog: %s\n" m;
+       exit 2));
+  if q.q_analyze then print_analyze wet prof;
+  match res with Ok v -> v | Error e -> raise e
 
 (* ---------------- remote queries (wet serve client) ---------------- *)
 
@@ -438,7 +431,6 @@ let stats_cmd =
         else begin
           let s = wet.W.stats in
           Printf.printf "program: %s\n" label;
-          Printf.printf "statements executed: %d\n" s.W.stmts_executed;
           Printf.printf "basic block executions: %d\n" s.W.block_execs;
           Printf.printf "Ball-Larus path executions: %d\n" s.W.path_execs;
           Printf.printf "distinct executed paths (WET nodes): %d\n"
@@ -450,17 +442,6 @@ let stats_cmd =
             s.W.local_dep_instances;
           Printf.printf "  label values shared across identical edges: %d\n"
             s.W.shared_label_values;
-          let o = Sizes.original wet and c = Sizes.current wet in
-          Printf.printf
-            "original WET: %.2f MB (ts %.2f, vals %.2f, edges %.2f)\n"
-            (Sizes.mb o.Sizes.total_bytes) (Sizes.mb o.Sizes.ts_bytes)
-            (Sizes.mb o.Sizes.vals_bytes) (Sizes.mb o.Sizes.edge_bytes);
-          Printf.printf "%s WET: %.2f MB (ts %.2f, vals %.2f, edges %.2f)\n"
-            (match wet.W.tier with `Tier2 -> "tier-2" | `Tier1 -> "tier-1")
-            (Sizes.mb c.Sizes.total_bytes) (Sizes.mb c.Sizes.ts_bytes)
-            (Sizes.mb c.Sizes.vals_bytes) (Sizes.mb c.Sizes.edge_bytes);
-          Printf.printf "compression ratio: %.2f\n"
-            (o.Sizes.total_bytes /. c.Sizes.total_bytes);
           Insight_report.print report
         end;
         (* the paper-style report on a salvaged WET is still degraded
@@ -846,8 +827,9 @@ let dot_cmd =
 
 (* Run the whole pipeline under the observation sink — interpret into
    the tier-1 build, pack tier-2, save/load a container, one query of
-   every kind — then print a phase/metric summary. [--metrics-out] /
-   [--trace-out] dump the raw data the summary is derived from. *)
+   every kind — then print a phase summary and the packed WET's
+   per-stream table. [--metrics-out] / [--trace-out] dump the raw data
+   the phase summary is derived from. *)
 
 let profile_cmd =
   let phase_row name =
@@ -897,11 +879,6 @@ let profile_cmd =
       | None -> true
       | Some p -> String.starts_with ~prefix:p name
     in
-    let kind_of = function
-      | Wet_obs.Metrics.Counter _ -> "counter"
-      | Wet_obs.Metrics.Gauge _ -> "gauge"
-      | Wet_obs.Metrics.Histogram _ -> "histogram"
-    in
     let rows =
       List.filter_map
         (fun (name, reading) ->
@@ -910,7 +887,7 @@ let profile_cmd =
             Some
               [
                 name;
-                kind_of reading;
+                Obs_read.kind reading;
                 Option.value (Metric_docs.lookup name)
                   ~default:"UNDOCUMENTED (add to Metric_docs.docs)";
               ])
@@ -953,33 +930,36 @@ let profile_cmd =
     Wet_obs.Sink.enable ();
     Wet_obs.Metrics.reset ();
     with_program ~optimize prog scale input (fun p input label ->
-        Wet_obs.Span.with_ "profile"
-          ~attrs:[ ("program", Wet_obs.Span.Str label) ]
-          (fun () ->
-            let w1 = Builder.run_streaming ~program:p ~input () in
-            let w2 = Builder.pack w1 in
-            let tmp = Filename.temp_file "wet_profile" ".wet" in
-            Fun.protect
-              ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
-              (fun () ->
-                Store.save w2 tmp;
-                ignore (Store.load tmp));
-            Wet_obs.Span.with_ "profile.queries" (fun () ->
-                let s = W.open_session w2 in
-                Query.Session.park s Query.Forward;
-                ignore
-                  (Query.Session.control_flow s Query.Forward
-                     ~f:(fun _ _ -> ()));
-                ignore (Query.Session.load_values s ~f:(fun _ _ -> ()));
-                ignore (Query.Session.addresses s ~f:(fun _ _ -> ()));
-                match
-                  Query.copies_matching w2 (fun i -> Wet_ir.Instr.has_def i)
-                with
-                | c :: _ ->
+        let w2 =
+          Wet_obs.Span.with_ "profile"
+            ~attrs:[ ("program", Wet_obs.Span.Str label) ]
+            (fun () ->
+              let w1 = Builder.run_streaming ~program:p ~input () in
+              let w2 = Builder.pack w1 in
+              let tmp = Filename.temp_file "wet_profile" ".wet" in
+              Fun.protect
+                ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
+                (fun () ->
+                  Store.save w2 tmp;
+                  ignore (Store.load tmp));
+              Wet_obs.Span.with_ "profile.queries" (fun () ->
+                  let s = W.open_session w2 in
+                  Query.Session.park s Query.Forward;
                   ignore
-                    (Slice.Session.backward s c
-                       ((W.node_of_copy w2 c).W.n_nexec - 1))
-                | [] -> ()));
+                    (Query.Session.control_flow s Query.Forward
+                       ~f:(fun _ _ -> ()));
+                  ignore (Query.Session.load_values s ~f:(fun _ _ -> ()));
+                  ignore (Query.Session.addresses s ~f:(fun _ _ -> ()));
+                  match
+                    Query.copies_matching w2 (fun i -> Wet_ir.Instr.has_def i)
+                  with
+                  | c :: _ ->
+                    ignore
+                      (Slice.Session.backward s c
+                         ((W.node_of_copy w2 c).W.n_nexec - 1))
+                  | [] -> ());
+              w2)
+        in
         (* phase summary, derived from the recorded spans *)
         let rows =
           List.filter_map phase_row
@@ -993,57 +973,27 @@ let profile_cmd =
           ~align:Table.[ Left; Right; Right ]
           ~header:[ "Phase"; "Wall (ms)"; "Minor alloc (Mwords)" ]
           rows;
-        (* tier-2 method selection, derived from the metrics registry *)
-        let snapshot = Wet_obs.Metrics.snapshot () in
-        let counter_value name =
-          match List.assoc_opt name snapshot with
-          | Some (Wet_obs.Metrics.Counter v) -> v
-          | _ -> 0
-        in
-        let method_rows =
-          List.filter_map
-            (fun (name, reading) ->
-              match reading with
-              | Wet_obs.Metrics.Counter streams
-                when String.length name > 12
-                     && String.sub name 0 12 = "pack.method."
-                     && Filename.check_suffix name ".streams" ->
-                let meth =
-                  String.sub name 12 (String.length name - 12 - 8)
-                in
-                let saved =
-                  counter_value ("pack.method." ^ meth ^ ".bits_saved")
-                in
-                Some
-                  [
-                    meth;
-                    string_of_int streams;
-                    Printf.sprintf "%.3f" (float_of_int saved /. 8. /. 1024. /. 1024.);
-                  ]
-              | _ -> None)
-            snapshot
-        in
-        if method_rows <> [] then
-          Table.print
-            ~title:
-              "Tier-2 per-stream method selection (streams won, MB saved vs \
-               raw)."
-            ~align:Table.[ Left; Right; Right ]
-            ~header:[ "Method"; "Streams"; "MB saved" ]
-            method_rows;
+        (* the packed WET's per-stream table, read off the WET as `wet
+           stats` reads it: method mix, bits and ratio against raw *)
+        let report = Insight_report.of_wet ~label w2 in
+        Insight_report.print report;
+        let classes = report.Insight_report.rp_detail.Sizes.d_classes in
+        let count f = List.fold_left (fun n c -> n + f c) 0 classes in
         Printf.printf
           "%s: %d statements, %d path nodes, %d/%d streams left raw by \
            tier-2 selection\n"
-          label (counter_value "interp.stmts")
-          (counter_value "build.intern.misses")
-          (counter_value "pack.method.raw.streams")
-          (counter_value "pack.streams"))
+          label w2.W.stats.W.stmts_executed (Array.length w2.W.nodes)
+          (count (fun c ->
+               Option.value (List.assoc_opt "raw" c.Sizes.sc_methods)
+                 ~default:0))
+          (count (fun c -> c.Sizes.sc_streams)))
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Run the full pipeline under the observability sink and report \
-          per-phase wall/allocation numbers and pipeline metrics, or list \
+          per-phase wall/allocation numbers and the packed WET's \
+          per-stream table, or list \
           the registered instruments with --list-metrics.")
     Term.(
       ret (const action $ obs_term $ opt_program_arg $ scale_arg $ input_arg
@@ -1501,39 +1451,6 @@ let jnum k j =
   | Some v -> Option.value (Insight_json.to_num v) ~default:0.
   | None -> 0.
 
-type metrics_file = {
-  mf_schema : string option;  (* None: v1, predates the schema field *)
-  mf_instruments : (string * Insight_json.t) list;
-}
-
-let load_metrics_file path =
-  if not (Sys.file_exists path) then
-    Error (Printf.sprintf "%s does not exist" path)
-  else begin
-    let lines =
-      String.split_on_char '\n' (read_whole_file path)
-      |> List.filter (fun l -> String.trim l <> "")
-    in
-    let rec go schema insts = function
-      | [] -> Ok { mf_schema = schema; mf_instruments = List.rev insts }
-      | l :: rest -> (
-        match Insight_json.parse l with
-        | Error m -> Error (Printf.sprintf "%s: %s" path m)
-        | Ok j -> (
-          match Insight_json.member "name" j with
-          | Some n -> (
-            match Insight_json.to_str n with
-            | Some name -> go schema ((name, j) :: insts) rest
-            | None ->
-              Error (Printf.sprintf "%s: non-string instrument name" path))
-          | None -> (
-            match Insight_json.member "schema" j with
-            | Some s -> go (Insight_json.to_str s) insts rest
-            | None -> go schema insts rest)))
-    in
-    go None [] lines
-  end
-
 let note_schema path = function
   | Some s when s = Wet_obs.Export.schema -> ()
   | Some s ->
@@ -1543,37 +1460,32 @@ let note_schema path = function
     Printf.printf "note: %s has no schema field (wet-obs/1, pre-versioning)\n"
       path
 
-(* Sort key for "hottest": event volume — counter/gauge value,
-   histogram observation count. *)
-let hotness j =
-  match jstr "type" j with
-  | "histogram" -> jint "count" j
-  | _ -> jint "value" j
-
-let print_hottest path mf top =
+(* "Hottest" sorts by event volume: counter/gauge value, histogram
+   observation count. *)
+let print_hottest path instruments top =
+  let volume = Obs_read.volume in
   let insts =
     List.sort
-      (fun (a_n, a) (b_n, b) ->
-        compare (hotness b, a_n) (hotness a, b_n))
-      mf.mf_instruments
+      (fun (a_n, a) (b_n, b) -> compare (volume b, a_n) (volume a, b_n))
+      instruments
   in
   let rows =
     List.filteri (fun i _ -> i < top) insts
-    |> List.map (fun (name, j) ->
-         let kind = jstr "type" j in
+    |> List.map (fun (name, r) ->
          let v =
-           match kind with
-           | "histogram" ->
-             Printf.sprintf "%d obs, sum %d" (jint "count" j) (jint "sum" j)
-           | _ -> string_of_int (hotness j)
+           match r with
+           | Wet_obs.Metrics.Histogram h ->
+             Printf.sprintf "%d obs, sum %d" h.Wet_obs.Metrics.h_count
+               h.Wet_obs.Metrics.h_sum
+           | _ -> string_of_int (volume r)
          in
-         [ name; kind; v ])
+         [ name; Obs_read.kind r; v ])
   in
   Table.print
     ~title:
       (Printf.sprintf "Hottest instruments (%s, %d of %d)." path
          (List.length rows)
-         (List.length mf.mf_instruments))
+         (List.length instruments))
     ~align:Table.[ Left; Left; Right ]
     ~header:[ "Instrument"; "Kind"; "Value" ]
     rows
@@ -1650,10 +1562,10 @@ let obs_report_cmd =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
   in
   let action metrics trace top =
-    match load_metrics_file metrics with
+    match Obs_read.load metrics with
     | Error m -> `Error (false, m)
-    | Ok mf ->
-      note_schema metrics mf.mf_schema;
+    | Ok (schema, instruments) ->
+      note_schema metrics schema;
       (match trace with
        | None -> ()
        | Some t -> (
@@ -1661,7 +1573,7 @@ let obs_report_cmd =
          | Ok () -> ()
          | Error m ->
            Printf.printf "note: cannot read trace: %s\n" m));
-      print_hottest metrics mf top;
+      print_hottest metrics instruments top;
       `Ok ()
   in
   Cmd.v
@@ -1682,22 +1594,12 @@ let obs_diff_cmd =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"B" ~doc)
   in
   let action a b top =
-    match (load_metrics_file a, load_metrics_file b) with
+    match (Obs_read.load a, Obs_read.load b) with
     | Error m, _ | _, Error m -> `Error (false, m)
-    | Ok fa, Ok fb ->
-      note_schema a fa.mf_schema;
-      note_schema b fb.mf_schema;
-      let insts mf =
-        List.map
-          (fun (name, j) ->
-            {
-              Obs_diff.i_name = name;
-              Obs_diff.i_kind = jstr "type" j;
-              Obs_diff.i_value = hotness j;
-            })
-          mf.mf_instruments
-      in
-      let d = Obs_diff.diff (insts fa) (insts fb) in
+    | Ok (schema_a, fa), Ok (schema_b, fb) ->
+      note_schema a schema_a;
+      note_schema b schema_b;
+      let d = Obs_diff.diff fa fb in
       let only_in tag = function
         | [] -> ()
         | names ->

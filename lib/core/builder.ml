@@ -79,33 +79,6 @@ let g_peak_live = Obs.gauge "build.peak_live_words"
 
 let h_shard_events = Obs.histogram "build.shard_events"
 
-let c_pack_streams = Obs.counter "pack.streams"
-
-let c_pack_bits_raw = Obs.counter "pack.bits_raw"
-
-let c_pack_bits_packed = Obs.counter "pack.bits_packed"
-
-let h_pack_stream_len = Obs.histogram "pack.stream_values"
-
-(* Per-stream method selection — the data behind the paper's tier-2
-   "Selection" evaluation: one streams/bits_saved counter pair per
-   (method, ctx) the selector actually picked. *)
-let note_packed_stream raw_len s =
-  if Obs.enabled () then begin
-    let m = Wet_bistream.Stream.method_name s in
-    let raw_bits = 32 * raw_len in
-    (* [Stream.bits] walks the whole hit bitvector: read it once. *)
-    let bits = Wet_bistream.Stream.bits s in
-    Obs.incr c_pack_streams;
-    Obs.add c_pack_bits_raw raw_bits;
-    Obs.add c_pack_bits_packed bits;
-    Obs.observe h_pack_stream_len raw_len;
-    Obs.incr (Obs.counter ("pack.method." ^ m ^ ".streams"));
-    Obs.add
-      (Obs.counter ("pack.method." ^ m ^ ".bits_saved"))
-      (max 0 (raw_bits - bits))
-  end
-
 (* Analyse the statically known structure of a path: which register
    slots are fed from inside the path, and the input groups (§3.2). *)
 let make_proto ~next_slot ~analysis ~id ~copy_base func path =
@@ -870,11 +843,6 @@ module Sink = struct
 
   let peak_live_words t = t.peak_live
 
-  (* checkpoint-record summaries, reported alongside the watermark *)
-  let pending_calls t = Dyn.length t.s.pending_vpos
-
-  let retained_positions t = Hashtbl.length t.s.retained
-
   (* ---------------- splicing the shard streams ---------------- *)
 
   let finalize t : Wet.t =
@@ -1138,12 +1106,7 @@ end
 let pack_tier2 (w : Wet.t) : Wet.t =
   if w.Wet.tier = `Tier2 then
     Wet_error.fail Wet_error.Pack "already packed";
-  let pack_seq s =
-    let arr = Stream.contents s in
-    let s' = Stream.compress arr in
-    note_packed_stream (Array.length arr) s';
-    s'
-  in
+  let pack_seq s = Stream.compress (Stream.contents s) in
   let label_memo = Hashtbl.create 1024 in
   let pack_labels (l : Wet.labels) =
     match Hashtbl.find_opt label_memo l.Wet.l_id with
@@ -1239,7 +1202,7 @@ module Checkpoint = struct
      none. Bump it with any change to those three records;
      test_journal's golden digest fails until it is bumped and the
      digest re-recorded. *)
-  let layout = "wet-journal-layout/2"
+  let layout = "wet-journal-layout/3"
 
   (* The layout line a header payload starts with, and the offset of
      the Marshal bytes after it. Journals written before the layout was
@@ -1263,14 +1226,12 @@ module Checkpoint = struct
 
   (* One durable point of the build. The snapshot carries the full sink
      state (pending-call LIFO and live keep-set included); the watermark
-     and the summary counts ride alongside so tooling can report on a
-     journal without unmarshalling snapshots. *)
+     and the shard count ride alongside: resume restarts the interpreter
+     at the one and reports the other as fast-forwarded. *)
   type ckpt = {
     c_snapshot : string;
     c_watermark : Wet_interp.Interp.watermark;
     c_shards : int;
-    c_pending_calls : int;
-    c_retained : int;
   }
 
   type resumed = {
@@ -1288,8 +1249,6 @@ module Checkpoint = struct
           c_snapshot = Sink.snapshot sink;
           c_watermark = Sink.watermark sink;
           c_shards = Sink.shard_count sink;
-          c_pending_calls = Sink.pending_calls sink;
-          c_retained = Sink.retained_positions sink;
         }
       in
       J.append w ~tag:tag_checkpoint (Marshal.to_string c [])
@@ -1382,18 +1341,6 @@ module Checkpoint = struct
           | c -> Some c
           | exception Failure _ -> fail "undecodable checkpoint record")
       None rest
-
-  (* Inspection without recovery: header + latest checkpoint summary,
-     for [wet fsck]-style reporting. *)
-  let describe journal =
-    match J.read journal with
-    | Error m -> Error m
-    | Ok scan -> (
-      match header_of journal scan with
-      | Error m -> Error m
-      | Ok None -> Error (journal ^ ": no intact header record")
-      | Ok (Some (header, rest)) ->
-        Ok (header, last_checkpoint rest, scan.J.torn))
 
   let resume ?(track_peak = false) ~journal () =
     let scan =

@@ -74,12 +74,6 @@ module Sink : sig
   (** Maximum [Gc.stat] live words observed at shard boundaries, 0
       unless [track_peak] was set. *)
   val peak_live_words : t -> int
-
-  (** Depth of the pending-call LIFO (calls fed, not yet returned). *)
-  val pending_calls : t -> int
-
-  (** Size of the retained keep-set (positions surviving eviction). *)
-  val retained_positions : t -> int
 end
 
 (** Tier-2: compress every label stream of a tier-1 WET. The input WET
@@ -141,15 +135,6 @@ module Checkpoint : sig
     h_label : string;  (** free-form provenance, e.g. the source path *)
   }
 
-  (** Decoded checkpoint record summary (snapshot omitted). *)
-  type ckpt = {
-    c_snapshot : string;
-    c_watermark : Wet_interp.Interp.watermark;
-    c_shards : int;
-    c_pending_calls : int;
-    c_retained : int;
-  }
-
   type resumed = {
     r_wet : Wet.t;  (** tier-1; pack per [r_header.h_tier2] *)
     r_header : header;
@@ -191,10 +176,4 @@ module Checkpoint : sig
       @raise Wet_error.Error (stage [Journal]) if the journal is
         unreadable or holds no intact header. *)
   val resume : ?track_peak:bool -> journal:string -> unit -> resumed
-
-  (** [describe journal] reports the header, the latest checkpoint (if
-      any) and whether the file ends torn — inspection for [wet fsck]
-      and tests, no recovery performed. *)
-  val describe :
-    string -> (header * ckpt option * bool, string) result
 end

@@ -2,13 +2,6 @@ module Instr = Wet_ir.Instr
 module Ex = Wet_watch.Explain
 module S = Wet.Session
 
-(* Query latency histograms (log-scale nanoseconds). *)
-let h_control_flow = Wet_obs.Metrics.histogram "query.control_flow_ns"
-
-let h_load_values = Wet_obs.Metrics.histogram "query.load_values_ns"
-
-let h_addresses = Wet_obs.Metrics.histogram "query.addresses_ns"
-
 type direction = Forward | Backward
 
 (* Control-flow reconstruction walks the per-node timestamp streams; on
@@ -51,7 +44,6 @@ module Session = struct
       t.Wet.nodes
 
   let control_flow s dir ~f =
-    Wet_obs.Metrics.time h_control_flow @@ fun () ->
     let t = S.wet s in
     need t "labels.ts";
     Ex.query ~recorder:(S.recorder s) "query.control_flow";
@@ -177,7 +169,6 @@ module Session = struct
       !blocks
 
   let load_values s ~f =
-    Wet_obs.Metrics.time h_load_values @@ fun () ->
     let t = S.wet s in
     Ex.query ~recorder:(S.recorder s) "query.load_values";
     let loads =
@@ -195,7 +186,6 @@ module Session = struct
     !count
 
   let addresses s ~f =
-    Wet_obs.Metrics.time h_addresses @@ fun () ->
     let t = S.wet s in
     Ex.query ~recorder:(S.recorder s) "query.addresses";
     let mems = copies_matching t Instr.is_memory in

@@ -2,13 +2,6 @@ module Cursor = Wet_bistream.Stream.Cursor
 module Ex = Wet_watch.Explain
 module S = Wet.Session
 
-(* Slice latency histograms (log-scale nanoseconds). *)
-let h_backward = Wet_obs.Metrics.histogram "slice.backward_ns"
-
-let h_forward = Wet_obs.Metrics.histogram "slice.forward_ns"
-
-let h_chop = Wet_obs.Metrics.histogram "slice.chop_ns"
-
 (* Placeholders for salvaged-away sections are empty ([[||]] dep slots,
    empty out-edge lists), which a walk would silently treat as "no
    dependences" — a wrong slice, not an error. Check damage up front. *)
@@ -141,7 +134,6 @@ let walk ~max_instances ~f (t : Wet.t) c0 i0 ~expand =
 
 module Session = struct
   let backward ?max_instances ?f s c0 i0 =
-    Wet_obs.Metrics.time h_backward @@ fun () ->
     let t = S.wet s in
     need t "labels.deps";
     check_criterion "slice.backward" t (c0, i0);
@@ -160,7 +152,6 @@ module Session = struct
     walk ~max_instances ~f t c0 i0 ~expand
 
   let forward ?max_instances ?f s c0 i0 =
-    Wet_obs.Metrics.time h_forward @@ fun () ->
     let t = S.wet s in
     need t "index.out";
     check_criterion "slice.forward" t (c0, i0);
@@ -184,7 +175,6 @@ module Session = struct
      forward walk from [source] handed to its [f] — not every instance
      it reached, so a truncated forward walk bounds the chop too. *)
   let chop ?max_instances ?f s ~source ~sink =
-    Wet_obs.Metrics.time h_chop @@ fun () ->
     let t = S.wet s in
     check_criterion "slice.chop source" t source;
     check_criterion "slice.chop sink" t sink;

@@ -20,8 +20,10 @@ let docs =
     ("interp.outputs", Counter, "program output values");
     ("interp.heartbeat_stmts", Gauge, "statements at the last heartbeat");
     (* tier-1 construction *)
-    ("build.intern.hits", Counter, "label-sequence intern table hits");
-    ("build.intern.misses", Counter, "label-sequence intern table misses");
+    ("build.intern.hits", Counter,
+     "path executions that reused an existing path node");
+    ("build.intern.misses", Counter,
+     "path nodes created (one per distinct executed path)");
     ("build.labels.records", Counter, "dependence label records built");
     ("build.labels.dedup_hits", Counter, "label sequences shared via dedup");
     ("build.labels.shared_values", Counter, "values saved by label sharing");
@@ -34,13 +36,6 @@ let docs =
     ("build.peak_live_words", Gauge,
      "peak GC live words sampled at shard boundaries");
     (* tier-2 packing *)
-    ("pack.streams", Counter, "streams compressed by Builder.pack");
-    ("pack.bits_raw", Counter, "analytic bits before packing");
-    ("pack.bits_packed", Counter, "analytic bits after packing");
-    ("pack.stream_values", Histogram, "values per packed stream");
-    ("pack.method.<m>.streams", Counter,
-     "streams won by method <m> (e.g. dfcm/4, raw)");
-    ("pack.method.<m>.bits_saved", Counter, "bits method <m> saved vs raw");
     ("pack.trial_values", Counter,
      "entries the selection trials classified before stopping");
     ("pack.trials_cut", Counter,
@@ -57,13 +52,6 @@ let docs =
      "shards fast-forwarded through on resume instead of rebuilt");
     ("journal.resume_ms", Gauge,
      "wall ms a resumed build spent re-executing up to its watermark");
-    (* queries *)
-    ("query.control_flow_ns", Histogram, "control-flow query latency (ns)");
-    ("query.load_values_ns", Histogram, "load-value query latency (ns)");
-    ("query.addresses_ns", Histogram, "address query latency (ns)");
-    ("slice.backward_ns", Histogram, "backward slice latency (ns)");
-    ("slice.forward_ns", Histogram, "forward slice latency (ns)");
-    ("slice.chop_ns", Histogram, "chop latency (ns)");
     (* tracer driver *)
     ("watch.<name>.matches", Counter, "events matched by watch <name>");
     (* live progress reporter *)
@@ -71,7 +59,6 @@ let docs =
     ("pulse.reporter.emits", Counter, "progress lines/heartbeats emitted");
     ("pulse.reporter.emit_ns", Histogram, "time spent emitting progress (ns)");
     (* per-query profiling (wet_qprof) *)
-    ("qprof.queries", Counter, "queries run under a profiling context");
     ("qprof.fwd_steps", Counter, "forward ledger steps (profiled, self)");
     ("qprof.bwd_steps", Counter, "backward ledger steps (profiled, self)");
     ("qprof.dir_switches", Counter,
@@ -86,27 +73,22 @@ let docs =
      "ledger steps taken inside seeks (profiled, self)");
     ("qprof.alloc_words", Counter,
      "words allocated by profiled queries (self)");
-    ("qprof.wall_ns", Histogram, "profiled query latency (ns)");
     ("qprof.latency.<shape>", Histogram,
-     "latency by query-shape fingerprint (ns), a closed set: \
-      trace/{cf,values,addresses}, slice/backward, at, paths (CLI and \
-      daemon), trace/invalid (every trace kind the daemon rejects), \
-      serve/<verb> (daemon-only verbs), bench/sweep (bench observatory)");
+     "the one latency (ns) and count of a query or daemon request, by \
+      shape fingerprint, a closed set: trace/{cf,values,addresses}, \
+      slice/backward, at, paths (CLI and daemon), trace/invalid (every \
+      trace kind the daemon rejects), serve/<verb> (daemon-only verbs), \
+      bench/sweep (bench observatory)");
     (* query daemon (wet_serve) *)
     ("serve.connections", Counter, "client connections accepted");
-    ("serve.requests.<verb>", Counter, "requests answered for verb <verb>");
     ("serve.errors", Counter, "requests answered with an error");
     ("serve.in_flight", Gauge, "requests currently being dispatched");
     ("serve.bytes_in", Counter, "request bytes read from clients");
     ("serve.bytes_out", Counter, "response bytes written to clients");
-    ("serve.cache.hits", Counter, "WET container cache hits");
-    ("serve.cache.misses", Counter, "WET container cache misses (loads)");
-    ("serve.cache.evictions", Counter, "resident WETs evicted by LRU");
     ("serve.sessions.opened", Counter,
      "per-connection sessions opened over resident WETs");
     ("serve.sessions.reused", Counter,
      "requests answered by a connection's existing session");
-    ("serve.request_ns", Histogram, "request dispatch latency (ns)");
   ]
 
 (* Match a live name against a doc name, where a <placeholder> segment

@@ -2,7 +2,7 @@
     registers with {!Wet_obs.Metrics} — the table behind
     `wet profile --list-metrics` and DESIGN.md's metric reference.
     Names with a [<placeholder>] segment describe dynamically registered
-    families (per-method pack counters, per-watch match counters). *)
+    families (per-shape query latencies, per-watch match counters). *)
 
 type kind = Counter | Gauge | Histogram
 
@@ -13,6 +13,6 @@ val kind_name : kind -> string
 val docs : (string * kind * string) list
 
 (** Description for a concrete registered name, resolving placeholder
-    patterns (e.g. ["pack.method.dfcm/4.streams"]). [None] means the
+    patterns (e.g. ["qprof.latency.trace/cf"]). [None] means the
     name is undocumented — the drift `--list-metrics` exists to catch. *)
 val lookup : string -> string option

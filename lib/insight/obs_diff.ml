@@ -3,8 +3,6 @@
    exports with no instrument in common must be reported as such, not
    as "nothing changed" — is pinned by a unit test. *)
 
-type inst = { i_name : string; i_kind : string; i_value : int }
-
 type row = {
   d_name : string;
   d_kind : string;
@@ -22,38 +20,34 @@ type t = {
 
 let diff a b =
   let in_b = Hashtbl.create 64 in
-  List.iter (fun i -> Hashtbl.replace in_b i.i_name i) b;
+  List.iter (fun (name, r) -> Hashtbl.replace in_b name r) b;
   let overlap = ref 0 in
   let changed =
     List.filter_map
-      (fun ia ->
-        match Hashtbl.find_opt in_b ia.i_name with
+      (fun (name, ra) ->
+        match Hashtbl.find_opt in_b name with
         | None -> None
-        | Some ib ->
+        | Some rb ->
           incr overlap;
-          if ia.i_value = ib.i_value then None
+          let va = Obs_read.volume ra and vb = Obs_read.volume rb in
+          if va = vb then None
           else
-            let rel =
-              float_of_int (ib.i_value - ia.i_value)
-              /. float_of_int (max 1 (abs ia.i_value))
-            in
             Some
               {
-                d_name = ia.i_name;
-                d_kind = ia.i_kind;
-                d_a = ia.i_value;
-                d_b = ib.i_value;
-                d_rel = rel;
+                d_name = name;
+                d_kind = Obs_read.kind ra;
+                d_a = va;
+                d_b = vb;
+                d_rel = float_of_int (vb - va) /. float_of_int (max 1 (abs va));
               })
       a
     |> List.sort (fun x y ->
            compare (abs_float y.d_rel, x.d_name) (abs_float x.d_rel, y.d_name))
   in
-  let names l = List.map (fun i -> i.i_name) l in
   let only xs ys =
     let have = Hashtbl.create 64 in
-    List.iter (fun i -> Hashtbl.replace have i.i_name ()) ys;
-    List.filter (fun n -> not (Hashtbl.mem have n)) (names xs)
+    List.iter (fun (name, _) -> Hashtbl.replace have name ()) ys;
+    List.filter (fun n -> not (Hashtbl.mem have n)) (List.map fst xs)
   in
   {
     d_overlap = !overlap;

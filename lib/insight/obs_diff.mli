@@ -1,9 +1,8 @@
-(** A/B comparison of two instrument snapshots — the logic behind
-    `wet obs diff`, in the library so its edge cases (notably two
-    exports with {e no} instrument in common, which must read as "no
-    overlap", never as "nothing changed") are unit-testable. *)
-
-type inst = { i_name : string; i_kind : string; i_value : int }
+(** A/B comparison of two instrument snapshots, as {!Obs_read} reads
+    them — the logic behind `wet obs diff`, in the library so its edge
+    cases (notably two exports with {e no} instrument in common, which
+    must read as "no overlap", never as "nothing changed") are
+    unit-testable. Instruments compare by {!Obs_read.volume}. *)
 
 type row = {
   d_name : string;
@@ -20,4 +19,7 @@ type t = {
   d_only_b : string list;
 }
 
-val diff : inst list -> inst list -> t
+val diff :
+  (string * Wet_obs.Metrics.reading) list ->
+  (string * Wet_obs.Metrics.reading) list ->
+  t

@@ -83,7 +83,15 @@ let print r =
     rows;
   let summary =
     [
-      [ "orig (paper model)"; Table.f2 (Sizes.mb r.rp_orig.Sizes.total_bytes) ];
+      [
+        "orig (paper model)";
+        (let o = r.rp_orig in
+         Printf.sprintf "%s (ts %s, vals %s, edges %s)"
+           (Table.f2 (Sizes.mb o.Sizes.total_bytes))
+           (Table.f2 (Sizes.mb o.Sizes.ts_bytes))
+           (Table.f2 (Sizes.mb o.Sizes.vals_bytes))
+           (Table.f2 (Sizes.mb o.Sizes.edge_bytes)));
+      ];
       [ "stored"; Table.f2 (Sizes.mb r.rp_current.Sizes.total_bytes) ];
       [
         "ratio";

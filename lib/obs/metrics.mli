@@ -23,7 +23,7 @@
 
     Naming convention: dot-separated lowercase paths grouped by pipeline
     stage, e.g. ["interp.stmts"], ["build.intern.hits"],
-    ["pack.method.dfcm/4.streams"], ["query.control_flow_ns"]. *)
+    ["pack.trials_cut"], ["qprof.latency.trace/cf"]. *)
 
 type counter
 type gauge

@@ -141,23 +141,21 @@ let () =
   List.iter
     (fun n -> ignore (Metrics.counter n))
     [
-      "qprof.queries"; "qprof.fwd_steps"; "qprof.bwd_steps";
-      "qprof.dir_switches"; "qprof.dict_hits"; "qprof.dict_misses";
-      "qprof.bits_touched"; "qprof.seeks"; "qprof.seek_steps";
-      "qprof.alloc_words";
-    ];
-  ignore (Metrics.histogram "qprof.wall_ns")
+      "qprof.fwd_steps"; "qprof.bwd_steps"; "qprof.dir_switches";
+      "qprof.dict_hits"; "qprof.dict_misses"; "qprof.bits_touched";
+      "qprof.seeks"; "qprof.seek_steps"; "qprof.alloc_words";
+    ]
 
 (* The per-context instruments are recorded with the context's *self*
    cost (total minus completed children), so merging every context's
    registry up the stack and finally into the process view counts each
    decode step exactly once — the same telescoping that makes snapshot
    deltas of disjoint windows sum to the delta of their union. Only the
-   wall histograms use the inclusive total: a span's latency is its
-   latency. *)
+   latency histogram uses the inclusive total: a span's latency is its
+   latency. That histogram is the one count and the one latency of a
+   query: nothing else times or counts one. *)
 let record reg p =
   let c name v = Metrics.add (Metrics.Local.counter reg name) v in
-  c "qprof.queries" 1;
   c "qprof.fwd_steps" p.p_self.c_fwd;
   c "qprof.bwd_steps" p.p_self.c_bwd;
   c "qprof.dir_switches" p.p_self.c_switches;
@@ -167,8 +165,6 @@ let record reg p =
   c "qprof.seeks" p.p_self.c_seeks;
   c "qprof.seek_steps" p.p_self.c_seek_steps;
   c "qprof.alloc_words" p.p_self.c_alloc_words;
-  Metrics.observe (Metrics.Local.histogram reg "qprof.wall_ns")
-    p.p_total.c_wall_ns;
   Metrics.observe
     (Metrics.Local.histogram reg ("qprof.latency." ^ p.p_shape))
     p.p_total.c_wall_ns

@@ -102,7 +102,10 @@ val start : scope:scope -> ?params:(string * string) list -> string -> unit
 (** Close the scope's innermost context and return its profile. The
     context's [qprof.*] instruments are recorded into its private
     registry and merged into the parent context, or into the process
-    view when this was the scope's outermost context.
+    view when this was the scope's outermost context. Its wall is
+    observed once, in [qprof.latency.<shape>]: that histogram's count
+    and sum are the one count and the one latency of a query, which
+    nothing else records.
     @raise Invalid_argument if no context is open on the scope. *)
 val finish : scope:scope -> string -> profile
 

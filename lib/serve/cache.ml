@@ -1,10 +1,5 @@
 module W = Wet_core.Wet
 module Store = Wet_core.Store
-module Obs = Wet_obs.Metrics
-
-let c_hits = Obs.counter "serve.cache.hits"
-let c_misses = Obs.counter "serve.cache.misses"
-let c_evictions = Obs.counter "serve.cache.evictions"
 
 type entry = {
   e_path : string;
@@ -45,8 +40,7 @@ let evict_lru t =
   | [] -> ()
   | lru :: _ ->
     Hashtbl.remove t.tbl lru.e_path;
-    t.evictions <- t.evictions + 1;
-    Obs.incr c_evictions
+    t.evictions <- t.evictions + 1
 
 let load path =
   if not (Filename.check_suffix path ".wet") then
@@ -65,12 +59,10 @@ let find t path =
   match Hashtbl.find_opt t.tbl path with
   | Some e ->
     t.hits <- t.hits + 1;
-    Obs.incr c_hits;
     touch t e;
     Ok e
   | None ->
     t.misses <- t.misses + 1;
-    Obs.incr c_misses;
     (match load path with
      | Error _ as e -> e
      | Ok wet ->

@@ -7,10 +7,10 @@
     known-damaged up front) and evicts the least recently used resident
     when over capacity.
 
-    Hits, misses and evictions mirror into the process metric view as
-    ["serve.cache.hits"] / ["serve.cache.misses"] /
-    ["serve.cache.evictions"]. Not thread-safe by itself — the server
-    serialises all cache access under its engine lock. *)
+    Hits, misses and evictions are counted here only: {!stats} is their
+    one reading, which the daemon's [health] verb, [wet top] and
+    perfbench print. Not thread-safe by itself — the server serialises
+    all cache access under its engine lock. *)
 
 type entry = {
   e_path : string;
@@ -40,5 +40,5 @@ val find : t -> string -> (entry, string) result
     follow-up work on a request that already fetched the entry. *)
 val peek : t -> string -> entry option
 
-(** Lifetime hit/miss/eviction tallies (also mirrored as metrics). *)
+(** Lifetime hit/miss/eviction tallies. *)
 val stats : t -> int * int * int

@@ -36,14 +36,11 @@ let c_connections = Obs.counter "serve.connections"
 
 let g_in_flight = Obs.gauge "serve.in_flight"
 
-(* Session lifecycle over the resident containers: one [Wet.session]
-   per (connection, path), minted lazily and kept until the container
-   under the path is reloaded. *)
-let c_sessions_opened = Obs.counter "serve.sessions.opened"
-
-let c_sessions_reused = Obs.counter "serve.sessions.reused"
-
 (* ---------------- per-connection state ---------------- *)
+
+let with_lock m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 (* Each connection owns a Local registry it records into without
    contention; [conn.lock] only guards the moment the metrics verb
@@ -69,21 +66,15 @@ type conn = {
      eviction, and a session on the old container must not answer for
      the new one. *)
   sessions : (string, W.t * W.session) Hashtbl.t;
-  c_requests : P.verb -> Obs.counter;
+  c_sessions_opened : Obs.counter;
+  c_sessions_reused : Obs.counter;
   c_errors : Obs.counter;
   c_bytes_in : Obs.counter;
   c_bytes_out : Obs.counter;
-  h_request_ns : Obs.histogram;
 }
 
 let make_conn id fd =
   let local = Obs.Local.create () in
-  let by_verb =
-    List.map
-      (fun v ->
-        (v, Obs.Local.counter local ("serve.requests." ^ P.verb_name v)))
-      P.all_verbs
-  in
   let tally = Telemetry.make () in
   let recorder = Ex.make_recorder () in
   {
@@ -96,21 +87,22 @@ let make_conn id fd =
     recorder;
     scope = Qprof.make_scope ~tally ~recorder ();
     sessions = Hashtbl.create 4;
-    c_requests = (fun v -> List.assoc v by_verb);
+    c_sessions_opened = Obs.Local.counter local "serve.sessions.opened";
+    c_sessions_reused = Obs.Local.counter local "serve.sessions.reused";
     c_errors = Obs.Local.counter local "serve.errors";
     c_bytes_in = Obs.Local.counter local "serve.bytes_in";
     c_bytes_out = Obs.Local.counter local "serve.bytes_out";
-    h_request_ns = Obs.Local.histogram local "serve.request_ns";
   }
 
 (* The connection's session over an admitted container, minting it on
-   first use. Runs on the connection's own thread with no lock:
-   [Wet.open_session] only reads the immutable container and builds
-   private cursors. *)
+   first use and keeping it until the container under the path is
+   reloaded. Runs on the connection's own thread: [Wet.open_session]
+   only reads the immutable container and builds private cursors, and
+   only the count takes the connection's lock. *)
 let session_of conn (e : Cache.entry) =
   match Hashtbl.find_opt conn.sessions e.Cache.e_path with
   | Some (w, s) when w == e.Cache.e_wet ->
-    Obs.incr c_sessions_reused;
+    with_lock conn.lock (fun () -> Obs.incr conn.c_sessions_reused);
     s
   | _ ->
     let s =
@@ -118,7 +110,7 @@ let session_of conn (e : Cache.entry) =
         e.Cache.e_wet
     in
     Hashtbl.replace conn.sessions e.Cache.e_path (e.Cache.e_wet, s);
-    Obs.incr c_sessions_opened;
+    with_lock conn.lock (fun () -> Obs.incr conn.c_sessions_opened);
     s
 
 (* ---------------- daemon state ---------------- *)
@@ -139,7 +131,6 @@ type state = {
   conns_lock : Mutex.t;
   mutable conns : conn list;
   mutable in_flight : int;
-  requests_total : int Atomic.t;
   (* connection handlers claimed a domain slot; see [domain_budget] *)
   dom_active : int Atomic.t;
   mutable shutdown : bool;
@@ -151,10 +142,6 @@ type state = {
    the budget is spent (correct either way, threads just time-share).
    The default reserves two slots: the accept loop's own domain and
    one for whatever process hosts the daemon. *)
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
 (* ---------------- verb handlers ---------------- *)
 
@@ -225,7 +212,6 @@ let health_data t =
       ("status", Json.Str "ok");
       ( "uptime_ms",
         Json.Num (Clock.to_s (Clock.now_ns () - t.t0_ns) *. 1e3) );
-      ("requests_total", json_int (Atomic.get t.requests_total));
       ("in_flight", json_int t.in_flight);
       ( "cache",
         Json.Obj
@@ -240,8 +226,8 @@ let health_data t =
       ("wets", Json.Arr (List.map entry_json resident));
     ]
 
-(* The merged metric view: the process registry (interp/build/qprof/…
-   plus serve.cache.* and the gauges) folded together with every live
+(* The merged metric view: the process registry (qprof/store/…, the
+   connection count and the in-flight gauge) folded together with every
    connection's private serve.* registry. Merging into a scratch
    registry leaves all sources untouched. *)
 let merged_snapshot t =
@@ -368,8 +354,10 @@ let analyze_lines t req profile =
      | None -> []
      | Some e -> Render.analyze e.Cache.e_wet profile)
 
+(* A request is counted and timed once, by its qprof context: the
+   profile's wall is what [qprof.latency.<shape>], the qlog line and the
+   ring's request span all carry. *)
 let handle t conn req =
-  Atomic.incr t.requests_total;
   let shape = shape_of req in
   let params =
     req.P.rq_params
@@ -379,13 +367,12 @@ let handle t conn req =
   let res, profile =
     Qprof.run ~scope:conn.scope ~params shape (fun () -> answer t conn req)
   in
-  let dur_ns = Clock.now_ns () - start_ns in
   (* the sink's tap hands the request span to the ring, its one home *)
   Sink.record
     {
       Sink.ev_name = "serve." ^ P.verb_name req.P.rq_verb;
       ev_ts_ns = start_ns;
-      ev_dur_ns = Some dur_ns;
+      ev_dur_ns = Some profile.Qprof.p_total.Qprof.c_wall_ns;
       ev_depth = 0;
       ev_attrs = [ ("conn", Sink.Int conn.id); ("id", Sink.Int req.P.rq_id) ];
     };
@@ -395,9 +382,6 @@ let handle t conn req =
      with_lock t.qlog_lock (fun () ->
          try Qlog.append path profile
          with Sys_error m -> Log.error "cannot append access qlog: %s" m));
-  with_lock conn.lock (fun () ->
-      Obs.incr (conn.c_requests req.P.rq_verb);
-      Obs.observe conn.h_request_ns dur_ns);
   match res with
   | Ok (Ok (lines, data)) ->
     let lines =
@@ -509,13 +493,24 @@ let claim_socket path =
        Unix.close probe;
        Wet_error.fail Obs "cannot probe existing socket %s" path)
    | _ -> Wet_error.fail Obs "%s exists and is not a socket" path);
+  (* The path appears only once the socket listens: bind a temporary
+     name beside it, listen, then rename it into place, so a client
+     that connects as soon as the file exists is never refused. *)
+  let tmp =
+    Filename.concat (Filename.dirname path)
+      (Printf.sprintf ".%s.%d" (Filename.basename path) (Unix.getpid ()))
+  in
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.bind fd (Unix.ADDR_UNIX path) with
-  | () ->
+  match
+    (try Unix.unlink tmp with Unix.Unix_error _ -> ());
+    Unix.bind fd (Unix.ADDR_UNIX tmp);
     Unix.listen fd 64;
-    fd
+    Unix.rename tmp path
+  with
+  | () -> fd
   | exception Unix.Unix_error (e, _, _) ->
     Unix.close fd;
+    (try Unix.unlink tmp with Unix.Unix_error _ -> ());
     Wet_error.fail Obs "cannot bind %s: %s" path (Unix.error_message e)
 
 let run cfg =
@@ -533,7 +528,6 @@ let run cfg =
       conns_lock = Mutex.create ();
       conns = [];
       in_flight = 0;
-      requests_total = Atomic.make 0;
       dom_active = Atomic.make 0;
       shutdown = false;
     }
@@ -597,5 +591,4 @@ let run cfg =
   List.iter Domain.join !domains;
   (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
   Ring.uninstall ();
-  Log.info "serve: clean shutdown (%d requests)"
-    (Atomic.get t.requests_total)
+  Log.info "serve: clean shutdown"

@@ -7,12 +7,13 @@
     containers are immutable and shared; every connection opens its own
     {!Wet_core.Wet.session} over them, so read verbs dispatch without
     any global lock — the engine mutex guards cache admission only.
-    Every request runs inside a {!Wet_qprof.Qprof.run} context, appends
-    to the shared wet-qlog/1 access log when one is configured, and
-    bumps [serve.*] instruments in the connection's private
-    {!Wet_obs.Metrics.Local} registry; the [metrics] verb folds those
-    registries over the process view with {!Wet_obs.Metrics.merge} into
-    one wet-obs/2 snapshot. Request spans have one home, a bounded
+    Every request runs inside a {!Wet_qprof.Qprof.run} context, its one
+    count and latency ([qprof.latency.<shape>]), and appends to the
+    shared wet-qlog/1 access log when one is configured; the connection
+    counts its errors, bytes and sessions in its private
+    {!Wet_obs.Metrics.Local} registry, and the [metrics] verb folds
+    those registries over the process view with
+    {!Wet_obs.Metrics.merge} into one wet-obs/2 snapshot. Request spans have one home, a bounded
     {!Ring} installed as the span sink's tap: the [watch] verb replays
     it, [health] reports its counts, and the sink's export buffer stays
     empty however long the daemon runs. *)

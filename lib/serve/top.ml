@@ -1,6 +1,7 @@
 module P = Protocol
 module Json = Wet_insight.Json
 module Clock = Wet_obs.Clock
+module Metrics = Wet_obs.Metrics
 
 type mode = Tty | Jsonl
 
@@ -14,106 +15,60 @@ type opts = {
 
 (* ---------------- metrics-line digestion ---------------- *)
 
-(* The metrics verb answers with wet-obs/2 JSONL lines; fold them into
-   an association of name -> simplified reading. *)
-type reading =
-  | Counter of int
-  | Gauge of int
-  | Hist of { count : int; sum : int; buckets : (int * int * int) list }
-
-let parse_metrics lines =
-  let readings = ref [] in
-  List.iter
-    (fun line ->
-      match Json.parse line with
-      | Error _ -> ()
-      | Ok o -> (
-        match
-          ( Option.bind (Json.member "type" o) Json.to_str,
-            Option.bind (Json.member "name" o) Json.to_str )
-        with
-        | Some "counter", Some name ->
-          Option.iter
-            (fun v -> readings := (name, Counter v) :: !readings)
-            (Option.bind (Json.member "value" o) Json.to_int)
-        | Some "gauge", Some name ->
-          Option.iter
-            (fun v -> readings := (name, Gauge v) :: !readings)
-            (Option.bind (Json.member "value" o) Json.to_int)
-        | Some "histogram", Some name ->
-          let count =
-            Option.value
-              (Option.bind (Json.member "count" o) Json.to_int)
-              ~default:0
-          in
-          let sum =
-            Option.value
-              (Option.bind (Json.member "sum" o) Json.to_int)
-              ~default:0
-          in
-          let buckets =
-            match Json.member "buckets" o with
-            | Some (Json.Arr bs) ->
-              List.filter_map
-                (fun b ->
-                  match
-                    ( Option.bind (Json.member "lo" b) Json.to_int,
-                      Option.bind (Json.member "hi" b) Json.to_int,
-                      Option.bind (Json.member "count" b) Json.to_int )
-                  with
-                  | Some lo, Some hi, Some c -> Some (lo, hi, c)
-                  | _ -> None)
-                bs
-            | _ -> []
-          in
-          readings := (name, Hist { count; sum; buckets }) :: !readings
-        | _ -> ()))
-    lines;
-  List.rev !readings
-
 let counter readings name =
-  match List.assoc_opt name readings with Some (Counter v) -> v | _ -> 0
+  match List.assoc_opt name readings with
+  | Some (Metrics.Counter v) -> v
+  | _ -> 0
 
 let gauge readings name =
-  match List.assoc_opt name readings with Some (Gauge v) -> v | _ -> 0
+  match List.assoc_opt name readings with
+  | Some (Metrics.Gauge v) -> v
+  | _ -> 0
+
+(* A request is counted and timed once, by its qprof context, so the
+   daemon's requests are the observations of its qprof.latency.<shape>
+   histograms: merged bucket-wise, they give the total and the
+   latency distribution. *)
+let requests readings =
+  let merged = Array.make 64 0 in
+  List.iter
+    (fun (name, r) ->
+      match r with
+      | Metrics.Histogram h
+        when String.starts_with ~prefix:"qprof.latency." name ->
+        List.iter (fun (b, n) -> merged.(b) <- merged.(b) + n) h.Metrics.h_buckets
+      | _ -> ())
+    readings;
+  List.filter (fun (_, n) -> n > 0)
+    (List.mapi (fun b n -> (b, n)) (Array.to_list merged))
+
+let requests_total readings =
+  List.fold_left (fun acc (_, n) -> acc + n) 0 (requests readings)
 
 let quantile_of_buckets ~q buckets =
-  let total = List.fold_left (fun acc (_, _, c) -> acc + c) 0 buckets in
+  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 buckets in
   if total = 0 then 0
   else begin
     let target = max 1 (int_of_float (ceil (q *. float_of_int total))) in
     let rec go seen = function
       | [] -> 0
-      | (_, hi, c) :: rest ->
-        if seen + c >= target then hi else go (seen + c) rest
+      | (b, c) :: rest ->
+        if seen + c >= target then 1 lsl b else go (seen + c) rest
     in
     go 0 buckets
   end
 
 let request_quantiles readings =
-  match List.assoc_opt "serve.request_ns" readings with
-  | Some (Hist h) ->
-    ( float_of_int (quantile_of_buckets ~q:0.5 h.buckets) /. 1e6,
-      float_of_int (quantile_of_buckets ~q:0.95 h.buckets) /. 1e6 )
-  | _ -> (0., 0.)
-
-let requests_total readings =
-  List.fold_left
-    (fun acc (name, r) ->
-      match r with
-      | Counter v
-        when String.length name > 15
-             && String.sub name 0 15 = "serve.requests." ->
-        acc + v
-      | _ -> acc)
-    0 readings
+  let buckets = requests readings in
+  ( float_of_int (quantile_of_buckets ~q:0.5 buckets) /. 1e6,
+    float_of_int (quantile_of_buckets ~q:0.95 buckets) /. 1e6 )
 
 (* ---------------- snapshots ---------------- *)
 
 type snap = {
   seq : int;
   elapsed_ms : float;
-  readings : (string * reading) list;
+  readings : (string * Metrics.reading) list;
   health : Json.t;
 }
 
@@ -158,7 +113,7 @@ let hottest readings n =
   readings
   |> List.filter_map (fun (name, r) ->
          match r with
-         | Counter v when v > 0 -> Some (name, v)
+         | Metrics.Counter v when v > 0 -> Some (name, v)
          | _ -> None)
   |> List.sort (fun (_, a) (_, b) -> compare b a)
   |> List.filteri (fun i _ -> i < n)
@@ -218,14 +173,17 @@ let poll client ~seq ~t0 =
      | Error _ as e -> e
      | Ok h when not h.P.rs_ok ->
        Error (Option.value h.P.rs_error ~default:"health verb failed")
-     | Ok h ->
-       Ok
-         {
-           seq;
-           elapsed_ms = Clock.to_s (Clock.now_ns () - t0) *. 1e3;
-           readings = parse_metrics m.P.rs_lines;
-           health = h.P.rs_data;
-         })
+     | Ok h -> (
+       match Wet_insight.Obs_read.parse m.P.rs_lines with
+       | Error e -> Error ("metrics verb: " ^ e)
+       | Ok (_, readings) ->
+         Ok
+           {
+             seq;
+             elapsed_ms = Clock.to_s (Clock.now_ns () - t0) *. 1e3;
+             readings;
+             health = h.P.rs_data;
+           }))
 
 let run opts =
   let interval_s = float_of_int (max 100 opts.interval_ms) /. 1e3 in

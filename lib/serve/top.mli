@@ -1,8 +1,12 @@
 (** The [wet top] live dashboard: a rate-limited poll loop over a serve
     daemon's [metrics] and [health] verbs.
 
-    Each tick computes request rates from counter deltas and latency
-    p50/p95 from the ["serve.request_ns"] histogram buckets, then
+    Each tick reads the [metrics] lines through
+    {!Wet_insight.Obs_read}. A request is counted and timed once, by its
+    qprof context, so the tick merges the [qprof.latency.<shape>]
+    histograms bucket-wise: their count is the requests answered, its
+    delta the request rate, and their buckets give latency p50/p95.
+    Cache and ring figures come from [health]. It then
     either repaints a TTY screen or appends one JSONL snapshot object —
     snapshots carry a strictly increasing [seq] and monotonic
     [elapsed_ms], and ticks never fire closer together than the
@@ -24,7 +28,8 @@ type opts = {
 val run : opts -> (unit, string) result
 
 (** Estimate the [q]-quantile (0..1) of a histogram from its
-    log-scale buckets: the upper bound of the bucket holding the
-    quantile, in the histogram's unit. 0 when empty. Exposed for the
-    test suite. *)
-val quantile_of_buckets : q:float -> (int * int * int) list -> int
+    log-scale [(bucket index, count)] list
+    ({!Wet_obs.Metrics.hist_snapshot}'s [h_buckets]): the upper bound of
+    the bucket holding the quantile, in the histogram's unit. 0 when
+    empty. Exposed for the test suite. *)
+val quantile_of_buckets : q:float -> (int * int) list -> int

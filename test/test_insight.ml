@@ -16,6 +16,8 @@ module Report = Wet_insight.Report
 module Bench = Wet_insight.Bench
 module Metric_docs = Wet_insight.Metric_docs
 module Obs_diff = Wet_insight.Obs_diff
+module Obs_read = Wet_insight.Obs_read
+module Metrics = Wet_obs.Metrics
 
 let all_variants =
   List.concat_map (fun m -> [ (m, 1); (m, 2); (m, 4) ]) Bidir.all_meths
@@ -586,13 +588,32 @@ let test_metric_docs_cover_registry () =
     (Wet_qprof.Qprof.profiled ~scope "trace/cf" (fun () ->
          Wet_core.Query.Session.control_flow s Wet_core.Query.Forward
            ~f:(fun _ _ -> ())));
-  let names = List.map fst (Wet_obs.Metrics.snapshot ()) in
+  let snapshot = Metrics.snapshot () in
+  let spans = List.map (fun e -> e.Wet_obs.Sink.ev_name) (Wet_obs.Sink.events ()) in
+  let names = List.map fst snapshot in
   let undocumented =
     List.filter (fun name -> Metric_docs.lookup name = None) names
   in
   Wet_obs.Sink.disable ();
   Alcotest.(check (list string)) "every registered instrument is documented"
     [] undocumented;
+  List.iter
+    (fun span ->
+      Alcotest.(check bool) (span ^ " span present") true (List.mem span spans))
+    [ "interp.run"; "build.stream"; "build.tier2" ];
+  (* the query is counted and timed once, by its qprof context: one
+     observation in its shape's latency histogram, and none in any other
+     histogram but the build's shard sizes *)
+  Alcotest.(check (list (pair string int))) "one query, one latency"
+    [ ("qprof.latency.trace/cf", 1) ]
+    (List.filter_map
+       (fun (name, r) ->
+         match r with
+         | Metrics.Histogram h
+           when h.Metrics.h_count > 0 && name <> "build.shard_events" ->
+           Some (name, h.Metrics.h_count)
+         | _ -> None)
+       snapshot);
   (* the ledger has one set of counters: qprof's, with no explain.*
      twins and no Sequitur counts, which no query makes *)
   Alcotest.(check (list string)) "no explain.* or qprof.seq_* instrument" []
@@ -602,8 +623,8 @@ let test_metric_docs_cover_registry () =
          || String.starts_with ~prefix:"qprof.seq_" name)
        names);
   (* the pattern resolver really is resolving patterns *)
-  Alcotest.(check bool) "pack.method pattern resolves" true
-    (Metric_docs.lookup "pack.method.dfcm/4.streams" <> None);
+  Alcotest.(check bool) "qprof.latency pattern resolves" true
+    (Metric_docs.lookup "qprof.latency.slice/backward" <> None);
   Alcotest.(check bool) "watch pattern resolves" true
     (Metric_docs.lookup "watch.myprobe.matches" <> None);
   Alcotest.(check bool) "unknown name is unknown" true
@@ -615,7 +636,7 @@ let test_metric_docs_cover_registry () =
    with no instrument in common must read as zero overlap, never as
    "nothing changed". *)
 
-let inst name value = { Obs_diff.i_name = name; i_kind = "counter"; i_value = value }
+let inst name value = (name, Metrics.Counter value)
 
 let test_obs_diff_zero_overlap () =
   let d = Obs_diff.diff [ inst "a.x" 3; inst "a.y" 1 ] [ inst "b.z" 5 ] in
@@ -645,6 +666,39 @@ let test_obs_diff_changes () =
    | _ -> Alcotest.fail "expected three changed rows");
   Alcotest.(check bool) "no exclusives" true
     (d.Obs_diff.d_only_a = [] && d.Obs_diff.d_only_b = [])
+
+(* The one reader of a metrics export gives back, exactly, the readings
+   the export was written from: every kind, an empty histogram, a
+   negative gauge and buckets up to 2^40. A v1 export (no schema line)
+   reads with no schema, and a malformed line is an error. *)
+let test_obs_read_round_trip () =
+  let reg = Metrics.Local.create () in
+  Wet_obs.Sink.enable ();
+  Fun.protect ~finally:Wet_obs.Sink.disable (fun () ->
+      Metrics.add (Metrics.Local.counter reg "a.count") 7;
+      Metrics.set (Metrics.Local.gauge reg "a.gauge") (-3);
+      let h = Metrics.Local.histogram reg "a.hist" in
+      List.iter (Metrics.observe h) [ 0; 1; 5; 1000; 1 lsl 40 ];
+      ignore (Metrics.Local.histogram reg "a.empty"));
+  let readings = Metrics.Local.snapshot reg in
+  let lines =
+    String.split_on_char '\n' (Wet_obs.Export.metrics_jsonl_of readings)
+  in
+  (match Obs_read.parse lines with
+   | Error m -> Alcotest.fail m
+   | Ok (schema, back) ->
+     Alcotest.(check (option string)) "schema" (Some Wet_obs.Export.schema)
+       schema;
+     Alcotest.(check bool) "every reading comes back as written" true
+       (back = readings));
+  (match Obs_read.parse (List.tl lines) with
+   | Ok (None, back) ->
+     Alcotest.(check int) "a v1 export keeps its instruments"
+       (List.length readings) (List.length back)
+   | _ -> Alcotest.fail "a v1 export reads with no schema");
+  match Obs_read.parse [ {|{"type":"counter","name":"x"}|} ] with
+  | Ok _ -> Alcotest.fail "a counter without a value was read"
+  | Error _ -> ()
 
 let () =
   Alcotest.run "insight"
@@ -696,5 +750,7 @@ let () =
             test_obs_diff_zero_overlap;
           Alcotest.test_case "relative deltas and ordering" `Quick
             test_obs_diff_changes;
+          Alcotest.test_case "the export reads back as written" `Quick
+            test_obs_read_round_trip;
         ] );
     ]

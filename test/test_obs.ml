@@ -1,8 +1,7 @@
 (* Semantics of the wet_obs observability library: instrument registry,
    log-scale histograms, span nesting and exception safety, exporter
    output (parsed with the local JSON reader below — the repo carries no
-   JSON dependency), and the end-to-end guarantee that the tier-2
-   per-method stream counters account for every packed stream. *)
+   JSON dependency), and the interpreter's heartbeat count. *)
 
 module Obs = Wet_obs.Metrics
 module Sink = Wet_obs.Sink
@@ -10,7 +9,6 @@ module Span = Wet_obs.Span
 module Export = Wet_obs.Export
 module Spec = Wet_workloads.Spec
 module Interp = Wet_interp.Interp
-module Builder = Wet_core.Builder
 
 (* Arm the sink for the duration of [f], with zeroed instruments, and
    always disarm afterwards so tests cannot leak state. *)
@@ -419,41 +417,6 @@ let test_heartbeat_count () =
             (res.Interp.stmts_executed / n)
             beats))
 
-(* ------------------------------------------------------------------ *)
-(* End-to-end: tier-2 method accounting on a real workload             *)
-(* ------------------------------------------------------------------ *)
-
-let test_pack_method_accounting () =
-  with_sink (fun () ->
-      let w = Spec.find "parser" in
-      let w1 =
-        Builder.run_streaming ~program:(Spec.compile w)
-          ~input:(Spec.input w ~scale:2) ()
-      in
-      ignore (Builder.pack w1);
-      let total = Obs.value (Obs.counter "pack.streams") in
-      let per_method =
-        List.fold_left
-          (fun acc (name, r) ->
-            match r with
-            | Obs.Counter v
-              when String.starts_with ~prefix:"pack.method." name
-                   && String.ends_with ~suffix:".streams" name ->
-              acc + v
-            | _ -> acc)
-          0 (Obs.snapshot ())
-      in
-      Alcotest.(check bool) "streams were packed" true (total > 0);
-      Alcotest.(check int) "per-method counts account for every stream"
-        total per_method;
-      (* the pipeline spans closed in dependency order *)
-      let names = List.map (fun e -> e.Sink.ev_name) (Sink.events ()) in
-      List.iter
-        (fun expected ->
-          Alcotest.(check bool) (expected ^ " span present") true
-            (List.mem expected names))
-        [ "interp.run"; "build.stream"; "build.tier2" ])
-
 let () =
   Alcotest.run "obs"
     [
@@ -487,7 +450,5 @@ let () =
       ( "end-to-end",
         [
           Alcotest.test_case "heartbeat count" `Quick test_heartbeat_count;
-          Alcotest.test_case "tier-2 method accounting" `Quick
-            test_pack_method_accounting;
         ] );
     ]

@@ -46,6 +46,19 @@ let open_scoped wet =
     Qprof.make_scope ~tally:(W.Session.tally s)
       ~recorder:(W.Session.recorder s) () )
 
+(* Observations and summed wall of every [qprof.latency.<shape>]
+   histogram whose shape [keep] accepts. *)
+let latency ?(keep = fun _ -> true) () =
+  List.fold_left
+    (fun (n, sum) (name, r) ->
+      match r with
+      | Metrics.Histogram h
+        when String.starts_with ~prefix:"qprof.latency." name
+             && keep (String.sub name 14 (String.length name - 14)) ->
+        (n + h.Metrics.h_count, sum + h.Metrics.h_sum)
+      | _ -> (n, sum))
+    (0, 0) (Metrics.snapshot ())
+
 let has_sub s sub =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
@@ -156,7 +169,8 @@ let prop_sum_consistency =
 (* Nested contexts: the inner window is part of the outer one, self
    costs telescope, and the merged process-view counters count every
    step exactly once (outer self + inner total = outer total = what the
-   default registry receives). *)
+   default registry receives). Each context is one latency observation
+   of its inclusive wall, under its own shape. *)
 let prop_nesting =
   QCheck.Test.make ~name:"nested contexts telescope and merge once"
     ~count:20 arb_plan (fun (tier2, ops) ->
@@ -202,7 +216,9 @@ let prop_nesting =
          = outer.Qprof.p_total.Qprof.c_fwd
       && Metrics.value (Metrics.counter "qprof.bits_touched")
          = outer.Qprof.p_total.Qprof.c_bits
-      && Metrics.value (Metrics.counter "qprof.queries") = 2
+      && latency ~keep:(( = ) "outer") ()
+         = (1, outer.Qprof.p_total.Qprof.c_wall_ns)
+      && latency ~keep:(( = ) "inner") () = (1, pi.Qprof.p_total.Qprof.c_wall_ns)
       && Qprof.depth ~scope = 0)
 
 (* ------------------------------------------------------------------ *)
@@ -784,12 +800,18 @@ let test_disabled () =
   let recorder = W.Session.recorder s in
   Alcotest.(check bool) "no context" false (Qprof.active ~scope);
   Alcotest.(check bool) "explain disarmed" false (Ex.recording recorder);
-  let v0 = Metrics.value (Metrics.counter "qprof.queries") in
+  (* with the sink on, so that a recorded query would show *)
+  Wet_obs.Sink.enable ();
+  Fun.protect ~finally:Wet_obs.Sink.disable @@ fun () ->
+  let n0, _ = latency () in
   run_op s Cf;
   run_op s Vals;
   Alcotest.(check bool) "still disarmed" false (Ex.recording recorder);
-  Alcotest.(check int) "nothing recorded" v0
-    (Metrics.value (Metrics.counter "qprof.queries"))
+  Alcotest.(check int) "nothing recorded outside a context" n0
+    (fst (latency ()));
+  ignore (Qprof.run ~scope "trace/cf" (fun () -> run_op s Cf));
+  Alcotest.(check int) "a context records its query once" (n0 + 1)
+    (fst (latency ()))
 
 let test_error_outcome () =
   let s, scope = open_scoped (Lazy.force w1) in

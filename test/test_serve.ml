@@ -204,7 +204,7 @@ let test_cache_lru () =
 let test_quantiles () =
   Alcotest.(check int) "empty histogram" 0
     (Top.quantile_of_buckets ~q:0.5 []);
-  let buckets = [ (0, 1, 0); (1, 2, 5); (2, 4, 5) ] in
+  let buckets = [ (0, 0); (1, 5); (2, 5) ] in
   Alcotest.(check int) "p50 lands in the middle bucket" 2
     (Top.quantile_of_buckets ~q:0.5 buckets);
   Alcotest.(check int) "p95 lands in the last bucket" 4
@@ -235,21 +235,28 @@ let roundtrip client req =
       (Option.value r.P.rs_error ~default:"unknown error")
   | Error e -> Alcotest.failf "request %d: %s" req.P.rq_id e
 
+(* The metrics verb's answer, through the one reader of the export. *)
+let readings_of_lines lines =
+  match Wet_insight.Obs_read.parse lines with
+  | Ok (_, readings) -> readings
+  | Error m -> Alcotest.failf "metrics verb: %s" m
+
 let counters_of_lines lines =
   List.filter_map
-    (fun line ->
-      match Json.parse line with
-      | Error _ -> None
-      | Ok o -> (
-        match
-          ( Option.bind (Json.member "type" o) Json.to_str,
-            Option.bind (Json.member "name" o) Json.to_str,
-            Option.bind (Json.member "value" o) Json.to_int )
-        with
-        | Some "counter", Some n, Some v -> Some (n, v)
-        | _ -> None))
-    lines
+    (function n, Wet_obs.Metrics.Counter v -> Some (n, v) | _ -> None)
+    (readings_of_lines lines)
 
+(* A shape's requests: the count of its qprof latency histogram. *)
+let requests_of readings shape =
+  match List.assoc_opt ("qprof.latency." ^ shape) readings with
+  | Some (Wet_obs.Metrics.Histogram h) -> h.Wet_obs.Metrics.h_count
+  | _ -> 0
+
+(* Concurrent clients on the domain-per-connection path: every
+   request is counted once, by its qprof context, in its shape's
+   latency histogram, and the session counts each connection records
+   in its own registry survive exactly into the merged snapshot, even
+   for already-closed connections. *)
 let test_daemon_concurrent () =
   with_temp_dir @@ fun dir ->
   let w1, _ = Lazy.force wets in
@@ -257,6 +264,7 @@ let test_daemon_concurrent () =
   Store.save w1 wet_path;
   let socket = Filename.concat dir "serve.sock" in
   let qlog = Filename.concat dir "access.qlog.jsonl" in
+  Wet_obs.Metrics.reset ();
   let daemon =
     Thread.create Server.run
       {
@@ -279,9 +287,13 @@ let test_daemon_concurrent () =
         ~finally:(fun () -> Client.close c)
         (fun () ->
           for j = 1 to per_client do
+            let id = (i * 100) + (2 * j) in
+            ignore (roundtrip c (P.request ~wet:wet_path ~id P.Open));
             ignore
               (roundtrip c
-                 (P.request ~wet:wet_path ~id:((i * 100) + j) P.Open))
+                 (P.request ~wet:wet_path
+                    ~params:[ ("kind", "cf"); ("limit", "1") ]
+                    ~id:(id + 1) P.Trace))
           done)
     with _ -> Atomic.incr errors
   in
@@ -304,25 +316,23 @@ let test_daemon_concurrent () =
       ~kind:Render.Cf ~limit:8
   in
   Alcotest.(check (list string)) "remote trace = local render" local remote;
-  (* every per-connection request count survives into the merged
-     metrics snapshot, even for already-closed connections *)
   let metrics = roundtrip c (P.request ~id:2 P.Metrics) in
+  let readings = readings_of_lines metrics.P.rs_lines in
   let counters = counters_of_lines metrics.P.rs_lines in
   let counter name = Option.value (List.assoc_opt name counters) ~default:0 in
   Alcotest.(check int) "opens reconcile across connections"
     (clients * per_client)
-    (counter "serve.requests.open");
-  Alcotest.(check int) "the trace request is counted" 1
-    (counter "serve.requests.trace");
+    (requests_of readings "serve/open");
+  Alcotest.(check int) "traces reconcile across connections"
+    ((clients * per_client) + 1)
+    (requests_of readings "trace/cf");
+  Alcotest.(check int) "one session per connection that queried"
+    (clients + 1)
+    (counter "serve.sessions.opened");
+  Alcotest.(check int) "every later query reused its session"
+    (clients * (per_client - 1))
+    (counter "serve.sessions.reused");
   Alcotest.(check bool) "bytes flowed" true (counter "serve.bytes_in" > 0);
-  let health = roundtrip c (P.request ~id:3 P.Health) in
-  let requests_total =
-    Option.value
-      (Option.bind (Json.member "requests_total" health.P.rs_data) Json.to_int)
-      ~default:(-1)
-  in
-  Alcotest.(check bool) "health counts every dispatched request" true
-    (requests_total >= (clients * per_client) + 2);
   let shutdown = roundtrip c (P.request ~id:4 P.Shutdown) in
   Alcotest.(check (list string)) "shutdown acknowledged"
     [ "shutting down" ] shutdown.P.rs_lines;
@@ -335,17 +345,14 @@ let test_daemon_concurrent () =
   | Error m -> Alcotest.failf "access qlog: %s" m
   | Ok entries ->
     Alcotest.(check int) "one qlog line per request"
-      ((clients * per_client) + 4)
+      ((2 * clients * per_client) + 3)
       (List.length entries);
     let shapes =
       List.sort_uniq compare (List.map (fun e -> e.Qlog.e_shape) entries)
     in
-    List.iter
-      (fun s ->
-        Alcotest.(check bool) (s ^ " shape logged") true
-          (List.mem s shapes))
-      [ "serve/open"; "trace/cf"; "serve/metrics"; "serve/health";
-        "serve/shutdown" ]
+    Alcotest.(check (list string)) "the daemon's shapes"
+      [ "serve/metrics"; "serve/open"; "serve/shutdown"; "trace/cf" ]
+      shapes
 
 (* The daemon answers unknown verbs and truncated lines with structured
    errors and stays up for the next request on the same connection. *)
@@ -489,6 +496,196 @@ let test_spans_live_in_the_ring () =
   ignore (roundtrip c (P.request ~id:303 P.Shutdown));
   Client.close c;
   Thread.join daemon
+
+(* Run [f] with stdout written to a file, and return what it wrote. *)
+let capture_stdout f =
+  let file = Filename.temp_file "wet_serve_stdout" ".txt" in
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let fd = Unix.openfile file [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stdout;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stdout;
+        Unix.dup2 saved Unix.stdout;
+        Unix.close saved)
+      f
+  in
+  let out = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  (r, out)
+
+(* A request is counted and timed once, by its qprof context, and every
+   view reads that one count: over a scripted mix on two connections
+   (every shape, a rejected trace kind, a missing container, health,
+   metrics and watch), the qprof.latency.<shape> histograms, the access
+   qlog, the ring's request spans and `wet top` agree exactly, and no
+   other histogram records a request. *)
+let test_views_reconcile () =
+  with_temp_dir @@ fun dir ->
+  let w1, w2 = Lazy.force wets in
+  let t1 = Filename.concat dir "fib1.wet" and t2 = Filename.concat dir "fib2.wet" in
+  Store.save w1 t1;
+  Store.save w2 t2;
+  let missing = Filename.concat dir "missing.wet" in
+  let socket = Filename.concat dir "serve.sock" in
+  let qlog = Filename.concat dir "access.qlog.jsonl" in
+  Wet_obs.Metrics.reset ();
+  let daemon =
+    Thread.create Server.run
+      {
+        Server.socket;
+        cache_capacity = 2;
+        qlog = Some qlog;
+        ring_capacity = 64;
+        domains = 1;
+      }
+  in
+  let c1 = connect socket and c2 = connect socket in
+  let sent = ref [] in
+  let send c ?wet ?(params = []) ?(ok = true) shape verb =
+    sent := shape :: !sent;
+    let id = List.length !sent in
+    match Client.request c (P.request ?wet ~params ~id verb) with
+    | Ok r ->
+      Alcotest.(check bool) (Printf.sprintf "request %d (%s) ok" id shape)
+        ok r.P.rs_ok;
+      r
+    | Error e -> Alcotest.failf "request %d: %s" id e
+  in
+  List.iteri
+    (fun i (wet, params, ok, shape, verb) ->
+      ignore (send (if i mod 2 = 0 then c1 else c2) ?wet ~params ~ok shape verb))
+    [
+      (Some t2, [], true, "serve/open", P.Open);
+      (Some t1, [], true, "serve/stats", P.Stats);
+      (Some t2, [ ("kind", "cf") ], true, "trace/cf", P.Trace);
+      (Some t1, [ ("kind", "values") ], true, "trace/values", P.Trace);
+      (Some t2, [ ("kind", "addresses") ], true, "trace/addresses", P.Trace);
+      (Some t1, [], true, "slice/backward", P.Slice);
+      (Some t2, [ ("ts", "1") ], true, "at", P.At);
+      (Some t1, [ ("top", "3") ], true, "paths", P.Paths);
+      (Some t2, [ ("kind", "bogus") ], false, "trace/invalid", P.Trace);
+      (Some missing, [ ("kind", "cf") ], false, "trace/cf", P.Trace);
+      (None, [], true, "serve/health", P.Health);
+      (None, [], true, "serve/metrics", P.Metrics);
+      (Some t2, [], true, "slice/backward", P.Slice);
+      (Some t1, [], true, "at", P.At);
+    ];
+  let scripted = List.length !sent in
+  (* the ring also holds the store.load spans of cache misses *)
+  let watch = send c1 ~params:[ ("last", "64") ] "serve/watch" P.Watch in
+  let span_walls =
+    Option.value ~default:[]
+      (Option.bind (Json.member "entries" watch.P.rs_data) Json.to_list)
+    |> List.filter_map (fun e ->
+           match Option.bind (Json.member "name" e) Json.to_str with
+           | Some name when String.starts_with ~prefix:"serve." name ->
+             Option.bind (Json.member "dur_ns" e) Json.to_int
+           | _ -> None)
+  in
+  (* the metrics snapshot holds every request before it *)
+  let readings = readings_of_lines (send c2 "serve/metrics" P.Metrics).P.rs_lines in
+  let answered = List.length !sent in
+  let top =
+    capture_stdout (fun () ->
+        Top.run
+          {
+            Top.socket;
+            mode = Top.Jsonl;
+            interval_ms = 100;
+            count = 1;
+            instruments = 0;
+          })
+  in
+  ignore (send c1 "serve/shutdown" P.Shutdown);
+  Client.close c1;
+  Client.close c2;
+  Thread.join daemon;
+  let entries =
+    match Qlog.load qlog with
+    | Ok es -> es
+    | Error m -> Alcotest.failf "access qlog: %s" m
+  in
+  (* the snapshot's requests: the script and the watch *)
+  let logged = List.filteri (fun i _ -> i < answered - 1) entries in
+  let shapes = List.rev !sent |> List.filteri (fun i _ -> i < answered - 1) in
+  Alcotest.(check (list string)) "the qlog logs each request under its shape"
+    shapes
+    (List.map (fun e -> e.Qlog.e_shape) logged);
+  let wall e = e.Qlog.e_cost.Wet_qprof.Qprof.c_wall_ns in
+  List.iter
+    (fun shape ->
+      let mine = List.filter (fun e -> e.Qlog.e_shape = shape) logged in
+      match List.assoc_opt ("qprof.latency." ^ shape) readings with
+      | Some (Wet_obs.Metrics.Histogram h) ->
+        Alcotest.(check int) (shape ^ ": requests = qlog lines")
+          (List.length mine) h.Wet_obs.Metrics.h_count;
+        Alcotest.(check int) (shape ^ ": latency sum = qlog walls")
+          (List.fold_left (fun acc e -> acc + wall e) 0 mine)
+          h.Wet_obs.Metrics.h_sum
+      | _ -> Alcotest.failf "no latency histogram for %s" shape)
+    (List.sort_uniq compare shapes);
+  Alcotest.(check (list string)) "no other histogram records a request" []
+    (List.filter_map
+       (fun (name, r) ->
+         match r with
+         | Wet_obs.Metrics.Histogram h
+           when h.Wet_obs.Metrics.h_count > 0
+                && not
+                     (List.mem name
+                        (List.map (( ^ ) "qprof.latency.") shapes)) ->
+           Some name
+         | _ -> None)
+       readings);
+  let counter name =
+    match List.assoc_opt name readings with
+    | Some (Wet_obs.Metrics.Counter v) -> v
+    | _ -> 0
+  in
+  Alcotest.(check int) "qprof steps = the qlog's fwd + bwd"
+    (List.fold_left
+       (fun acc e ->
+         acc + e.Qlog.e_cost.Wet_qprof.Qprof.c_fwd
+         + e.Qlog.e_cost.Wet_qprof.Qprof.c_bwd)
+       0 logged)
+    (counter "qprof.fwd_steps" + counter "qprof.bwd_steps");
+  Alcotest.(check (list int)) "the ring's spans carry the qlog's walls"
+    (List.filteri (fun i _ -> i < scripted) (List.map wall logged))
+    span_walls;
+  match top with
+  | Error e, _ -> Alcotest.failf "wet top: %s" e
+  | Ok (), out -> (
+    match Json.parse (String.trim out) with
+    | Error m -> Alcotest.failf "wet top snapshot: %s" m
+    | Ok j ->
+      Alcotest.(check (option int)) "top counts the requests answered before it"
+        (Some answered)
+        (Option.bind (Json.member "requests_total" j) Json.to_int))
+
+(* The socket path appears only once the daemon listens, so a client
+   that connects the moment the file exists is never refused. *)
+let test_socket_appears_listening () =
+  with_temp_dir @@ fun dir ->
+  let socket = Filename.concat dir "serve.sock" in
+  for round = 1 to 20 do
+    let daemon =
+      Thread.create Server.run
+        { (Server.default_config ~socket) with Server.ring_capacity = 16 }
+    in
+    let deadline = Unix.gettimeofday () +. 10. in
+    while (not (Sys.file_exists socket)) && Unix.gettimeofday () < deadline do
+      Thread.yield ()
+    done;
+    (match Client.connect socket with
+     | Error e -> Alcotest.failf "round %d: connect as the path appeared: %s" round e
+     | Ok c ->
+       ignore (roundtrip c (P.request ~id:1 P.Shutdown));
+       Client.close c);
+    Thread.join daemon
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Render: formatting only the rows a trace returns                   *)
@@ -766,6 +963,10 @@ let () =
             test_bogus_kinds_bounded;
           Alcotest.test_case "request spans live only in the ring" `Quick
             test_spans_live_in_the_ring;
+          Alcotest.test_case "every view reads one count per request" `Quick
+            test_views_reconcile;
+          Alcotest.test_case "the socket appears only once it listens" `Quick
+            test_socket_appears_listening;
         ] );
       ( "render",
         [
