@@ -3,15 +3,12 @@
    step is counted once, into both, by the cursor call that takes it,
    so no observer keeps a copy.
 
-   Windows. Every [open_window] starts a new generation. The first time
-   a row is touched in a generation while some window is open, the
-   tally logs the row together with a copy of its counts just before
-   that touch. A window opened at log position [p] in generation [g]
-   owns the entries logged at or after [p] whose copy was last logged
-   before [g] (the copy's [r_gen] is the row's previous generation), one
-   per row touched since it opened, and each such entry holds that row's
-   counts at the moment the window opened. Nested windows therefore
-   share one log, and the log is dropped when the last window closes. *)
+   Windows. A tally holds at most one open window. Opening one starts
+   a new generation; the first time a row is touched in that generation,
+   the tally logs the row together with a copy of its counts just before
+   that touch. The log is the window's: one entry per row touched since
+   it opened, each holding that row's counts when the window opened,
+   and it is dropped when the window closes. *)
 
 type snapshot = {
   g_fwd : int;
@@ -41,9 +38,8 @@ type row = {
 type tally = {
   a_total : row;
   mutable a_gen : int;
-  mutable a_open : int;  (* windows open *)
+  mutable a_open : bool;  (* a window is open *)
   mutable a_log : (row * row) list;  (* (row, counts before), newest first *)
-  mutable a_len : int;
 }
 
 let row ~label =
@@ -54,8 +50,7 @@ let row ~label =
     r_last = 0; r_gen = -1;
   }
 
-let make () =
-  { a_total = row ~label:0; a_gen = 0; a_open = 0; a_log = []; a_len = 0 }
+let make () = { a_total = row ~label:0; a_gen = 0; a_open = false; a_log = [] }
 
 let snapshot ~tally () =
   let t = tally.a_total in
@@ -84,13 +79,10 @@ let delta ~before ~after =
 
 let steps s = s.g_fwd + s.g_bwd
 
-(* A row's first touch in this generation: log it if a window may need
-   its counts from before. *)
+(* A row's first touch in this generation: log it if the open window
+   needs its counts from before. *)
 let enter t r =
-  if t.a_open > 0 then begin
-    t.a_log <- (r, { r with r_label = r.r_label }) :: t.a_log;
-    t.a_len <- t.a_len + 1
-  end;
+  if t.a_open then t.a_log <- (r, { r with r_label = r.r_label }) :: t.a_log;
   r.r_gen <- t.a_gen
 
 (* Add one step to a row; the tally's total takes each step its rows
@@ -130,49 +122,35 @@ let raw_read t r =
   seek t r ~steps:0;
   step t r ~fwd:true ~bits:32 ~dict:0
 
-type window = {
-  w_tally : tally;
-  w_pos : int;  (* log length when the window opened *)
-  w_gen : int;
-  mutable w_open : bool;
-}
+type window = { w_tally : tally; mutable w_open : bool }
 
 let open_window t =
+  if t.a_open then
+    invalid_arg "Telemetry.open_window: the tally already has an open window";
   t.a_gen <- t.a_gen + 1;
-  t.a_open <- t.a_open + 1;
-  { w_tally = t; w_pos = t.a_len; w_gen = t.a_gen; w_open = true }
+  t.a_open <- true;
+  { w_tally = t; w_open = true }
 
 let window_rows w =
   if not w.w_open then invalid_arg "Telemetry.window_rows: window closed";
-  let since (r, b) =
-    {
-      b with
-      r_fwd = r.r_fwd - b.r_fwd;
-      r_bwd = r.r_bwd - b.r_bwd;
-      r_switches = r.r_switches - b.r_switches;
-      r_hits = r.r_hits - b.r_hits;
-      r_misses = r.r_misses - b.r_misses;
-      r_bits = r.r_bits - b.r_bits;
-      r_seeks = r.r_seeks - b.r_seeks;
-      r_seek_steps = r.r_seek_steps - b.r_seek_steps;
-    }
-  in
-  (* the newest [a_len - w_pos] entries, oldest first *)
-  let rec take n log acc =
-    match log with
-    | ((_, b) as e) :: rest when n > 0 ->
-      take (n - 1) rest (if b.r_gen < w.w_gen then since e :: acc else acc)
-    | _ -> acc
-  in
-  take (w.w_tally.a_len - w.w_pos) w.w_tally.a_log []
+  List.rev_map
+    (fun (r, b) ->
+      {
+        b with
+        r_fwd = r.r_fwd - b.r_fwd;
+        r_bwd = r.r_bwd - b.r_bwd;
+        r_switches = r.r_switches - b.r_switches;
+        r_hits = r.r_hits - b.r_hits;
+        r_misses = r.r_misses - b.r_misses;
+        r_bits = r.r_bits - b.r_bits;
+        r_seeks = r.r_seeks - b.r_seeks;
+        r_seek_steps = r.r_seek_steps - b.r_seek_steps;
+      })
+    w.w_tally.a_log
 
 let close_window w =
   if w.w_open then begin
     w.w_open <- false;
-    let t = w.w_tally in
-    t.a_open <- t.a_open - 1;
-    if t.a_open = 0 then begin
-      t.a_log <- [];
-      t.a_len <- 0
-    end
+    w.w_tally.a_open <- false;
+    w.w_tally.a_log <- []
   end

@@ -9,7 +9,7 @@
     the rows touched inside a {!window}, and [--analyze], the qlog and
     the [qprof.*] instruments print what it read. A tally is monotone
     for the life of its owner and never marshalled, so deltas of
-    disjoint windows sum exactly to the delta of their union. *)
+    disjoint intervals sum exactly to the delta of their union. *)
 
 type snapshot = {
   g_fwd : int;  (** forward steps *)
@@ -80,17 +80,19 @@ val raw_read : tally -> row -> unit
 
 (** {1 Windows} *)
 
-(** An open interval of a tally's history. Reading its rows costs
-    O(rows touched since it opened), however long the tally has lived:
-    a row's counts are kept as it stood when it was first touched inside
-    each open window, and the tally keeps those only while some window
-    is open. *)
+(** An open interval of a tally's history. A tally holds at most one
+    open window. Reading its rows costs O(rows touched since it opened),
+    however long the tally has lived: a row's counts are kept as they
+    stood when it was first touched inside the window, and the tally
+    keeps those only while the window is open. *)
 type window
 
+(** @raise Invalid_argument if the tally already has an open window. *)
 val open_window : tally -> window
 
 (** The rows touched since [w] opened, each holding what was counted on
-    it since then, in first-touch order. *)
+    it since then, in first-touch order.
+    @raise Invalid_argument if [w] is closed. *)
 val window_rows : window -> row list
 
 (** Stop keeping history for [w]. Idempotent. *)

@@ -527,8 +527,7 @@ module Sink = struct
 
   (* A sink rebuilt from a [snapshot]; [analysis] must come from the
      program the snapshot was built from. *)
-  let resume_from ?(shard_events = default_shard_events)
-      ?(track_peak = false) ~snapshot analysis =
+  let resume_from ~shard_events ~snapshot analysis =
     let s : state =
       try Marshal.from_string snapshot 0
       with Failure _ ->
@@ -537,7 +536,7 @@ module Sink = struct
     {
       analysis;
       shard_events = max 1 shard_events;
-      track_peak;
+      track_peak = false;
       s;
       on_shard_flushed = None;
       live_iter = None;
@@ -1275,7 +1274,7 @@ module Checkpoint = struct
         Sink.finish sink)
 
   let build ?(shard_events = Sink.default_shard_events)
-      ?(checkpoint_every = 1) ?(track_peak = false) ?max_stmts
+      ?(checkpoint_every = 1) ?max_stmts
       ?(interprocedural_cd = false) ?analysis ?(tier2 = false)
       ?(label = "") ?on_header_written ~journal ~program ~input () =
     let analysis =
@@ -1306,7 +1305,7 @@ module Checkpoint = struct
        so recovery always finds at least a replayable configuration *)
     (match on_header_written with Some f -> f () | None -> ());
     Wet_obs.Span.with_ "build.checkpointed" (fun () ->
-        let sink = Sink.create ~shard_events ~track_peak analysis in
+        let sink = Sink.create ~shard_events analysis in
         drive w ~header sink)
 
   (* [Ok None]: no intact header record. [Error]: a header of another
@@ -1342,7 +1341,7 @@ module Checkpoint = struct
           | exception Failure _ -> fail "undecodable checkpoint record")
       None rest
 
-  let resume ?(track_peak = false) ~journal () =
+  let resume ~journal () =
     let scan =
       match J.read journal with Ok s -> s | Error m -> fail "%s" m
     in
@@ -1378,12 +1377,11 @@ module Checkpoint = struct
       match ckpt with
       | None ->
         (* header only: nothing checkpointed, rebuild from the start *)
-        ( Sink.create ~shard_events:header.h_shard_events ~track_peak
-            analysis,
+        ( Sink.create ~shard_events:header.h_shard_events analysis,
           None,
           0 )
       | Some c ->
-        ( Sink.resume_from ~shard_events:header.h_shard_events ~track_peak
+        ( Sink.resume_from ~shard_events:header.h_shard_events
             ~snapshot:c.c_snapshot analysis,
           Some c.c_watermark,
           c.c_shards )

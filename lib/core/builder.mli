@@ -156,7 +156,6 @@ module Checkpoint : sig
   val build :
     ?shard_events:int ->
     ?checkpoint_every:int ->
-    ?track_peak:bool ->
     ?max_stmts:int ->
     ?interprocedural_cd:bool ->
     ?analysis:Wet_cfg.Program_analysis.t ->
@@ -175,5 +174,5 @@ module Checkpoint : sig
       [journal.resume_ms] metrics.
       @raise Wet_error.Error (stage [Journal]) if the journal is
         unreadable or holds no intact header. *)
-  val resume : ?track_peak:bool -> journal:string -> unit -> resumed
+  val resume : journal:string -> unit -> resumed
 end

@@ -11,7 +11,7 @@ type stage =
   | Interp  (** dynamic execution error (bad input, budget, memory) *)
   | Build  (** tier-1 sink/splicer misuse or internal inconsistency *)
   | Pack  (** tier-2 packing misuse *)
-  | Obs  (** observability-layer misuse (registry, merge, export) *)
+  | Obs  (** observability-layer misuse (registry, export) *)
   | Journal  (** checkpoint-journal format or recovery failure *)
   | Query  (** read-side misuse: bad timestamps/ports, sessions on
                damage (the [Wet.Session] / [Query] surface) *)

@@ -59,20 +59,20 @@ let docs =
     ("pulse.reporter.emits", Counter, "progress lines/heartbeats emitted");
     ("pulse.reporter.emit_ns", Histogram, "time spent emitting progress (ns)");
     (* per-query profiling (wet_qprof) *)
-    ("qprof.fwd_steps", Counter, "forward ledger steps (profiled, self)");
-    ("qprof.bwd_steps", Counter, "backward ledger steps (profiled, self)");
+    ("qprof.fwd_steps", Counter, "forward ledger steps (profiled queries)");
+    ("qprof.bwd_steps", Counter, "backward ledger steps (profiled queries)");
     ("qprof.dir_switches", Counter,
-     "steps that reversed their cursor's direction (profiled, self)");
+     "steps that reversed their cursor's direction (profiled queries)");
     ("qprof.dict_hits", Counter,
-     "dictionary-hit entries decoded (profiled, self)");
+     "dictionary-hit entries decoded (profiled queries)");
     ("qprof.dict_misses", Counter,
-     "verbatim entries decoded (profiled, self)");
-    ("qprof.bits_touched", Counter, "stored bits touched (profiled, self)");
-    ("qprof.seeks", Counter, "cursor repositioning calls (profiled, self)");
+     "verbatim entries decoded (profiled queries)");
+    ("qprof.bits_touched", Counter, "stored bits touched (profiled queries)");
+    ("qprof.seeks", Counter, "cursor repositioning calls (profiled queries)");
     ("qprof.seek_steps", Counter,
-     "ledger steps taken inside seeks (profiled, self)");
+     "ledger steps taken inside seeks (profiled queries)");
     ("qprof.alloc_words", Counter,
-     "words allocated by profiled queries (self)");
+     "words allocated by profiled queries");
     ("qprof.latency.<shape>", Histogram,
      "the one latency (ns) and count of a query or daemon request, by \
       shape fingerprint, a closed set: trace/{cf,values,addresses}, \

@@ -39,7 +39,7 @@ let add_attrs b attrs =
 
 let schema = "wet-obs/2"
 
-let metrics_jsonl_of readings =
+let metrics_jsonl () =
   let b = Buffer.create 4096 in
   Buffer.add_string b (Printf.sprintf "{\"schema\":%S}\n" schema);
   List.iter
@@ -74,10 +74,8 @@ let metrics_jsonl_of readings =
            h.Metrics.h_buckets;
          Buffer.add_string b "]}");
       Buffer.add_char b '\n')
-    readings;
+    (Metrics.snapshot ());
   Buffer.contents b
-
-let metrics_jsonl () = metrics_jsonl_of (Metrics.snapshot ())
 
 (* ---------------- Chrome trace events ---------------- *)
 

@@ -13,17 +13,20 @@
 val schema : string
 
 (** A [{"schema":"wet-obs/2"}] header line, then one JSON object per
-    registered instrument, one per line, sorted by name:
+    instrument in the process registry ({!Metrics.snapshot}), one per
+    line, sorted by name:
     [{"type":"counter","name":...,"value":...}],
     [{"type":"gauge",...}] and [{"type":"histogram","name":...,"count":
     ...,"sum":...,"min":...,"max":...,"buckets":[{"lo":..,"hi":..,
     "count":..},...]}]. *)
 val metrics_jsonl : unit -> string
 
-(** {!metrics_jsonl} over an explicit reading list instead of the
-    process view — how the serve daemon renders a merge of
-    per-connection registries without disturbing its own. *)
-val metrics_jsonl_of : (string * Metrics.reading) list -> string
+(** [add_json_string b s] appends [s] to [b] as a JSON string literal,
+    quotes included: the double quote, backslash, newline, return and
+    tab take their two-character escapes, and other control characters
+    a [\u] escape. The one string escaper of [wet_obs]: the log's JSONL
+    sink uses it too. *)
+val add_json_string : Buffer.t -> string -> unit
 
 (** The full trace-event JSON document for {!Sink.events}, with a
     top-level ["schema"] field (ignored by trace viewers). *)

@@ -41,28 +41,14 @@ let elapsed_ms () = Clock.to_s (Clock.now_ns () - t0) *. 1e3
    from one thread per connection. OCaml 5 ships Mutex in the stdlib. *)
 let lock = Mutex.create ()
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_sink level_str msg =
   match !jsonl with
   | None -> ()
   | Some oc ->
-    Printf.fprintf oc "{\"ts_ms\":%.3f,\"level\":\"%s\",\"msg\":\"%s\"}\n%!"
-      (elapsed_ms ()) level_str (json_escape msg)
+    let b = Buffer.create (String.length msg + 8) in
+    Export.add_json_string b msg;
+    Printf.fprintf oc "{\"ts_ms\":%.3f,\"level\":\"%s\",\"msg\":%s}\n%!"
+      (elapsed_ms ()) level_str (Buffer.contents b)
 
 (* A live status line owns the current stderr row; regular lines must
    break it before printing or the two interleave on one row. *)

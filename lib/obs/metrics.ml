@@ -1,11 +1,12 @@
-type counter = { mutable c_value : int }
+(* Counters and gauges are atomics and a histogram carries its own
+   mutex, so every bump stays exact when domains record into one cell
+   at once. *)
+type counter = int Atomic.t
 
-(* [g_seq] is a logical write timestamp drawn from [write_seq]: merge
-   resolves concurrent gauge writes by last-write-wins on it. 0 means
-   "never written". *)
-type gauge = { mutable g_value : int; mutable g_seq : int }
+type gauge = int Atomic.t
 
 type histogram = {
+  h_lock : Mutex.t;
   buckets : int array;  (* 64 log2 buckets *)
   mutable count : int;
   mutable sum : int;
@@ -22,19 +23,6 @@ let kind_name = function
   | G _ -> "gauge"
   | H _ -> "histogram"
 
-(* Shared by every registry: gauge writes on any domain take distinct
-   stamps, so merging local registries has a well-defined "last" write. *)
-let write_seq = Atomic.make 1
-
-let fresh_hist () =
-  {
-    buckets = Array.make 64 0;
-    count = 0;
-    sum = 0;
-    min_v = max_int;
-    max_v = min_int;
-  }
-
 type hist_snapshot = {
   h_count : int;
   h_sum : int;
@@ -48,171 +36,70 @@ type reading =
   | Gauge of int
   | Histogram of hist_snapshot
 
-module Local = struct
-  type t = { tbl : (string, instrument) Hashtbl.t }
+(* The one registry. Interning, snapshots and resets walk or grow its
+   table, and a concurrent server does all three from many threads, so
+   they serialise on [lock]; bumps touch only their own cell. *)
+let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
 
-  let create () = { tbl = Hashtbl.create 64 }
+let lock = Mutex.create ()
 
-  let intern t name make check =
-    match Hashtbl.find_opt t.tbl name with
-    | Some i -> (
-      match check i with
-      | Some x -> x
-      | None ->
-        Wet_error.fail Obs "Wet_obs.Metrics: %s already registered as a %s"
-          name (kind_name i))
-    | None ->
-      let x, i = make () in
-      Hashtbl.replace t.tbl name i;
-      x
+let with_lock m f =
+  Mutex.lock m;
+  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-  let counter t name =
-    intern t name
-      (fun () ->
-        let c = { c_value = 0 } in
-        (c, C c))
-      (function C c -> Some c | _ -> None)
-
-  let gauge t name =
-    intern t name
-      (fun () ->
-        let g = { g_value = 0; g_seq = 0 } in
-        (g, G g))
-      (function G g -> Some g | _ -> None)
-
-  let histogram t name =
-    intern t name
-      (fun () ->
-        let h = fresh_hist () in
-        (h, H h))
-      (function H h -> Some h | _ -> None)
-
-  let snapshot t =
-    Hashtbl.fold
-      (fun name i acc ->
-        let reading =
-          match i with
-          | C c -> Counter c.c_value
-          | G g -> Gauge g.g_value
-          | H h ->
-            let bs = ref [] in
-            for b = 63 downto 0 do
-              if h.buckets.(b) > 0 then bs := (b, h.buckets.(b)) :: !bs
-            done;
-            Histogram
-              {
-                h_count = h.count;
-                h_sum = h.sum;
-                h_min = h.min_v;
-                h_max = h.max_v;
-                h_buckets = !bs;
-              }
-        in
-        (name, reading) :: acc)
-      t.tbl []
-    |> List.sort compare
-
-  let reset t =
-    Hashtbl.iter
-      (fun _ i ->
-        match i with
-        | C c -> c.c_value <- 0
-        | G g ->
-          g.g_value <- 0;
-          g.g_seq <- 0
-        | H h ->
-          Array.fill h.buckets 0 64 0;
-          h.count <- 0;
-          h.sum <- 0;
-          h.min_v <- max_int;
-          h.max_v <- min_int)
-      t.tbl
-end
-
-(* The process view: the implicit registry behind the single-domain
-   facade below. Interning, merging and snapshotting mutate its
-   hashtable, and a concurrent server does all three from many threads,
-   so those paths serialise on [default_lock]. Bumps on an
-   already-interned instrument stay lock-free: they are single-field
-   writes of immediates — racy increments can drop, never corrupt. *)
-let default = Local.create ()
-
-let default_lock = Mutex.create ()
-
-let with_default_lock f =
-  Mutex.lock default_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock default_lock) f
-
-(* ---------------- merge ---------------- *)
-
-let zero_like = function
-  | C _ -> C { c_value = 0 }
-  | G _ -> G { g_value = 0; g_seq = 0 }
-  | H _ -> H (fresh_hist ())
-
-let combine name dst src =
-  match (dst, src) with
-  | C d, C s -> d.c_value <- d.c_value + s.c_value
-  | G d, G s ->
-    if (s.g_seq, s.g_value) > (d.g_seq, d.g_value) then begin
-      d.g_value <- s.g_value;
-      d.g_seq <- s.g_seq
-    end
-  | H d, H s ->
-    for b = 0 to 63 do
-      d.buckets.(b) <- d.buckets.(b) + s.buckets.(b)
-    done;
-    d.count <- d.count + s.count;
-    d.sum <- d.sum + s.sum;
-    if s.min_v < d.min_v then d.min_v <- s.min_v;
-    if s.max_v > d.max_v then d.max_v <- s.max_v
-  | _ ->
-    Wet_error.fail Obs
-      "Wet_obs.Metrics.merge: %s is a %s in one registry and a %s in the \
-       other"
-      name (kind_name dst) (kind_name src)
-
-let merge_unlocked ~into (src : Local.t) =
-  Hashtbl.iter
-    (fun name s ->
-      let d =
-        match Hashtbl.find_opt into.Local.tbl name with
-        | Some d -> d
+let intern name make check =
+  with_lock lock (fun () ->
+      match Hashtbl.find_opt registry name with
+      | Some i -> (
+        match check i with
+        | Some x -> x
         | None ->
-          let d = zero_like s in
-          Hashtbl.replace into.Local.tbl name d;
-          d
-      in
-      combine name d s)
-    src.Local.tbl
+          Wet_error.fail Obs "Wet_obs.Metrics: %s already registered as a %s"
+            name (kind_name i))
+      | None ->
+        let x, i = make () in
+        Hashtbl.replace registry name i;
+        x)
 
-let merge ?(into = default) (src : Local.t) =
-  if into == default || src == default then
-    with_default_lock (fun () -> merge_unlocked ~into src)
-  else merge_unlocked ~into src
+let counter name =
+  intern name
+    (fun () ->
+      let c = Atomic.make 0 in
+      (c, C c))
+    (function C c -> Some c | _ -> None)
 
-(* ---------------- single-domain facade ---------------- *)
-
-let counter name = with_default_lock (fun () -> Local.counter default name)
-
-let add c n = if !Sink.enabled then c.c_value <- c.c_value + n
+let add c n = if !Sink.enabled then ignore (Atomic.fetch_and_add c n)
 
 let incr c = add c 1
 
-let value c = c.c_value
+let value c = Atomic.get c
 
-let gauge name = with_default_lock (fun () -> Local.gauge default name)
+let gauge name =
+  intern name
+    (fun () ->
+      let g = Atomic.make 0 in
+      (g, G g))
+    (function G g -> Some g | _ -> None)
 
-let set g v =
-  if !Sink.enabled then begin
-    g.g_value <- v;
-    g.g_seq <- Atomic.fetch_and_add write_seq 1
-  end
+let set g v = if !Sink.enabled then Atomic.set g v
 
-let gauge_value g = g.g_value
+let gauge_value g = Atomic.get g
 
 let histogram name =
-  with_default_lock (fun () -> Local.histogram default name)
+  intern name
+    (fun () ->
+      let h =
+        {
+          h_lock = Mutex.create ();
+          buckets = Array.make 64 0;
+          count = 0;
+          sum = 0;
+          min_v = max_int;
+          max_v = min_int;
+        }
+      in
+      (h, H h))
+    (function H h -> Some h | _ -> None)
 
 (* Bucket 0: v <= 0; bucket b >= 1: 2^(b-1) <= v < 2^b. *)
 let bucket_of v =
@@ -228,11 +115,14 @@ let bucket_of v =
 
 let observe h v =
   if !Sink.enabled then begin
-    h.buckets.(bucket_of v) <- h.buckets.(bucket_of v) + 1;
+    let b = bucket_of v in
+    Mutex.lock h.h_lock;
+    h.buckets.(b) <- h.buckets.(b) + 1;
     h.count <- h.count + 1;
     h.sum <- h.sum + v;
     if v < h.min_v then h.min_v <- v;
-    if v > h.max_v then h.max_v <- v
+    if v > h.max_v then h.max_v <- v;
+    Mutex.unlock h.h_lock
   end
 
 let time h f =
@@ -248,6 +138,40 @@ let time h f =
   end
   else f ()
 
-let snapshot () = with_default_lock (fun () -> Local.snapshot default)
+let read = function
+  | C c -> Counter (Atomic.get c)
+  | G g -> Gauge (Atomic.get g)
+  | H h ->
+    with_lock h.h_lock (fun () ->
+        let bs = ref [] in
+        for b = 63 downto 0 do
+          if h.buckets.(b) > 0 then bs := (b, h.buckets.(b)) :: !bs
+        done;
+        Histogram
+          {
+            h_count = h.count;
+            h_sum = h.sum;
+            h_min = h.min_v;
+            h_max = h.max_v;
+            h_buckets = !bs;
+          })
 
-let reset () = with_default_lock (fun () -> Local.reset default)
+let snapshot () =
+  with_lock lock (fun () ->
+      Hashtbl.fold (fun name i acc -> (name, read i) :: acc) registry [])
+  |> List.sort compare
+
+let reset () =
+  with_lock lock (fun () ->
+      Hashtbl.iter
+        (fun _ i ->
+          match i with
+          | C c | G c -> Atomic.set c 0
+          | H h ->
+            with_lock h.h_lock (fun () ->
+                Array.fill h.buckets 0 64 0;
+                h.count <- 0;
+                h.sum <- 0;
+                h.min_v <- max_int;
+                h.max_v <- min_int))
+        registry)

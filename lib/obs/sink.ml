@@ -23,17 +23,9 @@ let disable () = enabled := false
 
 let epoch_ns () = !epoch
 
-let tap : (event -> unit) option ref = ref None
+let buffering = ref true
 
-let set_tap f = tap := Some f
-
-let clear_tap () = tap := None
-
-(* An installed tap takes the event instead of the buffer: a long-lived
-   process keeps its spans in its own bounded ring, not in an export
-   buffer nothing reads. *)
-let record ev =
-  match !tap with Some f -> f ev | None -> buffer := ev :: !buffer
+let record ev = if !buffering then buffer := ev :: !buffer
 
 let events () = List.rev !buffer
 

@@ -5,8 +5,7 @@
     conditional branch, so instrumented code paths run at full speed.
     {!enable} arms the whole library — metric mutations start taking
     effect and spans start accumulating trace events in an in-memory
-    buffer that {!Export} serialises, or go to the installed tap
-    ({!set_tap}) instead. *)
+    buffer that {!Export} serialises, unless {!buffering} is off. *)
 
 (** Attribute values attached to spans and events. *)
 type value = Int of int | Float of float | Str of string | Bool of bool
@@ -34,25 +33,20 @@ val disable : unit -> unit
     timestamps are made relative to. *)
 val epoch_ns : unit -> int
 
-(** Append an event to the buffer, or hand it to the installed
-    {!set_tap} observer instead (no-op when disabled; the hooks check
-    first). Each event has one home: a tapped event never reaches the
-    buffer. *)
+(** Append an event to the buffer, or drop it when {!buffering} is off
+    (no-op when disabled; the hooks check first). *)
 val record : event -> unit
 
-(** All events recorded since {!enable} while no tap was installed, in
+(** All events recorded since {!enable} while {!buffering} was on, in
     emission order. Spans are emitted when they close, so a parent
     appears after its children. *)
 val events : unit -> event list
 
-(** Install an observer that takes every {!record}ed event in place of
-    the buffer — how [Wet_serve.Ring], the [wet serve] daemon's bounded
-    ring, keeps its request spans without the sink growing a dependency
-    on it or an unbounded buffer growing beside it. At most one tap is
-    installed; a new {!set_tap} replaces the previous one. *)
-val set_tap : (event -> unit) -> unit
-
-val clear_tap : unit -> unit
+(** Whether {!record} keeps events (default [true]). The [wet serve]
+    daemon turns it off: it pushes its request spans into its own
+    bounded ring, and a buffer that nothing in a daemon reads must not
+    grow with the requests it serves. *)
+val buffering : bool ref
 
 (** Emit a heartbeat every N statement executions inside
     {!Wet_interp.Interp.run} (0, the default, turns the heartbeat off).

@@ -47,20 +47,6 @@ let add_cost a b =
     c_alloc_words = a.c_alloc_words + b.c_alloc_words;
   }
 
-let sub_cost a b =
-  {
-    c_fwd = a.c_fwd - b.c_fwd;
-    c_bwd = a.c_bwd - b.c_bwd;
-    c_switches = a.c_switches - b.c_switches;
-    c_hits = a.c_hits - b.c_hits;
-    c_misses = a.c_misses - b.c_misses;
-    c_bits = a.c_bits - b.c_bits;
-    c_seeks = a.c_seeks - b.c_seeks;
-    c_seek_steps = a.c_seek_steps - b.c_seek_steps;
-    c_wall_ns = a.c_wall_ns - b.c_wall_ns;
-    c_alloc_words = a.c_alloc_words - b.c_alloc_words;
-  }
-
 let decode_steps c = c.c_fwd + c.c_bwd
 
 let nonneg_cost c =
@@ -75,8 +61,7 @@ let nonneg_cost c =
 type profile = {
   p_shape : string;
   p_params : (string * string) list;
-  p_total : cost;  (* inclusive: everything inside the context *)
-  p_self : cost;  (* exclusive: total minus completed child contexts *)
+  p_total : cost;
   p_streams : Ex.stream_stats list;
   p_queries : string list;
   p_outcome : string;
@@ -87,93 +72,81 @@ type ctx = {
   k_params : (string * string) list;
   k_bi0 : Telemetry.snapshot;
   k_window : Telemetry.window;  (* the ledger rows this context touches *)
-  k_queries0 : int;  (* entry points the recorder had noted *)
-  k_local : Metrics.Local.t;
-  mutable k_children : cost;  (* summed totals of completed children *)
   k_alloc0 : float;
   k_t0 : int;  (* taken last in [start]: setup is not the query's wall *)
 }
 
-(* A scope is one independent profiling surface: its own context stack,
-   the ledger its contexts read and the recorder its queries note entry
-   points in. Each session profiles into a scope built from its tally
-   and recorder, so one connection's work never bleeds into another's
-   profile. *)
+(* A scope is one independent profiling surface: at most one open
+   context, the ledger its contexts read and the recorder its queries
+   note entry points in. Each session profiles into a scope built from
+   its tally and recorder, so one connection's work never bleeds into
+   another's profile. *)
 type scope = {
-  sp_stack : ctx list ref;
+  mutable sp_ctx : ctx option;
   sp_tally : Telemetry.tally;
   sp_recorder : Ex.recorder;
 }
 
 let make_scope ~tally ~recorder () =
-  { sp_stack = ref []; sp_tally = tally; sp_recorder = recorder }
-
-let active ~scope = !(scope.sp_stack) <> []
-
-let depth ~scope = List.length !(scope.sp_stack)
+  { sp_ctx = None; sp_tally = tally; sp_recorder = recorder }
 
 let allocated_words (st : Gc.stat) =
   st.Gc.minor_words +. st.Gc.major_words -. st.Gc.promoted_words
 
+(* Arming the recorder clears it, so a context's entry points are all
+   the recorder holds when it finishes. *)
 let start ~scope ?(params = []) shape =
-  let recorder = scope.sp_recorder in
-  if not (active ~scope) then Ex.arm ~recorder;
-  let ctx =
-    {
-      k_shape = shape;
-      k_params = params;
-      k_bi0 = Telemetry.snapshot ~tally:scope.sp_tally ();
-      k_window = Telemetry.open_window scope.sp_tally;
-      k_queries0 = Ex.query_count ~recorder;
-      k_local = Metrics.Local.create ();
-      k_children = zero_cost;
-      k_alloc0 = allocated_words (Gc.quick_stat ());
-      k_t0 = Wet_obs.Clock.now_ns ();
-    }
-  in
-  scope.sp_stack := ctx :: !(scope.sp_stack)
+  if scope.sp_ctx <> None then
+    invalid_arg "Qprof: a context is already open on this scope";
+  let k_window = Telemetry.open_window scope.sp_tally in
+  Ex.arm ~recorder:scope.sp_recorder;
+  scope.sp_ctx <-
+    Some
+      {
+        k_shape = shape;
+        k_params = params;
+        k_bi0 = Telemetry.snapshot ~tally:scope.sp_tally ();
+        k_window;
+        k_alloc0 = allocated_words (Gc.quick_stat ());
+        k_t0 = Wet_obs.Clock.now_ns ();
+      }
 
-(* Registered up front in the process view (interning is idempotent) so
-   `wet profile --list-metrics` sees the qprof family before the first
-   profiled query; contexts record into private registries that merge
-   onto these names. The per-shape latency histograms are dynamic. *)
-let () =
-  List.iter
-    (fun n -> ignore (Metrics.counter n))
-    [
-      "qprof.fwd_steps"; "qprof.bwd_steps"; "qprof.dir_switches";
-      "qprof.dict_hits"; "qprof.dict_misses"; "qprof.bits_touched";
-      "qprof.seeks"; "qprof.seek_steps"; "qprof.alloc_words";
-    ]
+(* Taken at module init, so `wet profile --list-metrics` sees the qprof
+   family before the first profiled query. The per-shape latency
+   histograms are interned as their shapes appear. *)
+let c_fwd = Metrics.counter "qprof.fwd_steps"
+let c_bwd = Metrics.counter "qprof.bwd_steps"
+let c_switches = Metrics.counter "qprof.dir_switches"
+let c_hits = Metrics.counter "qprof.dict_hits"
+let c_misses = Metrics.counter "qprof.dict_misses"
+let c_bits = Metrics.counter "qprof.bits_touched"
+let c_seeks = Metrics.counter "qprof.seeks"
+let c_seek_steps = Metrics.counter "qprof.seek_steps"
+let c_alloc = Metrics.counter "qprof.alloc_words"
 
-(* The per-context instruments are recorded with the context's *self*
-   cost (total minus completed children), so merging every context's
-   registry up the stack and finally into the process view counts each
-   decode step exactly once — the same telescoping that makes snapshot
-   deltas of disjoint windows sum to the delta of their union. Only the
-   latency histogram uses the inclusive total: a span's latency is its
-   latency. That histogram is the one count and the one latency of a
-   query: nothing else times or counts one. *)
-let record reg p =
-  let c name v = Metrics.add (Metrics.Local.counter reg name) v in
-  c "qprof.fwd_steps" p.p_self.c_fwd;
-  c "qprof.bwd_steps" p.p_self.c_bwd;
-  c "qprof.dir_switches" p.p_self.c_switches;
-  c "qprof.dict_hits" p.p_self.c_hits;
-  c "qprof.dict_misses" p.p_self.c_misses;
-  c "qprof.bits_touched" p.p_self.c_bits;
-  c "qprof.seeks" p.p_self.c_seeks;
-  c "qprof.seek_steps" p.p_self.c_seek_steps;
-  c "qprof.alloc_words" p.p_self.c_alloc_words;
+(* A profile's total, straight into the registry. The latency histogram
+   is the one count and the one latency of a query: nothing else times
+   or counts one. *)
+let record p =
+  let t = p.p_total in
+  Metrics.add c_fwd t.c_fwd;
+  Metrics.add c_bwd t.c_bwd;
+  Metrics.add c_switches t.c_switches;
+  Metrics.add c_hits t.c_hits;
+  Metrics.add c_misses t.c_misses;
+  Metrics.add c_bits t.c_bits;
+  Metrics.add c_seeks t.c_seeks;
+  Metrics.add c_seek_steps t.c_seek_steps;
+  Metrics.add c_alloc t.c_alloc_words;
   Metrics.observe
-    (Metrics.Local.histogram reg ("qprof.latency." ^ p.p_shape))
-    p.p_total.c_wall_ns
+    (Metrics.histogram ("qprof.latency." ^ p.p_shape))
+    t.c_wall_ns
 
 let finish ~scope outcome =
-  match !(scope.sp_stack) with
-  | [] -> invalid_arg "Qprof.finish: no active context"
-  | ctx :: rest ->
-    scope.sp_stack := rest;
+  match scope.sp_ctx with
+  | None -> invalid_arg "Qprof: no open context on this scope"
+  | Some ctx ->
+    scope.sp_ctx <- None;
     let recorder = scope.sp_recorder in
     let wall = Wet_obs.Clock.now_ns () - ctx.k_t0 in
     let alloc = allocated_words (Gc.quick_stat ()) -. ctx.k_alloc0 in
@@ -185,40 +158,31 @@ let finish ~scope outcome =
       Ex.stats_of_rows (Telemetry.window_rows ctx.k_window)
     in
     Telemetry.close_window ctx.k_window;
-    let queries = Ex.queries_since ~recorder ctx.k_queries0 in
-    let total =
-      {
-        c_fwd = bi.Telemetry.g_fwd;
-        c_bwd = bi.Telemetry.g_bwd;
-        c_switches = bi.Telemetry.g_switches;
-        c_hits = bi.Telemetry.g_hits;
-        c_misses = bi.Telemetry.g_misses;
-        c_bits = bi.Telemetry.g_bits;
-        c_seeks = bi.Telemetry.g_seeks;
-        c_seek_steps = bi.Telemetry.g_seek_steps;
-        c_wall_ns = max 0 wall;
-        c_alloc_words = max 0 (int_of_float alloc);
-      }
-    in
+    let queries = Ex.queries_since ~recorder 0 in
+    Ex.disarm ~recorder;
     let p =
       {
         p_shape = ctx.k_shape;
         p_params = ctx.k_params;
-        p_total = total;
-        p_self = sub_cost total ctx.k_children;
+        p_total =
+          {
+            c_fwd = bi.Telemetry.g_fwd;
+            c_bwd = bi.Telemetry.g_bwd;
+            c_switches = bi.Telemetry.g_switches;
+            c_hits = bi.Telemetry.g_hits;
+            c_misses = bi.Telemetry.g_misses;
+            c_bits = bi.Telemetry.g_bits;
+            c_seeks = bi.Telemetry.g_seeks;
+            c_seek_steps = bi.Telemetry.g_seek_steps;
+            c_wall_ns = max 0 wall;
+            c_alloc_words = max 0 (int_of_float alloc);
+          };
         p_streams = streams;
         p_queries = queries;
         p_outcome = outcome;
       }
     in
-    record ctx.k_local p;
-    (match rest with
-     | parent :: _ ->
-       parent.k_children <- add_cost parent.k_children total;
-       Metrics.merge ~into:parent.k_local ctx.k_local
-     | [] ->
-       Ex.disarm ~recorder;
-       Metrics.merge ctx.k_local);
+    record p;
     p
 
 let run ~scope ?params shape f =

@@ -12,15 +12,10 @@
     landed on — so per-query costs reconcile with the tally to the step,
     and the context's rows sum to its cost.
 
-    Contexts nest: an inner context's total is also part of its parent's
-    window, so each context additionally tracks the summed totals of its
-    completed children and reports a {e self} cost (total minus
-    children). Self costs telescope — summing them over any tree of
-    contexts reproduces the flat delta of the outermost window — and the
-    per-context [qprof.*] instruments are recorded into a private
-    {!Wet_obs.Metrics.Local} registry with self costs, then merged into
-    the parent context (or the process view at the root), so the merged
-    metrics count every step exactly once no matter how contexts nest.
+    Contexts are flat: a scope holds at most one open context, and a
+    context's total goes straight into the process registry's [qprof.*]
+    counters, so the counters move by exactly the sum of the profiles'
+    totals.
 
     When no context is active nothing here runs at all: the only
     always-on cost is the ledger's own counting inside each cursor
@@ -44,19 +39,17 @@ type cost = {
 
 val zero_cost : cost
 val add_cost : cost -> cost -> cost
-val sub_cost : cost -> cost -> cost
 
 (** [c_fwd + c_bwd]. *)
 val decode_steps : cost -> int
 
-(** Every field non-negative (holds for any single context's total). *)
+(** Every field non-negative (holds for every profile's total). *)
 val nonneg_cost : cost -> bool
 
 type profile = {
   p_shape : string;  (** query-shape fingerprint, e.g. ["trace/cf"] *)
   p_params : (string * string) list;  (** caller-supplied parameters *)
-  p_total : cost;  (** inclusive cost of the whole context *)
-  p_self : cost;  (** total minus completed child contexts *)
+  p_total : cost;  (** the cost of the whole context *)
   p_streams : Wet_watch.Explain.stream_stats list;
       (** the ledger rows of the streams touched while the context was
           open; they sum to [p_total]'s ledger fields *)
@@ -68,15 +61,14 @@ type profile = {
 
 (** {1 Scopes}
 
-    A scope is one independent profiling surface: a private context
-    stack, the {!Wet_bistream.Telemetry.tally} its snapshots bracket and
-    the {!Wet_watch.Explain.recorder} its queries note entry points in.
-    Every lifecycle
-    function takes the scope it acts on. A caller builds one scope per
-    session, from the session's own tally and recorder — [wet serve]
-    per connection, each CLI command for its one session — so each
-    profile sees only its own session's decode work. Scopes, like
-    sessions, are single-owner: never share one scope between two
+    A scope is one independent profiling surface: at most one open
+    context, the {!Wet_bistream.Telemetry.tally} its snapshots bracket
+    and the {!Wet_watch.Explain.recorder} its queries note entry points
+    in. Every function takes the scope it acts on. A caller builds one
+    scope per session, from the session's own tally and recorder —
+    [wet serve] per connection, each CLI command for its one session —
+    so each profile sees only its own session's decode work. Scopes,
+    like sessions, are single-owner: never share one scope between two
     threads. *)
 
 type scope
@@ -90,36 +82,21 @@ val make_scope :
   unit ->
   scope
 
-(** {1 Context lifecycle} *)
+(** {1 Contexts} *)
 
-(** Open a context on the scope, with its own ledger window. The
-    outermost context also arms the scope's {!Wet_watch.Explain}
-    recorder, so the query entry points are noted (its matching
-    {!finish} disarms). The wall clock is read last, so context setup is
-    not charged to the query. *)
-val start : scope:scope -> ?params:(string * string) list -> string -> unit
+(** [run ~scope ?params shape f] profiles [f ()] in a context on
+    [scope]: the result (or the exception, captured) together with the
+    profile; an exception is recorded as an ["error: ..."] outcome.
 
-(** Close the scope's innermost context and return its profile. The
-    context's [qprof.*] instruments are recorded into its private
-    registry and merged into the parent context, or into the process
-    view when this was the scope's outermost context. Its wall is
-    observed once, in [qprof.latency.<shape>]: that histogram's count
-    and sum are the one count and the one latency of a query, which
-    nothing else records.
-    @raise Invalid_argument if no context is open on the scope. *)
-val finish : scope:scope -> string -> profile
-
-(** A context is open on the scope. *)
-val active : scope:scope -> bool
-
-(** Number of open contexts on the scope. *)
-val depth : scope:scope -> int
-
-(** {1 Wrappers} *)
-
-(** [run ~scope ?params shape f] profiles [f ()]: the result (or the
-    exception, captured) together with the profile; an exception is
-    recorded as an ["error: ..."] outcome. *)
+    The context opens the scope's ledger window and arms its
+    {!Wet_watch.Explain} recorder, so the query's entry points are
+    noted; the wall clock is read last, so context setup is not charged
+    to the query. When [f] returns, the context's total is added to the
+    [qprof.*] counters and its wall observed once, in
+    [qprof.latency.<shape>]: that histogram's count and sum are the one
+    count and the one latency of a query, which nothing else records.
+    @raise Invalid_argument, before [f] runs, if a context is already
+    open on [scope] (or on another scope over the same tally). *)
 val run :
   scope:scope ->
   ?params:(string * string) list ->

@@ -53,7 +53,3 @@ let snapshot t =
   in
   Mutex.unlock t.lock;
   (es, s)
-
-let install t = Wet_obs.Sink.set_tap (push t)
-
-let uninstall () = Wet_obs.Sink.clear_tap ()

@@ -7,11 +7,10 @@
     process (the daemon) can stay armed forever in bounded memory and
     still account for every event it saw.
 
-    {!install} makes it the span sink's tap (every span close and
-    instant, via {!Wet_obs.Sink.set_tap}), which takes each event in
-    place of the sink's buffer; the [watch] verb replays the window.
-    {!push} is protected by a [Mutex.t], so producers on different
-    domains can share one ring. *)
+    The daemon {!push}es each request span here as the request
+    finishes, and the [watch] verb replays the window. {!push} is
+    protected by a [Mutex.t], so producers on different domains can
+    share one ring. *)
 
 type stats = {
   total : int;  (** events pushed over the ring's lifetime *)
@@ -36,10 +35,3 @@ val stats : t -> stats
 (** The retained window, oldest to newest, with the stats at the same
     instant. Thread-safe. *)
 val snapshot : t -> Wet_obs.Sink.event list * stats
-
-(** Install this ring as the span sink's tap. Replaces any previously
-    installed tap. *)
-val install : t -> unit
-
-(** Remove the tap (whichever ring installed it). *)
-val uninstall : unit -> unit

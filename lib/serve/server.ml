@@ -28,13 +28,21 @@ let default_config ~socket =
     domains = max 0 (Domain.recommended_domain_count () - 2);
   }
 
-(* ---------------- process-view instruments ---------------- *)
+(* ---------------- instruments ---------------- *)
 
-(* Connection-scoped counts live in per-connection Local registries
-   (below); only genuinely process-global state records here. *)
 let c_connections = Obs.counter "serve.connections"
 
 let g_in_flight = Obs.gauge "serve.in_flight"
+
+let c_errors = Obs.counter "serve.errors"
+
+let c_bytes_in = Obs.counter "serve.bytes_in"
+
+let c_bytes_out = Obs.counter "serve.bytes_out"
+
+let c_sessions_opened = Obs.counter "serve.sessions.opened"
+
+let c_sessions_reused = Obs.counter "serve.sessions.reused"
 
 (* ---------------- per-connection state ---------------- *)
 
@@ -42,22 +50,14 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* Each connection owns a Local registry it records into without
-   contention; [conn.lock] only guards the moment the metrics verb
-   merges a snapshot out while the owner might be recording.
-
-   The connection is also the ownership unit for read-side cursor
-   state: it carries a private decode tally, the recorder its queries
-   note entry points in, the qprof scope over both, and a table of
-   [Wet.session]s (one per container path) minted against them.
-   Everything in it except [local] is touched only by the connection's
-   own thread. *)
+(* The connection is the ownership unit for read-side cursor state: it
+   carries a private decode tally, the recorder its queries note entry
+   points in, the qprof scope over both, and a table of [Wet.session]s
+   (one per container path) minted against them. Only the connection's
+   own thread touches it, bar the shutdown half-close of [fd]. *)
 type conn = {
   id : int;
   fd : Unix.file_descr;
-  mutable closed : bool;
-  local : Obs.Local.t;
-  lock : Mutex.t;
   tally : Telemetry.tally;
   recorder : Ex.recorder;
   scope : Qprof.scope;
@@ -66,52 +66,19 @@ type conn = {
      eviction, and a session on the old container must not answer for
      the new one. *)
   sessions : (string, W.t * W.session) Hashtbl.t;
-  c_sessions_opened : Obs.counter;
-  c_sessions_reused : Obs.counter;
-  c_errors : Obs.counter;
-  c_bytes_in : Obs.counter;
-  c_bytes_out : Obs.counter;
 }
 
 let make_conn id fd =
-  let local = Obs.Local.create () in
   let tally = Telemetry.make () in
   let recorder = Ex.make_recorder () in
   {
     id;
     fd;
-    closed = false;
-    local;
-    lock = Mutex.create ();
     tally;
     recorder;
     scope = Qprof.make_scope ~tally ~recorder ();
     sessions = Hashtbl.create 4;
-    c_sessions_opened = Obs.Local.counter local "serve.sessions.opened";
-    c_sessions_reused = Obs.Local.counter local "serve.sessions.reused";
-    c_errors = Obs.Local.counter local "serve.errors";
-    c_bytes_in = Obs.Local.counter local "serve.bytes_in";
-    c_bytes_out = Obs.Local.counter local "serve.bytes_out";
   }
-
-(* The connection's session over an admitted container, minting it on
-   first use and keeping it until the container under the path is
-   reloaded. Runs on the connection's own thread: [Wet.open_session]
-   only reads the immutable container and builds private cursors, and
-   only the count takes the connection's lock. *)
-let session_of conn (e : Cache.entry) =
-  match Hashtbl.find_opt conn.sessions e.Cache.e_path with
-  | Some (w, s) when w == e.Cache.e_wet ->
-    with_lock conn.lock (fun () -> Obs.incr conn.c_sessions_reused);
-    s
-  | _ ->
-    let s =
-      W.open_session ~tally:conn.tally ~recorder:conn.recorder
-        e.Cache.e_wet
-    in
-    Hashtbl.replace conn.sessions e.Cache.e_path (e.Cache.e_wet, s);
-    with_lock conn.lock (fun () -> Obs.incr conn.c_sessions_opened);
-    s
 
 (* ---------------- daemon state ---------------- *)
 
@@ -129,7 +96,10 @@ type state = {
      ring takes its own lock *)
   qlog_lock : Mutex.t;
   conns_lock : Mutex.t;
+  (* open connections only: each leaves the list as it closes, and
+     signals [conns_left] *)
   mutable conns : conn list;
+  conns_left : Condition.t;
   mutable in_flight : int;
   (* connection handlers claimed a domain slot; see [domain_budget] *)
   dom_active : int Atomic.t;
@@ -142,6 +112,34 @@ type state = {
    the budget is spent (correct either way, threads just time-share).
    The default reserves two slots: the accept loop's own domain and
    one for whatever process hosts the daemon. *)
+
+(* The connection's session over an admitted container, minting it on
+   first use and keeping it until the container under the path is
+   reloaded. Before minting one, the connection drops every session
+   whose container the cache no longer holds — the staleness check
+   would never reuse it, and keeping it would pin an evicted container
+   for the connection's life. The reuse path takes no lock: the
+   sessions table is the connection's own. *)
+let session_of t conn (e : Cache.entry) =
+  match Hashtbl.find_opt conn.sessions e.Cache.e_path with
+  | Some (w, s) when w == e.Cache.e_wet ->
+    Obs.incr c_sessions_reused;
+    s
+  | _ ->
+    with_lock t.engine (fun () ->
+        Hashtbl.filter_map_inplace
+          (fun path ((w, _) as held) ->
+            match Cache.peek t.cache path with
+            | Some c when c.Cache.e_wet == w -> Some held
+            | _ -> None)
+          conn.sessions);
+    let s =
+      W.open_session ~tally:conn.tally ~recorder:conn.recorder
+        e.Cache.e_wet
+    in
+    Hashtbl.replace conn.sessions e.Cache.e_path (e.Cache.e_wet, s);
+    Obs.incr c_sessions_opened;
+    s
 
 (* ---------------- verb handlers ---------------- *)
 
@@ -226,23 +224,9 @@ let health_data t =
       ("wets", Json.Arr (List.map entry_json resident));
     ]
 
-(* The merged metric view: the process registry (qprof/store/…, the
-   connection count and the in-flight gauge) folded together with every
-   connection's private serve.* registry. Merging into a scratch
-   registry leaves all sources untouched. *)
-let merged_snapshot t =
-  let scratch = Obs.Local.create () in
-  Obs.merge ~into:scratch Obs.default;
-  let conns = with_lock t.conns_lock (fun () -> t.conns) in
-  List.iter
-    (fun c -> with_lock c.lock (fun () -> Obs.merge ~into:scratch c.local))
-    conns;
-  Obs.Local.snapshot scratch
-
-let metrics_lines t =
-  let s = Export.metrics_jsonl_of (merged_snapshot t) in
+let metrics_lines () =
   (* drop the split's trailing "" — the export ends with one newline *)
-  match List.rev (String.split_on_char '\n' s) with
+  match List.rev (String.split_on_char '\n' (Export.metrics_jsonl ())) with
   | "" :: rev -> List.rev rev
   | rev -> List.rev rev
 
@@ -300,18 +284,18 @@ let answer t conn req =
           (match int_param req "limit" ~default:50 with
            | Error _ as err -> err
            | Ok limit ->
-             Ok (Render.trace (session_of conn e) ~kind ~limit, Json.Obj [])))
+             Ok (Render.trace (session_of t conn e) ~kind ~limit, Json.Obj [])))
   | P.Slice ->
     require_wet t req (fun e ->
         match opt_int_param req "output" with
         | Error _ as err -> err
         | Ok output ->
-          Ok (Render.slice (session_of conn e) ~output, Json.Obj []))
+          Ok (Render.slice (session_of t conn e) ~output, Json.Obj []))
   | P.At ->
     require_wet t req (fun e ->
         match opt_int_param req "ts" with
         | Error _ as err -> err
-        | Ok ts -> Ok (Render.at (session_of conn e) ~ts, Json.Obj []))
+        | Ok ts -> Ok (Render.at (session_of t conn e) ~ts, Json.Obj []))
   | P.Paths ->
     require_wet t req (fun e ->
         match int_param req "top" ~default:10 with
@@ -322,7 +306,7 @@ let answer t conn req =
     | Error _ as err -> err
     | Ok data -> Ok ([], data))
   | P.Health -> Ok ([], health_data t)
-  | P.Metrics -> Ok (metrics_lines t, Json.Obj [])
+  | P.Metrics -> Ok (metrics_lines (), Json.Obj [])
   | P.Shutdown ->
     t.shutdown <- true;
     Ok ([ "shutting down" ], Json.Obj [])
@@ -367,8 +351,8 @@ let handle t conn req =
   let res, profile =
     Qprof.run ~scope:conn.scope ~params shape (fun () -> answer t conn req)
   in
-  (* the sink's tap hands the request span to the ring, its one home *)
-  Sink.record
+  (* the ring is the request span's one home *)
+  Ring.push t.ring
     {
       Sink.ev_name = "serve." ^ P.verb_name req.P.rq_verb;
       ev_ts_ns = start_ns;
@@ -396,10 +380,10 @@ let handle t conn req =
       rs_data = data;
     }
   | Ok (Error msg) ->
-    with_lock conn.lock (fun () -> Obs.incr conn.c_errors);
+    Obs.incr c_errors;
     P.error_response ~id:req.P.rq_id msg
   | Error exn ->
-    with_lock conn.lock (fun () -> Obs.incr conn.c_errors);
+    Obs.incr c_errors;
     let msg =
       match exn with
       | Wet_error.Error e -> Wet_error.message e
@@ -418,8 +402,7 @@ let serve_connection t conn =
     match In_channel.input_line ic with
     | None -> ()
     | Some line ->
-      with_lock conn.lock (fun () ->
-          Obs.add conn.c_bytes_in (String.length line + 1));
+      Obs.add c_bytes_in (String.length line + 1);
       with_lock t.conns_lock (fun () ->
           t.in_flight <- t.in_flight + 1;
           Obs.set g_in_flight t.in_flight);
@@ -432,7 +415,7 @@ let serve_connection t conn =
           (fun () ->
             match P.decode_request line with
             | Error msg ->
-              with_lock conn.lock (fun () -> Obs.incr conn.c_errors);
+              Obs.incr c_errors;
               Log.debug "conn %d: bad request: %s" conn.id msg;
               P.error_response ~id:0 msg
             | Ok req -> handle t conn req)
@@ -441,8 +424,7 @@ let serve_connection t conn =
       output_string oc out;
       output_char oc '\n';
       flush oc;
-      with_lock conn.lock (fun () ->
-          Obs.add conn.c_bytes_out (String.length out + 1));
+      Obs.add c_bytes_out (String.length out + 1);
       (* closing the listening socket does not interrupt a thread
          blocked in accept(2); a dummy connection does *)
       if t.shutdown then begin
@@ -460,14 +442,15 @@ let serve_connection t conn =
         (List.length resp.P.rs_lines);
       if not t.shutdown then loop ()
   in
+  (* a closed connection leaves the list: its counts are already in the
+     registry, and its sessions would pin their containers *)
   Fun.protect
     ~finally:(fun () ->
+      Log.info "connection %d closed" conn.id;
       with_lock t.conns_lock (fun () ->
-          if not conn.closed then begin
-            conn.closed <- true;
-            try Unix.close conn.fd with Unix.Unix_error _ -> ()
-          end);
-      Log.info "connection %d closed" conn.id)
+          t.conns <- List.filter (fun c -> c != conn) t.conns;
+          Condition.broadcast t.conns_left;
+          try Unix.close conn.fd with Unix.Unix_error _ -> ()))
     (fun () -> try loop () with Sys_error _ | End_of_file -> ())
 
 (* ---------------- socket lifecycle ---------------- *)
@@ -515,18 +498,20 @@ let claim_socket path =
 
 let run cfg =
   Sink.enable ();
-  let ring = Ring.create ~capacity:cfg.ring_capacity () in
-  Ring.install ring;
+  (* library spans (a cache miss's store.load) go nowhere: the ring
+     holds request spans only, and the export buffer nothing *)
+  Sink.buffering := false;
   let t =
     {
       cfg;
       cache = Cache.create ~capacity:cfg.cache_capacity ();
-      ring;
+      ring = Ring.create ~capacity:cfg.ring_capacity ();
       t0_ns = Clock.now_ns ();
       engine = Mutex.create ();
       qlog_lock = Mutex.create ();
       conns_lock = Mutex.create ();
       conns = [];
+      conns_left = Condition.create ();
       in_flight = 0;
       dom_active = Atomic.make 0;
       shutdown = false;
@@ -536,8 +521,6 @@ let run cfg =
   Log.info "serving on %s (cache %d, ring %d%s)" cfg.socket
     cfg.cache_capacity cfg.ring_capacity
     (match cfg.qlog with None -> "" | Some q -> ", qlog " ^ q);
-  let threads = ref [] in
-  let domains = ref [] in
   let next_id = ref 0 in
   let rec claim_domain_slot () =
     let n = Atomic.get t.dom_active in
@@ -558,37 +541,34 @@ let run cfg =
          Obs.incr c_connections;
          with_lock t.conns_lock (fun () -> t.conns <- conn :: t.conns);
          Log.info "connection %d accepted" conn.id;
-         if claim_domain_slot () then begin
-           let d =
-             Domain.spawn (fun () ->
-                 Fun.protect
-                   ~finally:(fun () ->
-                     ignore (Atomic.fetch_and_add t.dom_active (-1)))
-                   (fun () -> serve_connection t conn))
-           in
-           domains := d :: !domains
-         end
-         else begin
-           let th = Thread.create (fun () -> serve_connection t conn) () in
-           threads := th :: !threads
-         end;
+         (* no handle is kept: shutdown waits on [t.conns] instead, so
+            a closed connection leaves nothing behind *)
+         if claim_domain_slot () then
+           ignore
+             (Domain.spawn (fun () ->
+                  Fun.protect
+                    ~finally:(fun () ->
+                      ignore (Atomic.fetch_and_add t.dom_active (-1)))
+                    (fun () -> serve_connection t conn)))
+         else ignore (Thread.create (fun () -> serve_connection t conn) ());
          accept_loop ()
        end
      | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
    in
    accept_loop ();
    try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  (* wake connection threads still blocked on idle clients: a shutdown
-     half-close delivers EOF without racing the owner's own close *)
+  (* wake connection threads still blocked on idle clients (a shutdown
+     half-close delivers EOF without racing the owner's own close), then
+     wait until every connection has left the list *)
   with_lock t.conns_lock (fun () ->
       List.iter
         (fun c ->
-          if not c.closed then
-            try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
-            with Unix.Unix_error _ -> ())
-        t.conns);
-  List.iter Thread.join !threads;
-  List.iter Domain.join !domains;
+          try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
+          with Unix.Unix_error _ -> ())
+        t.conns;
+      while t.conns <> [] do
+        Condition.wait t.conns_left t.conns_lock
+      done);
   (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
-  Ring.uninstall ();
+  Sink.buffering := true;
   Log.info "serve: clean shutdown"

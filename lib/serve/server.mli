@@ -9,14 +9,19 @@
     any global lock — the engine mutex guards cache admission only.
     Every request runs inside a {!Wet_qprof.Qprof.run} context, its one
     count and latency ([qprof.latency.<shape>]), and appends to the
-    shared wet-qlog/1 access log when one is configured; the connection
-    counts its errors, bytes and sessions in its private
-    {!Wet_obs.Metrics.Local} registry, and the [metrics] verb folds
-    those registries over the process view with
-    {!Wet_obs.Metrics.merge} into one wet-obs/2 snapshot. Request spans have one home, a bounded
-    {!Ring} installed as the span sink's tap: the [watch] verb replays
-    it, [health] reports its counts, and the sink's export buffer stays
-    empty however long the daemon runs. *)
+    shared wet-qlog/1 access log when one is configured. Errors, bytes,
+    connections and session opens and reuses are counted in the process
+    registry ({!Wet_obs.Metrics}), which the [metrics] verb exports.
+    Request spans have one home, a bounded {!Ring}: [handle] pushes each
+    one there, the [watch] verb replays it, [health] reports its counts,
+    and library spans (a cache miss's [store.load]) go nowhere, so the
+    sink's export buffer stays empty however long the daemon runs.
+
+    Memory is bounded by the cache, not by history: a connection is
+    forgotten when it closes, and before a connection opens a session
+    it drops every session it holds over a container the cache no
+    longer holds. What stays resident is the cached containers plus the
+    sessions of live connections over them. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path *)

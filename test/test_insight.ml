@@ -668,22 +668,21 @@ let test_obs_diff_changes () =
     (d.Obs_diff.d_only_a = [] && d.Obs_diff.d_only_b = [])
 
 (* The one reader of a metrics export gives back, exactly, the readings
-   the export was written from: every kind, an empty histogram, a
-   negative gauge and buckets up to 2^40. A v1 export (no schema line)
-   reads with no schema, and a malformed line is an error. *)
+   the process registry held when it was written: every kind, an empty
+   histogram, a negative gauge and buckets up to 2^40. A v1 export (no
+   schema line) reads with no schema, and a malformed line is an
+   error. *)
 let test_obs_read_round_trip () =
-  let reg = Metrics.Local.create () in
+  Metrics.reset ();
   Wet_obs.Sink.enable ();
   Fun.protect ~finally:Wet_obs.Sink.disable (fun () ->
-      Metrics.add (Metrics.Local.counter reg "a.count") 7;
-      Metrics.set (Metrics.Local.gauge reg "a.gauge") (-3);
-      let h = Metrics.Local.histogram reg "a.hist" in
+      Metrics.add (Metrics.counter "a.count") 7;
+      Metrics.set (Metrics.gauge "a.gauge") (-3);
+      let h = Metrics.histogram "a.hist" in
       List.iter (Metrics.observe h) [ 0; 1; 5; 1000; 1 lsl 40 ];
-      ignore (Metrics.Local.histogram reg "a.empty"));
-  let readings = Metrics.Local.snapshot reg in
-  let lines =
-    String.split_on_char '\n' (Wet_obs.Export.metrics_jsonl_of readings)
-  in
+      ignore (Metrics.histogram "a.empty"));
+  let readings = Metrics.snapshot () in
+  let lines = String.split_on_char '\n' (Wet_obs.Export.metrics_jsonl ()) in
   (match Obs_read.parse lines with
    | Error m -> Alcotest.fail m
    | Ok (schema, back) ->

@@ -396,6 +396,46 @@ let test_metrics_jsonl_valid () =
 (* Interpreter heartbeat                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* The log's JSONL sink writes each line as one JSON object whose msg
+   reads back exactly, whatever the message holds: a quote, a
+   backslash, a newline and a control character among them. *)
+let test_log_jsonl_escapes () =
+  let module Log = Wet_obs.Log in
+  let module Json = Wet_insight.Json in
+  let path = Filename.temp_file "wet_log" ".jsonl" in
+  let threshold = !Log.threshold and quiet = !Log.quiet in
+  Fun.protect
+    ~finally:(fun () ->
+      Log.set_jsonl None;
+      Log.threshold := threshold;
+      Log.quiet := quiet;
+      Sys.remove path)
+    (fun () ->
+      let msg = "say \"hi\" C:\\tmp\nnext\tline\x01\x1f end" in
+      let oc = open_out_bin path in
+      Log.threshold := Log.Info;
+      Log.quiet := true;
+      Log.set_jsonl (Some oc);
+      Log.info "%s" msg;
+      Log.set_jsonl None;
+      close_out oc;
+      let lines =
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+      in
+      match lines with
+      | [ line ] -> (
+        match Json.parse line with
+        | Error m -> Alcotest.failf "log line %S: %s" line m
+        | Ok j ->
+          Alcotest.(check (option string)) "level" (Some "info")
+            (Option.bind (Json.member "level" j) Json.to_str);
+          Alcotest.(check (option string)) "msg reads back unchanged"
+            (Some msg)
+            (Option.bind (Json.member "msg" j) Json.to_str))
+      | _ -> Alcotest.failf "expected one log line, got %d" (List.length lines))
+
 (* The heartbeat fires after every N-th completed statement, so a run of
    S statements beats exactly floor(S/N) times. *)
 let test_heartbeat_count () =
@@ -446,6 +486,8 @@ let () =
             test_chrome_trace_valid;
           Alcotest.test_case "metrics jsonl parses" `Quick
             test_metrics_jsonl_valid;
+          Alcotest.test_case "log jsonl escapes read back" `Quick
+            test_log_jsonl_escapes;
         ] );
       ( "end-to-end",
         [

@@ -1,8 +1,9 @@
 (* The wet_qprof attribution invariants: per-query cost totals are
    non-negative and sum exactly to the session tally's delta across
    random query interleavings on both tiers (the snapshot-delta
-   telescoping the subsystem is built on); nested contexts count each
-   step exactly once in the merged [qprof.*] metrics; qlog entries
+   telescoping the subsystem is built on); contexts are flat, so one
+   started inside another is refused and the [qprof.*] metrics move by
+   exactly the profiles' totals; qlog entries
    round-trip through their JSONL encoding; the planner's exact
    [Query.estimate] agrees with the profiled rows; the [--analyze]
    tables sum to the profile they print; and with no context open the
@@ -160,66 +161,57 @@ let prop_sum_consistency =
           d.Telemetry.g_hits, d.Telemetry.g_misses, d.Telemetry.g_bits )
       && List.for_all
            (fun (p : Qprof.profile) ->
-             (* flat contexts: self = total, and both are physical *)
-             Qprof.nonneg_cost p.Qprof.p_total
-             && p.Qprof.p_self = p.Qprof.p_total
-             && p.Qprof.p_outcome = "ok")
+             Qprof.nonneg_cost p.Qprof.p_total && p.Qprof.p_outcome = "ok")
            profs)
 
-(* Nested contexts: the inner window is part of the outer one, self
-   costs telescope, and the merged process-view counters count every
-   step exactly once (outer self + inner total = outer total = what the
-   default registry receives). Each context is one latency observation
-   of its inclusive wall, under its own shape. *)
+(* Contexts are flat: one started inside another on the same scope is
+   refused before it runs anything. The outer context survives with an
+   error outcome and its total is the tally's delta, the scope stays
+   usable for the next context, and the qprof.* counters and latency
+   histograms hold exactly the two profiles that finished. *)
 let prop_nesting =
   QCheck.Test.make ~name:"nested contexts telescope and merge once"
     ~count:20 arb_plan (fun (tier2, ops) ->
       let s, scope = open_scoped (wet_of_tier tier2) in
       let tally = W.Session.tally s in
-      let evens, odds =
-        List.partition (fun i -> i mod 2 = 0) (List.mapi (fun i _ -> i) ops)
-        |> fun (e, o) ->
-        ( List.map (List.nth ops) e,
-          List.map (List.nth ops) o )
+      let evens, odds = List.partition (fun (i, _) -> i mod 2 = 0)
+          (List.mapi (fun i op -> (i, op)) ops)
       in
       Wet_obs.Sink.enable ();
       Fun.protect ~finally:Wet_obs.Sink.disable @@ fun () ->
       Metrics.reset ();
       let g0 = Telemetry.snapshot ~tally () in
-      let inner = ref None in
-      let _, outer =
+      let inner_ran = ref false in
+      let res, outer =
         Qprof.run ~scope "outer" (fun () ->
-            List.iter (run_op s) evens;
-            let _, pi =
-              Qprof.run ~scope "inner" (fun () -> List.iter (run_op s) odds)
-            in
-            inner := Some pi)
+            List.iter (fun (_, op) -> run_op s op) evens;
+            Qprof.run ~scope "inner" (fun () -> inner_ran := true))
       in
-      let pi : Qprof.profile = Option.get !inner in
       let d =
         Telemetry.delta ~before:g0 ~after:(Telemetry.snapshot ~tally ())
       in
-      let nonneg6 (a, b, c, d', e, f) =
-        a >= 0 && b >= 0 && c >= 0 && d' >= 0 && e >= 0 && f >= 0
+      let _, next =
+        Qprof.run ~scope "next" (fun () ->
+            List.iter (fun (_, op) -> run_op s op) odds)
       in
-      bi_fields outer.Qprof.p_total
-      = ( d.Telemetry.g_fwd, d.Telemetry.g_bwd, d.Telemetry.g_switches,
-          d.Telemetry.g_hits, d.Telemetry.g_misses, d.Telemetry.g_bits )
-      (* inner ⊆ outer, field-wise *)
-      && nonneg6 (bi_fields outer.Qprof.p_self)
-      (* self + child = total, exactly *)
-      && bi_fields
-           (Qprof.add_cost outer.Qprof.p_self pi.Qprof.p_total)
-         = bi_fields outer.Qprof.p_total
-      (* the merged registry counted each step exactly once *)
-      && Metrics.value (Metrics.counter "qprof.fwd_steps")
-         = outer.Qprof.p_total.Qprof.c_fwd
+      let both = Qprof.add_cost outer.Qprof.p_total next.Qprof.p_total in
+      (match res with Error (Invalid_argument _) -> true | _ -> false)
+      && (not !inner_ran)
+      && String.starts_with ~prefix:"error: Invalid_argument"
+           outer.Qprof.p_outcome
+      && bi_fields outer.Qprof.p_total
+         = ( d.Telemetry.g_fwd, d.Telemetry.g_bwd, d.Telemetry.g_switches,
+             d.Telemetry.g_hits, d.Telemetry.g_misses, d.Telemetry.g_bits )
+      && next.Qprof.p_outcome = "ok"
+      && (not (Ex.recording (W.Session.recorder s)))
+      && Metrics.value (Metrics.counter "qprof.fwd_steps") = both.Qprof.c_fwd
       && Metrics.value (Metrics.counter "qprof.bits_touched")
-         = outer.Qprof.p_total.Qprof.c_bits
+         = both.Qprof.c_bits
       && latency ~keep:(( = ) "outer") ()
          = (1, outer.Qprof.p_total.Qprof.c_wall_ns)
-      && latency ~keep:(( = ) "inner") () = (1, pi.Qprof.p_total.Qprof.c_wall_ns)
-      && Qprof.depth ~scope = 0)
+      && latency ~keep:(( = ) "inner") () = (0, 0)
+      && latency ~keep:(( = ) "next") ()
+         = (1, next.Qprof.p_total.Qprof.c_wall_ns))
 
 (* ------------------------------------------------------------------ *)
 (* One ledger, many views                                              *)
@@ -353,11 +345,15 @@ let rows_ledger rows =
           s.Ex.e_misses; s.Ex.e_bits; s.Ex.e_seeks; s.Ex.e_seek_steps ])
     [ 0; 0; 0; 0; 0; 0; 0; 0 ] rows
 
-(* Random session queries on one to three sessions, inside nested
-   profiling contexts: every view of the ledger agrees with every other.
-   Each context's rows sum to its cost; the outermost context's cost is
-   the tally's delta; and each qprof.* counter moves by the sum of those
-   deltas. *)
+(* Random session queries on one to three sessions, in sequential
+   profiling contexts: a session's Open starts a context on its scope
+   (finishing the one it has open first) and its Close finishes it.
+   Contexts of different sessions interleave: one stays open while
+   others open and close inside it, and, since a context is a closure,
+   finishing one also finishes the contexts opened after it. Every view
+   of the ledger agrees with every other: each context's rows sum to
+   its cost, its cost is its session tally's delta across it, and each
+   qprof.* counter moves by the sum of the contexts' costs. *)
 let prop_views_reconcile =
   QCheck.Test.make ~name:"every view of the ledger reconciles" ~count:40
     (QCheck.make ~print:print_views gen_views)
@@ -366,59 +362,59 @@ let prop_views_reconcile =
       Wet_obs.Sink.enable ();
       Fun.protect ~finally:Wet_obs.Sink.disable @@ fun () ->
       Metrics.reset ();
-      let sessions =
-        Array.init nsess (fun _ ->
-            let s, scope = open_scoped wet in
-            let g0 = Telemetry.snapshot ~tally:(W.Session.tally s) () in
-            Qprof.start ~scope "root";
-            (s, scope, g0))
-      in
-      let ok = ref true in
-      let check_profile (p : Qprof.profile) =
-        if rows_ledger p.Qprof.p_streams <> cost_ledger p.Qprof.p_total then
-          ok := false
-      in
-      List.iter
-        (fun (i, a) ->
-          let s, scope, _ = sessions.(i mod nsess) in
+      let sessions = Array.init nsess (fun _ -> open_scoped wet) in
+      let ok = ref true and profiles = ref [] in
+      (* Run [script] until an Open or a Close asks a session in
+         [opened] to finish its context; return the rest of the script
+         and that session. *)
+      let rec exec opened script =
+        match script with
+        | [] -> ([], None)
+        | (i, a) :: rest -> (
+          let i = i mod nsess in
+          let s, scope = sessions.(i) in
           match a with
-          | Open -> Qprof.start ~scope "nested"
-          | Close ->
-            if Qprof.depth ~scope > 1 then
-              check_profile (Qprof.finish ~scope "ok")
-          | Q q -> run_rq s q)
-        script;
-      let totals =
-        Array.map
-          (fun (s, scope, g0) ->
-            while Qprof.depth ~scope > 1 do
-              check_profile (Qprof.finish ~scope "ok")
-            done;
-            let root = Qprof.finish ~scope "ok" in
-            check_profile root;
-            (* armed by the root, the recorder went with it *)
-            if Ex.recording (W.Session.recorder s) then ok := false;
-            let d =
-              Telemetry.delta ~before:g0
-                ~after:(Telemetry.snapshot ~tally:(W.Session.tally s) ())
+          | Q q ->
+            run_rq s q;
+            exec opened rest
+          | (Open | Close) when List.mem i opened ->
+            ((if a = Close then rest else script), Some i)
+          | Close -> exec opened rest
+          | Open -> (
+            let tally = W.Session.tally s in
+            let g0 = Telemetry.snapshot ~tally () in
+            let (rest, closing), p =
+              Qprof.profiled ~scope "ctx" (fun () -> exec (i :: opened) rest)
             in
-            if cost_ledger root.Qprof.p_total <> delta_ledger d then ok := false;
-            d)
-          sessions
+            let d =
+              Telemetry.delta ~before:g0 ~after:(Telemetry.snapshot ~tally ())
+            in
+            if rows_ledger p.Qprof.p_streams <> cost_ledger p.Qprof.p_total
+               || cost_ledger p.Qprof.p_total <> delta_ledger d
+               || Ex.recording (W.Session.recorder s)
+            then ok := false;
+            profiles := p :: !profiles;
+            match closing with
+            | Some j when j = i -> exec opened rest
+            | _ -> (rest, closing)))
       in
+      ignore (exec [] script);
       let counter name = Metrics.value (Metrics.counter name) in
-      let sum f = Array.fold_left (fun a d -> a + f d) 0 totals in
+      let sum f =
+        List.fold_left (fun a (p : Qprof.profile) -> a + f p.Qprof.p_total)
+          0 !profiles
+      in
       List.iter
         (fun (suffix, f) ->
           if counter ("qprof." ^ suffix) <> sum f then ok := false)
         [
-          ("fwd_steps", fun d -> d.Telemetry.g_fwd);
-          ("bwd_steps", fun d -> d.Telemetry.g_bwd);
-          ("dir_switches", fun d -> d.Telemetry.g_switches);
-          ("seeks", fun d -> d.Telemetry.g_seeks);
-          ("seek_steps", fun d -> d.Telemetry.g_seek_steps);
+          ("fwd_steps", fun c -> c.Qprof.c_fwd);
+          ("bwd_steps", fun c -> c.Qprof.c_bwd);
+          ("dir_switches", fun c -> c.Qprof.c_switches);
+          ("seeks", fun c -> c.Qprof.c_seeks);
+          ("seek_steps", fun c -> c.Qprof.c_seek_steps);
         ];
-      !ok)
+      !ok && fst (latency ~keep:(( = ) "ctx") ()) = List.length !profiles)
 
 (* ------------------------------------------------------------------ *)
 (* qlog round trip                                                     *)
@@ -798,7 +794,6 @@ let test_analyze_sums () =
 let test_disabled () =
   let s, scope = open_scoped (Lazy.force w2) in
   let recorder = W.Session.recorder s in
-  Alcotest.(check bool) "no context" false (Qprof.active ~scope);
   Alcotest.(check bool) "explain disarmed" false (Ex.recording recorder);
   (* with the sink on, so that a recorded query would show *)
   Wet_obs.Sink.enable ();
@@ -823,11 +818,13 @@ let test_error_outcome () =
   Alcotest.(check bool) "Error result" true (res = Error Exit);
   Alcotest.(check bool) "error outcome" true
     (has_sub p.Qprof.p_outcome "error:");
-  Alcotest.(check int) "stack unwound" 0 (Qprof.depth ~scope);
   Alcotest.(check bool) "disarmed after unwind" false
     (Ex.recording (W.Session.recorder s));
   Alcotest.(check bool) "cost still physical" true
-    (Qprof.nonneg_cost p.Qprof.p_total)
+    (Qprof.nonneg_cost p.Qprof.p_total);
+  let res, p = Qprof.run ~scope "after" (fun () -> run_op s Cf) in
+  Alcotest.(check bool) "a new context starts after the error" true
+    (res = Ok () && p.Qprof.p_outcome = "ok")
 
 let () =
   Alcotest.run "wet_qprof"
