@@ -1328,10 +1328,7 @@ let fsck_cmd =
               | Error f -> corrupt_exit file f
               | Ok (w, _) ->
                 (match w.W.damage with
-                 | [] ->
-                   print_endline
-                     "salvage: nothing lost (damaged sections were \
-                      reconstructible)"
+                 | [] -> print_endline "salvage: nothing lost"
                  | damage ->
                    Printf.printf
                      "salvage: lost %s; all other sections recovered\n"

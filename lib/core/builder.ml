@@ -430,10 +430,8 @@ module Sink = struct
     mutable first_node : int;
     mutable last_node : int;
     mutable prev_proto : proto option;
-    (* fed-event counters for the resume watermark (the window ends
-       cover blocks/deps/paths; calls and returns need their own) *)
-    mutable calls_fed : int;
-    mutable rets_fed : int;
+    (* events fed, of every kind: the resume watermark *)
+    mutable fed : int;
     mutable events_since_flush : int;
     mutable shards : int;
   }
@@ -496,8 +494,7 @@ module Sink = struct
           first_node = -1;
           last_node = -1;
           prev_proto = None;
-          calls_fed = 0;
-          rets_fed = 0;
+          fed = 0;
           events_since_flush = 0;
           shards = 0;
         };
@@ -513,17 +510,9 @@ module Sink = struct
      meaningful at any quiescent point, i.e. from [on_shard_flushed]. *)
   let snapshot t = Marshal.to_string t.s []
 
-  (* The per-kind counts of events consumed so far: where a
-     fast-forwarded re-execution must start delivering again. *)
-  let watermark t : Wet_interp.Interp.watermark =
-    {
-      Wet_interp.Interp.wm_stmts = t.s.vals_fed;
-      wm_blocks = Win.end_ t.s.w_cd;
-      wm_deps = Win.end_ t.s.w_deps;
-      wm_paths = Win.end_ t.s.w_paths;
-      wm_calls = t.s.calls_fed;
-      wm_rets = t.s.rets_fed;
-    }
+  (* The number of events consumed so far: where a fast-forwarded
+     re-execution must start delivering again. *)
+  let watermark t = t.s.fed
 
   (* A sink rebuilt from a [snapshot]; [analysis] must come from the
      program the snapshot was built from. *)
@@ -531,7 +520,7 @@ module Sink = struct
     let s : state =
       try Marshal.from_string snapshot 0
       with Failure _ ->
-        Wet_error.fail Wet_error.Build "corrupt sink snapshot"
+        Wet_error.fail Wet_error.Journal "undecodable checkpoint record"
     in
     {
       analysis;
@@ -784,21 +773,27 @@ module Sink = struct
        durable build snapshots itself *)
     match t.on_shard_flushed with Some f -> f t | None -> ()
 
+  let feed t =
+    check_open t "feed";
+    t.s.fed <- t.s.fed + 1
+
+  (* Calls and returns patch buffered events; the rest count toward
+     the shard size. *)
   let bump t =
     t.s.events_since_flush <- t.s.events_since_flush + 1
 
   let feed_block t cd =
-    check_open t "feed";
+    feed t;
     Win.push t.s.w_cd cd;
     bump t
 
   let feed_dep t producer =
-    check_open t "feed";
+    feed t;
     Win.push t.s.w_deps producer;
     bump t
 
   let feed_value t v =
-    check_open t "feed";
+    feed t;
     Win.push t.s.w_vals v;
     t.s.vals_fed <- t.s.vals_fed + 1;
     bump t
@@ -806,26 +801,24 @@ module Sink = struct
   (* Shard boundaries land on path ends so the replay cursor can make
      progress on every flush. *)
   let feed_path t key =
-    check_open t "feed";
+    feed t;
     Win.push t.s.w_paths key;
     bump t;
     if t.s.events_since_flush >= t.shard_events then flush_shard t
 
   let feed_call t =
-    check_open t "feed";
+    feed t;
     Dyn.push t.s.pending_vpos t.s.vals_fed;
-    Dyn.push t.s.pending_slot (Win.end_ t.s.w_deps - 1);
-    t.s.calls_fed <- t.s.calls_fed + 1
+    Dyn.push t.s.pending_slot (Win.end_ t.s.w_deps - 1)
 
   let feed_ret t v producer =
-    check_open t "feed";
+    feed t;
     if Dyn.length t.s.pending_vpos = 0 then
       Wet_error.fail Wet_error.Build "return patch with no pending call";
     let vpos = Dyn.pop t.s.pending_vpos in
     let slot = Dyn.pop t.s.pending_slot in
     Win.set t.s.w_vals vpos v;
-    Win.set t.s.w_deps slot producer;
-    t.s.rets_fed <- t.s.rets_fed + 1
+    Win.set t.s.w_deps slot producer
 
   let events t =
     {
@@ -855,14 +848,12 @@ module Sink = struct
       arr
     in
     let ncopies = !(t.s.next_copy) in
+    (* the node of each copy, half of a label's sharing key *)
     let copy_node = Array.make ncopies 0 in
-    let copy_stmt = Array.make ncopies 0 in
-    let copy_uvals = Array.make ncopies None in
-    let copy_group = Array.make ncopies (-1) in
-    let copy_deps = Array.make ncopies [||] in
-    let copy_local_out = Array.make ncopies [] in
-    let copy_remote_out = Array.make ncopies [] in
-    let stmt_copies = Array.make (Program.num_stmts prog) [] in
+    Array.iter
+      (fun p ->
+        Array.fill copy_node p.p_copy_base (Array.length p.p_stmts) p.p_id)
+      protos;
     (* shared label records *)
     let next_label = ref 0 in
     (* Sharing identical label sequences between the same node pair
@@ -910,45 +901,21 @@ module Sink = struct
         match producers with
         | [] -> Wet.No_dep
         | _ ->
-          let edges =
-            List.map
-              (fun pc ->
-                let lb = Hashtbl.find st.edges (gid, pc) in
-                let labels = mk_labels copy_node.(pc) p.p_id lb in
-                { Wet.e_src = pc; e_dst = dst_copy; e_slot = slot;
-                  e_labels = labels })
-              producers
-          in
-          List.iter
-            (fun e ->
-              copy_remote_out.(e.Wet.e_src) <-
-                e :: copy_remote_out.(e.Wet.e_src))
-            edges;
-          Wet.Remote edges
+          Wet.Remote
+            (List.map
+               (fun pc ->
+                 let lb = Hashtbl.find st.edges (gid, pc) in
+                 let labels = mk_labels copy_node.(pc) p.p_id lb in
+                 { Wet.e_src = pc; e_dst = dst_copy; e_slot = slot;
+                   e_labels = labels })
+               producers)
       end
       else if st.st_count.(gid) = 0 then Wet.No_dep
       else begin
-        let producer = st.st_prod.(gid) in
         local_dep_instances := !local_dep_instances + st.st_count.(gid);
-        copy_local_out.(producer) <- dst_copy :: copy_local_out.(producer);
-        Wet.Local producer
+        Wet.Local st.st_prod.(gid)
       end
     in
-    (* copy-level tables must exist before finalize_slot reads
-       [copy_node] for producers, so fill them first *)
-    Array.iter
-      (fun p ->
-        Array.iteri
-          (fun o stmt ->
-            let c = p.p_copy_base + o in
-            copy_node.(c) <- p.p_id;
-            copy_stmt.(c) <- stmt;
-            copy_group.(c) <- p.p_offset_group.(o);
-            stmt_copies.(stmt) <- c :: stmt_copies.(stmt);
-            if Instr.has_def p.p_instrs.(o) then
-              copy_uvals.(c) <- Some (raw (Dyn.to_array p.p_uvals.(o))))
-          p.p_stmts)
-      protos;
     let nodes =
       Array.map
         (fun p ->
@@ -999,11 +966,15 @@ module Sink = struct
           })
         protos
     in
+    let copy_uvals = Array.make ncopies None in
+    let copy_deps = Array.make ncopies [||] in
     Array.iter
       (fun p ->
         Array.iteri
           (fun o _ ->
             let c = p.p_copy_base + o in
+            if Instr.has_def p.p_instrs.(o) then
+              copy_uvals.(c) <- Some (raw (Dyn.to_array p.p_uvals.(o)));
             copy_deps.(c) <-
               Array.init p.p_slot_count.(o) (fun s ->
                   finalize_slot p (p.p_slot_base.(o) + s) ~dst_copy:c ~slot:s))
@@ -1041,24 +1012,11 @@ module Sink = struct
         shared_label_values = !shared_label_values;
       }
     in
-    {
-      Wet.program = prog;
-      analysis;
-      nodes;
-      copy_node;
-      copy_stmt;
-      copy_uvals;
-      copy_group;
-      copy_deps;
-      copy_local_out;
-      copy_remote_out;
-      stmt_copies;
-      first_node = (if t.s.first_node < 0 then 0 else t.s.first_node);
-      last_node = (if t.s.last_node < 0 then 0 else t.s.last_node);
-      stats;
-      tier = `Tier1;
-      damage = [];
-    }
+    Wet.make ~program:prog ~analysis ~nodes ~copy_uvals
+      ~copy_deps
+      ~first_node:(max 0 t.s.first_node)
+      ~last_node:(max 0 t.s.last_node)
+      ~stats ~tier:`Tier1 ~damage:[]
 
   let finish t =
     check_open t "finish";
@@ -1122,20 +1080,16 @@ let pack_tier2 (w : Wet.t) : Wet.t =
       Hashtbl.replace label_memo l.Wet.l_id l';
       l'
   in
-  let edge_memo = Hashtbl.create 1024 in
-  let pack_edge (e : Wet.edge) =
-    let key = (e.Wet.e_src, e.Wet.e_dst, e.Wet.e_slot) in
-    match Hashtbl.find_opt edge_memo key with
-    | Some e' -> e'
-    | None ->
-      let e' = { e with Wet.e_labels = pack_labels e.Wet.e_labels } in
-      Hashtbl.replace edge_memo key e';
-      e'
-  in
+  (* each edge sits in one dependence source; [Wet.make] indexes the
+     packed ones afresh *)
   let pack_source = function
-    | Wet.No_dep -> Wet.No_dep
-    | Wet.Local c -> Wet.Local c
-    | Wet.Remote edges -> Wet.Remote (List.map pack_edge edges)
+    | Wet.Remote edges ->
+      Wet.Remote
+        (List.map
+           (fun (e : Wet.edge) ->
+             { e with Wet.e_labels = pack_labels e.Wet.e_labels })
+           edges)
+    | s -> s
   in
   let nodes =
     Array.map
@@ -1152,14 +1106,11 @@ let pack_tier2 (w : Wet.t) : Wet.t =
         })
       w.Wet.nodes
   in
-  {
-    w with
-    Wet.nodes;
-    copy_uvals = Array.map (Option.map pack_seq) w.Wet.copy_uvals;
-    copy_deps = Array.map (Array.map pack_source) w.Wet.copy_deps;
-    copy_remote_out = Array.map (List.map pack_edge) w.Wet.copy_remote_out;
-    tier = `Tier2;
-  }
+  Wet.make ~program:w.Wet.program ~analysis:w.Wet.analysis ~nodes
+    ~copy_uvals:(Array.map (Option.map pack_seq) w.Wet.copy_uvals)
+    ~copy_deps:(Array.map (Array.map pack_source) w.Wet.copy_deps)
+    ~first_node:w.Wet.first_node ~last_node:w.Wet.last_node
+    ~stats:w.Wet.stats ~tier:`Tier2 ~damage:w.Wet.damage
 
 let pack w = Wet_obs.Span.with_ "build.tier2" (fun () -> pack_tier2 w)
 
@@ -1193,15 +1144,15 @@ module Checkpoint = struct
 
   let fail fmt = Wet_error.fail Wet_error.Journal fmt
 
-  (* The layout of the marshalled [header], [ckpt] and [Sink.state]
-     records, written as a line in front of the header record's Marshal
-     payload. Marshal checks no types: a journal of another layout
-     would unmarshal into a value of the wrong type, so nothing is
+  (* The layout of the marshalled [header] and [Sink.state] records,
+     written as a line in front of the header record's Marshal payload.
+     Marshal checks no types: a journal of another layout would
+     unmarshal into a value of the wrong type, so nothing is
      unmarshalled from a journal whose header names another layout, or
-     none. Bump it with any change to those three records;
-     test_journal's golden digest fails until it is bumped and the
-     digest re-recorded. *)
-  let layout = "wet-journal-layout/3"
+     none. Bump it with any change to those two records; test_journal's
+     golden digest fails until it is bumped and the digest
+     re-recorded. *)
+  let layout = "wet-journal-layout/4"
 
   (* The layout line a header payload starts with, and the offset of
      the Marshal bytes after it. Journals written before the layout was
@@ -1223,16 +1174,6 @@ module Checkpoint = struct
     h_label : string;
   }
 
-  (* One durable point of the build. The snapshot carries the full sink
-     state (pending-call LIFO and live keep-set included); the watermark
-     and the shard count ride alongside: resume restarts the interpreter
-     at the one and reports the other as fast-forwarded. *)
-  type ckpt = {
-    c_snapshot : string;
-    c_watermark : Wet_interp.Interp.watermark;
-    c_shards : int;
-  }
-
   type resumed = {
     r_wet : Wet.t;
     r_header : header;
@@ -1241,16 +1182,14 @@ module Checkpoint = struct
     r_resume_ms : float;
   }
 
+  (* One durable point of the build: a checkpoint record's payload is
+     the sink's snapshot, the full sink state (pending-call LIFO, live
+     keep-set, event and shard counts included). Resume restarts the
+     interpreter at the restored sink's watermark and reports its shard
+     count as fast-forwarded. *)
   let append_checkpoint w ~checkpoint_every sink =
     if Sink.shard_count sink mod checkpoint_every = 0 then
-      let c =
-        {
-          c_snapshot = Sink.snapshot sink;
-          c_watermark = Sink.watermark sink;
-          c_shards = Sink.shard_count sink;
-        }
-      in
-      J.append w ~tag:tag_checkpoint (Marshal.to_string c [])
+      J.append w ~tag:tag_checkpoint (Sink.snapshot sink)
 
   (* Run the interpretation with [sink], journaling a checkpoint per
      flushed shard, and close the writer even when an injected kill (or
@@ -1335,10 +1274,7 @@ module Checkpoint = struct
       (fun _acc (r : J.record) ->
         if r.J.tag <> tag_checkpoint then
           fail "unknown journal record tag %d" r.J.tag
-        else
-          match (Marshal.from_string r.J.payload 0 : ckpt) with
-          | c -> Some c
-          | exception Failure _ -> fail "undecodable checkpoint record")
+        else Some r.J.payload)
       None rest
 
   let resume ~journal () =
@@ -1373,22 +1309,20 @@ module Checkpoint = struct
     let on_caught_up () =
       caught_ms := float_of_int (Wet_obs.Clock.now_ns () - t0) /. 1e6
     in
-    let sink, resume_at, replayed =
+    let sink =
       match ckpt with
       | None ->
         (* header only: nothing checkpointed, rebuild from the start *)
-        ( Sink.create ~shard_events:header.h_shard_events analysis,
-          None,
-          0 )
-      | Some c ->
-        ( Sink.resume_from ~shard_events:header.h_shard_events
-            ~snapshot:c.c_snapshot analysis,
-          Some c.c_watermark,
-          c.c_shards )
+        Sink.create ~shard_events:header.h_shard_events analysis
+      | Some snapshot ->
+        Sink.resume_from ~shard_events:header.h_shard_events ~snapshot
+          analysis
     in
+    let replayed = Sink.shard_count sink in
     let wet =
       Wet_obs.Span.with_ "build.resume" (fun () ->
-          drive w ~header ?resume_at ~on_caught_up sink)
+          drive w ~header ~resume_at:(Sink.watermark sink) ~on_caught_up
+            sink)
     in
     J.note_replayed_shards replayed;
     J.note_resume_ms !caught_ms;

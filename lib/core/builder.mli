@@ -104,15 +104,15 @@ val run_streaming :
     needs nothing else) and then one checkpoint record per flushed
     shard, taken with the sink quiescent (replay caught up, windows
     trimmed): a marshalled snapshot of everything the sink has learned,
-    plus its watermark, the per-kind counts of events it has consumed.
-    Every record is CRC'd and fsync'd before the build proceeds, so a
-    crash at any byte loses at most the work since the last flushed
-    shard.
+    its watermark (the number of events it has consumed) and shard
+    count included. Every record is CRC'd and fsync'd before the build
+    proceeds, so a crash at any byte loses at most the work since the
+    last flushed shard.
 
     {!Checkpoint.resume} reads the longest intact journal prefix,
     truncates any torn tail (never trusting it), restores the last
     checkpoint's snapshot, and re-executes the program deterministically
-    with events below the watermark suppressed
+    with the events the restored sink already consumed suppressed
     ({!Wet_interp.Interp.fast_forward}). The result is byte-identical
     to an uninterrupted build — the invariant the kill-campaign tests
     enforce. Recovery keeps checkpointing into the same journal, so a

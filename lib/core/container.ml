@@ -12,8 +12,13 @@ module Crc32 = Wet_util.Crc32
    be read as the wrong constructor.
    v6: a packed stream no longer carries its four traversal counters
    (steps are counted in the reading session's ledger), so a v5 packed
-   body would be read with four words too many. *)
-let format_version = 6
+   body would be read with four words too many.
+   v7: six sections, each fact stored once. [analysis], [copy.map],
+   [index.out] and [index.stmts] are gone (the loader derives them),
+   the nodes' control sources moved from [graph.nodes] to
+   [labels.deps], and [meta] lost the counts and the tier the other
+   sections and the header already hold. *)
+let format_version = 7
 
 let magic = "WETOCaml"
 
@@ -81,19 +86,15 @@ exception Fail of fault
 let fail f = raise (Fail f)
 
 let required = function
-  | "meta" | "program" | "analysis" | "graph.nodes" | "copy.map" -> true
+  | "meta" | "program" | "graph.nodes" -> true
   | _ -> false
 
-(* The [meta] section: everything needed to size placeholder arrays for
-   salvage, plus the damage a previous salvage already recorded. *)
+(* The [meta] section: the scalars no other section holds, plus the
+   damage a previous salvage already recorded. *)
 type meta = {
-  m_tier : [ `Tier1 | `Tier2 ];
   m_first : int;
   m_last : int;
   m_stats : Wet.stats;
-  m_nnodes : int;
-  m_ncopies : int;
-  m_nstmts : int;
   m_damage : string list;
 }
 
@@ -107,33 +108,30 @@ let sections_of (w : Wet.t) =
   let mar v = Marshal.to_string v [] in
   let meta =
     {
-      m_tier = w.Wet.tier;
       m_first = w.Wet.first_node;
       m_last = w.Wet.last_node;
       m_stats = w.Wet.stats;
-      m_nnodes = Array.length w.Wet.nodes;
-      m_ncopies = Array.length w.Wet.copy_node;
-      m_nstmts = Array.length w.Wet.stmt_copies;
       m_damage = w.Wet.damage;
     }
   in
-  (* Timestamps live in their own section: the graph is stored with
-     empty placeholder streams and re-spliced on load. *)
+  (* Timestamps and control sources live in their label sections: the
+     graph is stored with placeholders and re-spliced on load. The
+     control sources share one payload with the copies' dependence
+     slots, so a label record both reach is marshalled once. *)
   let stripped =
-    Array.map (fun n -> { n with Wet.n_ts = empty_seq () }) w.Wet.nodes
+    Array.map
+      (fun n -> { n with Wet.n_ts = empty_seq (); n_cd = [||] })
+      w.Wet.nodes
   in
   let all =
     [
       ("meta", mar meta);
       ("program", mar w.Wet.program);
-      ("analysis", mar w.Wet.analysis);
       ("graph.nodes", mar stripped);
-      ("copy.map", mar (w.Wet.copy_node, w.Wet.copy_stmt, w.Wet.copy_group));
       ("labels.ts", mar (Array.map (fun n -> n.Wet.n_ts) w.Wet.nodes));
       ("labels.values", mar w.Wet.copy_uvals);
-      ("labels.deps", mar w.Wet.copy_deps);
-      ("index.out", mar (w.Wet.copy_local_out, w.Wet.copy_remote_out));
-      ("index.stmts", mar w.Wet.stmt_copies);
+      ( "labels.deps",
+        mar (Array.map (fun n -> n.Wet.n_cd) w.Wet.nodes, w.Wet.copy_deps) );
     ]
   in
   List.filter (fun (n, _) -> not (List.mem n w.Wet.damage)) all
@@ -306,33 +304,6 @@ let examine s = try Ok (examine_exn s) with Fail f -> Error f
 (* Assembly                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Re-intern label sharing lost by per-section marshalling: edges that
-   shared one [labels] record before the save (across [copy_deps],
-   [copy_remote_out] and the nodes' control-dependence slots) share one
-   again after it, keyed by [l_id]. *)
-let reshare (nodes : Wet.node array) copy_deps copy_remote_out =
-  let memo = Hashtbl.create 256 in
-  let labels (l : Wet.labels) =
-    match Hashtbl.find_opt memo l.Wet.l_id with
-    | Some l' -> l'
-    | None ->
-      Hashtbl.add memo l.Wet.l_id l;
-      l
-  in
-  let edge (e : Wet.edge) = { e with Wet.e_labels = labels e.Wet.e_labels } in
-  let source = function
-    | Wet.Remote es -> Wet.Remote (List.map edge es)
-    | s -> s
-  in
-  Array.iter
-    (fun (n : Wet.node) ->
-      Array.iteri (fun i s -> n.Wet.n_cd.(i) <- source s) n.Wet.n_cd)
-    nodes;
-  Array.iter (fun slots -> Array.iteri (fun i s -> slots.(i) <- source s) slots)
-    copy_deps;
-  Array.iteri (fun c es -> copy_remote_out.(c) <- List.map edge es)
-    copy_remote_out
-
 let decode_exn ~salvage s =
   let health = examine_exn s in
   if not salvage then begin
@@ -377,29 +348,25 @@ let decode_exn ~salvage s =
   in
   let meta : meta = req "meta" in
   let program : Wet_ir.Program.t = req "program" in
-  let analysis : Wet_cfg.Program_analysis.t = req "analysis" in
-  let nodes : Wet.node array = req "graph.nodes" in
-  let copy_node, copy_stmt, copy_group =
-    (req "copy.map" : int array * int array * int array)
+  if Wet_ir.Validate.errors program <> [] then
+    fail (Malformed "program fails validation");
+  let analysis =
+    try Wet_cfg.Program_analysis.of_program program
+    with Invalid_argument m | Failure m ->
+      fail (Malformed ("program does not analyse: " ^ m))
+    | Not_found -> fail (Malformed "program does not analyse")
   in
-  let ncopies = meta.m_ncopies in
-  if Array.length nodes <> meta.m_nnodes then
-    fail (Malformed "graph.nodes disagrees with meta node count");
-  if
-    Array.length copy_node <> ncopies
-    || Array.length copy_stmt <> ncopies
-    || Array.length copy_group <> ncopies
-  then fail (Malformed "copy.map disagrees with meta copy count");
-  Array.iter
-    (fun nid ->
-      if nid < 0 || nid >= meta.m_nnodes then
-        fail (Malformed "copy.map references a node out of range"))
-    copy_node;
+  let nodes : Wet.node array = req "graph.nodes" in
+  let nnodes = Array.length nodes in
+  let ncopies =
+    Array.fold_left (fun a (n : Wet.node) -> a + Array.length n.Wet.n_stmts)
+      0 nodes
+  in
   let nodes =
     opt "labels.ts"
       ~default:(fun () -> nodes)
       ~use:(fun (ts : Wet.seq array) ->
-        if Array.length ts <> Array.length nodes then
+        if Array.length ts <> nnodes then
           fail (Malformed "labels.ts disagrees with the node count");
         Array.mapi (fun i n -> { n with Wet.n_ts = ts.(i) }) nodes)
   in
@@ -411,63 +378,24 @@ let decode_exn ~salvage s =
           fail (Malformed "labels.values disagrees with the copy count");
         u)
   in
-  let copy_deps =
+  let nodes, copy_deps =
     opt "labels.deps"
-      ~default:(fun () -> Array.make ncopies [||])
-      ~use:(fun (d : Wet.dep_source array array) ->
+      ~default:(fun () -> (nodes, Array.make ncopies [||]))
+      ~use:(fun ((cd, d) : Wet.dep_source array array
+                            * Wet.dep_source array array) ->
+        if Array.length cd <> nnodes then
+          fail (Malformed "labels.deps disagrees with the node count");
         if Array.length d <> ncopies then
           fail (Malformed "labels.deps disagrees with the copy count");
-        d)
+        (Array.mapi (fun i n -> { n with Wet.n_cd = cd.(i) }) nodes, d))
   in
-  let copy_local_out, copy_remote_out =
-    opt "index.out"
-      ~default:(fun () -> (Array.make ncopies [], Array.make ncopies []))
-      ~use:(fun ((l, r) : Wet.copy_id list array * Wet.edge list array) ->
-        if Array.length l <> ncopies || Array.length r <> ncopies then
-          fail (Malformed "index.out disagrees with the copy count");
-        (l, r))
-  in
-  (* [index.stmts] is fully reconstructible from the copy map, so its
-     loss costs nothing and is not recorded as damage. *)
-  let rebuild_stmt_index () =
-    (* same order the builder produces: descending copy ids *)
-    let a = Array.make meta.m_nstmts [] in
-    for c = 0 to ncopies - 1 do
-      let st = copy_stmt.(c) in
-      if st >= 0 && st < meta.m_nstmts then a.(st) <- c :: a.(st)
-    done;
-    a
-  in
-  let stmt_copies =
-    match find "index.stmts" with
-    | Some ({ sec_fault = None; _ } as st) -> (
-      match (unmarshal "index.stmts" st : Wet.copy_id list array) with
-      | a when Array.length a = meta.m_nstmts -> a
-      | _ -> rebuild_stmt_index ()
-      | exception Fail f -> if salvage then rebuild_stmt_index () else fail f)
-    | Some { sec_fault = Some _; _ } | None -> rebuild_stmt_index ()
-  in
-  reshare nodes copy_deps copy_remote_out;
-  let damage = List.sort_uniq compare (meta.m_damage @ !damage) in
   let w =
-    {
-      Wet.program;
-      analysis;
-      nodes;
-      copy_node;
-      copy_stmt;
-      copy_uvals;
-      copy_group;
-      copy_deps;
-      copy_local_out;
-      copy_remote_out;
-      stmt_copies;
-      first_node = meta.m_first;
-      last_node = meta.m_last;
-      stats = meta.m_stats;
-      tier = meta.m_tier;
-      damage;
-    }
+    try
+      Wet.make ~program ~analysis ~nodes ~copy_uvals ~copy_deps
+        ~first_node:meta.m_first ~last_node:meta.m_last ~stats:meta.m_stats
+        ~tier:health.hl_tier
+        ~damage:(List.sort_uniq compare (meta.m_damage @ !damage))
+    with Invalid_argument m -> fail (Malformed m)
   in
   (w, health)
 

@@ -1,23 +1,24 @@
-(** The sectioned, checksummed WET container format (version 5).
+(** The sectioned, checksummed WET container format (version 7).
 
-    The previous format was a bare [Marshal] dump behind an 8-byte
-    magic: one flipped bit meant [Failure], garbage data, or a segfault
-    deep inside the unmarshaller. Version 2 is self-describing — a fixed
-    header (magic, version, tier, flags), a section table with one entry
-    per logical payload (offset, length, CRC-32), the payloads, and a
-    whole-file footer checksum — so a damaged file is {e diagnosable}:
-    corruption is detected before unmarshalling and attributed to the
-    section it hit, and every intact section can still be loaded.
-    Versions 3 to 5 keep the same layout; each bump fences off the
-    previous version's stream payloads, whose marshalled shape changed
-    (a CRC cannot catch that mismatch): v3 added stream telemetry, v4
-    split a stream into body and default cursor, v5 made a stream its
-    bare body.
+    The first format was a bare [Marshal] dump behind an 8-byte magic:
+    one flipped bit meant [Failure], garbage data, or a segfault deep
+    inside the unmarshaller. Since version 2 a container is
+    self-describing — a fixed header (magic, version, tier, flags), a
+    section table with one entry per logical payload (offset, length,
+    CRC-32), the payloads, and a whole-file footer checksum — so a
+    damaged file is {e diagnosable}: corruption is detected before
+    unmarshalling and attributed to the section it hit, and every
+    intact section can still be loaded. Each later version fences off
+    payloads whose marshalled shape changed (a CRC cannot catch that
+    mismatch): v3 added stream telemetry, v4 split a stream into body
+    and default cursor, v5 made a stream its bare body, v6 dropped a
+    packed stream's traversal counters, and v7 stores each fact once in
+    six sections. Older versions are refused with a message to rebuild.
 
     Layout (all integers big-endian):
     {v
     0   "WETOCaml"                      8-byte magic
-    8   version                         u32 (= 5)
+    8   version                         u32 (= 7)
     12  tier                            u8 (1 | 2)
     13  flags                           u8 (reserved, 0)
     14  section count                   u32
@@ -32,14 +33,26 @@
     v}
 
     Sections, in file order (the required ones first, so a truncated
-    tail loses only salvageable data): [meta], [program], [analysis],
-    [graph.nodes], [copy.map] — required — then [labels.ts],
-    [labels.values], [labels.deps], [index.out], [index.stmts].
+    tail loses only salvageable data):
+    {ul
+    {- [meta] (required): first and last node, build statistics, and
+       the damage an earlier salvage recorded;}
+    {- [program] (required): the program the trace ran;}
+    {- [graph.nodes] (required): the nodes, without their timestamps
+       and control sources;}
+    {- [labels.ts]: each node's timestamp stream;}
+    {- [labels.values]: each copy's unique values;}
+    {- [labels.deps]: each node's control sources and each copy's
+       dependence slots, in one payload, so a label record both share
+       is stored once.}}
     Each payload is Marshal-encoded individually, so a bad section is
-    isolated. [index.stmts] is reconstructed from [copy.map] when lost;
-    the other salvageable sections are replaced by placeholders and
-    recorded in {!Wet.t.damage}. Saving a salvaged WET omits its damaged
-    sections and records them in [meta], so damage survives round trips
+    isolated. Nothing derivable is stored: the loader derives the
+    program's analysis ({!Wet_cfg.Program_analysis.of_program}, once
+    the program passes {!Wet_ir.Validate}) and the copy tables and
+    indexes ({!Wet.make}), with the code that built them. A lost
+    salvageable section is replaced by placeholders and recorded in
+    {!Wet.t.damage}. Saving a salvaged WET omits its damaged sections
+    and records them in [meta], so damage survives round trips
     honestly. *)
 
 (** Why a container (or one of its sections) cannot be trusted. *)
@@ -102,6 +115,10 @@ val examine : string -> (health, fault) result
     order, then the footer. With [~salvage:true], every intact section
     is loaded, damaged salvageable sections become placeholders recorded
     in {!Wet.t.damage}, and only a fault in a {!required} section (or
-    the header) is an error. Either way the result's label sharing is
-    re-interned and no cursor is moved. *)
+    the header) is an error. In both modes, checksummed sections that
+    disagree with each other (node copy ranges that do not tile the
+    copies, statements, group members, edge endpoints, [Local]
+    producers or the first or last node out of range, a program that
+    fails validation) are
+    [Error (Malformed _)], never an exception. No cursor is moved. *)
 val decode : ?salvage:bool -> string -> (Wet.t * health, fault) result

@@ -1,6 +1,7 @@
 module Instr = Wet_ir.Instr
 module Ex = Wet_watch.Explain
 module S = Wet.Session
+module Cursor = Wet_bistream.Stream.Cursor
 
 type direction = Forward | Backward
 
@@ -39,8 +40,8 @@ module Session = struct
     Array.iter
       (fun (n : Wet.node) ->
         match dir with
-        | Forward -> S.ts_seek s n 0
-        | Backward -> S.ts_seek s n n.Wet.n_nexec)
+        | Forward -> Cursor.seek (S.ts_cursor s n) 0
+        | Backward -> Cursor.seek (S.ts_cursor s n) n.Wet.n_nexec)
       t.Wet.nodes
 
   let control_flow s dir ~f =
@@ -53,7 +54,7 @@ module Session = struct
       match dir with
       | Forward ->
         let cur = ref t.Wet.nodes.(t.Wet.first_node) in
-        ignore (S.ts_step_forward s !cur);
+        ignore (Cursor.step_forward (S.ts_cursor s !cur));
         emit_blocks f !cur;
         blocks := Array.length !cur.Wet.n_blocks;
         for ts = 2 to total do
@@ -63,8 +64,8 @@ module Session = struct
             (fun sc ->
               if !next = None then begin
                 let n = t.Wet.nodes.(sc) in
-                if S.ts_pos s n < n.Wet.n_nexec
-                   && S.ts_peek_forward s n = ts
+                let c = S.ts_cursor s n in
+                if Cursor.pos c < n.Wet.n_nexec && Cursor.peek_forward c = ts
                 then next := Some n
               end)
             !cur.Wet.n_succs;
@@ -73,14 +74,14 @@ module Session = struct
             Wet_error.fail Query
               "control_flow: timestamp chain broken (cursors parked?)"
           | Some n ->
-            ignore (S.ts_step_forward s n);
+            ignore (Cursor.step_forward (S.ts_cursor s n));
             emit_blocks f n;
             blocks := !blocks + Array.length n.Wet.n_blocks;
             cur := n
         done
       | Backward ->
         let cur = ref t.Wet.nodes.(t.Wet.last_node) in
-        ignore (S.ts_step_backward s !cur);
+        ignore (Cursor.step_backward (S.ts_cursor s !cur));
         emit_blocks_rev f !cur;
         blocks := Array.length !cur.Wet.n_blocks;
         for ts = total - 1 downto 1 do
@@ -89,7 +90,8 @@ module Session = struct
             (fun pr ->
               if !next = None then begin
                 let n = t.Wet.nodes.(pr) in
-                if S.ts_pos s n > 0 && S.ts_peek_backward s n = ts then
+                let c = S.ts_cursor s n in
+                if Cursor.pos c > 0 && Cursor.peek_backward c = ts then
                   next := Some n
               end)
             !cur.Wet.n_preds;
@@ -98,7 +100,7 @@ module Session = struct
             Wet_error.fail Query
               "control_flow: timestamp chain broken (cursors parked?)"
           | Some n ->
-            ignore (S.ts_step_backward s n);
+            ignore (Cursor.step_backward (S.ts_cursor s n));
             emit_blocks_rev f n;
             blocks := !blocks + Array.length n.Wet.n_blocks;
             cur := n
@@ -122,7 +124,7 @@ module Session = struct
       Array.iter
         (fun (n : Wet.node) ->
           if !found = None then
-            match S.ts_find s n ts with
+            match Cursor.find_ascending (S.ts_cursor s n) ts with
             | Some i -> found := Some (n.Wet.n_id, i)
             | None -> ())
         t.Wet.nodes;
@@ -140,7 +142,7 @@ module Session = struct
       let blocks = ref 0 in
       let cur = ref t.Wet.nodes.(nid) in
       (* position the start node's cursor just past its matching ts *)
-      S.ts_seek s !cur (i + 1);
+      Cursor.seek (S.ts_cursor s !cur) (i + 1);
       emit_blocks f !cur;
       blocks := Array.length !cur.Wet.n_blocks;
       let last = min total (start_ts + steps) in
@@ -151,9 +153,10 @@ module Session = struct
             if !next = None then begin
               let n = t.Wet.nodes.(sc) in
               (* neighbours may be parked anywhere: locate ts directly *)
-              match S.ts_find s n ts with
+              let c = S.ts_cursor s n in
+              match Cursor.find_ascending c ts with
               | Some j ->
-                S.ts_seek s n (j + 1);
+                Cursor.seek c (j + 1);
                 next := Some n
               | None -> ()
             end)
@@ -203,21 +206,6 @@ module Session = struct
         done)
       mems;
     !count
-
-  let fold_control_flow s dir ~init ~f =
-    let acc = ref init in
-    ignore (control_flow s dir ~f:(fun func block -> acc := f !acc func block));
-    !acc
-
-  let fold_loads s ~init ~f =
-    let acc = ref init in
-    ignore (load_values s ~f:(fun c v -> acc := f !acc c v));
-    !acc
-
-  let fold_addresses s ~init ~f =
-    let acc = ref init in
-    ignore (addresses s ~f:(fun c a -> acc := f !acc c a));
-    !acc
 end
 
 (* ------------------------------------------------------------------ *)

@@ -16,11 +16,9 @@
       {!estimate}): read only the immutable container, no session
       needed.
 
-    The callback extractions ([control_flow],
-    [load_values], [addresses], …) push every instance into an effectful
-    [f] and return only a count, which keeps the extraction loops
-    allocation-free; the fold wrappers ([fold_control_flow], …) thread
-    an accumulator through the same traversals. *)
+    The extractions ([control_flow], [load_values], [addresses], …)
+    push every instance into an effectful [f] and return only a count,
+    which keeps the extraction loops allocation-free. *)
 
 type direction = Forward | Backward
 
@@ -77,18 +75,6 @@ module Session : sig
       timestamp cursors wherever the walk needs them. *)
   val control_flow_from :
     Wet.session -> start_ts:int -> steps:int -> f:(int -> int -> unit) -> int
-
-  (** Fold variants of the extractions above, threading an
-      accumulator. *)
-
-  val fold_control_flow :
-    Wet.session -> direction -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
-
-  val fold_loads :
-    Wet.session -> init:'a -> f:('a -> Wet.copy_id -> int -> 'a) -> 'a
-
-  val fold_addresses :
-    Wet.session -> init:'a -> f:('a -> Wet.copy_id -> int -> 'a) -> 'a
 end
 
 (** {1 Structure lookups and cost estimation}

@@ -153,7 +153,7 @@ module Session = struct
 
   let forward ?max_instances ?f s c0 i0 =
     let t = S.wet s in
-    need t "index.out";
+    need t "labels.deps";
     check_criterion "slice.forward" t (c0, i0);
     Ex.query ~recorder:(S.recorder s) "slice.forward";
     let expand c i push =

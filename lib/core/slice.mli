@@ -43,7 +43,10 @@ module Session : sig
   (** [forward s c i] is the forward WET slice: the instances whose
       computation instance [i] of copy [c] influenced. Control
       dependence is followed at block granularity (the block's first
-      statement copy stands for the block). *)
+      statement copy stands for the block). The walk reads the
+      out-edges {!Wet.make} derives from the dependence sources, so it
+      raises {!Wet.Missing_stream} ["labels.deps"] when that section
+      was salvaged away, as {!backward} does. *)
   val forward :
     ?max_instances:int ->
     ?f:(Wet.copy_id -> int -> unit) ->

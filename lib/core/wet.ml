@@ -119,6 +119,110 @@ let instr_of_copy t c = Wet_ir.Program.instr t.program t.copy_stmt.(c)
 let copies_of_stmt t s = t.stmt_copies.(s)
 
 (* ------------------------------------------------------------------ *)
+(* Assembly: the stored parts, and the indexes derived from them      *)
+(* ------------------------------------------------------------------ *)
+
+(* The copy tables and indexes follow from the nodes and the
+   dependence sources. The builder, the packer and the container all
+   assemble a WET here, so the lists come out in one order: the
+   nodes' control sources (node by node, block by block) before the
+   copies' slots (copy by copy, slot by slot), each reference consed
+   in turn. Everything read here is checked before use, so inconsistent
+   input is an [Invalid_argument], never an index fault. *)
+let make ~program ~analysis ~nodes ~copy_uvals ~copy_deps ~first_node
+    ~last_node ~stats ~tier ~damage =
+  let bad fmt = Printf.ksprintf invalid_arg fmt in
+  let ncopies = Array.length copy_deps in
+  let nstmts = Wet_ir.Program.num_stmts program in
+  if Array.length copy_uvals <> ncopies then
+    bad "%d value slots for %d copies" (Array.length copy_uvals) ncopies;
+  let copy_node = Array.make ncopies 0 in
+  let copy_stmt = Array.make ncopies 0 in
+  let copy_group = Array.make ncopies (-1) in
+  let stmt_copies = Array.make nstmts [] in
+  let next = ref 0 in
+  Array.iteri
+    (fun id n ->
+      let len = Array.length n.n_stmts in
+      if n.n_copy_base <> !next || !next + len > ncopies then
+        bad "node %d: copies [%d,%d) do not tile [0,%d)" id n.n_copy_base
+          (n.n_copy_base + len) ncopies;
+      next := !next + len;
+      Array.iteri
+        (fun o st ->
+          if st < 0 || st >= nstmts then
+            bad "node %d: statement %d outside [0,%d)" id st nstmts;
+          let c = n.n_copy_base + o in
+          copy_node.(c) <- id;
+          copy_stmt.(c) <- st;
+          stmt_copies.(st) <- c :: stmt_copies.(st))
+        n.n_stmts;
+      Array.iteri
+        (fun g grp ->
+          Array.iter
+            (fun m ->
+              if m < n.n_copy_base || m >= !next then
+                bad "node %d: group member %d outside the node" id m;
+              copy_group.(m) <- g)
+            grp.g_members)
+        n.n_groups)
+    nodes;
+  if !next <> ncopies then bad "nodes hold %d copies, not %d" !next ncopies;
+  let nnodes = Array.length nodes in
+  let node n = n >= 0 && n < nnodes in
+  if nnodes > 0 && not (node first_node && node last_node) then
+    bad "first and last nodes (%d,%d) outside [0,%d)" first_node last_node
+      nnodes;
+  let copy_local_out = Array.make ncopies [] in
+  let copy_remote_out = Array.make ncopies [] in
+  let copy c = c >= 0 && c < ncopies in
+  let index dst = function
+    | No_dep -> ()
+    | Local p ->
+      if not (copy p) then bad "local producer %d out of range" p;
+      copy_local_out.(p) <- dst :: copy_local_out.(p)
+    | Remote es ->
+      List.iter
+        (fun e ->
+          if not (copy e.e_src && copy e.e_dst) then
+            bad "edge (%d,%d) out of range" e.e_src e.e_dst;
+          copy_remote_out.(e.e_src) <- e :: copy_remote_out.(e.e_src))
+        es
+  in
+  Array.iteri
+    (fun id n ->
+      Array.iteri
+        (fun bp src ->
+          let o =
+            if bp < Array.length n.n_block_start then n.n_block_start.(bp)
+            else -1
+          in
+          if o < 0 || o >= Array.length n.n_stmts then
+            bad "node %d: control source %d has no block" id bp;
+          index (n.n_copy_base + o) src)
+        n.n_cd)
+    nodes;
+  Array.iteri (fun c slots -> Array.iter (index c) slots) copy_deps;
+  {
+    program;
+    analysis;
+    nodes;
+    copy_node;
+    copy_stmt;
+    copy_uvals;
+    copy_group;
+    copy_deps;
+    copy_local_out;
+    copy_remote_out;
+    stmt_copies;
+    first_node;
+    last_node;
+    stats;
+    tier;
+    damage;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -182,22 +286,6 @@ module Session = struct
       Hashtbl.add s.s_labels l.l_id p;
       p
 
-  (* Timestamp-cursor primitives for the control-flow walks. *)
-
-  let ts_pos s n = Cursor.pos (ts_cursor s n)
-
-  let ts_seek s n k = Cursor.seek (ts_cursor s n) k
-
-  let ts_step_forward s n = Cursor.step_forward (ts_cursor s n)
-
-  let ts_step_backward s n = Cursor.step_backward (ts_cursor s n)
-
-  let ts_peek_forward s n = Cursor.peek_forward (ts_cursor s n)
-
-  let ts_peek_backward s n = Cursor.peek_backward (ts_cursor s n)
-
-  let ts_find s n v = Cursor.find_ascending (ts_cursor s n) v
-
   (* Label queries. *)
 
   let value_of_copy s c i =
@@ -247,6 +335,7 @@ module Session = struct
 
   let resolve_cd s c i =
     let t = s.s_wet in
+    need t "labels.deps";
     let node = node_of_copy t c in
     let off = copy_offset t c in
     (* Find the block position owning this statement offset. *)
@@ -285,18 +374,7 @@ let validate t =
         if !nerrs <= 100 then errs := s :: !errs)
       fmt
   in
-  let ncopies = Array.length t.copy_node in
   let nnodes = Array.length t.nodes in
-  let check_len name l =
-    if l <> ncopies then
-      err "%s has %d entries, expected %d (one per copy)" name l ncopies
-  in
-  check_len "copy_stmt" (Array.length t.copy_stmt);
-  check_len "copy_uvals" (Array.length t.copy_uvals);
-  check_len "copy_group" (Array.length t.copy_group);
-  check_len "copy_deps" (Array.length t.copy_deps);
-  check_len "copy_local_out" (Array.length t.copy_local_out);
-  check_len "copy_remote_out" (Array.length t.copy_remote_out);
   let total_execs = t.stats.path_execs in
   (* Pure decode: reads the representation without touching any cursor. *)
   let snapshot = Stream.contents in
@@ -312,33 +390,27 @@ let validate t =
       done
     end
   in
+  (* dependence edges must reference live execution instances *)
   let check_edge ctx (e : edge) =
-    if e.e_src < 0 || e.e_src >= ncopies || e.e_dst < 0 || e.e_dst >= ncopies
-    then err "%s: edge endpoints (%d,%d) out of copy range" ctx e.e_src e.e_dst
-    else begin
-      check_labels ctx e.e_labels;
-      (* dependence edges must reference live execution instances *)
-      let src_nexec = t.nodes.(t.copy_node.(e.e_src)).n_nexec in
-      let dst_nexec = t.nodes.(t.copy_node.(e.e_dst)).n_nexec in
-      let dst = snapshot e.e_labels.l_dst and src = snapshot e.e_labels.l_src in
-      Array.iter
-        (fun i ->
-          if i < 0 || i >= dst_nexec then
-            err "%s: label %d consumer instance %d outside [0,%d)" ctx
-              e.e_labels.l_id i dst_nexec)
-        dst;
-      Array.iter
-        (fun i ->
-          if i < 0 || i >= src_nexec then
-            err "%s: label %d producer instance %d outside [0,%d)" ctx
-              e.e_labels.l_id i src_nexec)
-        src
-    end
+    check_labels ctx e.e_labels;
+    let src_nexec = (node_of_copy t e.e_src).n_nexec in
+    let dst_nexec = (node_of_copy t e.e_dst).n_nexec in
+    let dst = snapshot e.e_labels.l_dst and src = snapshot e.e_labels.l_src in
+    Array.iter
+      (fun i ->
+        if i < 0 || i >= dst_nexec then
+          err "%s: label %d consumer instance %d outside [0,%d)" ctx
+            e.e_labels.l_id i dst_nexec)
+      dst;
+    Array.iter
+      (fun i ->
+        if i < 0 || i >= src_nexec then
+          err "%s: label %d producer instance %d outside [0,%d)" ctx
+            e.e_labels.l_id i src_nexec)
+      src
   in
   let check_source ctx = function
-    | No_dep -> ()
-    | Local p ->
-      if p < 0 || p >= ncopies then err "%s: local producer %d out of range" ctx p
+    | No_dep | Local _ -> ()
     | Remote es -> List.iter (check_edge ctx) es
   in
   (* global timestamp coverage: each of [1..path_execs] exactly once *)
@@ -362,17 +434,9 @@ let validate t =
         n.n_block_start;
       if nblocks > 0 && n.n_block_start.(0) <> 0 then
         err "%s: first block does not start at statement 0" ctx;
-      if n.n_copy_base < 0 || n.n_copy_base + nstmts > ncopies then
-        err "%s: copies [%d,%d) outside copy range" ctx n.n_copy_base
-          (n.n_copy_base + nstmts)
-      else
-        for o = 0 to nstmts - 1 do
-          let c = n.n_copy_base + o in
-          if t.copy_node.(c) <> id then
-            err "%s: copy %d maps to node %d" ctx c t.copy_node.(c);
-          if Array.length t.copy_stmt = ncopies && t.copy_stmt.(c) <> n.n_stmts.(o)
-          then err "%s: copy %d statement mismatch" ctx c
-        done;
+      if (not (damaged t "labels.deps")) && Array.length n.n_cd <> nblocks then
+        err "%s: %d control sources for %d blocks" ctx (Array.length n.n_cd)
+          nblocks;
       Array.iter
         (fun s ->
           if s < 0 || s >= nnodes then err "%s: successor %d out of range" ctx s
@@ -403,11 +467,6 @@ let validate t =
        end);
       Array.iter
         (fun g ->
-          Array.iter
-            (fun m ->
-              if m < n.n_copy_base || m >= n.n_copy_base + nstmts then
-                err "%s: group member %d outside the node" ctx m)
-            g.g_members;
           match g.g_pattern with
           | None -> ()
           | Some p ->
@@ -431,8 +490,7 @@ let validate t =
         if Bytes.get b v = '\000' then err "timestamp %d never assigned" v
       done)
     seen;
-  (if not (damaged t "labels.values") && Array.length t.copy_uvals = ncopies
-   then
+  (if not (damaged t "labels.values") then
      Array.iteri
        (fun c u ->
          match u with
@@ -441,7 +499,7 @@ let validate t =
            err "copy %d has values but no group" c
          | Some _ -> ())
        t.copy_uvals);
-  (if not (damaged t "labels.deps") && Array.length t.copy_deps = ncopies then
+  (if not (damaged t "labels.deps") then
      Array.iteri
        (fun c slots ->
          let k = Instr.dyn_use_count (instr_of_copy t c) in
@@ -454,29 +512,6 @@ let validate t =
                check_source (Printf.sprintf "copy %d slot %d" c s) src)
              slots)
        t.copy_deps);
-  (if not (damaged t "index.out") && Array.length t.copy_remote_out = ncopies
-   then
-     Array.iteri
-       (fun c es ->
-         List.iter
-           (fun (e : edge) ->
-             if e.e_src <> c then
-               err "copy %d: out-edge claims source %d" c e.e_src)
-           es)
-       t.copy_remote_out);
-  (let total = Array.fold_left (fun a l -> a + List.length l) 0 t.stmt_copies in
-   if total <> ncopies then
-     err "stmt_copies indexes %d copies, expected %d" total ncopies;
-   Array.iteri
-     (fun s cs ->
-       List.iter
-         (fun c ->
-           if c < 0 || c >= ncopies then
-             err "stmt %d: copy %d out of range" s c
-           else if Array.length t.copy_stmt = ncopies && t.copy_stmt.(c) <> s
-           then err "stmt %d: copy %d belongs to stmt %d" s c t.copy_stmt.(c))
-         cs)
-     t.stmt_copies);
   if !nerrs > 100 then
     errs := Printf.sprintf "... and %d more violations" (!nerrs - 100) :: !errs;
   List.rev !errs

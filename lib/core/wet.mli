@@ -109,7 +109,11 @@ type stats = {
     Every field is read-only after construction, and the streams inside
     are pristine compressed bodies that queries never mutate — a [t] may
     be shared between any number of concurrent sessions, and saving it
-    writes the same bytes whatever queries ran before. *)
+    writes the same bytes whatever queries ran before.
+
+    A container stores only the program, the nodes and their labels;
+    [analysis] is the program's, and the copy tables and indexes are
+    derived from the nodes by {!make}. *)
 
 type t = {
   program : Wet_ir.Program.t;
@@ -150,6 +154,33 @@ exception Missing_stream of string
 (** [damaged t sec] is [true] if section [sec] was salvaged away. *)
 val damaged : t -> string -> bool
 
+(** [make ~program ~analysis ~nodes ~copy_uvals ~copy_deps …] assembles
+    a WET from its stored parts, deriving [copy_node], [copy_stmt],
+    [copy_group], [stmt_copies], [copy_local_out] and [copy_remote_out]
+    from the nodes and the dependence sources ([n_cd] and [copy_deps]).
+    The builder, {!Builder.pack} and the container's loader all
+    assemble through it, so a loaded WET's indexes are the built one's,
+    list order included.
+    @raise Invalid_argument naming the first inconsistency among what
+      the derivation reads: node copy ranges that do not tile
+      [\[0, ncopies)] in node order (ncopies being the length of
+      [copy_deps]), statement ids outside the program, group members
+      outside their node, control sources without a block, edge
+      endpoints or [Local] producers outside the copies, and a first or
+      last node outside the nodes. *)
+val make :
+  program:Wet_ir.Program.t ->
+  analysis:Wet_cfg.Program_analysis.t ->
+  nodes:node array ->
+  copy_uvals:seq option array ->
+  copy_deps:dep_source array array ->
+  first_node:node_id ->
+  last_node:node_id ->
+  stats:stats ->
+  tier:[ `Tier1 | `Tier2 ] ->
+  damage:string list ->
+  t
+
 (** Number of statement copies. *)
 val num_copies : t -> int
 
@@ -168,7 +199,9 @@ val copies_of_stmt : t -> int -> copy_id list
 (** Structural invariant checker: stream lengths consistent with node
     execution counts, timestamps strictly increasing per path and
     covering [1..path_execs] exactly once, dependence edges referencing
-    live instances, copy maps and indexes mutually consistent. Returns
+    live instances, dependence slots matching their statements. The
+    copy maps and indexes are {!make}'s, consistent by construction,
+    so they are not re-checked. Returns
     human-readable violations ([[]] = sound). Checks that would touch a
     {!damage}d section are skipped, so a salvaged WET validates clean
     when its surviving sections are sound. Reads pure stream snapshots
@@ -221,30 +254,11 @@ module Session : sig
       a qprof context over the session arms it. *)
   val recorder : t -> Wet_watch.Explain.recorder
 
-  (** {2 Timestamp-cursor primitives}
-
-      The per-node timestamp cursors driving control-flow walks. Steps,
-      seeks and finds count in the session's tally as
-      {!Stream.Cursor} counts them; peeks are pure reads and count
-      nothing. *)
-
+  (** This session's timestamp cursor over node [n] (minted on first
+      use), the one the control-flow walks move. Steps, seeks and finds
+      count in the session's tally as {!Stream.Cursor} counts them;
+      peeks are pure reads and count nothing. *)
   val ts_cursor : t -> node -> Stream.Cursor.t
-
-  val ts_pos : t -> node -> int
-
-  val ts_seek : t -> node -> int -> unit
-
-  val ts_step_forward : t -> node -> int
-
-  val ts_step_backward : t -> node -> int
-
-  val ts_peek_forward : t -> node -> int
-
-  val ts_peek_backward : t -> node -> int
-
-  (** [ts_find s n v] is the execution index of node [n] holding global
-      timestamp [v], walking from the cursor's current position. *)
-  val ts_find : t -> node -> int -> int option
 
   (** This session's [(dst, src)] cursor pair over an edge label
       (minted on first use, memoized by [l_id]). *)
@@ -264,7 +278,9 @@ module Session : sig
   val resolve_dep : t -> copy_id -> int -> int -> (copy_id * int) option
 
   (** [resolve_cd s c i] is the branch instance instance [i] of copy
-      [c] is control dependent on, if any. *)
+      [c] is control dependent on, if any. Control sources are stored
+      with the data dependences, so it raises {!Missing_stream}
+      ["labels.deps"] when that section was salvaged away. *)
   val resolve_cd : t -> copy_id -> int -> (copy_id * int) option
 
   (** [timestamp s c i] is the global timestamp of instance [i] of copy

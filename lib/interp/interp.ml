@@ -15,88 +15,39 @@ type event_sink = {
   es_live : ((int -> unit) -> unit) -> unit;
 }
 
-type watermark = {
-  wm_stmts : int;
-  wm_blocks : int;
-  wm_deps : int;
-  wm_paths : int;
-  wm_calls : int;
-  wm_rets : int;
-}
-
-let zero_watermark =
-  { wm_stmts = 0; wm_blocks = 0; wm_deps = 0; wm_paths = 0; wm_calls = 0;
-    wm_rets = 0 }
-
 (* Recovery fast-forward: re-execution is deterministic, so the first
-   [wm] events of each kind are exactly the ones a restored sink has
+   [n] events delivered are exactly the ones a restored sink has
    already consumed — count them off and drop them, forward the rest.
-   [es_live] passes through immediately (the sink must re-learn the
-   interpreter's live-position iterator; it carries no history). A
-   suppressed [es_call] stays suppressed as a pending-LIFO push too:
-   the restored sink already holds the entry, and the matching
-   [es_ret] — which may arrive after the watermark — pops it. *)
-let fast_forward ?(on_caught_up = fun () -> ()) wm k =
-  let stmts = ref 0 and blocks = ref 0 and deps = ref 0 in
-  let paths = ref 0 and calls = ref 0 and rets = ref 0 in
-  let signaled = ref false in
-  let caught_up () =
-    if
-      (not !signaled)
-      && !stmts >= wm.wm_stmts && !blocks >= wm.wm_blocks
-      && !deps >= wm.wm_deps && !paths >= wm.wm_paths
-      && !calls >= wm.wm_calls && !rets >= wm.wm_rets
-    then begin
-      signaled := true;
-      on_caught_up ()
+   [es_live] is not an event and passes through immediately (the sink
+   must re-learn the interpreter's live-position iterator; it carries
+   no history). A suppressed [es_call] stays suppressed as a
+   pending-LIFO push too: the restored sink already holds the entry,
+   and the matching [es_ret], which may arrive after the first [n]
+   events, pops it. *)
+let fast_forward ?(on_caught_up = fun () -> ()) n k =
+  let seen = ref 0 in
+  let live () =
+    if !seen >= n then true
+    else begin
+      incr seen;
+      if !seen = n then on_caught_up ();
+      false
     end
   in
-  caught_up ();
-  {
-    es_block =
-      (fun cd ->
-        if !blocks < wm.wm_blocks then begin
-          incr blocks;
-          caught_up ()
-        end
-        else k.es_block cd);
-    es_dep =
-      (fun p ->
-        if !deps < wm.wm_deps then begin
-          incr deps;
-          caught_up ()
-        end
-        else k.es_dep p);
-    es_stmt =
-      (fun v ->
-        if !stmts < wm.wm_stmts then begin
-          incr stmts;
-          caught_up ()
-        end
-        else k.es_stmt v);
-    es_path =
-      (fun key ->
-        if !paths < wm.wm_paths then begin
-          incr paths;
-          caught_up ()
-        end
-        else k.es_path key);
-    es_call =
-      (fun () ->
-        if !calls < wm.wm_calls then begin
-          incr calls;
-          caught_up ()
-        end
-        else k.es_call ());
-    es_ret =
-      (fun v p ->
-        if !rets < wm.wm_rets then begin
-          incr rets;
-          caught_up ()
-        end
-        else k.es_ret v p);
-    es_live = k.es_live;
-  }
+  if n <= 0 then begin
+    on_caught_up ();
+    k
+  end
+  else
+    {
+      es_block = (fun cd -> if live () then k.es_block cd);
+      es_dep = (fun p -> if live () then k.es_dep p);
+      es_stmt = (fun v -> if live () then k.es_stmt v);
+      es_path = (fun key -> if live () then k.es_path key);
+      es_call = (fun () -> if live () then k.es_call ());
+      es_ret = (fun v p -> if live () then k.es_ret v p);
+      es_live = k.es_live;
+    }
 
 (* Observability: whole-run counters (filled once per run from the
    recorded streams, so the hot loop pays nothing) and an optional

@@ -52,34 +52,22 @@ type event_sink = {
   es_live : ((int -> unit) -> unit) -> unit;
 }
 
-(** A position in the event stream, as per-kind event counts: how many
-    [es_stmt], [es_block], [es_dep], [es_path], [es_call] and [es_ret]
-    deliveries a checkpointed consumer has already absorbed. Because
-    execution is deterministic, a watermark identifies a unique point of
-    the run — the resume point of a crash-recovered streaming build. *)
-type watermark = {
-  wm_stmts : int;
-  wm_blocks : int;
-  wm_deps : int;
-  wm_paths : int;
-  wm_calls : int;
-  wm_rets : int;
-}
-
-val zero_watermark : watermark
-
-(** [fast_forward wm sink] wraps [sink] for crash recovery: the first
-    [wm] events of each kind are counted off and dropped (the restored
-    sink consumed them before the crash), every later event is forwarded
-    untouched. [es_live] always passes through — the live-position
-    iterator carries no history and the sink must re-learn it. A
-    suppressed [es_call] is also not re-pushed on the consumer's
-    pending-call LIFO; its eventual [es_ret], arriving at or after the
-    watermark, pops the entry the restored sink already holds.
-    [on_caught_up] fires once, when every per-kind count has reached the
-    watermark (immediately if [wm] is {!zero_watermark}). *)
+(** [fast_forward n sink] wraps [sink] for crash recovery: the first
+    [n] events (of any kind; [es_live] is not an event) are counted off
+    and dropped, because the restored sink consumed them before the
+    crash, and every later event is forwarded untouched. Execution is
+    deterministic, so [n], the number of events a checkpointed consumer
+    had absorbed, identifies a unique point of the run: the resume
+    point of a crash-recovered streaming build. [es_live] always passes
+    through, since the live-position iterator carries no history and
+    the sink must re-learn it. A suppressed [es_call] is also not
+    re-pushed on the consumer's pending-call LIFO; its eventual
+    [es_ret], arriving after the first [n] events, pops the entry the
+    restored sink already holds. [on_caught_up] fires once, when the
+    [n]-th event has been dropped, or at once if [n] is 0, when [sink]
+    itself is returned. *)
 val fast_forward :
-  ?on_caught_up:(unit -> unit) -> watermark -> event_sink -> event_sink
+  ?on_caught_up:(unit -> unit) -> int -> event_sink -> event_sink
 
 type result = {
   trace : Trace.t;
@@ -114,15 +102,15 @@ val run :
     execution length. Returns (outputs, statements executed).
 
     @param resume_at fast-forward the run: wrap [sink] in
-      {!fast_forward} so events below the watermark are re-executed but
-      not re-delivered — the crash-recovery path of a checkpointed
+      {!fast_forward} so the first [resume_at] events are re-executed
+      but not re-delivered — the crash-recovery path of a checkpointed
       streaming build. [on_caught_up] is passed through.
     @raise Wet_error.Error as {!run}. *)
 val run_with_sink :
   ?max_stmts:int ->
   ?interprocedural_cd:bool ->
   ?analysis:Wet_cfg.Program_analysis.t ->
-  ?resume_at:watermark ->
+  ?resume_at:int ->
   ?on_caught_up:(unit -> unit) ->
   sink:event_sink ->
   Wet_ir.Program.t ->

@@ -6,8 +6,8 @@
     last intact record is trustworthy, and everything after it is
     detectably torn. The builder appends one header record (program,
     input, build configuration) when a checkpointed build starts and one
-    checkpoint record (sink snapshot + resume watermark) per flushed
-    shard; recovery reads the longest intact prefix, restores the last
+    checkpoint record (the sink's snapshot, which holds its resume
+    watermark) per flushed shard; recovery reads the longest intact prefix, restores the last
     checkpoint, and re-executes deterministically past it.
 
     This module knows nothing about what the payloads mean — it owns the

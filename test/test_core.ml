@@ -589,40 +589,35 @@ let test_pack_rejects_packed () =
     (Wet_error.Error { Wet_error.stage = Wet_error.Pack; msg = "already packed" })
     (fun () -> ignore (Builder.pack w2))
 
-(* Fold wrappers must agree exactly with their callback counterparts:
-   same visit counts, same values threaded through the accumulator. *)
-let test_fold_wrappers () =
+(* An extraction's count is the number of callbacks it made, and a
+   backward walk started where the forward walk left the timestamp
+   cursors, without re-parking, counts what the forward walk counted
+   and visits its blocks in reverse. *)
+let test_callback_walks () =
   each_tier (fun name _tr wet ->
       let sess = W.open_session wet in
-      let cb =
-        Query.Session.control_flow sess Query.Forward ~f:(fun _ _ -> ())
+      let fwd = ref [] in
+      let nf =
+        Query.Session.control_flow sess Query.Forward ~f:(fun f b ->
+            fwd := (f, b) :: !fwd)
       in
-      (* cursors now at the end: fold backward without re-parking *)
-      let folded =
-        Query.Session.fold_control_flow sess Query.Backward ~init:0
-          ~f:(fun n _ _ -> n + 1)
+      Alcotest.(check int) (name ^ " cf count") (List.length !fwd) nf;
+      let bwd = ref [] in
+      let nb =
+        Query.Session.control_flow sess Query.Backward ~f:(fun f b ->
+            bwd := (f, b) :: !bwd)
       in
-      Alcotest.(check int) (name ^ " fold cf count") cb folded;
-      let sum = ref 0 in
-      let n =
-        Query.Session.load_values sess ~f:(fun _ v -> sum := !sum + v)
-      in
-      let fn, fsum =
-        Query.Session.fold_loads sess ~init:(0, 0) ~f:(fun (n, s) _ v ->
-            (n + 1, s + v))
-      in
-      Alcotest.(check int) (name ^ " fold load count") n fn;
-      Alcotest.(check int) (name ^ " fold load sum") !sum fsum;
-      let asum = ref 0 in
-      let na =
-        Query.Session.addresses sess ~f:(fun _ a -> asum := !asum + a)
-      in
-      let fan, fasum =
-        Query.Session.fold_addresses sess ~init:(0, 0) ~f:(fun (n, s) _ a ->
-            (n + 1, s + a))
-      in
-      Alcotest.(check int) (name ^ " fold addr count") na fan;
-      Alcotest.(check int) (name ^ " fold addr sum") !asum fasum)
+      Alcotest.(check int) (name ^ " backward cf count") nf nb;
+      Alcotest.(check bool)
+        (name ^ " backward walk reverses the forward one")
+        true
+        (!bwd = List.rev !fwd);
+      let calls = ref 0 in
+      let n = Query.Session.load_values sess ~f:(fun _ _ -> incr calls) in
+      Alcotest.(check int) (name ^ " load count") !calls n;
+      calls := 0;
+      let n = Query.Session.addresses sess ~f:(fun _ _ -> incr calls) in
+      Alcotest.(check int) (name ^ " address count") !calls n)
 
 let base_suites =
     [
@@ -654,7 +649,7 @@ let base_suites =
         [
           Alcotest.test_case "cf successor symmetry" `Quick test_cf_successors_cover;
           Alcotest.test_case "pack guard" `Quick test_pack_rejects_packed;
-          Alcotest.test_case "fold wrappers" `Quick test_fold_wrappers;
+          Alcotest.test_case "callback walk counts" `Quick test_callback_walks;
         ] );
     ]
 

@@ -272,34 +272,31 @@ let test_fast_forward () =
     }
   in
   let caught = ref 0 in
-  let wm =
-    { Interp.wm_stmts = 2; wm_blocks = 1; wm_deps = 0; wm_paths = 1;
-      wm_calls = 1; wm_rets = 0 }
-  in
-  let ff = Interp.fast_forward ~on_caught_up:(fun () -> incr caught) wm base in
-  ff.Interp.es_live (fun _ -> ());  (* always forwarded *)
-  ff.Interp.es_stmt 10;             (* suppressed (1/2) *)
-  ff.Interp.es_block 5;             (* suppressed (1/1) *)
-  ff.Interp.es_call ();             (* suppressed (1/1) *)
-  ff.Interp.es_stmt 11;             (* suppressed (2/2) *)
+  (* the first five events are dropped, whatever their kinds *)
+  let ff = Interp.fast_forward ~on_caught_up:(fun () -> incr caught) 5 base in
+  ff.Interp.es_live (fun _ -> ());  (* always forwarded, never counted *)
+  ff.Interp.es_stmt 10;             (* suppressed (1/5) *)
+  ff.Interp.es_block 5;             (* suppressed (2/5) *)
+  ff.Interp.es_call ();             (* suppressed (3/5) *)
+  ff.Interp.es_stmt 11;             (* suppressed (4/5) *)
   Alcotest.(check int) "not yet caught up" 0 !caught;
-  ff.Interp.es_path 99;             (* suppressed (1/1) -> caught up *)
+  ff.Interp.es_path 99;             (* suppressed (5/5) -> caught up *)
   Alcotest.(check int) "caught up fires once" 1 !caught;
   ff.Interp.es_stmt 12;             (* forwarded *)
-  ff.Interp.es_ret 7 3;             (* forwarded: ret for a pre-wm call *)
-  ff.Interp.es_dep 4;               (* forwarded (wm_deps = 0) *)
+  ff.Interp.es_ret 7 3;             (* forwarded: ret for a dropped call *)
+  ff.Interp.es_dep 4;               (* forwarded *)
+  ff.Interp.es_call ();             (* forwarded *)
   ff.Interp.es_path 100;
   Alcotest.(check int) "still once" 1 !caught;
   Alcotest.(check bool) "post-watermark events forwarded in order" true
-    (List.rev !log = [ `L; `S 12; `R (7, 3); `D 4; `P 100 ]);
+    (List.rev !log = [ `L; `S 12; `R (7, 3); `D 4; `C; `P 100 ]);
   (* a zero watermark signals immediately and suppresses nothing *)
   let caught0 = ref 0 in
-  let _ =
-    Interp.fast_forward
-      ~on_caught_up:(fun () -> incr caught0)
-      Interp.zero_watermark base
+  let ff0 =
+    Interp.fast_forward ~on_caught_up:(fun () -> incr caught0) 0 base
   in
-  Alcotest.(check int) "zero watermark is immediate" 1 !caught0
+  Alcotest.(check int) "zero watermark is immediate" 1 !caught0;
+  Alcotest.(check bool) "zero watermark wraps nothing" true (ff0 == base)
 
 (* ---------------- crash recovery ---------------- *)
 
@@ -479,11 +476,11 @@ let test_other_layout_refused () =
     ]
 
 (* Journals are byte-identical across runs, so one digest pins the
-   marshalled layout of [header], [ckpt] and [Sink.state]. A change to
-   any of them fails here until [Checkpoint]'s layout string is bumped
-   (so older journals are refused, not misread) and the digest below is
-   re-recorded. *)
-let golden_journal_md5 = "7512647c3823673c60e827889cb2aa65"
+   marshalled layout of [header] and [Sink.state] (a checkpoint
+   record's payload is the sink's snapshot). A change to either fails
+   here until [Checkpoint]'s layout string is bumped (so older journals
+   are refused, not misread) and the digest below is re-recorded. *)
+let golden_journal_md5 = "c490ce78eb8388d9b13627f14468de8d"
 
 let test_golden_journal_digest () =
   with_tmp_dir @@ fun dir ->

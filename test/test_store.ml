@@ -8,9 +8,12 @@ module Builder = Wet_core.Builder
 module Query = Wet_core.Query
 module Store = Wet_core.Store
 module Container = Wet_core.Container
+module Slice = Wet_core.Slice
 module Faultsim = Wet_faultsim.Faultsim
 module T = Wet_interp.Trace
 module Interp = Wet_interp.Interp
+module Spec = Wet_workloads.Spec
+module Program = Wet_ir.Program
 
 (* ------------------------------------------------------------------ *)
 (* Workloads: two programs with different shapes (recursion + arrays  *)
@@ -177,7 +180,8 @@ let test_rejects_garbage () =
    salvaging, with a message that says to rebuild: v1 is the old
    monolithic format, v4 the sectioned format whose streams still
    carried a default cursor, v5 the one whose packed streams still
-   carried traversal counters. *)
+   carried traversal counters, v6 the one that also stored what the
+   loader derives. *)
 let test_rejects_legacy_v1 () =
   let _, _, _, w2 = List.hd (Lazy.force built) in
   let older v =
@@ -210,6 +214,7 @@ let test_rejects_legacy_v1 () =
       (1, "WETOCaml\x00\x00\x00\x01leftover marshal bytes");
       (4, older 4);
       (5, older 5);
+      (6, older 6);
     ]
 
 (* Truncate at every section boundary, at every header field edge, and
@@ -286,39 +291,27 @@ let test_section_matrix () =
           | Ok (w, _) ->
             if Container.required sec then
               Alcotest.failf "%s/%s: salvage loaded a required fault" name sec;
-            (* index.stmts is rebuilt from copy.map: no damage at all *)
-            if sec = "index.stmts" then begin
-              Alcotest.(check (list string))
-                (name ^ ": index.stmts rebuilt silently") [] w.W.damage;
-              Array.iteri
-                (fun st copies ->
-                  if copies <> W.copies_of_stmt w st then
-                    Alcotest.failf "%s: rebuilt stmt index differs" name)
-                wet.W.stmt_copies
+            Alcotest.(check (list string))
+              (Printf.sprintf "%s/%s: damage recorded" name sec)
+              [ sec ] w.W.damage;
+            (* surviving sections still answer queries *)
+            if sec <> "labels.ts" then begin
+              if cf_blocks w <> tr.T.blocks then
+                Alcotest.failf "%s/%s: salvaged control flow differs" name sec
             end
             else begin
-              Alcotest.(check (list string))
-                (Printf.sprintf "%s/%s: damage recorded" name sec)
-                [ sec ] w.W.damage;
-              (* surviving sections still answer queries *)
-              if sec <> "labels.ts" then begin
-                if cf_blocks w <> tr.T.blocks then
-                  Alcotest.failf "%s/%s: salvaged control flow differs" name sec
-              end
-              else begin
-                (match cf_blocks w with
-                 | _ -> Alcotest.failf "%s: lost ts must raise" name
-                 | exception W.Missing_stream m ->
-                   Alcotest.(check string) "missing stream" "labels.ts" m)
-              end;
-              if sec <> "labels.values" then
-                ignore (load_values w ~f:(fun _ _ -> ()))
-              else begin
-                match load_values w ~f:(fun _ _ -> ()) with
-                | _ -> Alcotest.failf "%s: lost values must raise" name
-                | exception W.Missing_stream m ->
-                  Alcotest.(check string) "missing stream" "labels.values" m
-              end
+              (match cf_blocks w with
+               | _ -> Alcotest.failf "%s: lost ts must raise" name
+               | exception W.Missing_stream m ->
+                 Alcotest.(check string) "missing stream" "labels.ts" m)
+            end;
+            if sec <> "labels.values" then
+              ignore (load_values w ~f:(fun _ _ -> ()))
+            else begin
+              match load_values w ~f:(fun _ _ -> ()) with
+              | _ -> Alcotest.failf "%s: lost values must raise" name
+              | exception W.Missing_stream m ->
+                Alcotest.(check string) "missing stream" "labels.values" m
             end;
             (* the validator must accept what survived *)
             Alcotest.(check (list string))
@@ -361,6 +354,162 @@ let test_salvage_round_trip () =
         | exception W.Missing_stream _ -> ()
         | exception Invalid_argument _ ->
           Alcotest.fail "expected Missing_stream")
+
+(* ------------------------------------------------------------------ *)
+(* Each fact stored once                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* A fresh container holds exactly the six sections, in order: nothing
+   the loader can derive is stored. *)
+let test_six_sections () =
+  each_tier (fun name _ wet ->
+      Alcotest.(check (list string))
+        (name ^ ": sections")
+        [ "meta"; "program"; "graph.nodes"; "labels.ts"; "labels.values";
+          "labels.deps" ]
+        (List.map
+           (fun (s : Container.section_status) -> s.Container.sec_name)
+           (sections_of_bytes (Container.encode wet))))
+
+(* The loader derives the analysis and the indexes with the builder's
+   code: every bundled program at the golden scale (a 64th of its
+   timing scale), on both tiers, decodes to a WET equal to the built
+   one, and no larger in memory. *)
+let test_derived_round_trip () =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  List.iter
+    (fun (spec : Spec.t) ->
+      let scale = max 1 (spec.Spec.timing_scale / 64) in
+      let w1 =
+        Builder.run_streaming ~program:(Spec.compile spec)
+          ~input:(Spec.input spec ~scale) ()
+      in
+      List.iter
+        (fun (tier, w) ->
+          let name = spec.Spec.name ^ "/" ^ tier in
+          match Container.decode (Container.encode w) with
+          | Error f ->
+            Alcotest.failf "%s: %s" name (Container.fault_message f)
+          | Ok (d, _) ->
+            if d <> w then
+              Alcotest.failf "%s: the decoded WET differs from the built one"
+                name;
+            if words d > words w then
+              Alcotest.failf "%s: decoded %d words, built %d" name (words d)
+                (words w))
+        [ ("tier1", w1); ("tier2", Builder.pack w1) ])
+    Spec.all
+
+(* Control sources are stored with the data dependences, so a WET that
+   lost [labels.deps] cannot slice forward or resolve a control
+   dependence: both name the lost section. *)
+let test_lost_deps () =
+  each_tier (fun name _ wet ->
+      let data = Container.encode wet in
+      let s =
+        List.find
+          (fun (s : Container.section_status) ->
+            s.Container.sec_name = "labels.deps")
+          (sections_of_bytes data)
+      in
+      let mutilated =
+        Faultsim.apply
+          (Faultsim.Bit_flip
+             { offset = s.Container.sec_offset + (s.Container.sec_length / 2);
+               bit = 5 })
+          data
+      in
+      match Container.decode ~salvage:true mutilated with
+      | Error f ->
+        Alcotest.failf "%s: salvage failed: %s" name (Container.fault_message f)
+      | Ok (w, _) ->
+        Alcotest.(check (list string))
+          (name ^ ": damage recorded") [ "labels.deps" ] w.W.damage;
+        let s = W.open_session w in
+        let raises what f =
+          match f () with
+          | _ -> Alcotest.failf "%s: %s must raise" name what
+          | exception W.Missing_stream m ->
+            Alcotest.(check string) (name ^ ": " ^ what) "labels.deps" m
+        in
+        raises "forward slice" (fun () -> ignore (Slice.Session.forward s 0 0));
+        raises "resolve_cd" (fun () -> ignore (W.Session.resolve_cd s 0 0)))
+
+(* Checksummed sections that disagree with each other are a [Malformed]
+   container, strictly and when salvaging, and never an exception. *)
+let test_inconsistent_sections () =
+  let first_slot (w : W.t) f =
+    let hit = ref false in
+    let copy_deps =
+      Array.map
+        (Array.map (fun src ->
+             if !hit then src
+             else
+               match f src with
+               | Some src' ->
+                 hit := true;
+                 src'
+               | None -> src))
+        w.W.copy_deps
+    in
+    if not !hit then Alcotest.fail "no dependence slot to corrupt";
+    { w with W.copy_deps }
+  in
+  each_tier (fun name _ wet ->
+      let ncopies = W.num_copies wet in
+      let p = wet.W.program in
+      let defects =
+        [
+          ( "overlapping node copy ranges",
+            {
+              wet with
+              W.nodes =
+                Array.mapi
+                  (fun i (n : W.node) ->
+                    if i = 1 then { n with W.n_copy_base = n.W.n_copy_base - 1 }
+                    else n)
+                  wet.W.nodes;
+            } );
+          ( "an edge source past the copies",
+            first_slot wet (function
+              | W.Remote (e :: es) ->
+                Some (W.Remote ({ e with W.e_src = ncopies } :: es))
+              | _ -> None) );
+          ( "a first node past the nodes",
+            { wet with W.first_node = Array.length wet.W.nodes } );
+          ( "a local producer out of range",
+            first_slot wet (function
+              | W.Remote _ -> None
+              | _ -> Some (W.Local ncopies)) );
+          ( "a program that fails validation",
+            {
+              wet with
+              W.program =
+                Program.make
+                  ~funcs:
+                    (Array.map
+                       (fun (f : Wet_ir.Func.t) -> { f with Wet_ir.Func.nregs = 0 })
+                       p.Program.funcs)
+                  ~main:p.Program.main ~mem_words:p.Program.mem_words
+                  ~globals:p.Program.globals;
+            } );
+        ]
+      in
+      List.iter
+        (fun (defect, bad) ->
+          let data = Container.encode bad in
+          List.iter
+            (fun salvage ->
+              let ctx = Printf.sprintf "%s, %s (salvage=%b)" name defect salvage in
+              match Container.decode ~salvage data with
+              | Error (Container.Malformed _) -> ()
+              | Error f ->
+                Alcotest.failf "%s: wrong fault %s" ctx (Container.fault_message f)
+              | Ok _ -> Alcotest.failf "%s: loaded" ctx
+              | exception e ->
+                Alcotest.failf "%s: raised %s" ctx (Printexc.to_string e))
+            [ false; true ])
+        defects)
 
 (* ------------------------------------------------------------------ *)
 (* Atomic save                                                        *)
@@ -476,6 +625,12 @@ let () =
             test_section_matrix;
           Alcotest.test_case "salvage round trip" `Quick
             test_salvage_round_trip;
+          Alcotest.test_case "six sections" `Quick test_six_sections;
+          Alcotest.test_case "derived indexes round-trip" `Quick
+            test_derived_round_trip;
+          Alcotest.test_case "lost labels.deps" `Quick test_lost_deps;
+          Alcotest.test_case "inconsistent sections are malformed" `Quick
+            test_inconsistent_sections;
           Alcotest.test_case "atomic save" `Quick test_atomic_save;
           Alcotest.test_case "fault campaign (600 seeded faults)" `Slow
             test_campaign;
