@@ -489,11 +489,10 @@ let ablation () =
     |> List.sort (fun a b -> compare b.W.n_nexec a.W.n_nexec)
     |> List.hd
   in
-  let ts_stream = W.Stream.contents node.W.n_ts in
+  let ts_stream = W.Stream.contents wet.W.node_ts.(node.W.n_id) in
   let pattern_stream =
     match
-      Array.to_list node.W.n_groups
-      |> List.filter_map (fun g -> g.W.g_pattern)
+      Array.to_list wet.W.node_patterns.(node.W.n_id) |> List.filter_map Fun.id
     with
     | p :: _ -> W.Stream.contents p
     | [] -> [||]
@@ -598,7 +597,10 @@ let ctx_ablation () =
     !best
   in
   let streams =
-    [ ("timestamps", W.Stream.contents hottest.W.n_ts); ("uvals", uvals) ]
+    [
+      ("timestamps", W.Stream.contents wet.W.node_ts.(hottest.W.n_id));
+      ("uvals", uvals);
+    ]
   in
   List.iter
     (fun (sname, arr) ->

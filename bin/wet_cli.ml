@@ -725,36 +725,61 @@ let verify_cmd =
         let wet = if tier2 then Builder.pack wet else wet in
         (* the reference: a separate run that materialises the raw trace *)
         let tr = (Interp.run p ~input).Interp.trace in
+        let module T = Wet_interp.Trace in
         (* the WET must regenerate the exact control-flow trace *)
         let s = W.open_session wet in
         Query.Session.park s Query.Forward;
         let i = ref 0 in
         let ok = ref true in
-        let blocks = tr.Wet_interp.Trace.blocks in
+        let blocks = tr.T.blocks in
         let n =
           Query.Session.control_flow s Query.Forward ~f:(fun f b ->
-              if !i < Array.length blocks
-                 && blocks.(!i) <> Wet_interp.Trace.encode_block f b
+              if !i < Array.length blocks && blocks.(!i) <> T.encode_block f b
               then ok := false;
               incr i)
         in
         if n <> Array.length blocks then ok := false;
-        (* and count the load values it extracts *)
-        let load_count = Query.Session.load_values s ~f:(fun _ _ -> ()) in
+        (* and every stored value: a path execution of the raw trace is
+           the next instance of the node of its (func, path), each
+           def-bearing copy of which must read back the trace's value *)
+        let node_of = Hashtbl.create 64 in
+        Array.iter
+          (fun (n : W.node) ->
+            Hashtbl.replace node_of (n.W.n_func, n.W.n_path) n)
+          wet.W.nodes;
+        let inst = Array.make (Array.length wet.W.nodes) 0 in
+        let pos = ref 0 and wrong = ref 0 in
+        Array.iter
+          (fun key ->
+            match Hashtbl.find_opt node_of (T.decode_path key) with
+            | None -> incr wrong
+            | Some n ->
+              Array.iteri
+                (fun o _ ->
+                  let c = n.W.n_copy_base + o in
+                  if wet.W.copy_uvals.(c) <> None
+                     && W.Session.value_of_copy s c inst.(n.W.n_id)
+                        <> tr.T.values.(!pos)
+                  then incr wrong;
+                  incr pos)
+                n.W.n_stmts;
+              inst.(n.W.n_id) <- inst.(n.W.n_id) + 1)
+          tr.T.paths;
+        let verdict ok = if ok then "EXACT" else "MISMATCH" in
         Printf.printf
-          "%s: control-flow trace %s (%d block executions); %d load values \
-           extracted\n"
-          label
-          (if !ok then "EXACT" else "MISMATCH")
-          n load_count;
-        if not !ok then exit 1)
+          "%s: control-flow trace %s (%d block executions); values %s (%d \
+           def executions, %d wrong)\n"
+          label (verdict !ok) n
+          (verdict (!wrong = 0))
+          wet.W.stats.W.def_execs !wrong;
+        if not (!ok && !wrong = 0) then exit 1)
   in
   Cmd.v
     (Cmd.info "verify"
        ~doc:
         "Self-check: build the WET, check that it regenerates the control-flow \
-         trace of a separate raw-trace run exactly, and count the load \
-         values it extracts.")
+         trace of a separate raw-trace run exactly, and that every value \
+         it stores reads back as that run recorded it.")
     Term.(
       ret (const action $ obs_term $ program_arg $ scale_arg $ input_arg
            $ tier2_arg))

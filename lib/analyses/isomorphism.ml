@@ -1,6 +1,5 @@
 module W = Wet_core.Wet
 module Stream = Wet_bistream.Stream
-module H = Wet_util.Hashing
 
 type klass = {
   members : W.copy_id list;
@@ -8,53 +7,35 @@ type klass = {
   distinct_values : int;
 }
 
+(* Equal unique-value sequences are one shared body, so a group's
+   members partition by body. *)
 let classes (t : W.t) =
   let out = ref [] in
   Array.iter
     (fun (n : W.node) ->
       Array.iter
-        (fun (g : W.group) ->
-          if Array.length g.W.g_members > 1 then begin
-            (* partition members of the group by UVals content *)
-            let buckets = Hashtbl.create 8 in
-            Array.iter
-              (fun c ->
-                match t.W.copy_uvals.(c) with
-                | None -> ()
-                | Some s ->
-                  let a = Stream.contents s in
-                  let key = (Array.length a, H.hash_window a 0 (Array.length a)) in
-                  let l =
-                    match Hashtbl.find_opt buckets key with
-                    | Some l -> l
-                    | None ->
-                      let l = ref [] in
-                      Hashtbl.replace buckets key l;
-                      l
-                  in
-                  (* verify on collision: compare against the first *)
-                  (match !l with
-                   | c0 :: _ ->
-                     let a0 =
-                       Stream.contents (Option.get t.W.copy_uvals.(c0))
-                     in
-                     if a0 = a then l := c :: !l
-                   | [] -> l := c :: !l))
-              g.W.g_members;
-            Hashtbl.iter
-              (fun (len, _) l ->
-                match !l with
-                | _ :: _ :: _ ->
-                  out :=
-                    {
-                      members = List.rev !l;
-                      executions = n.W.n_nexec;
-                      distinct_values = len;
-                    }
-                    :: !out
-                | _ -> ())
-              buckets
-          end)
+        (fun members ->
+          let buckets = ref [] in
+          Array.iter
+            (fun c ->
+              Option.iter
+                (fun s ->
+                  match List.assq_opt s !buckets with
+                  | Some l -> l := c :: !l
+                  | None -> buckets := (s, ref [ c ]) :: !buckets)
+                t.W.copy_uvals.(c))
+            members;
+          List.iter
+            (fun (s, l) ->
+              if List.compare_length_with !l 1 > 0 then
+                out :=
+                  {
+                    members = List.rev !l;
+                    executions = n.W.n_nexec;
+                    distinct_values = Stream.length s;
+                  }
+                  :: !out)
+            (List.rev !buckets))
         n.W.n_groups)
     t.W.nodes;
   !out

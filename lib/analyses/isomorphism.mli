@@ -6,8 +6,9 @@
     identical value sequences over the whole run. The WET's tier-1 value
     representation makes a sound subset of these detectable without
     decompressing anything: members of the same input group share the
-    pattern stream, so two members with equal [UVals] arrays provably
-    produce identical sequences. Such statements are candidates for
+    pattern stream, and equal [UVals] sequences are one shared body, so
+    two members with the same [UVals] body provably produce identical
+    sequences. Such statements are candidates for
     reuse-based redundancy elimination — the very observation §3.2's
     value grouping is built on. *)
 

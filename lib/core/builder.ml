@@ -40,7 +40,6 @@ type proto = {
   p_ts : Dyn.t;
   p_uvals : Dyn.t array;  (* per offset; unused when no def *)
   p_succs : (int, unit) Hashtbl.t;
-  p_preds : (int, unit) Hashtbl.t;
   mutable p_nexec : int;
   (* scratch, reused across executions *)
   p_exec_pos : int array;  (* dynamic position per offset this exec *)
@@ -240,7 +239,6 @@ let make_proto ~next_slot ~analysis ~id ~copy_base func path =
     p_ts = Dyn.create ();
     p_uvals = Array.map (fun _ -> Dyn.create ()) instrs;
     p_succs = Hashtbl.create 4;
-    p_preds = Hashtbl.create 4;
     p_nexec = 0;
     p_exec_pos = Array.make n (-1);
     p_exec_prod = Array.map (fun c -> Array.make (max 1 c) (-1)) slot_count;
@@ -324,6 +322,17 @@ let slot_event st gid ~inst ~pcopy ~pinst ~local =
   end
 
 let raw arr = Stream.compress_with `Raw arr
+
+(* A stream class's interner: the body it returns for a sequence is the
+   one it made for the first equal sequence, numbered in the order the
+   bodies were made. *)
+let interner () =
+  let made = ref 0 in
+  Wet_util.Memo.memo ~equal:( = )
+    ~hash:(fun a -> Wet_util.Hashing.hash_window a 0 (Array.length a))
+    (fun values ->
+      incr made;
+      (!made - 1, raw values))
 
 (* ------------------------------------------------------------------ *)
 (* Windowed event buffers.                                            *)
@@ -583,9 +592,7 @@ module Sink = struct
     s.last_node <- p.p_id;
     (* dynamic control-flow edges between consecutive nodes *)
     (match s.prev_proto with
-     | Some q ->
-       Hashtbl.replace q.p_succs p.p_id ();
-       Hashtbl.replace p.p_preds q.p_id ()
+     | Some q -> Hashtbl.replace q.p_succs p.p_id ()
      | None -> ());
     s.prev_proto <- Some p;
     Dyn.push p.p_ts (s.paths_done + 1);
@@ -854,41 +861,28 @@ module Sink = struct
       (fun p ->
         Array.fill copy_node p.p_copy_base (Array.length p.p_stmts) p.p_id)
       protos;
-    (* shared label records *)
-    let next_label = ref 0 in
-    (* Sharing identical label sequences between the same node pair
-       (paper §3.3). Keyed by a strong content hash; the candidate list
-       resolves collisions by structural comparison. *)
-    let label_cache = Hashtbl.create 1024 in
+    (* Every stream but the timestamps, which never repeat, is made
+       through its class's interner, so equal sequences of one class
+       share one body. *)
+    let uvals = interner () and pattern = interner () in
+    let ldst = interner () and lsrc = interner () in
+    (* Edges between the same pair of nodes whose two sides are the
+       same bodies share one label record (paper §3.3). *)
+    let records = Hashtbl.create 1024 in
     let shared_label_values = ref 0 in
     let local_dep_instances = ref 0 in
     let mk_labels src_node dst_node (lb : label_builder) =
-      let dst = Dyn.to_array lb.lb_dst and src = Dyn.to_array lb.lb_src in
-      let module H = Wet_util.Hashing in
-      let h = H.hash_window dst 0 (Array.length dst) in
-      let h = H.fnv_fold (H.hash_window src 0 (Array.length src)) h in
-      let key = (src_node, dst_node, Array.length dst, h) in
-      let candidates =
-        Option.value (Hashtbl.find_opt label_cache key) ~default:[]
-      in
-      match
-        List.find_opt (fun (d, s, _) -> d = dst && s = src) candidates
-      with
-      | Some (_, _, labels) ->
-        shared_label_values := !shared_label_values + Array.length dst;
+      let di, l_dst = ldst (Dyn.to_array lb.lb_dst) in
+      let si, l_src = lsrc (Dyn.to_array lb.lb_src) in
+      let key = (src_node, dst_node, di, si) in
+      match Hashtbl.find_opt records key with
+      | Some labels ->
+        shared_label_values := !shared_label_values + Stream.length l_dst;
         Obs.incr c_label_dedup_hits;
         labels
       | None ->
-        let labels =
-          {
-            Wet.l_id = !next_label;
-            l_dst = raw dst;
-            l_src = raw src;
-            l_len = Array.length dst;
-          }
-        in
-        incr next_label;
-        Hashtbl.replace label_cache key ((dst, src, labels) :: candidates);
+        let labels = { Wet.l_id = Hashtbl.length records; l_dst; l_src } in
+        Hashtbl.replace records key labels;
         labels
     in
     let finalize_slot p gid ~dst_copy ~slot =
@@ -919,30 +913,6 @@ module Sink = struct
     let nodes =
       Array.map
         (fun p ->
-          let groups =
-            Array.map
-              (fun g ->
-                {
-                  Wet.g_members =
-                    Array.map (fun o -> p.p_copy_base + o) g.pg_members;
-                  g_nsources = Array.length g.pg_sources;
-                  g_pattern =
-                    (if Array.length g.pg_sources = 0 then None
-                     else Some (raw (Dyn.to_array g.pg_pattern)));
-                  g_nuniq =
-                    (if Array.length g.pg_sources = 0 then 1
-                     else Hashtbl.length g.pg_tuples);
-                })
-              p.p_groups
-          in
-          let cd =
-            Array.mapi
-              (fun bp _ ->
-                finalize_slot p p.p_cd_slot.(bp)
-                  ~dst_copy:(p.p_copy_base + p.p_block_start.(bp))
-                  ~slot:(-1))
-              p.p_blocks
-          in
           {
             Wet.n_id = p.p_id;
             n_func = p.p_func;
@@ -952,18 +922,36 @@ module Sink = struct
             n_block_start = p.p_block_start;
             n_copy_base = p.p_copy_base;
             n_nexec = p.p_nexec;
-            n_ts = raw (Dyn.to_array p.p_ts);
             n_succs =
               Array.of_list
                 (List.sort compare
                    (Hashtbl.fold (fun k () acc -> k :: acc) p.p_succs []));
-            n_preds =
-              Array.of_list
-                (List.sort compare
-                   (Hashtbl.fold (fun k () acc -> k :: acc) p.p_preds []));
-            n_groups = groups;
-            n_cd = cd;
+            n_groups =
+              Array.map
+                (fun g -> Array.map (fun o -> p.p_copy_base + o) g.pg_members)
+                p.p_groups;
           })
+        protos
+    in
+    let node_patterns =
+      Array.map
+        (fun p ->
+          Array.map
+            (fun g ->
+              if Array.length g.pg_sources = 0 then None
+              else Some (snd (pattern (Dyn.to_array g.pg_pattern))))
+            p.p_groups)
+        protos
+    in
+    let node_cd =
+      Array.map
+        (fun p ->
+          Array.mapi
+            (fun bp _ ->
+              finalize_slot p p.p_cd_slot.(bp)
+                ~dst_copy:(p.p_copy_base + p.p_block_start.(bp))
+                ~slot:(-1))
+            p.p_blocks)
         protos
     in
     let copy_uvals = Array.make ncopies None in
@@ -974,7 +962,7 @@ module Sink = struct
           (fun o _ ->
             let c = p.p_copy_base + o in
             if Instr.has_def p.p_instrs.(o) then
-              copy_uvals.(c) <- Some (raw (Dyn.to_array p.p_uvals.(o)));
+              copy_uvals.(c) <- Some (snd (uvals (Dyn.to_array p.p_uvals.(o))));
             copy_deps.(c) <-
               Array.init p.p_slot_count.(o) (fun s ->
                   finalize_slot p (p.p_slot_base.(o) + s) ~dst_copy:c ~slot:s))
@@ -983,7 +971,7 @@ module Sink = struct
     if Obs.enabled () then begin
       Obs.add c_intern_misses t.s.nprotos;
       Obs.add c_intern_hits (npath_execs - t.s.nprotos);
-      Obs.add c_label_records !next_label;
+      Obs.add c_label_records (Hashtbl.length records);
       Obs.add c_label_shared_values !shared_label_values;
       Array.iter
         (fun p ->
@@ -1012,8 +1000,9 @@ module Sink = struct
         shared_label_values = !shared_label_values;
       }
     in
-    Wet.make ~program:prog ~analysis ~nodes ~copy_uvals
-      ~copy_deps
+    Wet.make ~program:prog ~analysis ~nodes
+      ~node_ts:(Array.map (fun p -> raw (Dyn.to_array p.p_ts)) protos)
+      ~node_patterns ~copy_uvals ~node_cd ~copy_deps
       ~first_node:(max 0 t.s.first_node)
       ~last_node:(max 0 t.s.last_node)
       ~stats ~tier:`Tier1 ~damage:[]
@@ -1063,22 +1052,14 @@ end
 let pack_tier2 (w : Wet.t) : Wet.t =
   if w.Wet.tier = `Tier2 then
     Wet_error.fail Wet_error.Pack "already packed";
-  let pack_seq s = Stream.compress (Stream.contents s) in
-  let label_memo = Hashtbl.create 1024 in
-  let pack_labels (l : Wet.labels) =
-    match Hashtbl.find_opt label_memo l.Wet.l_id with
-    | Some l' -> l'
-    | None ->
-      let l' =
-        {
-          Wet.l_id = l.Wet.l_id;
-          l_dst = pack_seq l.Wet.l_dst;
-          l_src = pack_seq l.Wet.l_src;
-          l_len = l.Wet.l_len;
-        }
-      in
-      Hashtbl.replace label_memo l.Wet.l_id l';
-      l'
+  (* Each distinct body is compressed once and each label record packed
+     once, so the sharing the sink made survives packing. *)
+  let pack_seq =
+    Wet_util.Memo.by_identity (fun s -> Stream.compress (Stream.contents s))
+  in
+  let pack_labels =
+    Wet_util.Memo.by_identity (fun (l : Wet.labels) ->
+        { l with l_dst = pack_seq l.Wet.l_dst; l_src = pack_seq l.Wet.l_src })
   in
   (* each edge sits in one dependence source; [Wet.make] indexes the
      packed ones afresh *)
@@ -1091,23 +1072,12 @@ let pack_tier2 (w : Wet.t) : Wet.t =
            edges)
     | s -> s
   in
-  let nodes =
-    Array.map
-      (fun n ->
-        {
-          n with
-          Wet.n_ts = pack_seq n.Wet.n_ts;
-          n_groups =
-            Array.map
-              (fun g ->
-                { g with Wet.g_pattern = Option.map pack_seq g.Wet.g_pattern })
-              n.Wet.n_groups;
-          n_cd = Array.map pack_source n.Wet.n_cd;
-        })
-      w.Wet.nodes
-  in
-  Wet.make ~program:w.Wet.program ~analysis:w.Wet.analysis ~nodes
+  Wet.make ~program:w.Wet.program ~analysis:w.Wet.analysis ~nodes:w.Wet.nodes
+    ~node_ts:(Array.map pack_seq w.Wet.node_ts)
+    ~node_patterns:
+      (Array.map (Array.map (Option.map pack_seq)) w.Wet.node_patterns)
     ~copy_uvals:(Array.map (Option.map pack_seq) w.Wet.copy_uvals)
+    ~node_cd:(Array.map (Array.map pack_source) w.Wet.node_cd)
     ~copy_deps:(Array.map (Array.map pack_source) w.Wet.copy_deps)
     ~first_node:w.Wet.first_node ~last_node:w.Wet.last_node
     ~stats:w.Wet.stats ~tier:`Tier2 ~damage:w.Wet.damage
@@ -1152,7 +1122,7 @@ module Checkpoint = struct
      none. Bump it with any change to those two records; test_journal's
      golden digest fails until it is bumped and the digest
      re-recorded. *)
-  let layout = "wet-journal-layout/4"
+  let layout = "wet-journal-layout/5"
 
   (* The layout line a header payload starts with, and the offset of
      the Marshal bytes after it. Journals written before the layout was

@@ -10,7 +10,9 @@
     {- dependence slots whose producer always lies in the same node
        execution become label-free {!Wet.Local} links, and labeled edges
        between the same node pair with identical sequences share one
-       label record (§3.3).}}
+       label record (§3.3);}
+    {- equal sequences of one stream class (unique values, patterns,
+       either side of the labels) are one shared body.}}
 
     A {!Sink} consumes interpreter events incrementally, buffers at
     most about one shard of raw events, runs the compression eagerly
@@ -20,9 +22,10 @@
     {!Wet_interp.Interp.run}'s materialized {!Wet_interp.Trace.t} is
     the independent reference that container is checked against.
 
-    All label sequences are raw after tier-1; {!pack} rewrites each of
-    them as a bidirectionally compressed stream with per-stream method
-    selection (§4), leaving the graph structure untouched.
+    All label sequences are raw after tier-1; {!pack} rewrites each
+    distinct body once as a bidirectionally compressed stream with
+    per-stream method selection (§4), leaving the graph structure and
+    the sharing untouched.
 
     Failures raise [Wet_error.Error] (stage [Build] or [Pack]). *)
 
@@ -76,8 +79,9 @@ module Sink : sig
   val peak_live_words : t -> int
 end
 
-(** Tier-2: compress every label stream of a tier-1 WET. The input WET
-    remains usable. @raise Wet_error.Error if already packed. *)
+(** Tier-2: compress every label stream of a tier-1 WET, each shared
+    body and label record once. The input WET remains usable.
+    @raise Wet_error.Error if already packed. *)
 val pack : Wet.t -> Wet.t
 
 (** [run_streaming ~program ~input ()] builds a WET: interpret

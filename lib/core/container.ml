@@ -17,8 +17,12 @@ module Crc32 = Wet_util.Crc32
    [index.out] and [index.stmts] are gone (the loader derives them),
    the nodes' control sources moved from [graph.nodes] to
    [labels.deps], and [meta] lost the counts and the tier the other
-   sections and the header already hold. *)
-let format_version = 7
+   sections and the header already hold.
+   v8: each sequence stored once. Equal streams of a class are one
+   shared body, the value patterns moved from [graph.nodes] to
+   [labels.values], and a node no longer stores its predecessors, a
+   group its source and tuple counts, nor a label its length. *)
+let format_version = 8
 
 let magic = "WETOCaml"
 
@@ -102,8 +106,6 @@ type meta = {
 (* Encoding                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let empty_seq () = Stream.compress_with `Raw [||]
-
 let sections_of (w : Wet.t) =
   let mar v = Marshal.to_string v [] in
   let meta =
@@ -114,24 +116,17 @@ let sections_of (w : Wet.t) =
       m_damage = w.Wet.damage;
     }
   in
-  (* Timestamps and control sources live in their label sections: the
-     graph is stored with placeholders and re-spliced on load. The
-     control sources share one payload with the copies' dependence
-     slots, so a label record both reach is marshalled once. *)
-  let stripped =
-    Array.map
-      (fun n -> { n with Wet.n_ts = empty_seq (); n_cd = [||] })
-      w.Wet.nodes
-  in
+  (* One payload per section, so bodies shared within a class, and the
+     label records the control sources and the dependence slots share,
+     are marshalled once. *)
   let all =
     [
       ("meta", mar meta);
       ("program", mar w.Wet.program);
-      ("graph.nodes", mar stripped);
-      ("labels.ts", mar (Array.map (fun n -> n.Wet.n_ts) w.Wet.nodes));
-      ("labels.values", mar w.Wet.copy_uvals);
-      ( "labels.deps",
-        mar (Array.map (fun n -> n.Wet.n_cd) w.Wet.nodes, w.Wet.copy_deps) );
+      ("graph.nodes", mar w.Wet.nodes);
+      ("labels.ts", mar w.Wet.node_ts);
+      ("labels.values", mar (w.Wet.node_patterns, w.Wet.copy_uvals));
+      ("labels.deps", mar (w.Wet.node_cd, w.Wet.copy_deps));
     ]
   in
   List.filter (fun (n, _) -> not (List.mem n w.Wet.damage)) all
@@ -335,10 +330,10 @@ let decode_exn ~salvage s =
   (* A salvageable section: absent (omitted by an earlier salvage save)
      or damaged means placeholder + damage mark; damage in strict mode
      was already raised above. *)
-  let opt name ~default ~use =
+  let opt name default =
     match find name with
     | Some ({ sec_fault = None; _ } as st) -> (
-      try use (unmarshal name st)
+      try unmarshal name st
       with Fail f -> if salvage then (mark name; default ()) else fail f)
     | Some { sec_fault = Some f; _ } ->
       if salvage then (mark name; default ()) else fail f
@@ -362,38 +357,27 @@ let decode_exn ~salvage s =
     Array.fold_left (fun a (n : Wet.node) -> a + Array.length n.Wet.n_stmts)
       0 nodes
   in
-  let nodes =
-    opt "labels.ts"
-      ~default:(fun () -> nodes)
-      ~use:(fun (ts : Wet.seq array) ->
-        if Array.length ts <> nnodes then
-          fail (Malformed "labels.ts disagrees with the node count");
-        Array.mapi (fun i n -> { n with Wet.n_ts = ts.(i) }) nodes)
+  (* the placeholders fix each payload's type; [Wet.make] checks that
+     each table has one row per owner *)
+  let node_ts =
+    opt "labels.ts" (fun () ->
+        Array.make nnodes (Stream.compress_with `Raw [||]))
   in
-  let copy_uvals =
-    opt "labels.values"
-      ~default:(fun () -> Array.make ncopies None)
-      ~use:(fun (u : Wet.seq option array) ->
-        if Array.length u <> ncopies then
-          fail (Malformed "labels.values disagrees with the copy count");
-        u)
+  let node_patterns, copy_uvals =
+    opt "labels.values" (fun () ->
+        ( Array.map (fun (n : Wet.node) -> Array.map (fun _ -> None) n.n_groups)
+            nodes,
+          Array.make ncopies None ))
   in
-  let nodes, copy_deps =
-    opt "labels.deps"
-      ~default:(fun () -> (nodes, Array.make ncopies [||]))
-      ~use:(fun ((cd, d) : Wet.dep_source array array
-                            * Wet.dep_source array array) ->
-        if Array.length cd <> nnodes then
-          fail (Malformed "labels.deps disagrees with the node count");
-        if Array.length d <> ncopies then
-          fail (Malformed "labels.deps disagrees with the copy count");
-        (Array.mapi (fun i n -> { n with Wet.n_cd = cd.(i) }) nodes, d))
+  let node_cd, copy_deps =
+    opt "labels.deps" (fun () ->
+        (Array.make nnodes [||], Array.make ncopies [||]))
   in
   let w =
     try
-      Wet.make ~program ~analysis ~nodes ~copy_uvals ~copy_deps
-        ~first_node:meta.m_first ~last_node:meta.m_last ~stats:meta.m_stats
-        ~tier:health.hl_tier
+      Wet.make ~program ~analysis ~nodes ~node_ts ~node_patterns ~copy_uvals
+        ~node_cd ~copy_deps ~first_node:meta.m_first ~last_node:meta.m_last
+        ~stats:meta.m_stats ~tier:health.hl_tier
         ~damage:(List.sort_uniq compare (meta.m_damage @ !damage))
     with Invalid_argument m -> fail (Malformed m)
   in

@@ -1,4 +1,4 @@
-(** The sectioned, checksummed WET container format (version 7).
+(** The sectioned, checksummed WET container format (version 8).
 
     The first format was a bare [Marshal] dump behind an 8-byte magic:
     one flipped bit meant [Failure], garbage data, or a segfault deep
@@ -12,13 +12,15 @@
     payloads whose marshalled shape changed (a CRC cannot catch that
     mismatch): v3 added stream telemetry, v4 split a stream into body
     and default cursor, v5 made a stream its bare body, v6 dropped a
-    packed stream's traversal counters, and v7 stores each fact once in
-    six sections. Older versions are refused with a message to rebuild.
+    packed stream's traversal counters, v7 stores each fact once in six
+    sections, and v8 stores each sequence once, with the value patterns
+    beside the unique values. Older versions are refused with a message
+    to rebuild.
 
     Layout (all integers big-endian):
     {v
     0   "WETOCaml"                      8-byte magic
-    8   version                         u32 (= 7)
+    8   version                         u32 (= 8)
     12  tier                            u8 (1 | 2)
     13  flags                           u8 (reserved, 0)
     14  section count                   u32
@@ -38,20 +40,21 @@
     {- [meta] (required): first and last node, build statistics, and
        the damage an earlier salvage recorded;}
     {- [program] (required): the program the trace ran;}
-    {- [graph.nodes] (required): the nodes, without their timestamps
-       and control sources;}
+    {- [graph.nodes] (required): the nodes, which hold no stream;}
     {- [labels.ts]: each node's timestamp stream;}
-    {- [labels.values]: each copy's unique values;}
+    {- [labels.values]: each group's pattern and each copy's unique
+       values;}
     {- [labels.deps]: each node's control sources and each copy's
        dependence slots, in one payload, so a label record both share
        is stored once.}}
     Each payload is Marshal-encoded individually, so a bad section is
-    isolated. Nothing derivable is stored: the loader derives the
+    isolated, and a body several owners of one stream class share is
+    stored once. Nothing derivable is stored: the loader derives the
     program's analysis ({!Wet_cfg.Program_analysis.of_program}, once
-    the program passes {!Wet_ir.Validate}) and the copy tables and
-    indexes ({!Wet.make}), with the code that built them. A lost
-    salvageable section is replaced by placeholders and recorded in
-    {!Wet.t.damage}. Saving a salvaged WET omits its damaged sections
+    the program passes {!Wet_ir.Validate}) and the predecessors, copy
+    tables and indexes ({!Wet.make}), with the code that built them. A
+    lost salvageable section is replaced by placeholders and recorded
+    in {!Wet.t.damage}. Saving a salvaged WET omits its damaged sections
     and records them in [meta], so damage survives round trips
     honestly. *)
 
@@ -116,8 +119,9 @@ val examine : string -> (health, fault) result
     is loaded, damaged salvageable sections become placeholders recorded
     in {!Wet.t.damage}, and only a fault in a {!required} section (or
     the header) is an error. In both modes, checksummed sections that
-    disagree with each other (node copy ranges that do not tile the
-    copies, statements, group members, edge endpoints, [Local]
+    disagree with each other (tables with a row count other than their
+    owners', node copy ranges that do not tile the copies, successors,
+    statements, group members, edge endpoints, [Local]
     producers or the first or last node out of range, a program that
     fails validation) are
     [Error (Malformed _)], never an exception. No cursor is moved. *)

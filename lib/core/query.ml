@@ -94,7 +94,7 @@ module Session = struct
                 if Cursor.pos c > 0 && Cursor.peek_backward c = ts then
                   next := Some n
               end)
-            !cur.Wet.n_preds;
+            t.Wet.node_preds.(!cur.Wet.n_id);
           match !next with
           | None ->
             Wet_error.fail Query
@@ -225,7 +225,7 @@ type class_estimate = {
 let value_reads (t : Wet.t) ~pattern ~uvals c n =
   if t.Wet.copy_uvals.(c) <> None then begin
     let node = Wet.node_of_copy t c in
-    if node.Wet.n_groups.(t.Wet.copy_group.(c)).Wet.g_pattern <> None then
+    if t.Wet.node_patterns.(node.Wet.n_id).(t.Wet.copy_group.(c)) <> None then
       pattern := !pattern + n;
     uvals := !uvals + n
   end
@@ -274,7 +274,7 @@ let estimate (t : Wet.t) shape =
           | Wet.Remote edges ->
             List.iter
               (fun (e : Wet.edge) ->
-                let n = e.Wet.e_labels.Wet.l_len in
+                let n = Wet.Stream.length e.Wet.e_labels.Wet.l_dst in
                 src := !src + n;
                 value_reads t ~pattern ~uvals e.Wet.e_src n)
               edges)

@@ -35,9 +35,8 @@ type stream_class = {
 
 type detail = { d_classes : stream_class list; d_total_bits : int }
 
-(* One accumulator per stream class; [detail] walks every stream in the
-   WET exactly once, with shared dependence-label sequences deduplicated
-   by [l_id] — the same dedup rule [current] has always used. *)
+(* One accumulator per stream class; [detail] counts each distinct body
+   of a class once, however many owners share it. *)
 type acc = {
   kind : string;
   mutable streams : int;
@@ -91,34 +90,22 @@ let detail (t : Wet.t) =
   let pattern = new_acc "pattern" in
   let lsrc = new_acc "label.src" in
   let ldst = new_acc "label.dst" in
-  Array.iter
-    (fun (n : Wet.node) ->
-      acc_stream ts n.Wet.n_ts;
-      Array.iter
-        (fun (g : Wet.group) ->
-          match g.Wet.g_pattern with
-          | Some p -> acc_stream pattern p
-          | None -> ())
-        n.Wet.n_groups)
-    t.Wet.nodes;
-  Array.iter
-    (fun uv -> match uv with Some s -> acc_stream uvals s | None -> ())
-    t.Wet.copy_uvals;
-  (* Dependence labels, shared sequences counted once. *)
-  let seen = Hashtbl.create 1024 in
-  let add_labels (l : Wet.labels) =
-    if not (Hashtbl.mem seen l.Wet.l_id) then begin
-      Hashtbl.replace seen l.Wet.l_id ();
-      acc_stream lsrc l.Wet.l_src;
-      acc_stream ldst l.Wet.l_dst
-    end
-  in
+  let once a = Wet_util.Memo.by_identity (acc_stream a) in
+  Array.iter (once ts) t.Wet.node_ts;
+  Array.iter (Array.iter (Option.iter (once pattern))) t.Wet.node_patterns;
+  Array.iter (Option.iter (once uvals)) t.Wet.copy_uvals;
+  let add_src = once lsrc and add_dst = once ldst in
   let add_source = function
     | Wet.No_dep | Wet.Local _ -> ()
-    | Wet.Remote es -> List.iter (fun e -> add_labels e.Wet.e_labels) es
+    | Wet.Remote es ->
+      List.iter
+        (fun (e : Wet.edge) ->
+          add_src e.Wet.e_labels.Wet.l_src;
+          add_dst e.Wet.e_labels.Wet.l_dst)
+        es
   in
   Array.iter (Array.iter add_source) t.Wet.copy_deps;
-  Array.iter (fun (n : Wet.node) -> Array.iter add_source n.Wet.n_cd) t.Wet.nodes;
+  Array.iter (Array.iter add_source) t.Wet.node_cd;
   let classes = List.map close_acc [ ts; uvals; pattern; lsrc; ldst ] in
   {
     d_classes = classes;

@@ -8,8 +8,8 @@
     dependence (data, per operand; control, per statement). "Current" sizes measure
     the WET as it stands — tier-1 when label streams are raw, tier-2
     after {!Builder.pack} — using the analytic bit counts of
-    {!Wet_bistream.Stream.bits}, with shared label sequences counted
-    once. *)
+    {!Wet_bistream.Stream.bits}, with each distinct body of a stream
+    class counted once, however many owners share it. *)
 
 type breakdown = {
   ts_bytes : float;  (** node timestamp labels *)
@@ -30,7 +30,7 @@ val current : Wet.t -> breakdown
 type stream_class = {
   sc_kind : string;
       (** ["ts"], ["uvals"], ["pattern"], ["label.src"] or ["label.dst"] *)
-  sc_streams : int;  (** streams of this class (labels deduped by id) *)
+  sc_streams : int;  (** distinct bodies of this class *)
   sc_values : int;  (** values across those streams *)
   sc_bits : int;  (** analytic stored bits ({!Wet_bistream.Stream.bits}) *)
   sc_raw_bits : int;  (** 32 bits per value, the tier-1 cost *)

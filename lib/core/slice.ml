@@ -163,7 +163,7 @@ module Session = struct
           (* producer-instance streams are not sorted, so scan them *)
           let dst, src = S.label_cursors s e.Wet.e_labels in
           Cursor.seek src 0;
-          for j = 0 to e.Wet.e_labels.Wet.l_len - 1 do
+          for j = 0 to Cursor.length src - 1 do
             if Cursor.step_forward src = i then
               push e.Wet.e_dst (Cursor.read_at dst j)
           done)

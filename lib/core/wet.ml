@@ -26,14 +26,6 @@ and labels = {
   l_id : int;
   l_dst : seq;
   l_src : seq;
-  l_len : int;
-}
-
-type group = {
-  g_members : copy_id array;
-  g_nsources : int;
-  g_pattern : seq option;
-  g_nuniq : int;
 }
 
 type node = {
@@ -45,11 +37,8 @@ type node = {
   n_block_start : int array;
   n_copy_base : copy_id;
   n_nexec : int;
-  n_ts : seq;
   n_succs : node_id array;
-  n_preds : node_id array;
-  n_groups : group array;
-  n_cd : dep_source array;
+  n_groups : copy_id array array;
 }
 
 type stats = {
@@ -71,6 +60,10 @@ type t = {
   program : Wet_ir.Program.t;
   analysis : Wet_cfg.Program_analysis.t;
   nodes : node array;
+  node_ts : seq array;
+  node_patterns : seq option array array;
+  node_cd : dep_source array array;
+  node_preds : node_id array array;
   copy_node : node_id array;
   copy_stmt : int array;
   copy_uvals : seq option array;
@@ -87,10 +80,11 @@ type t = {
 }
 
 (* One reader's traversal state over a shared container: a cursor per
-   stream, each minted when first used (per node, per copy, per
+   stream owner, each minted when first used (per node, per copy, per
    (node, group), and per label by [l_id]), the ledger tally every
    cursor counts its steps in, and the recorder its queries note their
-   entry points in.
+   entry points in. Owners of one shared body get a cursor each, so a
+   query steps as it would if each stored its own.
    Single-owner; the container underneath may be shared freely. *)
 type session = {
   s_wet : t;
@@ -122,27 +116,40 @@ let copies_of_stmt t s = t.stmt_copies.(s)
 (* Assembly: the stored parts, and the indexes derived from them      *)
 (* ------------------------------------------------------------------ *)
 
-(* The copy tables and indexes follow from the nodes and the
-   dependence sources. The builder, the packer and the container all
-   assemble a WET here, so the lists come out in one order: the
-   nodes' control sources (node by node, block by block) before the
-   copies' slots (copy by copy, slot by slot), each reference consed
-   in turn. Everything read here is checked before use, so inconsistent
-   input is an [Invalid_argument], never an index fault. *)
-let make ~program ~analysis ~nodes ~copy_uvals ~copy_deps ~first_node
-    ~last_node ~stats ~tier ~damage =
+(* The copy tables and indexes, and each node's predecessors, follow
+   from the nodes and the dependence sources. The builder, the packer
+   and the container all assemble a WET here, so the lists come out in
+   one order: the nodes' control sources (node by node, block by block)
+   before the copies' slots (copy by copy, slot by slot), each reference
+   consed in turn. Everything read here is checked before use, so
+   inconsistent input is an [Invalid_argument], never an index fault. *)
+let make ~program ~analysis ~nodes ~node_ts ~node_patterns ~copy_uvals
+    ~node_cd ~copy_deps ~first_node ~last_node ~stats ~tier ~damage =
   let bad fmt = Printf.ksprintf invalid_arg fmt in
+  let nnodes = Array.length nodes in
   let ncopies = Array.length copy_deps in
   let nstmts = Wet_ir.Program.num_stmts program in
-  if Array.length copy_uvals <> ncopies then
-    bad "%d value slots for %d copies" (Array.length copy_uvals) ncopies;
+  let expect what arr n whose =
+    if Array.length arr <> n then
+      bad "%d %s for %d %s" (Array.length arr) what n whose
+  in
+  expect "value slots" copy_uvals ncopies "copies";
+  expect "timestamp streams" node_ts nnodes "nodes";
+  expect "pattern rows" node_patterns nnodes "nodes";
+  expect "control source rows" node_cd nnodes "nodes";
   let copy_node = Array.make ncopies 0 in
   let copy_stmt = Array.make ncopies 0 in
   let copy_group = Array.make ncopies (-1) in
   let stmt_copies = Array.make nstmts [] in
+  let node_preds = Array.make nnodes [] in
   let next = ref 0 in
   Array.iteri
     (fun id n ->
+      Array.iter
+        (fun s ->
+          if s < 0 || s >= nnodes then bad "node %d: successor %d outside" id s;
+          node_preds.(s) <- id :: node_preds.(s))
+        n.n_succs;
       let len = Array.length n.n_stmts in
       if n.n_copy_base <> !next || !next + len > ncopies then
         bad "node %d: copies [%d,%d) do not tile [0,%d)" id n.n_copy_base
@@ -157,18 +164,22 @@ let make ~program ~analysis ~nodes ~copy_uvals ~copy_deps ~first_node
           copy_stmt.(c) <- st;
           stmt_copies.(st) <- c :: stmt_copies.(st))
         n.n_stmts;
+      let ngroups = Array.length n.n_groups in
+      if Array.length node_patterns.(id) <> ngroups then
+        bad "node %d: %d patterns for %d groups" id
+          (Array.length node_patterns.(id)) ngroups;
       Array.iteri
-        (fun g grp ->
+        (fun g members ->
+          if members = [||] then bad "node %d: group %d has no member" id g;
           Array.iter
             (fun m ->
               if m < n.n_copy_base || m >= !next then
                 bad "node %d: group member %d outside the node" id m;
               copy_group.(m) <- g)
-            grp.g_members)
+            members)
         n.n_groups)
     nodes;
   if !next <> ncopies then bad "nodes hold %d copies, not %d" !next ncopies;
-  let nnodes = Array.length nodes in
   let node n = n >= 0 && n < nnodes in
   if nnodes > 0 && not (node first_node && node last_node) then
     bad "first and last nodes (%d,%d) outside [0,%d)" first_node last_node
@@ -200,13 +211,17 @@ let make ~program ~analysis ~nodes ~copy_uvals ~copy_deps ~first_node
           if o < 0 || o >= Array.length n.n_stmts then
             bad "node %d: control source %d has no block" id bp;
           index (n.n_copy_base + o) src)
-        n.n_cd)
+        node_cd.(id))
     nodes;
   Array.iteri (fun c slots -> Array.iter (index c) slots) copy_deps;
   {
     program;
     analysis;
     nodes;
+    node_ts;
+    node_patterns;
+    node_cd;
+    node_preds = Array.map (fun ps -> Array.of_list (List.rev ps)) node_preds;
     copy_node;
     copy_stmt;
     copy_uvals;
@@ -273,7 +288,8 @@ module Session = struct
 
   let ts_cursor s (n : node) =
     let c = s.s_ts.(n.n_id) in
-    if c != unminted then c else mint s s.s_ts n.n_id n.n_ts (Ex.Ts n.n_id)
+    if c != unminted then c
+    else mint s s.s_ts n.n_id s.s_wet.node_ts.(n.n_id) (Ex.Ts n.n_id)
 
   let label_cursors s (l : labels) =
     match Hashtbl.find_opt s.s_labels l.l_id with
@@ -300,7 +316,7 @@ module Session = struct
       in
       let node = node_of_copy t c in
       let g = t.copy_group.(c) in
-      match node.n_groups.(g).g_pattern with
+      match t.node_patterns.(node.n_id).(g) with
       | None -> Cursor.read_at uvals 0
       | Some body ->
         let slots = s.s_patterns.(node.n_id) in
@@ -345,7 +361,7 @@ module Session = struct
       then block_pos (p + 1)
       else p
     in
-    match node.n_cd.(block_pos 0) with
+    match t.node_cd.(node.n_id).(block_pos 0) with
     | No_dep -> None
     | Local p -> Some (p, i)
     | Remote edges -> search_edges s edges i
@@ -374,40 +390,30 @@ let validate t =
         if !nerrs <= 100 then errs := s :: !errs)
       fmt
   in
-  let nnodes = Array.length t.nodes in
   let total_execs = t.stats.path_execs in
   (* Pure decode: reads the representation without touching any cursor. *)
   let snapshot = Stream.contents in
-  let check_labels ctx (l : labels) =
-    if Stream.length l.l_dst <> l.l_len || Stream.length l.l_src <> l.l_len
-    then err "%s: label %d stream lengths differ from l_len=%d" ctx l.l_id l.l_len
-    else begin
-      let dst = snapshot l.l_dst in
-      for j = 1 to l.l_len - 1 do
-        if dst.(j) <= dst.(j - 1) then
-          err "%s: label %d consumer instances not strictly ascending at %d"
-            ctx l.l_id j
-      done
-    end
-  in
-  (* dependence edges must reference live execution instances *)
+  (* dependence edges must pair equal numbers of live execution
+     instances, consumers strictly ascending *)
   let check_edge ctx (e : edge) =
-    check_labels ctx e.e_labels;
-    let src_nexec = (node_of_copy t e.e_src).n_nexec in
-    let dst_nexec = (node_of_copy t e.e_dst).n_nexec in
-    let dst = snapshot e.e_labels.l_dst and src = snapshot e.e_labels.l_src in
-    Array.iter
-      (fun i ->
-        if i < 0 || i >= dst_nexec then
-          err "%s: label %d consumer instance %d outside [0,%d)" ctx
-            e.e_labels.l_id i dst_nexec)
-      dst;
-    Array.iter
-      (fun i ->
-        if i < 0 || i >= src_nexec then
-          err "%s: label %d producer instance %d outside [0,%d)" ctx
-            e.e_labels.l_id i src_nexec)
-      src
+    let l = e.e_labels in
+    let dst = snapshot l.l_dst and src = snapshot l.l_src in
+    if Array.length dst <> Array.length src then
+      err "%s: label %d pairs %d consumer with %d producer instances" ctx
+        l.l_id (Array.length dst) (Array.length src);
+    let live what nexec =
+      Array.iter (fun i ->
+          if i < 0 || i >= nexec then
+            err "%s: label %d %s instance %d outside [0,%d)" ctx l.l_id what i
+              nexec)
+    in
+    live "consumer" (node_of_copy t e.e_dst).n_nexec dst;
+    live "producer" (node_of_copy t e.e_src).n_nexec src;
+    for j = 1 to Array.length dst - 1 do
+      if dst.(j) <= dst.(j - 1) then
+        err "%s: label %d consumer instances not strictly ascending at %d" ctx
+          l.l_id j
+    done
   in
   let check_source ctx = function
     | No_dep | Local _ -> ()
@@ -434,21 +440,16 @@ let validate t =
         n.n_block_start;
       if nblocks > 0 && n.n_block_start.(0) <> 0 then
         err "%s: first block does not start at statement 0" ctx;
-      if (not (damaged t "labels.deps")) && Array.length n.n_cd <> nblocks then
-        err "%s: %d control sources for %d blocks" ctx (Array.length n.n_cd)
+      let cd = t.node_cd.(id) in
+      if (not (damaged t "labels.deps")) && Array.length cd <> nblocks then
+        err "%s: %d control sources for %d blocks" ctx (Array.length cd)
           nblocks;
-      Array.iter
-        (fun s ->
-          if s < 0 || s >= nnodes then err "%s: successor %d out of range" ctx s
-          else if not (Array.exists (fun p -> p = id) t.nodes.(s).n_preds) then
-            err "%s: successor %d lacks the symmetric predecessor" ctx s)
-        n.n_succs;
       (if not (damaged t "labels.ts") then begin
-         if Stream.length n.n_ts <> n.n_nexec then
-           err "%s: %d timestamps for %d executions" ctx
-             (Stream.length n.n_ts) n.n_nexec
+         let ts = snapshot t.node_ts.(id) in
+         if Array.length ts <> n.n_nexec then
+           err "%s: %d timestamps for %d executions" ctx (Array.length ts)
+             n.n_nexec
          else begin
-           let ts = snapshot n.n_ts in
            Array.iteri
              (fun i v ->
                if i > 0 && v <= ts.(i - 1) then
@@ -465,24 +466,29 @@ let validate t =
              ts
          end
        end);
-      Array.iter
-        (fun g ->
-          match g.g_pattern with
-          | None -> ()
-          | Some p ->
-            if Stream.length p <> n.n_nexec then
-              err "%s: group pattern length %d <> nexec %d" ctx
-                (Stream.length p) n.n_nexec
-            else if not (damaged t "labels.values") then
-              Array.iter
-                (fun v ->
-                  if v < 0 || v >= g.g_nuniq then
-                    err "%s: pattern index %d outside [0,%d)" ctx v g.g_nuniq)
-                (snapshot p))
-        n.n_groups;
+      (* a pattern indexes its group's unique values, which every
+         member holds one of per distinct input tuple *)
+      (if not (damaged t "labels.values") then
+         Array.iteri
+           (fun g p ->
+             let member = t.copy_uvals.(n.n_groups.(g).(0)) in
+             let nuniq = Option.fold ~none:0 ~some:Stream.length member in
+             Option.iter
+               (fun p ->
+                 let p = snapshot p in
+                 if Array.length p <> n.n_nexec then
+                   err "%s: group pattern length %d <> nexec %d" ctx
+                     (Array.length p) n.n_nexec;
+                 Array.iter
+                   (fun v ->
+                     if v < 0 || v >= nuniq then
+                       err "%s: pattern index %d outside [0,%d)" ctx v nuniq)
+                   p)
+               p)
+           t.node_patterns.(id));
       Array.iteri
         (fun bp src -> check_source (Printf.sprintf "%s cd[%d]" ctx bp) src)
-        n.n_cd)
+        cd)
     t.nodes;
   Option.iter
     (fun b ->
@@ -493,11 +499,8 @@ let validate t =
   (if not (damaged t "labels.values") then
      Array.iteri
        (fun c u ->
-         match u with
-         | None -> ()
-         | Some _ when t.copy_group.(c) < 0 ->
-           err "copy %d has values but no group" c
-         | Some _ -> ())
+         if u <> None && t.copy_group.(c) < 0 then
+           err "copy %d has values but no group" c)
        t.copy_uvals);
   (if not (damaged t "labels.deps") then
      Array.iteri

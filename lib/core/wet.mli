@@ -17,11 +17,17 @@
     [(consumer instance, producer instance)] pair sequences in {e local}
     timestamps. Edges whose producer always lies in the same node
     execution carry no label at all ({!Local}); labeled edges between the
-    same pair of nodes with identical sequences share one copy.
+    same pair of nodes with identical sequences share one label record.
 
     Every label sequence is a {!Wet_bistream.Stream.t}: raw arrays after
     tier-1, bidirectionally compressed streams after tier-2
-    ({!Builder.pack}). Queries work identically on both.
+    ({!Builder.pack}). Queries work identically on both. Equal sequences
+    of one stream class (unique values, patterns, consumer sides,
+    producer sides) are one physically shared body, whoever owns them;
+    timestamps never repeat.
+
+    The nodes hold no stream: each stream sits in a table beside them,
+    indexed by its owner, as the container stores it.
 
     {b Concurrency contract.} A {!t} is an immutable container: share it
     freely between threads and domains. All traversal state lives in
@@ -59,17 +65,6 @@ and labels = {
   l_id : int;  (** unique id; shared edges share the same [labels] *)
   l_dst : seq;  (** consumer instances, strictly ascending *)
   l_src : seq;  (** producer instances, aligned with [l_dst] *)
-  l_len : int;
-}
-
-(** A group of copies depending on the same inputs (paper §3.2). *)
-type group = {
-  g_members : copy_id array;  (** def-bearing copies, in path order *)
-  g_nsources : int;  (** distinct external inputs feeding the group *)
-  g_pattern : seq option;
-      (** [None] for constant groups (no sources): every instance reads
-          [UVals(c)(0)] *)
-  g_nuniq : int;  (** number of distinct input tuples observed *)
 }
 
 type node = {
@@ -82,12 +77,10 @@ type node = {
       (** index in [n_stmts] of each block's first statement *)
   n_copy_base : copy_id;  (** copies are [n_copy_base + offset] *)
   n_nexec : int;  (** number of executions of this path *)
-  n_ts : seq;  (** global timestamps, one per execution *)
   n_succs : node_id array;  (** dynamic control-flow successor nodes *)
-  n_preds : node_id array;
-  n_groups : group array;
-  n_cd : dep_source array;
-      (** control-dependence source per block position *)
+  n_groups : copy_id array array;
+      (** the input groups (paper §3.2): copies depending on the same
+          inputs, each group its def-bearing copies in path order *)
 }
 
 (** Build-time statistics used for the "original" (uncompressed,
@@ -112,13 +105,21 @@ type stats = {
     writes the same bytes whatever queries ran before.
 
     A container stores only the program, the nodes and their labels;
-    [analysis] is the program's, and the copy tables and indexes are
-    derived from the nodes by {!make}. *)
+    [analysis] is the program's, and the predecessors, copy tables and
+    indexes are derived from the nodes by {!make}. *)
 
 type t = {
   program : Wet_ir.Program.t;
   analysis : Wet_cfg.Program_analysis.t;
   nodes : node array;
+  node_ts : seq array;  (** per node: global timestamps, one per execution *)
+  node_patterns : seq option array array;
+      (** per node, per group: the group's pattern, [None] for a constant
+          group (no sources), whose every instance reads [UVals(c)(0)] *)
+  node_cd : dep_source array array;
+      (** per node: the control-dependence source of each block position *)
+  node_preds : node_id array array;
+      (** per node: the nodes naming it a successor, ascending *)
   copy_node : node_id array;
   copy_stmt : int array;  (** static statement id per copy *)
   copy_uvals : seq option array;  (** unique values of def-bearing copies *)
@@ -154,25 +155,30 @@ exception Missing_stream of string
 (** [damaged t sec] is [true] if section [sec] was salvaged away. *)
 val damaged : t -> string -> bool
 
-(** [make ~program ~analysis ~nodes ~copy_uvals ~copy_deps …] assembles
-    a WET from its stored parts, deriving [copy_node], [copy_stmt],
-    [copy_group], [stmt_copies], [copy_local_out] and [copy_remote_out]
-    from the nodes and the dependence sources ([n_cd] and [copy_deps]).
-    The builder, {!Builder.pack} and the container's loader all
-    assemble through it, so a loaded WET's indexes are the built one's,
-    list order included.
+(** [make ~program ~analysis ~nodes ~node_ts …] assembles a WET from
+    its stored parts, deriving [node_preds] from the successors and
+    [copy_node], [copy_stmt], [copy_group], [stmt_copies],
+    [copy_local_out] and [copy_remote_out] from the nodes and the
+    dependence sources ([node_cd] and [copy_deps]). The builder,
+    {!Builder.pack} and the container's loader all assemble through
+    it, so a loaded WET's indexes are the built one's, list order
+    included.
     @raise Invalid_argument naming the first inconsistency among what
-      the derivation reads: node copy ranges that do not tile
-      [\[0, ncopies)] in node order (ncopies being the length of
-      [copy_deps]), statement ids outside the program, group members
-      outside their node, control sources without a block, edge
-      endpoints or [Local] producers outside the copies, and a first or
-      last node outside the nodes. *)
+      the derivation reads: a table whose length is not its owners'
+      count, successors outside the nodes, node copy ranges that do not
+      tile [\[0, ncopies)] in node order (ncopies being the length of
+      [copy_deps]), statement ids outside the program, empty groups,
+      group members outside their node, control sources without a
+      block, edge endpoints or [Local] producers outside the copies,
+      and a first or last node outside the nodes. *)
 val make :
   program:Wet_ir.Program.t ->
   analysis:Wet_cfg.Program_analysis.t ->
   nodes:node array ->
+  node_ts:seq array ->
+  node_patterns:seq option array array ->
   copy_uvals:seq option array ->
+  node_cd:dep_source array array ->
   copy_deps:dep_source array array ->
   first_node:node_id ->
   last_node:node_id ->
@@ -198,10 +204,11 @@ val copies_of_stmt : t -> int -> copy_id list
 
 (** Structural invariant checker: stream lengths consistent with node
     execution counts, timestamps strictly increasing per path and
-    covering [1..path_execs] exactly once, dependence edges referencing
+    covering [1..path_execs] exactly once, pattern indices inside their
+    group's unique values, dependence edges pairing equal numbers of
     live instances, dependence slots matching their statements. The
-    copy maps and indexes are {!make}'s, consistent by construction,
-    so they are not re-checked. Returns
+    predecessors, copy maps and indexes are {!make}'s, consistent by
+    construction, so they are not re-checked. Returns
     human-readable violations ([[]] = sound). Checks that would touch a
     {!damage}d section are skipped, so a salvaged WET validates clean
     when its surviving sections are sound. Reads pure stream snapshots

@@ -209,7 +209,7 @@ let test_at_reads_up_to_ts () =
                   Array.fold_left
                     (fun k v -> if v <= ts then k + 1 else k)
                     0
-                    (Wet_bistream.Stream.contents n.W.n_ts)
+                    (Wet_bistream.Stream.contents wet.W.node_ts.(n.W.n_id))
                 in
                 acc + min n.W.n_nexec (upto + 1))
               0

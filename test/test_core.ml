@@ -529,7 +529,7 @@ let test_stats_conservation () =
           Hashtbl.replace seen l.W.l_id ();
           ignore shared_ok
         end;
-        stored := !stored + l.W.l_len
+        stored := !stored + W.Stream.length l.W.l_dst
       in
       let count_source = function
         | W.No_dep | W.Local _ -> ()
@@ -554,9 +554,11 @@ let test_stats_conservation () =
               | W.Remote es ->
                 List.iter
                   (fun (e : W.edge) ->
-                    cd_stored := !cd_stored + (e.W.e_labels.W.l_len * stmts_in_block))
+                    cd_stored :=
+                      !cd_stored
+                      + (W.Stream.length e.W.e_labels.W.l_dst * stmts_in_block))
                   es)
-            n.W.n_cd)
+            w1.W.node_cd.(n.W.n_id))
         w1.W.nodes;
       let s = w1.W.stats in
       (* data deps: stored-or-local, minus holes, matches the count *)
@@ -576,7 +578,7 @@ let test_cf_successors_cover () =
         (fun (n : W.node) ->
           Array.iter
             (fun s ->
-              let s_preds = w1.W.nodes.(s).W.n_preds in
+              let s_preds = w1.W.node_preds.(s) in
               Alcotest.(check bool) (name ^ " pred symmetry") true
                 (Array.exists (fun p -> p = n.W.n_id) s_preds))
             n.W.n_succs)
@@ -674,7 +676,7 @@ let test_locate_time () =
             let f, pid = T.decode_path tr.T.paths.(ts - 1) in
             if n.W.n_func <> f || n.W.n_path <> pid then
               Alcotest.failf "%s: ts %d located to wrong node" name ts;
-            if (W.Stream.contents n.W.n_ts).(i) <> ts then
+            if (W.Stream.contents wet.W.node_ts.(nid)).(i) <> ts then
               Alcotest.failf "%s: ts %d wrong instance" name ts)
         [ 1; 2; total / 2; total ];
       Alcotest.(check (option (pair int int))) (name ^ " out of range") None

@@ -81,7 +81,7 @@ module Ref = struct
         (fun (e : W.edge) ->
           let dst, src = S.label_cursors s e.W.e_labels in
           Cursor.seek src 0;
-          for j = 0 to e.W.e_labels.W.l_len - 1 do
+          for j = 0 to Cursor.length src - 1 do
             if Cursor.step_forward src = i then
               push e.W.e_dst (Cursor.read_at dst j)
           done)

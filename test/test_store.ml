@@ -14,6 +14,7 @@ module T = Wet_interp.Trace
 module Interp = Wet_interp.Interp
 module Spec = Wet_workloads.Spec
 module Program = Wet_ir.Program
+module Sizes = Wet_core.Sizes
 
 (* ------------------------------------------------------------------ *)
 (* Workloads: two programs with different shapes (recursion + arrays  *)
@@ -181,7 +182,8 @@ let test_rejects_garbage () =
    monolithic format, v4 the sectioned format whose streams still
    carried a default cursor, v5 the one whose packed streams still
    carried traversal counters, v6 the one that also stored what the
-   loader derives. *)
+   loader derives, v7 the one that stored an equal sequence once per
+   owner and the value patterns with the graph. *)
 let test_rejects_legacy_v1 () =
   let _, _, _, w2 = List.hd (Lazy.force built) in
   let older v =
@@ -215,6 +217,7 @@ let test_rejects_legacy_v1 () =
       (4, older 4);
       (5, older 5);
       (6, older 6);
+      (7, older 7);
     ]
 
 (* Truncate at every section boundary, at every header field edge, and
@@ -371,10 +374,46 @@ let test_six_sections () =
            (fun (s : Container.section_status) -> s.Container.sec_name)
            (sections_of_bytes (Container.encode wet))))
 
+(* Each stream class's bodies, one per owner: equal sequences of a
+   class are one shared body, so a class holds as many physically
+   distinct bodies as distinct contents. *)
+let check_one_body_per_sequence name (w : W.t) =
+  let sides side =
+    let acc = ref [] in
+    let add = function
+      | W.Remote es ->
+        List.iter (fun (e : W.edge) -> acc := side e.W.e_labels :: !acc) es
+      | W.No_dep | W.Local _ -> ()
+    in
+    Array.iter (Array.iter add) w.W.node_cd;
+    Array.iter (Array.iter add) w.W.copy_deps;
+    !acc
+  in
+  let somes a = List.filter_map Fun.id (Array.to_list a) in
+  List.iter
+    (fun (kind, bodies) ->
+      let distinct =
+        List.fold_left
+          (fun d b -> if List.memq b d then d else b :: d)
+          [] bodies
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "%s: %s bodies" name kind)
+        (List.length
+           (List.sort_uniq compare (List.map W.Stream.contents bodies)))
+        (List.length distinct))
+    [
+      ("uvals", somes w.W.copy_uvals);
+      ("pattern", List.concat_map somes (Array.to_list w.W.node_patterns));
+      ("label.dst", sides (fun l -> l.W.l_dst));
+      ("label.src", sides (fun l -> l.W.l_src));
+    ]
+
 (* The loader derives the analysis and the indexes with the builder's
    code: every bundled program at the golden scale (a 64th of its
    timing scale), on both tiers, decodes to a WET equal to the built
-   one, and no larger in memory. *)
+   one, measuring alike and no larger in memory, and both hold one body
+   per distinct sequence of a class. *)
 let test_derived_round_trip () =
   let words x = Obj.reachable_words (Obj.repr x) in
   List.iter
@@ -394,46 +433,79 @@ let test_derived_round_trip () =
             if d <> w then
               Alcotest.failf "%s: the decoded WET differs from the built one"
                 name;
+            check_one_body_per_sequence (name ^ " built") w;
+            check_one_body_per_sequence (name ^ " decoded") d;
+            Alcotest.(check bool) (name ^ ": sizes agree") true
+              (Sizes.current d = Sizes.current w);
             if words d > words w then
               Alcotest.failf "%s: decoded %d words, built %d" name (words d)
                 (words w))
         [ ("tier1", w1); ("tier2", Builder.pack w1) ])
     Spec.all
 
+(* [wet]'s container with a bit flipped in the middle of section [sec],
+   salvaged: the damage names [sec] alone. *)
+let salvage_without name sec wet =
+  let data = Container.encode wet in
+  let s =
+    List.find
+      (fun (s : Container.section_status) -> s.Container.sec_name = sec)
+      (sections_of_bytes data)
+  in
+  let mutilated =
+    Faultsim.apply
+      (Faultsim.Bit_flip
+         { offset = s.Container.sec_offset + (s.Container.sec_length / 2);
+           bit = 5 })
+      data
+  in
+  match Container.decode ~salvage:true mutilated with
+  | Error f ->
+    Alcotest.failf "%s: salvage failed: %s" name (Container.fault_message f)
+  | Ok (w, _) ->
+    Alcotest.(check (list string)) (name ^ ": damage recorded") [ sec ]
+      w.W.damage;
+    w
+
+(* [f ()] raises [Missing_stream sec]. *)
+let raises name sec what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: %s must raise" name what
+  | exception W.Missing_stream m ->
+    Alcotest.(check string) (name ^ ": " ^ what) sec m
+
 (* Control sources are stored with the data dependences, so a WET that
    lost [labels.deps] cannot slice forward or resolve a control
    dependence: both name the lost section. *)
 let test_lost_deps () =
   each_tier (fun name _ wet ->
-      let data = Container.encode wet in
-      let s =
-        List.find
-          (fun (s : Container.section_status) ->
-            s.Container.sec_name = "labels.deps")
-          (sections_of_bytes data)
-      in
-      let mutilated =
-        Faultsim.apply
-          (Faultsim.Bit_flip
-             { offset = s.Container.sec_offset + (s.Container.sec_length / 2);
-               bit = 5 })
-          data
-      in
-      match Container.decode ~salvage:true mutilated with
-      | Error f ->
-        Alcotest.failf "%s: salvage failed: %s" name (Container.fault_message f)
-      | Ok (w, _) ->
-        Alcotest.(check (list string))
-          (name ^ ": damage recorded") [ "labels.deps" ] w.W.damage;
-        let s = W.open_session w in
-        let raises what f =
-          match f () with
-          | _ -> Alcotest.failf "%s: %s must raise" name what
-          | exception W.Missing_stream m ->
-            Alcotest.(check string) (name ^ ": " ^ what) "labels.deps" m
-        in
-        raises "forward slice" (fun () -> ignore (Slice.Session.forward s 0 0));
-        raises "resolve_cd" (fun () -> ignore (W.Session.resolve_cd s 0 0)))
+      let s = W.open_session (salvage_without name "labels.deps" wet) in
+      let raises = raises name "labels.deps" in
+      raises "forward slice" (fun () -> ignore (Slice.Session.forward s 0 0));
+      raises "resolve_cd" (fun () -> ignore (W.Session.resolve_cd s 0 0)))
+
+(* The value patterns are stored with the unique values, so a WET that
+   lost [labels.values] keeps no pattern: value and address traces name
+   the lost section, while control flow and slices still answer. *)
+let test_lost_values () =
+  each_tier (fun name _ wet ->
+      let w = salvage_without name "labels.values" wet in
+      Alcotest.(check bool) (name ^ ": no pattern kept") true
+        (Array.for_all (Array.for_all Option.is_none) w.W.node_patterns);
+      let s = W.open_session w in
+      let raises = raises name "labels.values" in
+      let ignore_all _ _ = () in
+      raises "value trace" (fun () ->
+          Query.Session.load_values s ~f:ignore_all);
+      raises "address trace" (fun () ->
+          Query.Session.addresses s ~f:ignore_all);
+      Alcotest.(check int) (name ^ ": control flow answers")
+        w.W.stats.W.block_execs
+        (Query.Session.control_flow s Query.Forward ~f:ignore_all);
+      let sliced (r : Slice.result) = r.Slice.instances > 0 in
+      Alcotest.(check bool) (name ^ ": slices answer") true
+        (sliced (Slice.Session.backward s 0 0)
+         && sliced (Slice.Session.forward s 0 0)))
 
 (* Checksummed sections that disagree with each other are a [Malformed]
    container, strictly and when salvaging, and never an exception. *)
@@ -477,6 +549,13 @@ let test_inconsistent_sections () =
               | _ -> None) );
           ( "a first node past the nodes",
             { wet with W.first_node = Array.length wet.W.nodes } );
+          ( "a pattern table a row short",
+            {
+              wet with
+              W.node_patterns =
+                Array.sub wet.W.node_patterns 0
+                  (Array.length wet.W.node_patterns - 1);
+            } );
           ( "a local producer out of range",
             first_slot wet (function
               | W.Remote _ -> None
@@ -629,6 +708,7 @@ let () =
           Alcotest.test_case "derived indexes round-trip" `Quick
             test_derived_round_trip;
           Alcotest.test_case "lost labels.deps" `Quick test_lost_deps;
+          Alcotest.test_case "lost labels.values" `Quick test_lost_values;
           Alcotest.test_case "inconsistent sections are malformed" `Quick
             test_inconsistent_sections;
           Alcotest.test_case "atomic save" `Quick test_atomic_save;

@@ -253,15 +253,15 @@ let test_feed_after_finish () =
    [labels.values] sections. *)
 let golden_tier2 =
   [
-    ("099.go", "422cd7994aa1b047e0fab8451516d079");
-    ("126.gcc", "0a9ae53878c1d992db6a9b71c150621d");
-    ("130.li", "76b67c32c27fe8a8f522a21d2650f95c");
-    ("164.gzip", "4651a72f27b879981020701be2d1d4d1");
-    ("181.mcf", "b2ebda7c3fe0a85b1b9a9623db00b4cb");
-    ("197.parser", "cb570e9cf880c4f8f9d74570dde02876");
-    ("255.vortex", "046c86cd574b0ea5d494b819263fc846");
-    ("256.bzip2", "8b73c2b15b06b93dcc069e6e412144c2");
-    ("300.twolf", "9d7facfbdb9dd3a6653facf84bd79660");
+    ("099.go", "d2d3469d6dcc6763c1dcdd29807e0b5c");
+    ("126.gcc", "603cabf162e08d523739ffe5433681a9");
+    ("130.li", "a33488cfad579787bfa670348fd835a6");
+    ("164.gzip", "a16684a0aaf71a9d43674d81066ad4d9");
+    ("181.mcf", "ebbbf90097cfd8ab5d879d5ded8a263f");
+    ("197.parser", "07bf73c9416d9273eaece2f506cdcd4c");
+    ("255.vortex", "2185ebc4c707a5cdbc7b2dd9a8c3dc3a");
+    ("256.bzip2", "95bdbd8944f75ec7abfbe24eb380f7f2");
+    ("300.twolf", "665ddf432eb23bdce0f9a205abd422c7");
   ]
 
 let test_golden_tier2 () =
