@@ -440,8 +440,14 @@ let stats_cmd =
             s.W.dep_instances s.W.cd_instances;
           Printf.printf "  inferable from node labels (no edge stored): %d\n"
             s.W.local_dep_instances;
-          Printf.printf "  label values shared across identical edges: %d\n"
+          Printf.printf
+            "  label values in records reused within a node pair: %d\n"
             s.W.shared_label_values;
+          let dst, src = Sizes.shared_label_bodies wet in
+          Printf.printf
+            "  consumer values in bodies shared across records: %d\n" dst;
+          Printf.printf
+            "  producer values in bodies shared across records: %d\n" src;
           Insight_report.print report
         end;
         (* the paper-style report on a salvaged WET is still degraded

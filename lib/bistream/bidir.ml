@@ -41,13 +41,15 @@ let hit_bits t =
   | Fcm | Dfcm -> 0
   | Last_n | Last_stride -> ceil_log2 t.ctx
 
-let key_fcm t q =
-  Hashing.index_of_hash (Hashing.hash_window t.p q t.ctx) t.table_bits
+(* The table slot keyed by the [ctx] values [a.(q ..)]: [a] is the
+   padded storage, or the values {!to_array} has revealed. *)
+let key_fcm t a q =
+  Hashing.index_of_hash (Hashing.hash_window a q t.ctx) t.table_bits
 
-let key_dfcm t q =
+let key_dfcm t a q =
   let acc = ref Hashing.fnv_init in
   for i = q to q + t.ctx - 2 do
-    acc := Hashing.fnv_fold !acc (t.p.(i + 1) - t.p.(i))
+    acc := Hashing.fnv_fold !acc (a.(i + 1) - a.(i))
   done;
   Hashing.index_of_hash !acc t.table_bits
 
@@ -56,29 +58,32 @@ let key_dfcm t q =
    table to its pre-push state (paper Fig. 5). The Last-n family uses
    the window itself as its table (paper Fig. 7) and needs no undo. *)
 
-(* Pop the BL entry at padded position [pos]; its left context is the
-   current window [pos-ctx .. pos-1]. Returns the revealed value. *)
-let pop_bl t pos =
+(* Pop the BL entry at padded position [pos] (its flag and payload in
+   [t]) against the left context [win.(pos-ctx .. pos-1)] and the BL
+   table [tb], restoring [tb] on a miss. A step passes the window and
+   the template's table; {!to_array} the values it has revealed and a
+   private copy of the table. Returns the revealed value. *)
+let pop_bl t ~win ~tb pos =
   let n = t.ctx in
   let hit = Bitvec.get t.hit pos in
   match t.meth with
   | Fcm ->
-    let idx = key_fcm t (pos - n) in
-    let x = t.bltb.(idx) in
-    if not hit then t.bltb.(idx) <- t.p.(pos);
+    let idx = key_fcm t win (pos - n) in
+    let x = tb.(idx) in
+    if not hit then tb.(idx) <- t.p.(pos);
     x
   | Dfcm ->
-    let idx = key_dfcm t (pos - n) in
-    let s = t.bltb.(idx) in
-    let x = t.p.(pos - 1) + s in
-    if not hit then t.bltb.(idx) <- t.p.(pos);
+    let idx = key_dfcm t win (pos - n) in
+    let s = tb.(idx) in
+    let x = win.(pos - 1) + s in
+    if not hit then tb.(idx) <- t.p.(pos);
     x
-  | Last_n -> if hit then t.p.(pos - n + t.p.(pos)) else t.p.(pos)
+  | Last_n -> if hit then win.(pos - n + t.p.(pos)) else t.p.(pos)
   | Last_stride ->
     if hit then begin
       let k = t.p.(pos) in
-      let s = if k = 0 then 0 else t.p.(pos - n + k) - t.p.(pos - n + k - 1) in
-      t.p.(pos - 1) + s
+      let s = if k = 0 then 0 else win.(pos - n + k) - win.(pos - n + k - 1) in
+      win.(pos - 1) + s
     end
     else t.p.(pos)
 
@@ -96,14 +101,14 @@ let push_bl t pos x =
   let n = t.ctx in
   match t.meth with
   | Fcm ->
-    let idx = key_fcm t (pos - n) in
+    let idx = key_fcm t t.p (pos - n) in
     if t.bltb.(idx) = x then set_entry t pos true 0
     else begin
       set_entry t pos false t.bltb.(idx);
       t.bltb.(idx) <- x
     end
   | Dfcm ->
-    let idx = key_dfcm t (pos - n) in
+    let idx = key_dfcm t t.p (pos - n) in
     let s = x - t.p.(pos - 1) in
     if t.bltb.(idx) = s then set_entry t pos true 0
     else begin
@@ -133,12 +138,12 @@ let pop_fr t pos =
   let hit = Bitvec.get t.hit pos in
   match t.meth with
   | Fcm ->
-    let idx = key_fcm t (pos + 1) in
+    let idx = key_fcm t t.p (pos + 1) in
     let x = t.frtb.(idx) in
     if not hit then t.frtb.(idx) <- t.p.(pos);
     x
   | Dfcm ->
-    let idx = key_dfcm t (pos + 1) in
+    let idx = key_dfcm t t.p (pos + 1) in
     let s = t.frtb.(idx) in
     let x = t.p.(pos + 1) + s in
     if not hit then t.frtb.(idx) <- t.p.(pos);
@@ -158,14 +163,14 @@ let push_fr t pos x =
   let n = t.ctx in
   match t.meth with
   | Fcm ->
-    let idx = key_fcm t (pos + 1) in
+    let idx = key_fcm t t.p (pos + 1) in
     if t.frtb.(idx) = x then set_entry t pos true 0
     else begin
       set_entry t pos false t.frtb.(idx);
       t.frtb.(idx) <- x
     end
   | Dfcm ->
-    let idx = key_dfcm t (pos + 1) in
+    let idx = key_dfcm t t.p (pos + 1) in
     let s = x - t.p.(pos + 1) in
     if t.frtb.(idx) = s then set_entry t pos true 0
     else begin
@@ -191,7 +196,7 @@ let push_fr t pos x =
 
 let internal_step_forward t =
   let reveal = t.w + t.ctx in
-  let x = pop_bl t reveal in
+  let x = pop_bl t ~win:t.p ~tb:t.bltb reveal in
   let leaving = t.p.(t.w) in
   t.p.(reveal) <- x;
   push_fr t t.w leaving;
@@ -346,8 +351,8 @@ let peek_forward t =
   let pos = t.w + t.ctx in
   let n = t.ctx in
   match t.meth with
-  | Fcm -> t.bltb.(key_fcm t (pos - n))
-  | Dfcm -> t.p.(pos - 1) + t.bltb.(key_dfcm t (pos - n))
+  | Fcm -> t.bltb.(key_fcm t t.p (pos - n))
+  | Dfcm -> t.p.(pos - 1) + t.bltb.(key_dfcm t t.p (pos - n))
   | Last_n ->
     if Bitvec.get t.hit pos then t.p.(pos - n + t.p.(pos)) else t.p.(pos)
   | Last_stride ->
@@ -416,9 +421,21 @@ let trial ?(limit = max_int) meth ~ctx values =
   done;
   { trial_bits = !total; trial_entries = t.m + (2 * ctx) - 1 - !pos }
 
+(* A template parked at the left end reads left to right without a
+   step: each BL entry pops, as a forward step pops it, against the
+   values revealed before it (the zero sentinels first) and a private
+   copy of the BL table. No FR entry is pushed, and the template is
+   only read. *)
 let to_array t =
-  seek t 0;
-  Array.init t.m (fun _ -> step_forward t)
+  if t.w <> 0 then invalid_arg "Bidir.to_array: cursor not at the left end";
+  let n = t.ctx in
+  (* [n] sentinels, then the values *)
+  let v = Array.make (t.m + n) 0 in
+  let tb = Array.copy t.bltb in
+  for pos = n to t.m + n - 1 do
+    v.(pos) <- pop_bl t ~win:v ~tb pos
+  done;
+  Array.sub v n t.m
 
 let meth t = t.meth
 

@@ -138,7 +138,13 @@ type trial = {
     @raise Invalid_argument if [ctx < 1] or [ctx > 16]. *)
 val trial : ?limit:int -> meth -> ctx:int -> int array -> trial
 
-(** Decompress the whole stream (for tests; moves the cursor). *)
+(** Decompress the whole stream of a template parked at the left end,
+    in one left-to-right pass that only reads it: each BL entry decodes
+    from the values already revealed and a private copy of the BL
+    table, and no FR entry is pushed. The cursor does not move and no
+    step is taken; the template's state after the call is its state
+    before ({!same_state}).
+    @raise Invalid_argument if the cursor is not at [0]. *)
 val to_array : t -> int array
 
 val meth : t -> meth

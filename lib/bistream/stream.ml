@@ -118,12 +118,13 @@ let method_name = function
   | Bpacked b ->
     Printf.sprintf "%s/%d" (Bidir.meth_name (Bidir.meth b)) (Bidir.ctx b)
 
-(* Pure decode of the body: packed templates are cloned first, so the
-   pristine state (and every live cursor) is untouched. Reading the
-   container's contents is not a query, so no ledger sees it. *)
+(* Pure decode of the body: a packed template is read in place, never
+   written, so the pristine state (and every live cursor) is untouched.
+   Reading the container's contents is not a query, so no ledger sees
+   it. *)
 let contents = function
   | Braw data -> Array.copy data
-  | Bpacked b -> Bidir.to_array (Bidir.clone b)
+  | Bpacked b -> Bidir.to_array b
 
 (* ------------------------------------------------------------------ *)
 (* Cursors                                                            *)

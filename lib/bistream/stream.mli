@@ -47,9 +47,11 @@ val bits : t -> int
 (** Human-readable method name, e.g. ["dfcm/4"] or ["raw"]. *)
 val method_name : t -> string
 
-(** Pure decode of the whole stream. Never touches any live cursor
-    (packed bodies are cloned first), and no ledger counts it: reading
-    the representation is not a query. *)
+(** Pure decode of the whole stream. A packed body is a template parked
+    at the left end, read in one pass that never writes it
+    ({!Bidir.to_array}): no clone, no live cursor touched, and no
+    ledger counts it, since reading the representation is not a
+    query. *)
 val contents : t -> int array
 
 (** Traversal handles. Each cursor counts its steps, once each, in the

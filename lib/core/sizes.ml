@@ -84,6 +84,15 @@ let close_acc a =
       |> List.sort (fun (a, _) (b, _) -> compare a b);
   }
 
+(* [f] on the label record of every edge, data edges first. *)
+let iter_labels (t : Wet.t) f =
+  let source = function
+    | Wet.No_dep | Wet.Local _ -> ()
+    | Wet.Remote es -> List.iter (fun (e : Wet.edge) -> f e.Wet.e_labels) es
+  in
+  Array.iter (Array.iter source) t.Wet.copy_deps;
+  Array.iter (Array.iter source) t.Wet.node_cd
+
 let detail (t : Wet.t) =
   let ts = new_acc "ts" in
   let uvals = new_acc "uvals" in
@@ -95,22 +104,30 @@ let detail (t : Wet.t) =
   Array.iter (Array.iter (Option.iter (once pattern))) t.Wet.node_patterns;
   Array.iter (Option.iter (once uvals)) t.Wet.copy_uvals;
   let add_src = once lsrc and add_dst = once ldst in
-  let add_source = function
-    | Wet.No_dep | Wet.Local _ -> ()
-    | Wet.Remote es ->
-      List.iter
-        (fun (e : Wet.edge) ->
-          add_src e.Wet.e_labels.Wet.l_src;
-          add_dst e.Wet.e_labels.Wet.l_dst)
-        es
-  in
-  Array.iter (Array.iter add_source) t.Wet.copy_deps;
-  Array.iter (Array.iter add_source) t.Wet.node_cd;
+  iter_labels t (fun l ->
+      add_src l.Wet.l_src;
+      add_dst l.Wet.l_dst);
   let classes = List.map close_acc [ ts; uvals; pattern; lsrc; ldst ] in
   {
     d_classes = classes;
     d_total_bits = List.fold_left (fun s c -> s + c.sc_bits) 0 classes;
   }
+
+(* Each distinct record adds its sides' values once, and each distinct
+   body once; the difference is what body sharing saves. *)
+let shared_label_bodies (t : Wet.t) =
+  let side get =
+    let records = ref 0 and bodies = ref 0 in
+    let body =
+      Wet_util.Memo.by_identity (fun s -> bodies := !bodies + Stream.length s)
+    in
+    iter_labels t
+      (Wet_util.Memo.by_identity (fun l ->
+           records := !records + Stream.length (get l);
+           body (get l)));
+    !records - !bodies
+  in
+  (side (fun l -> l.Wet.l_dst), side (fun l -> l.Wet.l_src))
 
 (* Derived from [detail] so the coarse and per-stream views agree to the
    bit by construction. Bit counts stay exact through the float division:

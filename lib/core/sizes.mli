@@ -47,5 +47,13 @@ type detail = {
 
 val detail : Wet.t -> detail
 
+(** [shared_label_bodies t] is [(consumer, producer)]: per label side,
+    the values that body sharing stores once, which is the values of
+    the distinct label records' sides less the values of the distinct
+    bodies, both counted by physical identity. Records reused by edges
+    between one node pair (paper §3.3) are counted apart, in
+    [Wet.stats.shared_label_values]. *)
+val shared_label_bodies : Wet.t -> int * int
+
 (** [mb b] converts bytes to the paper's megabyte unit. *)
 val mb : float -> float

@@ -376,10 +376,40 @@ end
 (* Structural validation                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* What the checks read of a decoded body: its length, its least and
+   greatest values, and the first index at which it does not strictly
+   ascend ([-1] if it does throughout). O(1) words, however long the
+   body. *)
+type facts = { f_len : int; f_min : int; f_max : int; f_descent : int }
+
+let facts_of (a : int array) =
+  let lo = ref max_int and hi = ref min_int and descent = ref (-1) in
+  for i = 0 to Array.length a - 1 do
+    let v = a.(i) in
+    if v < !lo then lo := v;
+    if v > !hi then hi := v;
+    if !descent < 0 && i > 0 && v <= a.(i - 1) then descent := i
+  done;
+  { f_len = Array.length a; f_min = !lo; f_max = !hi; f_descent = !descent }
+
+(* A value of the body outside [\[lo, hi)], if any: its least when that
+   is below [lo], else its greatest. *)
+let outside f ~lo ~hi =
+  if f.f_len = 0 then None
+  else if f.f_min < lo then Some f.f_min
+  else if f.f_max >= hi then Some f.f_max
+  else None
+
 (* Invariant checker used after salvage loads and by [wet_cli fsck].
    Returns human-readable violations; [[]] means the structure is
    internally consistent. Checks touching a damaged (salvaged-away)
-   section are skipped — placeholders are not violations. *)
+   section are skipped — placeholders are not violations.
+
+   Each distinct body is decoded once, however many owners share it,
+   and only its [facts] are kept; each owner is checked against them
+   with its own bound. An owner fails each check at most once, naming
+   its first offending index or one offending value, and where an
+   owner sits is formatted only for a violation. *)
 let validate t =
   let errs = ref [] in
   let nerrs = ref 0 in
@@ -392,32 +422,34 @@ let validate t =
   in
   let total_execs = t.stats.path_execs in
   (* Pure decode: reads the representation without touching any cursor. *)
-  let snapshot = Stream.contents in
-  (* dependence edges must pair equal numbers of live execution
-     instances, consumers strictly ascending *)
-  let check_edge ctx (e : edge) =
-    let l = e.e_labels in
-    let dst = snapshot l.l_dst and src = snapshot l.l_src in
-    if Array.length dst <> Array.length src then
-      err "%s: label %d pairs %d consumer with %d producer instances" ctx
-        l.l_id (Array.length dst) (Array.length src);
-    let live what nexec =
-      Array.iter (fun i ->
-          if i < 0 || i >= nexec then
-            err "%s: label %d %s instance %d outside [0,%d)" ctx l.l_id what i
-              nexec)
-    in
-    live "consumer" (node_of_copy t e.e_dst).n_nexec dst;
-    live "producer" (node_of_copy t e.e_src).n_nexec src;
-    for j = 1 to Array.length dst - 1 do
-      if dst.(j) <= dst.(j - 1) then
-        err "%s: label %d consumer instances not strictly ascending at %d" ctx
-          l.l_id j
-    done
+  let facts =
+    Wet_util.Memo.by_identity (fun s -> facts_of (Stream.contents s))
   in
-  let check_source ctx = function
+  (* dependence edges must pair equal numbers of live execution
+     instances, consumers strictly ascending; [where ()] names the
+     dependence source holding the edge *)
+  let check_edge where (e : edge) =
+    let l = e.e_labels in
+    let dst = facts l.l_dst and src = facts l.l_src in
+    if dst.f_len <> src.f_len then
+      err "%s: label %d pairs %d consumer with %d producer instances"
+        (where ()) l.l_id dst.f_len src.f_len;
+    let live what f nexec =
+      Option.iter
+        (fun i ->
+          err "%s: label %d %s instance %d outside [0,%d)" (where ()) l.l_id
+            what i nexec)
+        (outside f ~lo:0 ~hi:nexec)
+    in
+    live "consumer" dst (node_of_copy t e.e_dst).n_nexec;
+    live "producer" src (node_of_copy t e.e_src).n_nexec;
+    if dst.f_descent >= 0 then
+      err "%s: label %d consumer instances not strictly ascending at %d"
+        (where ()) l.l_id dst.f_descent
+  in
+  let check_source where = function
     | No_dep | Local _ -> ()
-    | Remote es -> List.iter (check_edge ctx) es
+    | Remote es -> List.iter (check_edge where) es
   in
   (* global timestamp coverage: each of [1..path_execs] exactly once *)
   let seen =
@@ -427,43 +459,53 @@ let validate t =
   in
   Array.iteri
     (fun id n ->
-      let ctx = Printf.sprintf "node %d" id in
-      if n.n_id <> id then err "%s: n_id is %d" ctx n.n_id;
+      if n.n_id <> id then err "node %d: n_id is %d" id n.n_id;
       let nstmts = Array.length n.n_stmts in
       let nblocks = Array.length n.n_blocks in
-      if Array.length n.n_block_start <> nblocks then
-        err "%s: block_start/blocks length mismatch" ctx;
-      Array.iteri
-        (fun bp s ->
-          if s < 0 || s > nstmts || (bp > 0 && s <= n.n_block_start.(bp - 1))
-          then err "%s: block_start not ascending at %d" ctx bp)
-        n.n_block_start;
-      if nblocks > 0 && n.n_block_start.(0) <> 0 then
-        err "%s: first block does not start at statement 0" ctx;
+      let bs = n.n_block_start in
+      if Array.length bs <> nblocks then
+        err "node %d: block_start/blocks length mismatch" id;
+      (match
+         Seq.find
+           (fun bp ->
+             bs.(bp) < 0 || bs.(bp) > nstmts
+             || (bp > 0 && bs.(bp) <= bs.(bp - 1)))
+           (Seq.init (Array.length bs) Fun.id)
+       with
+       | Some bp -> err "node %d: block_start not ascending at %d" id bp
+       | None -> ());
+      if nblocks > 0 && bs.(0) <> 0 then
+        err "node %d: first block does not start at statement 0" id;
       let cd = t.node_cd.(id) in
       if (not (damaged t "labels.deps")) && Array.length cd <> nblocks then
-        err "%s: %d control sources for %d blocks" ctx (Array.length cd)
+        err "node %d: %d control sources for %d blocks" id (Array.length cd)
           nblocks;
+      (* timestamps never repeat, so each body is its node's alone, and
+         coverage needs its values *)
       (if not (damaged t "labels.ts") then begin
-         let ts = snapshot t.node_ts.(id) in
-         if Array.length ts <> n.n_nexec then
-           err "%s: %d timestamps for %d executions" ctx (Array.length ts)
-             n.n_nexec
+         let ts = Stream.contents t.node_ts.(id) in
+         let f = facts_of ts in
+         if f.f_len <> n.n_nexec then
+           err "node %d: %d timestamps for %d executions" id f.f_len n.n_nexec
          else begin
-           Array.iteri
-             (fun i v ->
-               if i > 0 && v <= ts.(i - 1) then
-                 err "%s: timestamps not strictly increasing at %d" ctx i;
-               if v < 1 || v > total_execs then
-                 err "%s: timestamp %d outside [1,%d]" ctx v total_execs
-               else
-                 Option.iter
-                   (fun b ->
-                     if Bytes.get b v <> '\000' then
-                       err "%s: timestamp %d already used" ctx v
-                     else Bytes.set b v '\001')
-                   seen)
-             ts
+           if f.f_descent >= 0 then
+             err "node %d: timestamps not strictly increasing at %d" id
+               f.f_descent;
+           Option.iter
+             (fun v ->
+               err "node %d: timestamp %d outside [1,%d]" id v total_execs)
+             (outside f ~lo:1 ~hi:(total_execs + 1));
+           Option.iter
+             (fun b ->
+               let used = ref None in
+               Array.iter
+                 (fun v ->
+                   if v >= 1 && v <= total_execs then
+                     if Bytes.get b v = '\000' then Bytes.set b v '\001'
+                     else if Option.is_none !used then used := Some v)
+                 ts;
+               Option.iter (err "node %d: timestamp %d already used" id) !used)
+             seen
          end
        end);
       (* a pattern indexes its group's unique values, which every
@@ -475,26 +517,32 @@ let validate t =
              let nuniq = Option.fold ~none:0 ~some:Stream.length member in
              Option.iter
                (fun p ->
-                 let p = snapshot p in
-                 if Array.length p <> n.n_nexec then
-                   err "%s: group pattern length %d <> nexec %d" ctx
-                     (Array.length p) n.n_nexec;
-                 Array.iter
+                 let f = facts p in
+                 if f.f_len <> n.n_nexec then
+                   err "node %d: group pattern length %d <> nexec %d" id
+                     f.f_len n.n_nexec;
+                 Option.iter
                    (fun v ->
-                     if v < 0 || v >= nuniq then
-                       err "%s: pattern index %d outside [0,%d)" ctx v nuniq)
-                   p)
+                     err "node %d: pattern index %d outside [0,%d)" id v nuniq)
+                   (outside f ~lo:0 ~hi:nuniq))
                p)
            t.node_patterns.(id));
       Array.iteri
-        (fun bp src -> check_source (Printf.sprintf "%s cd[%d]" ctx bp) src)
+        (fun bp src ->
+          check_source (fun () -> Printf.sprintf "node %d cd[%d]" id bp) src)
         cd)
     t.nodes;
   Option.iter
     (fun b ->
+      let missing = ref 0 and first = ref 0 in
       for v = 1 to total_execs do
-        if Bytes.get b v = '\000' then err "timestamp %d never assigned" v
-      done)
+        if Bytes.get b v = '\000' then begin
+          if !missing = 0 then first := v;
+          incr missing
+        end
+      done;
+      if !missing > 0 then
+        err "%d timestamps never assigned, the first %d" !missing !first)
     seen;
   (if not (damaged t "labels.values") then
      Array.iteri
@@ -512,7 +560,9 @@ let validate t =
          else
            Array.iteri
              (fun s src ->
-               check_source (Printf.sprintf "copy %d slot %d" c s) src)
+               check_source
+                 (fun () -> Printf.sprintf "copy %d slot %d" c s)
+                 src)
              slots)
        t.copy_deps);
   if !nerrs > 100 then

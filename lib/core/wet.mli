@@ -94,7 +94,9 @@ type stats = {
   cd_instances : int;  (** per-statement control-dependence instances *)
   local_dep_instances : int;  (** dependences inferable from node labels *)
   shared_label_values : int;
-      (** label-sequence values eliminated by cross-edge sharing *)
+      (** consumer values of edges that reuse another edge's label
+          record between the same node pair (paper §3.3); bodies shared
+          across records are counted by {!Sizes.shared_label_bodies} *)
 }
 
 (** {1 The immutable container}
@@ -209,11 +211,16 @@ val copies_of_stmt : t -> int -> copy_id list
     live instances, dependence slots matching their statements. The
     predecessors, copy maps and indexes are {!make}'s, consistent by
     construction, so they are not re-checked. Returns
-    human-readable violations ([[]] = sound). Checks that would touch a
-    {!damage}d section are skipped, so a salvaged WET validates clean
-    when its surviving sections are sound. Reads pure stream snapshots
-    ({!Wet_bistream.Stream.contents}), so it never moves any cursor —
-    safe to run concurrently with live sessions. *)
+    human-readable violations ([[]] = sound), at most one per owner and
+    check, naming the first offending index or one offending value.
+    Checks that would touch a {!damage}d section are skipped, so a
+    salvaged WET validates clean when its surviving sections are
+    sound. Each distinct body is decoded once, however many owners
+    share it ({!Wet_bistream.Stream.contents}, which never moves any
+    cursor, so this is safe to run concurrently with live sessions),
+    and only its length, least and greatest value and first
+    non-ascending index are kept; each owner is checked against those
+    with its own bound. *)
 val validate : t -> string list
 
 (** {1 Sessions}

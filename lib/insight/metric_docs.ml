@@ -26,7 +26,8 @@ let docs =
      "path nodes created (one per distinct executed path)");
     ("build.labels.records", Counter, "dependence label records built");
     ("build.labels.dedup_hits", Counter, "label sequences shared via dedup");
-    ("build.labels.shared_values", Counter, "values saved by label sharing");
+    ("build.labels.shared_values", Counter,
+     "consumer values in label records reused within a node pair");
     ("build.groups.count", Counter, "statement groups formed");
     ("build.groups.members", Counter, "group member statements");
     ("build.groups.unique_tuples", Counter, "distinct value tuples per group");

@@ -1,6 +1,7 @@
 (** CRC-32 (IEEE 802.3, polynomial 0xEDB88320), the checksum guarding
-    WET container sections. Values are in [0, 0xFFFFFFFF], carried in an
-    OCaml [int]. *)
+    WET container sections and journal records. Values are in
+    [0, 0xFFFFFFFF], carried in an OCaml [int]. It is computed eight
+    bytes a step (slicing-by-8); the value is the bytewise one. *)
 
 (** [sub s pos len] is the CRC-32 of [s.[pos .. pos+len-1]].
     @raise Invalid_argument if the range is outside [s]. *)

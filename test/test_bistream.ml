@@ -23,23 +23,32 @@ let fixtures rng =
     ("empty", [||]);
   ]
 
+(* [to_array] reads a template parked at the left end in one pass,
+   without a step: it must give what stepping a clone forward gives, and
+   leave the template as it found it. *)
 let test_round_trip () =
   let rng = Wet_util.Prng.create 99 in
   List.iter
     (fun (name, arr) ->
       List.iter
         (fun (m, c) ->
+          let tag = Printf.sprintf "%s %s" name (variant_name (m, c)) in
           let b = Bidir.compress m ~ctx:c arr in
-          Alcotest.(check (array int))
-            (Printf.sprintf "%s %s forward" name (variant_name (m, c)))
-            arr (Bidir.to_array b);
+          let before = Bidir.clone b in
+          let walk =
+            let w = Bidir.clone b in
+            Array.init (Array.length arr) (fun _ -> Bidir.step_forward w)
+          in
+          let read = Bidir.to_array b in
+          Alcotest.(check (array int)) (tag ^ " forward") arr walk;
+          Alcotest.(check (array int)) (tag ^ " read = walk") walk read;
+          Alcotest.(check bool) (tag ^ " template untouched") true
+            (Bidir.same_state before b);
           (* backward read from the right end *)
           Bidir.seek b (Array.length arr);
           let back = Array.init (Array.length arr) (fun _ -> Bidir.step_backward b) in
           let fwd = Array.init (Array.length arr) (fun i -> back.(Array.length arr - 1 - i)) in
-          Alcotest.(check (array int))
-            (Printf.sprintf "%s %s backward" name (variant_name (m, c)))
-            arr fwd)
+          Alcotest.(check (array int)) (tag ^ " backward") arr fwd)
         all_variants)
     (fixtures rng)
 
@@ -187,6 +196,9 @@ let test_cursor_bounds () =
   Alcotest.check_raises "forward at end"
     (Invalid_argument "Bidir.step_forward: at right end") (fun () ->
       ignore (Bidir.step_forward b));
+  Alcotest.check_raises "to_array off the left end"
+    (Invalid_argument "Bidir.to_array: cursor not at the left end") (fun () ->
+      ignore (Bidir.to_array b));
   Alcotest.check_raises "bad ctx" (Invalid_argument "Bidir.compress: ctx must be in [1,16]")
     (fun () -> ignore (Bidir.compress Bidir.Fcm ~ctx:0 [| 1 |]))
 

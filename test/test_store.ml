@@ -629,6 +629,168 @@ let test_atomic_save () =
     (Sys.readdir dir)
 
 (* ------------------------------------------------------------------ *)
+(* Reading a container once                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Every stream of a WET, one entry per owner. *)
+let all_streams (w : W.t) =
+  let somes a = List.filter_map Fun.id (Array.to_list a) in
+  let sides = ref [] in
+  let add = function
+    | W.Remote es ->
+      List.iter
+        (fun (e : W.edge) ->
+          sides := e.W.e_labels.W.l_dst :: e.W.e_labels.W.l_src :: !sides)
+        es
+    | W.No_dep | W.Local _ -> ()
+  in
+  Array.iter (Array.iter add) w.W.node_cd;
+  Array.iter (Array.iter add) w.W.copy_deps;
+  Array.to_list w.W.node_ts
+  @ somes w.W.copy_uvals
+  @ List.concat_map somes (Array.to_list w.W.node_patterns)
+  @ !sides
+
+(* [Stream.contents] reads a packed body in one pass, without a cursor:
+   it must give what a cursor's walk gives, on every packed stream. *)
+let test_contents_is_a_walk () =
+  List.iter
+    (fun (name, _, _, w2) ->
+      let packed =
+        List.filter
+          (fun s -> W.Stream.method_name s <> "raw")
+          (all_streams w2)
+      in
+      if packed = [] then Alcotest.failf "%s: no packed stream" name;
+      List.iter
+        (fun s ->
+          let cur =
+            W.Stream.Cursor.make ~tally:(Wet_bistream.Telemetry.make ())
+              ~label:0 s
+          in
+          Alcotest.(check (array int))
+            (Printf.sprintf "%s: %s contents = walk" name
+               (W.Stream.method_name s))
+            (W.Stream.Cursor.to_array cur) (W.Stream.contents s))
+        packed)
+    (Lazy.force built)
+
+(* [w] with each label record passed through [labels] and each (node,
+   group) pattern through [patterns], everything else as built. *)
+let remake ?(labels = Fun.id) ?(patterns = fun _ _ p -> p) (w : W.t) =
+  let source = function
+    | W.Remote es ->
+      W.Remote
+        (List.map
+           (fun (e : W.edge) -> { e with W.e_labels = labels e.W.e_labels })
+           es)
+    | s -> s
+  in
+  W.make ~program:w.W.program ~analysis:w.W.analysis ~nodes:w.W.nodes
+    ~node_ts:w.W.node_ts
+    ~node_patterns:(Array.mapi (fun n -> Array.mapi (patterns n)) w.W.node_patterns)
+    ~copy_uvals:w.W.copy_uvals
+    ~node_cd:(Array.map (Array.map source) w.W.node_cd)
+    ~copy_deps:(Array.map (Array.map source) w.W.copy_deps)
+    ~first_node:w.W.first_node ~last_node:w.W.last_node ~stats:w.W.stats
+    ~tier:w.W.tier ~damage:[]
+
+(* The edges whose label record no other edge shares, so a violation in
+   the record is reported once. *)
+let unshared_edges (w : W.t) =
+  let edges = ref [] in
+  let add = function W.Remote es -> edges := es @ !edges | _ -> () in
+  Array.iter (Array.iter add) w.W.node_cd;
+  Array.iter (Array.iter add) w.W.copy_deps;
+  let refs id =
+    List.length
+      (List.filter (fun (e : W.edge) -> e.W.e_labels.W.l_id = id) !edges)
+  in
+  List.filter (fun (e : W.edge) -> refs e.W.e_labels.W.l_id = 1) !edges
+
+let consumer_nexec w (e : W.edge) = (W.node_of_copy w e.W.e_dst).W.n_nexec
+
+(* [w]'s violations, and again after packing: exactly one, ending in
+   [what] (its start names where the owner sits). *)
+let check_one_violation name w what =
+  List.iter
+    (fun (tier, w) ->
+      match W.validate w with
+      | [ v ] when String.ends_with ~suffix:what v -> ()
+      | vs ->
+        Alcotest.failf "%s/%s: want one violation ending in %S, got: %s" name
+          tier what (String.concat "; " vs))
+    [ ("tier1", w); ("tier2", Builder.pack w) ]
+
+(* The validator decodes each distinct body once and checks each owner
+   with its own bound, once per check: built from a tier-1 WET's parts
+   with bodies replaced, each broken WET reports exactly one violation,
+   before and after packing. *)
+let test_violations () =
+  let _, _, w1, _ = List.hd (Lazy.force built) in
+  let raw a = W.Stream.compress_with `Raw a in
+  let edges =
+    List.sort
+      (fun a b -> compare (consumer_nexec w1 a) (consumer_nexec w1 b))
+      (unshared_edges w1)
+  in
+  let lo = List.hd edges and hi = List.hd (List.rev edges) in
+  let nlo = consumer_nexec w1 lo and nhi = consumer_nexec w1 hi in
+  if nlo >= nhi then Alcotest.fail "no two consumer nodes differ in nexec";
+  (* (a) one consumer body under two records: instance [nlo] is live in
+     [hi]'s consumer node and past the end of [lo]'s *)
+  let shared = raw [| nlo |] in
+  let ids = [ lo.W.e_labels.W.l_id; hi.W.e_labels.W.l_id ] in
+  let w =
+    remake w1 ~labels:(fun l ->
+        if List.mem l.W.l_id ids then
+          { l with W.l_dst = shared; l_src = raw [| 0 |] }
+        else l)
+  in
+  check_one_violation "shared body" w
+    (Printf.sprintf "label %d consumer instance %d outside [0,%d)"
+       lo.W.e_labels.W.l_id nlo nlo);
+  (* (b) a consumer side descending twice: reported at the first *)
+  let e = List.find (fun e -> consumer_nexec w1 e >= 3) edges in
+  let w =
+    remake w1 ~labels:(fun l ->
+        if l.W.l_id = e.W.e_labels.W.l_id then
+          { l with W.l_dst = raw [| 2; 1; 0 |]; l_src = raw [| 0; 0; 0 |] }
+        else l)
+  in
+  check_one_violation "descent" w
+    (Printf.sprintf "label %d consumer instances not strictly ascending at 1"
+       e.W.e_labels.W.l_id);
+  (* (c) every index of a pattern at or past its group's unique-value
+     count *)
+  let node, group =
+    let found = ref None in
+    Array.iteri
+      (fun n ps ->
+        Array.iteri
+          (fun g p ->
+            if p <> None && w1.W.nodes.(n).W.n_nexec >= 2 && !found = None
+            then found := Some (n, g))
+          ps)
+      w1.W.node_patterns;
+    Option.get !found
+  in
+  let nd = w1.W.nodes.(node) in
+  let nuniq =
+    W.Stream.length (Option.get w1.W.copy_uvals.(nd.W.n_groups.(group).(0)))
+  in
+  let w =
+    remake w1 ~patterns:(fun n g p ->
+        if n = node && g = group then
+          Some
+            (raw (Array.init nd.W.n_nexec (fun i -> nuniq + (i mod 2))))
+        else p)
+  in
+  check_one_violation "pattern" w
+    (Printf.sprintf "node %d: pattern index %d outside [0,%d)" node
+       (nuniq + 1) nuniq)
+
+(* ------------------------------------------------------------------ *)
 (* Seeded random-fault campaign                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -712,6 +874,10 @@ let () =
           Alcotest.test_case "inconsistent sections are malformed" `Quick
             test_inconsistent_sections;
           Alcotest.test_case "atomic save" `Quick test_atomic_save;
+          Alcotest.test_case "contents is a cursor walk" `Quick
+            test_contents_is_a_walk;
+          Alcotest.test_case "one violation per owner and check" `Quick
+            test_violations;
           Alcotest.test_case "fault campaign (600 seeded faults)" `Slow
             test_campaign;
           Alcotest.test_case "fault specs" `Quick test_fault_specs;

@@ -1,6 +1,7 @@
 module Dyn = Wet_util.Dynarray_int
 module Bitvec = Wet_util.Bitvec
 module Hashing = Wet_util.Hashing
+module Crc32 = Wet_util.Crc32
 module Prng = Wet_util.Prng
 
 let test_dyn_basic () =
@@ -103,6 +104,33 @@ let test_hashing () =
   let ix = Hashing.index_of_hash (Hashing.hash_list [ 42 ]) 8 in
   Alcotest.(check bool) "index in range" true (ix >= 0 && ix < 256)
 
+(* The CRC-32 one byte a step, straight from the polynomial: the value
+   the eight-byte steps must reproduce. *)
+let crc32_bytewise s ~pos ~len =
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc32 () =
+  Alcotest.(check int) "check value" 0xCBF43926 (Crc32.string "123456789");
+  Alcotest.(check int) "empty" 0 (Crc32.string "");
+  let rng = Prng.create 32 in
+  let s = String.init 80 (fun _ -> Char.chr (Prng.int rng 256)) in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      Alcotest.(check int)
+        (Printf.sprintf "offset %d length %d" pos len)
+        (crc32_bytewise s ~pos ~len) (Crc32.sub s ~pos ~len)
+    done
+  done;
+  Alcotest.check_raises "range past the end" (Invalid_argument "Crc32.sub")
+    (fun () -> ignore (Crc32.sub s ~pos:17 ~len:64))
+
 let test_prng () =
   let a = Prng.create 1 and b = Prng.create 1 in
   for _ = 1 to 100 do
@@ -135,5 +163,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_bitvec_blit_prefix;
         ] );
       ("hashing", [ Alcotest.test_case "basic" `Quick test_hashing ]);
+      ("crc32", [ Alcotest.test_case "eight bytes a step" `Quick test_crc32 ]);
       ("prng", [ Alcotest.test_case "determinism" `Quick test_prng ]);
     ]
